@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrep
-from .ff import is_prime, make_field
+from .ff import is_prime, make_field, multiplicative_order
 from .matrep import (
     MatRep,
     build_rep,
@@ -33,6 +33,14 @@ class NotIrreducible(ValueError):
     pass
 
 
+def semisimple_classes(group, p: int):
+    """The conjugacy classes of nontrivial elements of order prime to p,
+    in the canonical class ordering."""
+    for cls in group.conjugacy_classes():
+        if cls.element_order > 1 and cls.element_order % p:
+            yield cls
+
+
 def min_semisimple_fixdim(rep: MatRep, p: int = None):
     """Minimum fixed-space dimension over nontrivial p'-classes.
 
@@ -42,9 +50,7 @@ def min_semisimple_fixdim(rep: MatRep, p: int = None):
     if p is None:
         p = rep.field.p
     best = None
-    for cls in rep.group.conjugacy_classes():
-        if cls.element_order == 1 or cls.element_order % p == 0:
-            continue
+    for cls in semisimple_classes(rep.group, p):
         d = fixed_space_dim(rep, cls.rep)
         if best is None or d < best[1]:
             best = (cls, d)
@@ -79,20 +85,6 @@ class BoundReport:
         return all(c.satisfied for c in self.clauses if c.applicable)
 
 
-def _order_mod(a: int, n: int) -> int:
-    a %= n
-    if a == 0:
-        return 0
-    x = a
-    o = 1
-    while x != 1:
-        x = x * a % n
-        o += 1
-        if o > n:
-            return 0
-    return o
-
-
 def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     """Evaluate every applicable fixed-space bound clause on one module.
 
@@ -118,8 +110,7 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     cls, mindim = min_semisimple_fixdim(rep, p)
     if fixed_space_dim(rep, cls.rep) != mindim:
         raise AssertionError("witness fixed dimension failed recomputation")
-    classes = group.conjugacy_classes()
-    cls_index = classes.index(cls)
+    cls_index = group.conjugacy_classes().index(cls)
     mo = cls.element_order
     md = Fraction(mindim)
 
@@ -134,7 +125,7 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
                      Fraction(3 * n, 8), False, md <= Fraction(3 * n, 8),
                      mo, mindim),
         ClauseResult("two-primitive-third",
-                     n % 2 == 1 and is_prime(n) and _order_mod(2, n) == n - 1,
+                     n % 2 == 1 and is_prime(n) and multiplicative_order(2, n) == n - 1,
                      Fraction(n, 3), False, md <= Fraction(n, 3), mo, mindim),
     ]
     # make inapplicable clauses vacuous regardless of the observed minimum
@@ -147,9 +138,7 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     line_applicable = n % 2 == 1 and is_prime(n) and p > 2 * n - 3
     if line_applicable:
         found = None
-        for c in classes:
-            if c.element_order == 1 or c.element_order % p == 0:
-                continue
+        for c in semisimple_classes(group, p):
             prof = eigenspace_profile(rep, c.rep, p)
             if prof.max_eigenspace_dim <= 1:
                 found = (c, prof.max_eigenspace_dim)
@@ -276,16 +265,8 @@ def sl_p_adjoint_check(p: int = 3, q: int = 3) -> AdjointSectionReport:
         raise ValueError("only the SL3(3) desk instance is built in")
     rep = sl3_adjoint_heart()
     bound = p - 2
-    best = None
-    checked = 0
-    for cls in rep.group.conjugacy_classes():
-        if cls.element_order == 1 or cls.element_order % p == 0:
-            continue
-        checked += 1
-        d = fixed_space_dim(rep, cls.rep)
-        if best is None or d < best[1]:
-            best = (cls, d)
-    cls, mind = best
+    cls, mind = min_semisimple_fixdim(rep, p)
+    checked = sum(1 for _ in semisimple_classes(rep.group, p))
     return AdjointSectionReport(
         p, 9, rep.dim, bound, mind, cls.element_order, checked, mind >= bound
     )

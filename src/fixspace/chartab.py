@@ -11,6 +11,7 @@ driven entirely by the lifted table.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 from . import ff, linalg
@@ -164,24 +165,6 @@ def _dixon_prime(order: int, exponent: int) -> int:
     return n
 
 
-def _primitive_root(l: int) -> int:
-    rest = l - 1
-    primes = []
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            primes.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        primes.append(rest)
-    for w in range(2, l):
-        if all(pow(w, (l - 1) // r, l) != 1 for r in primes):
-            return w
-    raise AssertionError("no primitive root found; unreachable")
-
-
 def character_table(group: PermGroup, cap_classes: int = 60, cap_order: int = 10**6) -> CharTable:
     if group.order > cap_order:
         raise GroupTooLarge(f"order {group.order} exceeds {cap_order}")
@@ -214,7 +197,9 @@ def character_table(group: PermGroup, cap_classes: int = 60, cap_order: int = 10
         degrees.append(d)
         rows_mod.append(tuple(d * v[j] * inv_size[j] % l for j in range(r)))
 
-    w = _primitive_root(l)
+    primes = ff.prime_factors(l - 1)
+    w = next(w for w in range(2, l)
+             if all(pow(w, (l - 1) // r, l) != 1 for r in primes))
     z = pow(w, (l - 1) // e, l)
     power_class = [
         [index[ppow(classes[j].rep, t)] for t in range(classes[j].element_order)]
@@ -297,16 +282,10 @@ def _split_space(F, mat, rows, pivots):
     l = F.p
     cols = []
     for b in rows:
-        w = linalg.mat_vec(F, mat, b)
-        coords = [w[p] for p in pivots]
-        cols.append(coords)
-        back = [0] * len(w)
-        for c, row in zip(coords, rows):
-            if c:
-                for t in range(len(w)):
-                    back[t] = (back[t] + c * row[t]) % l
-        if tuple(back) != tuple(w):
+        coords = linalg.rref_coords(F, rows, pivots, linalg.mat_vec(F, mat, b))
+        if coords is None:
             raise LiftFailure("class matrix does not preserve a split space")
+        cols.append(coords)
     R = [[cols[j][i] for j in range(m)] for i in range(m)]
     chp = linalg.char_poly(F, R)
     pieces = []
@@ -382,8 +361,14 @@ def write_table_cache(table: CharTable, path: str) -> None:
     for d, row in zip(table.degrees, table.values):
         packed = "|".join(",".join(str(x) for x in vec) for vec in row)
         lines.append(f"character {d} {packed}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_table_cache(path: str, group: PermGroup) -> CharTable:
@@ -405,6 +390,11 @@ def read_table_cache(path: str, group: PermGroup) -> CharTable:
         raise LiftFailure("cache file does not match the supplied group")
     classes = group.conjugacy_classes()
     index = group.class_index()
+    r = len(classes)
+    if int(header["classes"]) != r or len(class_lines) != r:
+        raise LiftFailure(f"cache has {len(class_lines)} class lines, the group {r} classes")
+    if len(char_lines) != r:
+        raise LiftFailure(f"cache has {len(char_lines)} characters, the group {r} classes")
     for c, ln in zip(classes, class_lines):
         size, order, _ = ln.split(" ", 2)
         if c.size != int(size) or c.element_order != int(order):
@@ -416,8 +406,13 @@ def read_table_cache(path: str, group: PermGroup) -> CharTable:
     values = []
     for ln in char_lines:
         d, packed = ln.split(" ", 1)
+        row = tuple(tuple(int(x) for x in vec.split(",")) for vec in packed.split("|"))
+        if len(row) != r or any(len(vec) != e for vec in row):
+            raise LiftFailure(f"cache character of degree {d} is not {r} vectors of length {e}")
         degrees.append(int(d))
-        values.append(tuple(tuple(int(x) for x in vec.split(",")) for vec in packed.split("|")))
+        values.append(row)
+    if sum(d * d for d in degrees) != group.order:
+        raise LiftFailure("cached degree squares do not sum to the group order")
     values_mod = tuple(
         tuple(sum(c * pow(z, i, l) for i, c in enumerate(vec)) % l for vec in row)
         for row in values

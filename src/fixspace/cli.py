@@ -1,9 +1,12 @@
 """Command line surface.
 
-Every subcommand prints a short human-readable section followed by a
-machine-readable block of `key = value` lines; `--format records` drops
-the human section. Machine output is byte-identical across runs for fixed
-seed, worker count, and inputs.
+Each subcommand is an evaluator: a function of plain parameters that
+returns a Result, that is its human-readable lines, its machine-readable
+`key = value` records and its exit status. One runner prints what an
+evaluator returns; `--format records` drops the human section. `verify`
+runs the same evaluators on the keys of each manifest claim and compares
+their records against the claim's `expect`. Machine output is
+byte-identical across runs for fixed seed, worker count, and inputs.
 """
 
 import argparse
@@ -14,7 +17,8 @@ import sys
 from . import bounds as bnd
 from . import chartab, gensearch, matrep
 from . import weights as wt
-from .perm import builtin_group, format_group, read_group_file
+from .ff import make_field
+from .perm import builtin_group, format_cycles, format_group, read_group_file
 from .rng import SeedStream
 
 
@@ -28,16 +32,27 @@ CLAIM_KINDS = ("triple", "pair", "exception", "bound", "scott", "weights",
                "phi", "example")
 
 
+class Result:
+    """What an evaluator found: human lines, `key = value` records and the
+    exit status (0 success, 1 not found, violated or failing)."""
+
+    def __init__(self, human: list, records: list, status: int = 0):
+        self.human = human
+        self.records = records
+        self.status = status
+        self.rec = dict(records)
+
+
 # output helpers -----------------------------------------------------------
 
 
-def _emit(args, human: list, records: list) -> None:
+def _emit(res: Result, fmt: str) -> None:
     lines = []
-    if args.format == "plain":
-        lines.extend(human)
-        if human and records:
+    if fmt == "plain":
+        lines.extend(res.human)
+        if res.human and res.records:
             lines.append("")
-    lines.extend(f"{k} = {v}" for k, v in records)
+    lines.extend(f"{k} = {v}" for k, v in res.records)
     sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -50,7 +65,15 @@ def _csv(items) -> str:
     return ",".join(str(x) for x in items)
 
 
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
+
+
 # input loading -------------------------------------------------------------
+
+
+def _path(spec: str, base: str) -> str:
+    return spec if os.path.isabs(spec) or not base else os.path.join(base, spec)
 
 
 def _load_group(spec: str, base: str = ""):
@@ -58,7 +81,7 @@ def _load_group(spec: str, base: str = ""):
 
     Returns (group, canonical source text) so results can be cache-keyed.
     """
-    path = spec if os.path.isabs(spec) or not base else os.path.join(base, spec)
+    path = _path(spec, base)
     if os.path.exists(path):
         with open(path) as fh:
             text = fh.read()
@@ -68,13 +91,11 @@ def _load_group(spec: str, base: str = ""):
 
 
 def _load_module(spec: str, base: str = "", matgroup: str = None):
-    path = spec if os.path.isabs(spec) or not base else os.path.join(base, spec)
     matgroups = {}
     if matgroup:
-        mpath = matgroup if os.path.isabs(matgroup) or not base else os.path.join(base, matgroup)
-        group, rep = matrep.read_matgroup_file(mpath)
+        group, rep = matrep.read_matgroup_file(_path(matgroup, base))
         matgroups[group.name] = (group, rep)
-    return matrep.read_module_file(path, matgroups=matgroups)
+    return matrep.read_module_file(_path(spec, base), matgroups=matgroups)
 
 
 def _cached_table(group, source_text: str, cache_dir: str):
@@ -90,16 +111,16 @@ def _cached_table(group, source_text: str, cache_dir: str):
     return table
 
 
-# subcommands ---------------------------------------------------------------
+# subcommand evaluators -----------------------------------------------------
 
 
-def cmd_table(args) -> int:
-    group, source = _load_group(args.group)
-    table = _cached_table(group, source, args.cache_dir)
-    name = group.name or "group"
+def eval_table(group: str, cache_dir: str = None, base: str = "") -> Result:
+    G, source = _load_group(group, base)
+    table = _cached_table(G, source, cache_dir)
+    name = G.name or "group"
     classes = table.classes
     human = [
-        f"character table of {name}: order {group.order}, "
+        f"character table of {name}: order {G.order}, "
         f"{len(classes)} classes, exponent {table.exponent}",
         "class orders: " + _csv(c.element_order for c in classes),
         "class sizes:  " + _csv(c.size for c in classes),
@@ -107,7 +128,7 @@ def cmd_table(args) -> int:
     ]
     records = [
         ("group", name),
-        ("order", group.order),
+        ("order", G.order),
         ("classes", len(classes)),
         ("exponent", table.exponent),
         ("dixon_modulus", table.modulus),
@@ -118,76 +139,70 @@ def cmd_table(args) -> int:
     for i, row in enumerate(table.values):
         packed = "|".join(_csv(vec) for vec in row)
         records.append((f"character_{i}", f"{table.degrees[i]}:{packed}"))
-    _emit(args, human, records)
-    return 0
+    return Result(human, records)
 
 
-def _triple_records(cert) -> list:
-    from .perm import format_cycles
-    out = [("verdict", "found" if cert.verdict == "Generates" else "not_found"),
-           ("attempts", cert.attempts)]
-    if cert.verdict == "Generates":
-        out += [
-            ("x", format_cycles(cert.x)),
-            ("y", format_cycles(cert.y)),
-            ("z", format_cycles(cert.z)),
-            ("orders", _csv(cert.orders)),
-            ("subgroup_order", cert.subgroup_order_of_xy),
-        ]
-    return out
+def _witness_records(cert) -> list:
+    return [
+        ("x", format_cycles(cert.x)),
+        ("y", format_cycles(cert.y)),
+        ("z", format_cycles(cert.z)),
+        ("orders", _csv(cert.orders)),
+        ("subgroup_order", cert.subgroup_order_of_xy),
+    ]
 
 
-def cmd_triples(args) -> int:
-    group, source = _load_group(args.group)
-    name = group.name or "group"
-    if args.exhaustive:
-        table = _cached_table(group, source, args.cache_dir)
-        res = gensearch.exhaustive_triple_search(group, args.p, table=table)
+def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
+                 workers: int = 1, orders: tuple = None, exhaustive: bool = False,
+                 cache_dir: str = None, base: str = "") -> Result:
+    G, source = _load_group(group, base)
+    name = G.name or "group"
+    if exhaustive:
+        table = _cached_table(G, source, cache_dir)
+        res = gensearch.exhaustive_triple_search(G, p, table=table)
         verdict = {"ProvedNone": "proved_none",
                    "ExistsWithWitness": "exists_with_witness"}[res.verdict]
-        human = [f"exhaustive class-triple search in {name} at p = {args.p}"]
-        records = [("group", name), ("p", args.p), ("mode", "exhaustive"),
+        human = [f"exhaustive class-triple search in {name} at p = {p}"]
+        records = [("group", name), ("p", p), ("mode", "exhaustive"),
                    ("verdict", verdict),
                    ("generation_tests", res.generation_tests)]
         if res.certificate is not None:
             human.append(f"witness triple of orders {res.certificate.orders}")
-            records += _triple_records(res.certificate)[2:]
+            records += _witness_records(res.certificate)
         else:
             human.append("no generating triple of coprime-order elements exists")
-        _emit(args, human, records)
-        return 0
-    if args.seed is None:
-        return _fail("--seed is required for the randomized search")
-    orders = tuple(int(x) for x in args.orders.split(",")) if args.orders else None
-    cert = gensearch.find_triple(group, args.p, budget=args.budget,
-                                 seed=args.seed, workers=args.workers,
-                                 orders=orders)
+        return Result(human, records)
+    if seed is None:
+        raise ValueError("--seed is required for the randomized search")
+    cert = gensearch.find_triple(G, p, budget=budget, seed=seed,
+                                 workers=workers, orders=orders)
     found = cert.verdict == "Generates"
-    human = [f"random triple search in {name} at p = {args.p}: "
+    human = [f"random triple search in {name} at p = {p}: "
              + (f"found after {cert.attempts} attempts" if found
                 else f"nothing in {cert.attempts} attempts")]
-    records = [("group", name), ("p", args.p), ("mode", "random"),
-               ("seed", args.seed), ("workers", args.workers)]
-    records += _triple_records(cert)
-    _emit(args, human, records)
-    return 0 if found else 1
+    records = [("group", name), ("p", p), ("mode", "random"),
+               ("seed", seed), ("workers", workers),
+               ("verdict", "found" if found else "not_found"),
+               ("attempts", cert.attempts)]
+    if found:
+        records += _witness_records(cert)
+    return Result(human, records, 0 if found else 1)
 
 
-def cmd_pairs(args) -> int:
-    from .perm import format_cycles
-    group, _ = _load_group(args.group)
-    name = group.name or "group"
-    if args.seed is None:
-        return _fail("--seed is required for the randomized search")
-    cert = gensearch.find_conjugate_pair(group, args.p, budget=args.budget,
-                                         seed=args.seed, workers=args.workers,
-                                         order=args.order)
+def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
+               workers: int = 1, order: int = None, base: str = "") -> Result:
+    G, _ = _load_group(group, base)
+    name = G.name or "group"
+    if seed is None:
+        raise ValueError("--seed is required for the randomized search")
+    cert = gensearch.find_conjugate_pair(G, p, budget=budget, seed=seed,
+                                         workers=workers, order=order)
     found = cert.verdict == "Generates"
-    human = [f"conjugate generating pair search in {name} at p = {args.p}: "
+    human = [f"conjugate generating pair search in {name} at p = {p}: "
              + (f"found after {cert.attempts} attempts" if found
                 else f"nothing in {cert.attempts} attempts")]
-    records = [("group", name), ("p", args.p), ("seed", args.seed),
-               ("workers", args.workers),
+    records = [("group", name), ("p", p), ("seed", seed),
+               ("workers", workers),
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
@@ -198,8 +213,7 @@ def cmd_pairs(args) -> int:
             ("order", cert.order),
             ("subgroup_order", cert.subgroup_order_of_xy),
         ]
-    _emit(args, human, records)
-    return 0 if found else 1
+    return Result(human, records, 0 if found else 1)
 
 
 _CLAUSE_KEYS = (
@@ -209,13 +223,12 @@ _CLAUSE_KEYS = (
 )
 
 
-def cmd_bounds(args) -> int:
-    rep = _load_module(args.module, matgroup=args.matgroup)
-    p = args.p if args.p else rep.field.p
-    try:
-        report = bnd.check_bound_theorems(rep, p)
-    except bnd.NotIrreducible as exc:
-        return _fail(str(exc))
+def eval_bounds(module: str, p: int = None, matgroup: str = None,
+                base: str = "") -> Result:
+    """Raises bounds.NotIrreducible (a ValueError) on a reducible module."""
+    rep = _load_module(module, base, matgroup)
+    p = p if p else rep.field.p
+    report = bnd.check_bound_theorems(rep, p)
     human = [
         f"module of dimension {report.dim} over GF({rep.field.q}), "
         f"group order {report.group_order}, p = {p}",
@@ -223,7 +236,7 @@ def cmd_bounds(args) -> int:
         f"(class of element order {report.min_class_order})",
     ]
     records = [
-        ("module", args.module),
+        ("module", module),
         ("dim", report.dim),
         ("p", p),
         ("group_order", report.group_order),
@@ -239,29 +252,29 @@ def cmd_bounds(args) -> int:
                         if c.applicable else ""))
         records.append((f"clause_{key.replace('-', '_')}", status))
     records.append(("holds", "yes" if report.holds else "no"))
-    _emit(args, human, records)
-    return 0 if report.holds else 1
+    return Result(human, records, 0 if report.holds else 1)
 
 
-def cmd_scott(args) -> int:
-    if args.seed is None:
-        return _fail("--seed is required for the randomized pair sweep")
-    rep = _load_module(args.module, matgroup=args.matgroup)
-    suite = bnd.scott_suite(rep, pairs=args.pairs, seed=args.seed)
+def eval_scott(module: str, seed: int = None, pairs: int = 1000,
+               matgroup: str = None, base: str = "") -> Result:
+    if seed is None:
+        raise ValueError("--seed is required for the randomized pair sweep")
+    rep = _load_module(module, base, matgroup)
+    suite = bnd.scott_suite(rep, pairs=pairs, seed=seed)
     ok = not suite.violations
     human = [f"fixed-dimension inequality on {suite.checked} random pairs: "
              + ("no violations" if ok else f"{len(suite.violations)} violations")]
-    records = [("module", args.module), ("pairs", suite.checked),
-               ("seed", args.seed),
+    records = [("module", module), ("pairs", suite.checked),
+               ("seed", seed),
                ("violations", len(suite.violations)),
                ("holds", "yes" if ok else "no")]
-    _emit(args, human, records)
-    return 0 if ok else 1
+    return Result(human, records, 0 if ok else 1)
 
 
-def cmd_weights(args) -> int:
-    rs = wt.root_system(args.type)
-    lam = tuple(int(x) for x in args.weight.split(","))
+def eval_weights(system: str, weight: str) -> Result:
+    """Exit status 1 when the multiset total differs from the Weyl dimension."""
+    rs = wt.root_system(system)
+    lam = _ints(weight)
     dim = wt.weyl_dim(rs, lam)
     wms = wt.weight_multiset(rs, lam)
     human = [f"{rs.name} highest weight ({_csv(lam)}): dimension {dim}, "
@@ -272,17 +285,46 @@ def cmd_weights(args) -> int:
                ("weyl_dim", dim), ("entries", len(wms.entries))]
     for i, (w, m) in enumerate(wms.entries):
         records.append((f"weight_{i}", f"{_csv(w)}:{m}"))
-    _emit(args, human, records)
-    return 0
+    return Result(human, records, 0 if wms.total() == dim else 1)
 
 
-def cmd_phi(args) -> int:
-    value = gensearch.phi_star(args.n, args.q)
-    human = [f"largest divisor of {args.q}^{args.n} - 1 coprime to every "
-             f"smaller {args.q}^m - 1: {value}"]
-    records = [("n", args.n), ("q", args.q), ("phi_star", value)]
-    _emit(args, human, records)
-    return 0
+def eval_phi(n: int, q: int) -> Result:
+    value = gensearch.phi_star(n, q)
+    human = [f"largest divisor of {q}^{n} - 1 coprime to every "
+             f"smaller {q}^m - 1: {value}"]
+    return Result(human, [("n", n), ("q", q), ("phi_star", value)])
+
+
+# worked-example evaluators (manifest kind `example`) --------------------------
+
+
+def _report(rep) -> Result:
+    """A worked example's report dataclass as records, one per field."""
+    return Result([], list(vars(rep).items()))
+
+
+def eval_semisimple_fixdims(module: str, p: int, base: str = "") -> Result:
+    rep = _load_module(module, base)
+    dims = sorted({matrep.fixed_space_dim(rep, cls.rep)
+                   for cls in bnd.semisimple_classes(rep.group, p)})
+    return Result([], [("fixed_dims", dims)])
+
+
+def eval_twist_divisibility(system: str, weight0: str, weight1: str, p: int,
+                            ext: int = 2, samples: int = 25,
+                            sample_seed: int = 1) -> Result:
+    rs = wt.root_system(system)
+    F = make_field(p, ext)
+    points = wt.torus_sample_set(F, rs.rank, samples, seed=sample_seed)
+    return _report(wt.check_twist_divisibility(
+        rs, _ints(weight0), _ints(weight1), p, points, F))
+
+
+def eval_sym_divisibility(n: int, s: int, p: int, samples: int = 25,
+                          sample_seed: int = 1) -> Result:
+    F = make_field(p)
+    points = wt.torus_sample_set(F, n - 1, samples, seed=sample_seed)
+    return _report(wt.check_sym_divisibility(n, s, points, F))
 
 
 # the claim regression runner ------------------------------------------------
@@ -333,52 +375,98 @@ def _claim_seed(master_seed: int, index: int) -> int:
     return SeedStream(master_seed).fork(index).randrange(2 ** 62) + 1
 
 
-def _run_example(claim: dict, base: str) -> tuple:
-    check = claim.get("check", "")
-    expect = claim["expect"]
-    if check == "adjoint-section":
-        rep = bnd.sl_p_adjoint_check()
-        ok = rep.holds and str(rep.min_fixed) == expect
-        return ok, f"min fixed dim {rep.min_fixed} on the dim-{rep.section_dim} section"
-    if check == "extraspecial-free":
-        rep = bnd.extraspecial_free_check()
-        ok = rep.holds and expect == "free"
-        return ok, f"max eigenspace dimension {rep.max_eigenspace_dim}"
-    if check == "eigen-separation":
-        rep = wt.sl2_distinct_eigenvalues(int(claim["q"]), int(claim["s"]))
-        got = "distinct" if rep.distinct else "coincidence"
-        return got == expect, f"q={rep.q} s={rep.s}: {got}"
-    if check == "mersenne-sharp":
-        rep = _load_module(claim["module"], base)
-        p = int(claim["p"])
-        want = int(expect)
-        dims = set()
-        for cls in rep.group.conjugacy_classes():
-            if cls.element_order == 1 or cls.element_order % p == 0:
-                continue
-            dims.add(matrep.fixed_space_dim(rep, cls.rep))
-        ok = dims == {want}
-        return ok, f"semisimple fixed dims {sorted(dims)}"
-    if check == "twist-divisibility":
-        rs = wt.root_system(claim["type"])
-        lam0 = tuple(int(x) for x in claim["weight0"].split(","))
-        lam1 = tuple(int(x) for x in claim["weight1"].split(","))
-        p = int(claim["p"])
-        from .ff import make_field
-        F = make_field(p, int(claim.get("ext", "2")))
-        samples = wt.torus_sample_set(F, rs.rank, int(claim.get("samples", "25")),
-                                      seed=int(claim.get("sample_seed", "1")))
-        rep = wt.check_twist_divisibility(rs, lam0, lam1, p, samples, F)
-        return rep.verdict == expect, f"verdict {rep.verdict}"
-    if check == "sym-divisibility":
-        from .ff import make_field
-        n, s = int(claim["n"]), int(claim["s"])
-        F = make_field(int(claim["p"]))
-        samples = wt.torus_sample_set(F, n - 1, int(claim.get("samples", "25")),
-                                      seed=int(claim.get("sample_seed", "1")))
-        rep = wt.check_sym_divisibility(n, s, samples, F)
-        return rep.verdict == expect, f"verdict {rep.verdict}"
-    return False, f"unknown example check {check!r}"
+def _int(claim: dict, key: str, default=None):
+    return int(claim[key]) if key in claim else default
+
+
+def _multiset_total(res: Result) -> int:
+    return sum(int(v.rsplit(":", 1)[1]) for k, v in res.records
+               if k.startswith("weight_"))
+
+
+def _separation(res: Result) -> str:
+    return "distinct" if res.rec["distinct"] else "coincidence"
+
+
+# claim kind, or check name of an `example` claim ->
+#   (evaluator run on the claim's keys: claim, seed, args, base -> Result,
+#    PASS test: result, expect -> bool,
+#    detail line: result -> str)
+_CLAIMS = {
+    "triple": (
+        lambda c, seed, args, base: eval_triples(
+            c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
+            workers=args.workers,
+            orders=_ints(c["orders"]) if "orders" in c else None, base=base),
+        lambda res, expect: res.rec["verdict"] == expect,
+        lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
+                     f"attempts {res.rec['attempts']}")),
+    "pair": (
+        lambda c, seed, args, base: eval_pairs(
+            c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
+            workers=args.workers, order=_int(c, "order"), base=base),
+        lambda res, expect: res.rec["verdict"] == expect,
+        lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
+    "exception": (
+        lambda c, seed, args, base: eval_triples(
+            c["group"], int(c["p"]), exhaustive=True, cache_dir=args.cache_dir,
+            base=base),
+        lambda res, expect: res.rec["verdict"] == expect,
+        lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
+                     "generation tests")),
+    "bound": (
+        lambda c, seed, args, base: eval_bounds(
+            c["module"], _int(c, "p"), c.get("matgroup"), base),
+        lambda res, expect: (res.rec["holds"] == "yes"
+                             and str(res.rec["min_semisimple_fixdim"]) == expect),
+        lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
+                     + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
+    "scott": (
+        lambda c, seed, args, base: eval_scott(
+            c["module"], seed, _int(c, "pairs", 1000), c.get("matgroup"), base),
+        lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
+        lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
+    "weights": (
+        lambda c, seed, args, base: eval_weights(c["type"], c["weight"]),
+        lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
+        lambda res: (f"dimension {res.rec['weyl_dim']}, "
+                     f"multiset total {_multiset_total(res)}")),
+    "phi": (
+        lambda c, seed, args, base: eval_phi(int(c["n"]), int(c["q"])),
+        lambda res, expect: res.rec["phi_star"] == int(expect),
+        lambda res: f"phi_star = {res.rec['phi_star']}"),
+    "adjoint-section": (
+        lambda c, seed, args, base: _report(bnd.sl_p_adjoint_check()),
+        lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
+        lambda res: (f"min fixed dim {res.rec['min_fixed']} "
+                     f"on the dim-{res.rec['section_dim']} section")),
+    "extraspecial-free": (
+        lambda c, seed, args, base: _report(bnd.extraspecial_free_check()),
+        lambda res, expect: res.rec["holds"] and expect == "free",
+        lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
+    "eigen-separation": (
+        lambda c, seed, args, base: _report(
+            wt.sl2_distinct_eigenvalues(int(c["q"]), int(c["s"]))),
+        lambda res, expect: _separation(res) == expect,
+        lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
+    "mersenne-sharp": (
+        lambda c, seed, args, base: eval_semisimple_fixdims(
+            c["module"], int(c["p"]), base),
+        lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
+        lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
+    "twist-divisibility": (
+        lambda c, seed, args, base: eval_twist_divisibility(
+            c["type"], c["weight0"], c["weight1"], int(c["p"]),
+            _int(c, "ext", 2), _int(c, "samples", 25), _int(c, "sample_seed", 1)),
+        lambda res, expect: res.rec["verdict"] == expect,
+        lambda res: f"verdict {res.rec['verdict']}"),
+    "sym-divisibility": (
+        lambda c, seed, args, base: eval_sym_divisibility(
+            int(c["n"]), int(c["s"]), int(c["p"]),
+            _int(c, "samples", 25), _int(c, "sample_seed", 1)),
+        lambda res, expect: res.rec["verdict"] == expect,
+        lambda res: f"verdict {res.rec['verdict']}"),
+}
 
 
 def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
@@ -386,80 +474,23 @@ def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
     if claim.get("scale") == "beyond-desk":
         return "UNVERIFIED", "beyond desk scale; recorded, not executed"
     kind = claim["kind"]
-    expect = claim["expect"]
+    key = claim.get("check", "") if kind == "example" else kind
+    if kind == "example" and (key not in _CLAIMS or key in CLAIM_KINDS):
+        return "FAIL", f"unknown example check {key!r}"
+    evaluate, passes, detail = _CLAIMS[key]
     seed = _claim_seed(args.seed, index)
     try:
-        if kind == "triple":
-            group, _ = _load_group(claim["group"], base)
-            orders = (tuple(int(x) for x in claim["orders"].split(","))
-                      if "orders" in claim else None)
-            cert = gensearch.find_triple(
-                group, int(claim["p"]), budget=int(claim.get("budget", 10 ** 5)),
-                seed=seed, workers=args.workers, orders=orders)
-            got = "found" if cert.verdict == "Generates" else "not_found"
-            return ("PASS" if got == expect else "FAIL",
-                    f"{got}, orders {_csv(cert.orders) if cert.orders else '-'}, "
-                    f"attempts {cert.attempts}")
-        if kind == "pair":
-            group, _ = _load_group(claim["group"], base)
-            order = int(claim["order"]) if "order" in claim else None
-            cert = gensearch.find_conjugate_pair(
-                group, int(claim["p"]), budget=int(claim.get("budget", 10 ** 5)),
-                seed=seed, workers=args.workers, order=order)
-            got = "found" if cert.verdict == "Generates" else "not_found"
-            return ("PASS" if got == expect else "FAIL",
-                    f"{got}, attempts {cert.attempts}")
-        if kind == "exception":
-            group, source = _load_group(claim["group"], base)
-            table = _cached_table(group, source, args.cache_dir)
-            res = gensearch.exhaustive_triple_search(group, int(claim["p"]),
-                                                     table=table)
-            got = {"ProvedNone": "proved_none",
-                   "ExistsWithWitness": "exists_with_witness"}[res.verdict]
-            return ("PASS" if got == expect else "FAIL",
-                    f"{got} after {res.generation_tests} generation tests")
-        if kind == "bound":
-            rep = _load_module(claim["module"], base,
-                               matgroup=claim.get("matgroup"))
-            p = int(claim["p"]) if "p" in claim else rep.field.p
-            report = bnd.check_bound_theorems(rep, p)
-            ok = report.holds and str(report.min_fixed_dim) == expect
-            return ("PASS" if ok else "FAIL",
-                    f"min fixed dim {report.min_fixed_dim}, clauses "
-                    + ("hold" if report.holds else "VIOLATED"))
-        if kind == "scott":
-            rep = _load_module(claim["module"], base,
-                               matgroup=claim.get("matgroup"))
-            suite = bnd.scott_suite(rep, pairs=int(claim.get("pairs", 1000)),
-                                    seed=seed)
-            ok = not suite.violations and expect == "zero-violations"
-            return ("PASS" if ok else "FAIL",
-                    f"{len(suite.violations)} violations in {suite.checked} pairs")
-        if kind == "weights":
-            rs = wt.root_system(claim["type"])
-            lam = tuple(int(x) for x in claim["weight"].split(","))
-            dim = wt.weyl_dim(rs, lam)
-            total = wt.weight_multiset(rs, lam).total()
-            ok = dim == total == int(expect)
-            return ("PASS" if ok else "FAIL", f"dimension {dim}, multiset total {total}")
-        if kind == "phi":
-            value = gensearch.phi_star(int(claim["n"]), int(claim["q"]))
-            return ("PASS" if value == int(expect) else "FAIL",
-                    f"phi_star = {value}")
-        ok, detail = _run_example(claim, base)
-        return ("PASS" if ok else "FAIL", detail)
+        res = evaluate(claim, seed, args, base)
+        return ("PASS" if passes(res, claim["expect"]) else "FAIL"), detail(res)
     except Exception as exc:  # a crashed claim is a failed claim
         return "FAIL", f"error: {exc}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     if args.seed is None:
-        return _fail("--seed is required for the claim runner")
-    try:
-        with open(args.manifest) as fh:
-            claims = parse_manifest(fh.read())
-    except OSError as exc:
-        return _fail(str(exc))
+        raise ValueError("--seed is required for the claim runner")
+    with open(args.manifest) as fh:
+        claims = parse_manifest(fh.read())
     base = os.path.dirname(os.path.abspath(args.manifest))
     human = []
     records = []
@@ -472,8 +503,7 @@ def cmd_verify(args) -> int:
     records += [("total", len(claims)), ("passed", counts["PASS"]),
                 ("failed", counts["FAIL"]),
                 ("unverified", counts["UNVERIFIED"])]
-    _emit(args, human, records)
-    return 0 if counts["FAIL"] == 0 else 1
+    return Result(human, records, 0 if counts["FAIL"] == 0 else 1)
 
 
 # argument wiring -------------------------------------------------------------
@@ -508,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("table", help="character table of a group")
     _add_common(s, group=True, cache=True)
-    s.set_defaults(fn=cmd_table)
+    s.set_defaults(fn=lambda a: eval_table(a.group, a.cache_dir))
 
     s = subs.add_parser("triples", help="generating triple of coprime-order elements")
     _add_common(s, group=True, seed=True, workers=True, budget=True, cache=True)
@@ -516,35 +546,38 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--orders", default=None, help="comma list like 4,4,4")
     s.add_argument("--exhaustive", action="store_true",
                    help="complete class-triple sweep (proof when none exists)")
-    s.set_defaults(fn=cmd_triples)
+    s.set_defaults(fn=lambda a: eval_triples(
+        a.group, a.p, a.seed, a.budget, a.workers,
+        _ints(a.orders) if a.orders else None, a.exhaustive, a.cache_dir))
 
     s = subs.add_parser("pairs", help="conjugate generating pair")
     _add_common(s, group=True, seed=True, workers=True, budget=True)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--order", type=int, default=None)
-    s.set_defaults(fn=cmd_pairs)
+    s.set_defaults(fn=lambda a: eval_pairs(a.group, a.p, a.seed, a.budget,
+                                           a.workers, a.order))
 
     s = subs.add_parser("bounds", help="fixed-space bound clauses on a module")
     _add_common(s, module=True)
     s.add_argument("--p", type=int, default=None)
-    s.set_defaults(fn=cmd_bounds)
+    s.set_defaults(fn=lambda a: eval_bounds(a.module, a.p, a.matgroup))
 
     s = subs.add_parser("scott", help="random-pair fixed-dimension inequality sweep")
     _add_common(s, module=True, seed=True)
     s.add_argument("--pairs", type=int, default=1000)
-    s.set_defaults(fn=cmd_scott)
+    s.set_defaults(fn=lambda a: eval_scott(a.module, a.seed, a.pairs, a.matgroup))
 
     s = subs.add_parser("weights", help="weight multiset of a highest-weight module")
     _add_common(s)
     s.add_argument("--type", required=True, help="root system name like A2 or G2")
     s.add_argument("--weight", required=True, help="fundamental coordinates like 1,1")
-    s.set_defaults(fn=cmd_weights)
+    s.set_defaults(fn=lambda a: eval_weights(a.type, a.weight))
 
     s = subs.add_parser("phi", help="largest primitive divisor of q^n - 1")
     _add_common(s)
     s.add_argument("n", type=int)
     s.add_argument("q", type=int)
-    s.set_defaults(fn=cmd_phi)
+    s.set_defaults(fn=lambda a: eval_phi(a.n, a.q))
 
     s = subs.add_parser("verify", help="run a claims manifest")
     _add_common(s, seed=True, workers=True, cache=True)
@@ -557,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        res = args.fn(args)
+        _emit(res, args.format)
+        return res.status
     except (OSError, KeyError, ValueError) as exc:
         return _fail(str(exc))
 

@@ -15,6 +15,8 @@ root extraction cover every need in this package.
 
 from __future__ import annotations
 
+from math import gcd
+
 
 class NotPrime(ValueError):
     """Characteristic is not a prime in the supported range."""
@@ -46,6 +48,46 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_factors(n: int) -> list:
+    """Distinct prime factors of n >= 1 in increasing order (trial division)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def prime_power(q: int) -> tuple:
+    """(p, k) with q = p^k for a prime p; ValueError when q is not a prime power."""
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"{q} is less than 2")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = primes[0], 0
+    while q > 1:
+        q //= p
+        k += 1
+    return p, k
+
+
+def multiplicative_order(a: int, n: int) -> int:
+    """Smallest k >= 1 with a^k = 1 (mod n); ValueError when a is not a unit."""
+    if n < 1 or gcd(a, n) != 1:
+        raise ValueError(f"{a} is not a unit modulo {n}")
+    x, k = a % n, 1
+    while x != 1 % n:
+        x = x * a % n
+        k += 1
+    return k
 
 
 class FieldCtx:
@@ -214,6 +256,17 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     if k == 1:
         return FieldCtx(p, 1, (0, 1))
     return FieldCtx(p, k, canonical_modulus(p, k))
+
+
+def multiplicative_generator(F: FieldCtx):
+    """Generator of the multiplicative group with the smallest encoding >= 1."""
+    n = F.q - 1
+    primes = prime_factors(n)
+    for enc in range(1, F.q):
+        x = F.element(enc)
+        if all(F.pow(x, n // r) != F.one for r in primes):
+            return x
+    raise AssertionError("multiplicative group has a generator; unreachable")
 
 
 def canonical_modulus(p: int, k: int) -> tuple:

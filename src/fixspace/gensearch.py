@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import chartab
+from .ff import prime_power
 from .perm import (GroupTooLarge, PermGroup, element_order, pconj, pinv,
                    pmul, ppow)
 from .rng import SeedStream
@@ -264,7 +265,10 @@ def phi_star(n: int, q: int) -> int:
     """Largest divisor of q^n - 1 coprime to every q^m - 1 with m < n."""
     if n < 2 or n > 40:
         raise ValueError(f"n = {n} outside supported range 2..40")
-    _validate_prime_power(q)
+    try:
+        prime_power(q)
+    except ValueError as exc:
+        raise NotPrimePower(str(exc)) from None
     if q**n >= 2**62:
         raise Overflow(f"q^n = {q}^{n} exceeds 2^62")
     v = q**n - 1
@@ -274,20 +278,3 @@ def phi_star(n: int, q: int) -> int:
             v //= g
             g = math.gcd(v, g)
     return v
-
-
-def _validate_prime_power(q: int) -> None:
-    if q < 2:
-        raise NotPrimePower(f"{q} is less than 2")
-    p = q
-    for d in range(2, q):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    m = q
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise NotPrimePower(f"{q} is not a prime power")

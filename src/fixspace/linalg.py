@@ -109,6 +109,18 @@ def rref(F: FieldCtx, rows: list):
     return M[:r], pivots
 
 
+def rref_coords(F: FieldCtx, rows: list, pivots: list, w) -> list:
+    """Coordinates of w in the rref basis rows with pivot columns pivots,
+    or None when w is not in their span."""
+    add, mul, zero = F.add, F.mul, F.zero
+    coords = [w[p] for p in pivots]
+    back = [zero] * len(w)
+    for c, row in zip(coords, rows):
+        if c != zero:
+            back = [add(x, mul(c, y)) for x, y in zip(back, row)]
+    return coords if tuple(back) == tuple(w) else None
+
+
 def rank(F: FieldCtx, A: list) -> int:
     return len(rref(F, A)[0])
 

@@ -270,14 +270,8 @@ class MatRep:
             if node.mode == "sub":
                 out = []
                 for b in rows:
-                    w = linalg.mat_vec(F, Mc, b)
-                    coords = [w[p] for p in pivots]
-                    back = [F.zero] * len(w)
-                    for c, row in zip(coords, rows):
-                        if c != F.zero:
-                            for t in range(len(w)):
-                                back[t] = F.add(back[t], F.mul(c, row[t]))
-                    if tuple(back) != w:
+                    coords = linalg.rref_coords(F, rows, pivots, linalg.mat_vec(F, Mc, b))
+                    if coords is None:
                         raise IllTyped("section basis is not invariant")
                     out.append(coords)
                 return linalg.transpose(out)

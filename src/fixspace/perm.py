@@ -416,10 +416,10 @@ def psl2(q: int) -> PermGroup:
     Generators: translation by one, multiplication by the square of a
     primitive element, and x -> -1/x.
     """
-    base, k = _prime_power(q)
+    base, k = ff.prime_power(q)
     F = ff.make_field(base, k)
     infinity = q
-    gamma = _multiplicative_generator(F)
+    gamma = ff.multiplicative_generator(F)
     gamma2 = F.mul(gamma, gamma)
     trans = [0] * (q + 1)
     mult = [0] * (q + 1)
@@ -446,50 +446,13 @@ def affine_frobenius_2a(a: int) -> PermGroup:
     """The group (2^a translations) : (cyclic 2^a - 1) on the field GF(2^a)."""
     F = ff.make_field(2, a)
     q = 1 << a
-    gamma = _multiplicative_generator(F)
+    gamma = ff.multiplicative_generator(F)
     trans = [F.encode(F.add(F.element(n), F.one)) for n in range(q)]
     mult = [F.encode(F.mul(gamma, F.element(n))) for n in range(q)]
     G = PermGroup(q, (tuple(trans), tuple(mult)), name=f"F{q * (q - 1)}")
     if G.order != q * (q - 1):
         raise AssertionError(f"affine group over GF(2^{a}) has order {G.order}")
     return G
-
-
-def _prime_power(q: int):
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"not a prime power: {q}")
-            return p, k
-    raise ValueError(f"not a prime power: {q}")
-
-
-def _multiplicative_generator(F: ff.FieldCtx):
-    """Smallest-encoding generator of the multiplicative group."""
-    n = F.q - 1
-    fac = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for enc in range(1, F.q):
-        x = F.element(enc)
-        if all(F.pow(x, n // r) != F.one for r in fac):
-            return x
-    raise AssertionError("multiplicative group has a generator; unreachable")
 
 
 # builtin registry and group files -------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .ff import FieldCtx, make_field, poly_divides, poly_mul
+from .ff import (FieldCtx, make_field, multiplicative_generator, poly_divides,
+                 poly_mul, prime_power)
 from .rng import SeedStream
 
 
@@ -571,43 +572,6 @@ class EigenvalueReport:
     witness: tuple
 
 
-def _prime_factors(m: int) -> list:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _odd_prime_power(q: int):
-    if not isinstance(q, int) or q < 3 or q > 10 ** 4 or q % 2 == 0:
-        raise ValueError(f"q must be an odd prime power in [3, 10^4]: {q}")
-    p = _prime_factors(q)[0]
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"q must be a prime power: {q}")
-    return p, k
-
-
-def _multiplicative_generator(F: FieldCtx):
-    primes = _prime_factors(F.q - 1)
-    for n in range(2, F.q):
-        a = F.element(n)
-        if all(F.pow(a, (F.q - 1) // r) != F.one for r in primes):
-            return a
-    raise AssertionError("no multiplicative generator found")
-
-
 def sl2_distinct_eigenvalues(q: int, s: int) -> EigenvalueReport:
     """Evaluate the weights of the (s+1)-dimensional restricted module at
     an element of multiplicative order q + 1.
@@ -617,11 +581,13 @@ def sl2_distinct_eigenvalues(q: int, s: int) -> EigenvalueReport:
     exactly when 2(s+1) - 2 < q + 1, and the report's distinctness is
     cross-checked against that threshold.
     """
-    p, k = _odd_prime_power(q)
+    if not isinstance(q, int) or q < 3 or q > 10 ** 4 or q % 2 == 0:
+        raise ValueError(f"q must be an odd prime power in [3, 10^4]: {q}")
+    p, k = prime_power(q)
     if not 0 <= s <= p - 1:
         raise NotRestricted(f"s must lie in [0, {p - 1}]: {s}")
     F = make_field(p, 2 * k)
-    gen = _multiplicative_generator(F)
+    gen = multiplicative_generator(F)
     zeta = F.pow(gen, (F.q - 1) // (q + 1))
     weights = list(range(s, -s - 1, -2))
     values = [F.pow(zeta, w) for w in weights]

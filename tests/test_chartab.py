@@ -1,8 +1,8 @@
 import pytest
 
-from fixspace.chartab import (character_table, cyc_add, cyc_as_integer,
-                              cyc_mul, cyclotomic_poly, read_table_cache,
-                              triple_count, write_table_cache)
+from fixspace.chartab import (LiftFailure, character_table, cyc_add,
+                              cyc_as_integer, cyc_mul, cyclotomic_poly,
+                              read_table_cache, triple_count, write_table_cache)
 from fixspace.perm import builtin_group, pinv, pmul
 
 # complex character degrees, standard small-group data
@@ -154,6 +154,28 @@ def test_table_cache_roundtrip(tmp_path):
     assert loaded.modulus == table.modulus
     # counts computed from the cached table agree
     assert triple_count(loaded, 1, 2, 3) == triple_count(table, 1, 2, 3)
+
+
+def _without_first(lines, prefix):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    return lines[:i] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines[:-1],
+    lambda lines: _without_first(lines, "class "),
+    lambda lines: lines[:-1] + [lines[-1].rsplit("|", 1)[0]],
+    lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
+], ids=["missing-character", "missing-class", "short-row", "short-vector"])
+def test_table_cache_rejects_truncated_file(tmp_path, damage):
+    G = builtin_group('A5')
+    path = tmp_path / "a5.chartab"
+    write_table_cache(character_table(G), str(path))
+    assert [f.name for f in tmp_path.iterdir()] == ["a5.chartab"]
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(damage(lines)) + "\n")
+    with pytest.raises(LiftFailure):
+        read_table_cache(str(path), G)
 
 
 def test_identity_class_counts():

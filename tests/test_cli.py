@@ -1,8 +1,9 @@
+import os
 import textwrap
 
 import pytest
 
-from fixspace.cli import ManifestParse, main, parse_manifest
+from fixspace.cli import ManifestParse, _claim_seed, main, parse_manifest
 
 DATA = "data"
 
@@ -395,3 +396,65 @@ def test_verify_byte_identical(tmp_path, capsys):
     second = run(capsys, "verify", "--manifest", path, "--seed", "77")
     assert first == second
     assert first[0] == 0
+
+
+# every subcommand-backed claim kind agrees with its subcommand --------------
+
+# kind -> (claim keys, subcommand argv, PASS rule on the subcommand's records
+# against expect, two expect values). The small budgets make the search
+# verdicts depend on the seed: found for some master seeds, not for others.
+MERSENNE3 = os.path.abspath(f"{DATA}/mersenne3.mod")
+AGREEMENT = {
+    "triple": ({"group": "A5", "p": "2", "budget": "3"},
+               ["triples", "--group", "A5", "--p", "2", "--budget", "3"],
+               lambda rec, expect: rec["verdict"] == expect,
+               ("found", "not_found")),
+    "pair": ({"group": "A5", "p": "5", "order": "3", "budget": "2"},
+             ["pairs", "--group", "A5", "--p", "5", "--order", "3", "--budget", "2"],
+             lambda rec, expect: rec["verdict"] == expect,
+             ("found", "not_found")),
+    "exception": ({"group": "A5", "p": "5"},
+                  ["triples", "--group", "A5", "--p", "5", "--exhaustive"],
+                  lambda rec, expect: rec["verdict"] == expect,
+                  ("proved_none", "exists_with_witness")),
+    "bound": ({"module": MERSENNE3, "p": "3"},
+              ["bounds", "--module", MERSENNE3, "--p", "3"],
+              lambda rec, expect: (rec["min_semisimple_fixdim"] == expect
+                                   and rec["holds"] == "yes"),
+              ("1", "2")),
+    "scott": ({"module": MERSENNE3, "pairs": "20"},
+              ["scott", "--module", MERSENNE3, "--pairs", "20"],
+              lambda rec, expect: rec["holds"] == "yes" and expect == "zero-violations",
+              ("zero-violations", "one-violation")),
+    "weights": ({"type": "B2", "weight": "1,1"},
+                ["weights", "--type", "B2", "--weight", "1,1"],
+                lambda rec, expect: rec["weyl_dim"] == expect == str(sum(
+                    int(v.rsplit(":", 1)[1]) for k, v in rec.items()
+                    if k.startswith("weight_"))),
+                ("16", "15")),
+    "phi": ({"n": "6", "q": "3"}, ["phi", "6", "3"],
+            lambda rec, expect: rec["phi_star"] == expect,
+            ("7", "13")),
+}
+SEEDED = ("triple", "pair", "scott")
+
+
+@pytest.mark.parametrize("master_seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(AGREEMENT))
+def test_verify_claim_agrees_with_subcommand(tmp_path, capsys, kind, master_seed):
+    keys, argv, rule, expects = AGREEMENT[kind]
+    if kind in SEEDED:
+        argv = argv + ["--seed", str(_claim_seed(master_seed, 0))]
+    _, out, _ = run(capsys, *argv, "--format", "records")
+    rec = records(out)
+    verdicts = set()
+    for expect in expects:
+        path = write_manifest(tmp_path, "[c]\n" + "".join(
+            f"{k} = {v}\n" for k, v in {"kind": kind, **keys, "expect": expect,
+                                        "provenance": "derived"}.items()))
+        _, out, _ = run(capsys, "verify", "--manifest", path,
+                        "--seed", str(master_seed), "--format", "records")
+        want = "PASS" if rule(rec, expect) else "FAIL"
+        assert records(out)["claim_c"] == want, (kind, expect, rec)
+        verdicts.add(want)
+    assert verdicts == {"PASS", "FAIL"}

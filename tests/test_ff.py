@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fixspace import ff
@@ -176,3 +178,56 @@ def test_poly_divides():
     f = poly_mul(F, (1, 1), (2, 1))
     assert poly_divides(F, (1, 1), f)
     assert not poly_divides(F, (3, 1), f)
+
+
+def test_prime_power_matches_brute_force():
+    powers = {}
+    for p in filter(ff.is_prime, range(2, 4097)):
+        k = 1
+        while p ** k <= 4096:
+            powers[p ** k] = (p, k)
+            k += 1
+    for q in range(2, 4097):
+        if q in powers:
+            assert ff.prime_power(q) == powers[q]
+        else:
+            with pytest.raises(ValueError):
+                ff.prime_power(q)
+    for q in (-4, 0, 1):
+        with pytest.raises(ValueError):
+            ff.prime_power(q)
+
+
+def brute_order(F, x):
+    k, y = 1, x
+    while y != F.one:
+        y = F.mul(y, x)
+        k += 1
+    return k
+
+
+def test_multiplicative_generator_has_full_order():
+    for q in range(2, 257):
+        try:
+            p, k = ff.prime_power(q)
+        except ValueError:
+            continue
+        F = make_field(p, k)
+        g = ff.multiplicative_generator(F)
+        assert brute_order(F, g) == q - 1, q
+        # and no smaller nonzero encoding generates
+        assert all(brute_order(F, F.element(n)) < q - 1
+                   for n in range(1, F.encode(g))), q
+
+
+def test_multiplicative_order_matches_loop():
+    for n in range(1, 80):
+        for a in range(-n, 2 * n):
+            if math.gcd(a, n) != 1:
+                with pytest.raises(ValueError):
+                    ff.multiplicative_order(a, n)
+                continue
+            k = 1
+            while pow(a, k, n) != 1 % n:
+                k += 1
+            assert ff.multiplicative_order(a, n) == k, (a, n)
