@@ -439,8 +439,13 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
     """Norton-style test: seeded singular group-algebra elements, spun kernels.
 
     Reducible verdicts return a proper invariant subspace; irreducible
-    verdicts return the singular witness element. Raises Inconclusive
-    when budget singular-candidate draws produce no verdict.
+    verdicts return the singular witness element. Norton's criterion needs
+    every nonzero kernel vector to spin to V, so only a witness of nullity 1
+    proves irreducibility; larger kernels can still prove reducibility.
+    Raises Inconclusive when budget singular-candidate draws produce no
+    verdict, which is the outcome for a module that is irreducible but not
+    absolutely irreducible (C3 on GF(2)^2 by [[0,1],[1,1]]: its only
+    singular group-algebra element is 0).
     """
     if stream is None:
         stream = SeedStream(1)
@@ -463,6 +468,8 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
             span = spin_span(F, rep.images, [v])
             if len(span) < n:
                 return IrredResult(irreducible=False, submodule=span)
+        if len(kernel) > 1:
+            continue
         w = linalg.nullspace(F, linalg.transpose(theta))[0]
         dual_span = spin_span(F, transposed, [w])
         if len(dual_span) < n:

@@ -4,9 +4,12 @@ Weyl dimensions, Freudenthal weight multiplicities, and torus
 specializations of characteristic polynomials, plus the divisibility and
 eigenvalue-separation checks built on them.
 
-Weights cross the module boundary as integer vectors in fundamental-weight
-coordinates.  Internally each root system lives in its standard Bourbaki
-realization with Fraction coordinates, so every inner product is exact.
+Everything is integer arithmetic on Cartan-matrix data.  Weights are
+integer vectors in fundamental-weight coordinates, roots and differences
+of weights are integer vectors in simple-root coordinates, and the
+invariant form is (mu, alpha) = sum_i a_i n_i mu_i for the root-length
+symmetrizer n_i (Humphreys, Introduction to Lie Algebras and
+Representation Theory, sections 22-24).
 
 Labeling note for G2: omega_1 here is the fundamental weight attached to
 the SHORT simple root, so weyl_dim(G2, (1, 0)) = 7.  Conventions differ
@@ -14,7 +17,6 @@ between references; this one is fixed and covered by tests.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .ff import (FieldCtx, make_field, multiplicative_generator, poly_divides,
@@ -50,43 +52,6 @@ DIM_CAP = 10 ** 5
 SCOPE_NOTE = "compared at torus specializations only"
 
 
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vscale(u, c):
-    return tuple(a * c for a in u)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _fsolve(rows, rhs):
-    """Solve a small square Fraction system by Gaussian elimination.
-
-    Returns the solution vector, or None if the matrix is singular.
-    """
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 _POSITIVE_COUNT = {
     "A": lambda r: r * (r + 1) // 2,
     "B": lambda r: r * r,
@@ -97,119 +62,65 @@ _POSITIVE_COUNT = {
 
 _RANK_RANGE = {"A": (1, 4), "B": (2, 4), "C": (2, 4), "D": (3, 4), "G": (2, 2)}
 
+# Root-length symmetrizer n_i, proportional to (alpha_i, alpha_i).
+_SYMMETRIZER = {
+    "A": lambda r: (1,) * r,
+    "B": lambda r: (2,) * (r - 1) + (1,),
+    "C": lambda r: (1,) * (r - 1) + (2,),
+    "D": lambda r: (1,) * r,
+    "G": lambda r: (1, 3),
+}
 
-def _simple_roots(letter: str, rank: int):
-    one = Fraction(1)
 
-    def e(i, n):
-        return tuple(one if j == i else Fraction(0) for j in range(n))
+def _cartan(letter: str, norm) -> tuple:
+    """Cartan matrix from the Dynkin diagram and the symmetrizer.
 
-    if letter == "A":
-        n = rank + 1
-        return [_vsub(e(i, n), e(i + 1, n)) for i in range(rank)]
-    if letter == "B":
-        out = [_vsub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(e(rank - 1, rank))
-        return out
-    if letter == "C":
-        out = [_vsub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(_vscale(e(rank - 1, rank), Fraction(2)))
-        return out
+    For an edge i - j, n_i * cartan[i][j] = -max(n_i, n_j), which makes
+    n_i * cartan[i][j] symmetric.
+    """
+    rank = len(norm)
+    edges = [(i, i + 1) for i in range(rank - 1)]
     if letter == "D":
-        out = [_vsub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(_vadd(e(rank - 2, rank), e(rank - 1, rank)))
-        return out
-    # G2 in R^3; alpha_1 = e1 - e2 is the SHORT simple root.
-    return [(one, -one, Fraction(0)), (Fraction(-2), one, one)]
+        edges[-1] = (rank - 3, rank - 1)
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        longer = max(norm[i], norm[j])
+        cartan[i][j] = -(longer // norm[i])
+        cartan[j][i] = -(longer // norm[j])
+    return tuple(tuple(row) for row in cartan)
 
 
 class RootSystem:
-    """An irreducible root system of rank <= 4 in Bourbaki coordinates.
+    """An irreducible root system of rank <= 4 in integer coordinates.
 
-    Attributes: `simple`, `positive`, `fundamental`, `rho` are tuples of
-    ambient Fraction vectors; `cartan[i][j]` is the pairing of alpha_j
-    against the coroot of alpha_i.
+    `cartan[i][j]` is the pairing of alpha_j against the coroot of alpha_i,
+    and `norm[i]` is n_i, so (alpha_i, alpha_j) is proportional to
+    n_i * cartan[i][j].  `positive` lists the positive roots in simple-root
+    coordinates; weights use fundamental-weight coordinates.
     """
 
     def __init__(self, name: str):
         letter, rank = _parse_name(name)
         self.name = name
-        self.letter = letter
         self.rank = rank
-        self.simple = tuple(_simple_roots(letter, rank))
-        self._norm = tuple(_dot(a, a) for a in self.simple)
+        self.norm = _SYMMETRIZER[letter](rank)
+        self.cartan = _cartan(letter, self.norm)
         self.positive = self._closure_positive()
         if len(self.positive) != _POSITIVE_COUNT[letter](rank):
             raise AssertionError(f"positive root count wrong for {name}")
-        self.fundamental = self._solve_fundamental()
-        half = Fraction(1, 2)
-        rho = tuple(_vscale(a, half) for a in self.positive)
-        acc = (Fraction(0),) * len(self.simple[0])
-        for v in rho:
-            acc = _vadd(acc, v)
-        self.rho = acc
-        for i in range(rank):
-            if self.pairing(self.rho, i) != 1:
-                raise AssertionError("Weyl vector pairing is not 1")
-            for j in range(rank):
-                want = 1 if i == j else 0
-                if self.pairing(self.fundamental[j], i) != want:
-                    raise AssertionError("fundamental weight pairing wrong")
-        self.cartan = tuple(
-            tuple(int(self.pairing(self.simple[j], i)) for j in range(rank))
-            for i in range(rank)
-        )
 
-    # pairings and coordinates -------------------------------------------
+    def inner(self, mu, a) -> int:
+        """(mu, alpha) for mu in fundamental and alpha in simple-root
+        coordinates, up to a positive factor fixed by the system."""
+        return sum(c * n * m for c, n, m in zip(a, self.norm, mu))
 
-    def pairing(self, v, i: int) -> Fraction:
-        """<v, alpha_i-coroot> = 2(v, alpha_i)/(alpha_i, alpha_i)."""
-        return 2 * _dot(v, self.simple[i]) / self._norm[i]
-
-    def fund_to_ambient(self, lam):
-        acc = (Fraction(0),) * len(self.simple[0])
-        for c, w in zip(lam, self.fundamental):
-            if c:
-                acc = _vadd(acc, _vscale(w, Fraction(c)))
-        return acc
-
-    def ambient_to_fund(self, v):
-        out = []
-        for i in range(self.rank):
-            c = self.pairing(v, i)
-            if c.denominator != 1:
-                raise AssertionError("vector is not an integral weight")
-            out.append(int(c))
-        return tuple(out)
-
-    def simple_coords(self, v):
-        """Coordinates of v in the simple-root basis, or None."""
-        gram = [[_dot(a, b) for b in self.simple] for a in self.simple]
-        rhs = [_dot(v, a) for a in self.simple]
-        sol = _fsolve(gram, rhs)
-        if sol is None:
-            return None
-        check = (Fraction(0),) * len(v)
-        for c, a in zip(sol, self.simple):
-            check = _vadd(check, _vscale(a, c))
-        return sol if check == tuple(v) else None
-
-    # reflections ---------------------------------------------------------
-
-    def reflect(self, v, i: int):
-        return _vsub(v, _vscale(self.simple[i], self.pairing(v, i)))
+    def root_to_fund(self, a) -> tuple:
+        """Fundamental coordinates of the root sum with simple coordinates a."""
+        return tuple(sum(c * x for c, x in zip(a, row)) for row in self.cartan)
 
     def reflect_fund(self, w, i: int):
         """Simple reflection acting on fundamental coordinates."""
         return tuple(w[j] - w[i] * self.cartan[j][i] for j in range(self.rank))
-
-    def dominant_rep(self, v):
-        for _ in range(10 ** 6):
-            i = next((j for j in range(self.rank) if self.pairing(v, j) < 0), None)
-            if i is None:
-                return v
-            v = self.reflect(v, i)
-        raise AssertionError("dominant representative did not stabilize")
 
     def weyl_orbit(self, w):
         """Orbit of a fundamental-coordinate weight under the Weyl group."""
@@ -224,39 +135,18 @@ class RootSystem:
                     queue.append(nxt)
         return sorted(seen)
 
-    # construction helpers -------------------------------------------------
-
     def _closure_positive(self):
-        seen = set(self.simple)
-        queue = list(self.simple)
+        """Reflection closure of the simple roots, nonnegative half."""
+        unit = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        seen = set(unit)
+        queue = list(unit)
         for root in queue:
-            for i in range(self.rank):
-                r = self.reflect(root, i)
+            for i, pair in enumerate(self.root_to_fund(root)):
+                r = root[:i] + (root[i] - pair,) + root[i + 1:]
                 if r not in seen:
                     seen.add(r)
                     queue.append(r)
-        positive = []
-        for root in sorted(seen):
-            coords = self.simple_coords(root)
-            if coords is not None and all(c >= 0 for c in coords):
-                positive.append(root)
-        return tuple(positive)
-
-    def _solve_fundamental(self):
-        rank = self.rank
-        mat = [
-            [self.pairing(self.simple[k], j) for k in range(rank)]
-            for j in range(rank)
-        ]
-        out = []
-        for i in range(rank):
-            rhs = [Fraction(1) if j == i else Fraction(0) for j in range(rank)]
-            coeffs = _fsolve(mat, rhs)
-            acc = (Fraction(0),) * len(self.simple[0])
-            for c, a in zip(coeffs, self.simple):
-                acc = _vadd(acc, _vscale(a, c))
-            out.append(acc)
-        return tuple(out)
+        return tuple(sorted(r for r in seen if min(r) >= 0))
 
 
 def _parse_name(name: str):
@@ -294,17 +184,18 @@ def _check_dominant(rs: RootSystem, lam) -> tuple:
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
+    """prod over positive alpha of (lam + rho, alpha) / (rho, alpha)."""
     lam = _check_dominant(rs, lam)
-    shifted = _vadd(rs.fund_to_ambient(lam), rs.rho)
-    num = Fraction(1)
-    den = Fraction(1)
+    shifted = tuple(c + 1 for c in lam)
+    rho = (1,) * rs.rank
+    num = 1
+    den = 1
     for alpha in rs.positive:
-        num *= _dot(shifted, alpha)
-        den *= _dot(rs.rho, alpha)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise AssertionError(f"Weyl dimension not a positive integer: {d}")
-    return int(d)
+        num *= rs.inner(shifted, alpha)
+        den *= rs.inner(rho, alpha)
+    if num % den or num <= 0:
+        raise AssertionError(f"Weyl dimension not a positive integer: {num}/{den}")
+    return num // den
 
 
 @dataclass(frozen=True)
@@ -330,70 +221,69 @@ class WeightMultiset:
         return 0
 
 
+def _dominant_walk(rs: RootSystem, w):
+    """Dominant representative of w and the simple-root coordinates of
+    (that representative - w)."""
+    climb = [0] * rs.rank
+    while True:
+        i = next((j for j in range(rs.rank) if w[j] < 0), None)
+        if i is None:
+            return w, climb
+        climb[i] -= w[i]
+        w = rs.reflect_fund(w, i)
+
+
 def weight_multiset(rs: RootSystem, lam) -> WeightMultiset:
     """Weights with multiplicities, by Freudenthal's recursion.
 
     Multiplicities are computed on the dominant cone top-down, then spread
     over Weyl orbits.  The recursion needs multiplicities only at weights
     strictly closer to the highest weight, and those are looked up through
-    their dominant representatives.
+    their dominant representatives (Moody-Patera).  Every quantity is an
+    integer: weights in fundamental coordinates, roots and lam - mu in
+    simple-root coordinates.
     """
     lam = _check_dominant(rs, lam)
     dim = weyl_dim(rs, lam)
     if dim > DIM_CAP:
         raise TooLarge(f"dimension {dim} exceeds cap {DIM_CAP}")
-    lam_amb = rs.fund_to_ambient(lam)
-    two_rho = _vscale(rs.rho, Fraction(2))
 
-    # The lowest weight is the dominant representative of -lam negated;
-    # lam minus lowest bounds the coefficient box for dominant candidates.
-    lowest_neg = rs.dominant_rep(_vscale(lam_amb, Fraction(-1)))
-    span = _vadd(lam_amb, lowest_neg)
-    box = []
-    for c in rs.simple_coords(span):
-        if c.denominator != 1 or c < 0:
-            raise AssertionError("weight span is not a nonnegative root sum")
-        box.append(int(c))
-
-    pos_simple = []
-    for alpha in rs.positive:
-        coords = tuple(int(c) for c in rs.simple_coords(alpha))
-        pos_simple.append(coords)
+    # Walking -lam to its dominant representative -w0(lam) climbs by
+    # lam - w0(lam), which bounds the coefficients of dominant candidates.
+    _, box = _dominant_walk(rs, tuple(-c for c in lam))
 
     candidates = []
     for cvec in product(*(range(b + 1) for b in box)):
-        v = lam_amb
-        for c, alpha in zip(cvec, rs.simple):
-            if c:
-                v = _vsub(v, _vscale(alpha, Fraction(c)))
-        if all(rs.pairing(v, i) >= 0 for i in range(rs.rank)):
-            candidates.append((sum(cvec), cvec, rs.ambient_to_fund(v), v))
-    candidates.sort(key=lambda item: (item[0], item[2]))
+        v = tuple(a - b for a, b in zip(lam, rs.root_to_fund(cvec)))
+        if min(v) >= 0:
+            candidates.append((sum(cvec), v, cvec))
+    candidates.sort()
 
+    roots = [(a, rs.root_to_fund(a)) for a in rs.positive]
+    lam_2rho = tuple(c + 2 for c in lam)
     mult = {lam: 1}
-    for height, cvec, fund, v in candidates:
+    for height, v, cvec in candidates:
         if height == 0:
             continue
-        num = Fraction(0)
-        for alpha, acoords in zip(rs.positive, pos_simple):
-            j = 1
+        num = 0
+        for a, afund in roots:
+            nu, rest = v, cvec
             while True:
-                rest = tuple(c - j * a for c, a in zip(cvec, acoords))
-                if any(c < 0 for c in rest):
+                rest = tuple(c - x for c, x in zip(rest, a))
+                if min(rest) < 0:
                     break
-                nu = _vadd(v, _vscale(alpha, Fraction(j)))
-                m = mult.get(rs.ambient_to_fund(rs.dominant_rep(nu)), 0)
+                nu = tuple(x + y for x, y in zip(nu, afund))
+                m = mult.get(_dominant_walk(rs, nu)[0], 0)
                 if m:
-                    num += m * _dot(nu, alpha)
-                j += 1
-        den = _dot(_vadd(_vadd(lam_amb, v), two_rho), _vsub(lam_amb, v))
+                    num += m * rs.inner(nu, a)
+        den = rs.inner(tuple(x + y for x, y in zip(lam_2rho, v)), cvec)
         if den <= 0:
             raise AssertionError("Freudenthal denominator not positive")
-        m = 2 * num / den
-        if m.denominator != 1 or m < 0:
+        m, r = divmod(2 * num, den)
+        if r or m < 0:
             raise AssertionError("Freudenthal multiplicity not a nonnegative integer")
         if m:
-            mult[fund] = int(m)
+            mult[v] = m
 
     entries = {}
     for fund, m in mult.items():
@@ -462,11 +352,6 @@ def _tensor(a: WeightMultiset, b: WeightMultiset) -> WeightMultiset:
     return WeightMultiset(a.system, a.rank, tuple(sorted(acc.items())))
 
 
-def _contains(big: WeightMultiset, small: WeightMultiset) -> bool:
-    lookup = dict(big.entries)
-    return all(lookup.get(w, 0) >= m for w, m in small.entries)
-
-
 @dataclass(frozen=True)
 class DivisibilityReport:
     """Outcome of a character divisibility check.
@@ -481,6 +366,22 @@ class DivisibilityReport:
     samples_checked: int
     failed_samples: tuple
     scope: str = SCOPE_NOTE
+
+
+def _compare_divisibility(small: WeightMultiset, big: WeightMultiset, samples,
+                          F: FieldCtx) -> DivisibilityReport:
+    """Weight-multiset containment of small in big, and divisibility of
+    their torus characteristic polynomials at every sample."""
+    lookup = dict(big.entries)
+    containment = all(lookup.get(w, 0) >= m for w, m in small.entries)
+    failed = []
+    checked = 0
+    for t in samples:
+        if not poly_divides(F, torus_char_poly(small, t, F), torus_char_poly(big, t, F)):
+            failed.append(tuple(t))
+        checked += 1
+    verdict = "holds" if containment and not failed else "Unresolved"
+    return DivisibilityReport(verdict, containment, checked, tuple(failed))
 
 
 def check_twist_divisibility(
@@ -501,18 +402,7 @@ def check_twist_divisibility(
     if w0.multiplicity((0,) * rs.rank) == 0:
         return DivisibilityReport("NotApplicable", False, 0, ())
     twisted = _scaled(w1, p)
-    tensor = _tensor(w0, twisted)
-    containment = _contains(tensor, twisted)
-    failed = []
-    checked = 0
-    for t in samples:
-        small = torus_char_poly(twisted, t, F)
-        big = torus_char_poly(tensor, t, F)
-        if not poly_divides(F, small, big):
-            failed.append(tuple(t))
-        checked += 1
-    verdict = "holds" if containment and not failed else "Unresolved"
-    return DivisibilityReport(verdict, containment, checked, tuple(failed))
+    return _compare_divisibility(twisted, _tensor(w0, twisted), samples, F)
 
 
 def check_sym_divisibility(n: int, s: int, samples, F: FieldCtx) -> DivisibilityReport:
@@ -536,19 +426,8 @@ def check_sym_divisibility(n: int, s: int, samples, F: FieldCtx) -> Divisibility
     rs = root_system(f"A{n - 1}")
     lam_small = (s,) + (0,) * (rs.rank - 1)
     lam_big = (s + n,) + (0,) * (rs.rank - 1)
-    small = weight_multiset(rs, lam_small)
-    big = weight_multiset(rs, lam_big)
-    containment = _contains(big, small)
-    failed = []
-    checked = 0
-    for t in samples:
-        fs = torus_char_poly(small, t, F)
-        fb = torus_char_poly(big, t, F)
-        if not poly_divides(F, fs, fb):
-            failed.append(tuple(t))
-        checked += 1
-    verdict = "holds" if containment and not failed else "Unresolved"
-    return DivisibilityReport(verdict, containment, checked, tuple(failed))
+    return _compare_divisibility(weight_multiset(rs, lam_small),
+                                 weight_multiset(rs, lam_big), samples, F)
 
 
 # eigenvalue separation on a torus of order q + 1 ------------------------

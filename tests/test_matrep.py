@@ -1,15 +1,17 @@
+import itertools
+
 import pytest
 
 from fixspace.ff import make_field
 from fixspace.linalg import eye, mat_mul, transpose
-from fixspace.matrep import (FieldMismatch, MatRep, NotInGroup, build_rep,
+from fixspace.matrep import (FieldMismatch, Inconclusive, MatRep, NotInGroup, build_rep,
                              builtin_matgroup, char_poly, deleted, dual,
                              eigenspace_profile, embed_matrix_group,
                              fixed_space_dim, frobenius_twist, is_irreducible,
                              module_dual_fixed_dim, module_fixed_dim,
                              parse_module_text, perm_module, read_matgroup_file,
-                             read_module_file, section, sym_power, tensor,
-                             verify_homomorphism)
+                             read_module_file, section, spin_span, sym_power,
+                             tensor, verify_homomorphism)
 from fixspace.perm import builtin_group, cycle_lengths, pinv, pmul
 from fixspace.rng import SeedStream
 
@@ -197,6 +199,60 @@ def test_is_irreducible_positive_and_negative():
 
     e27 = build_rep(parse_module_text("(explicit E27)"))
     assert is_irreducible(e27, SeedStream(2)).irreducible is True
+
+
+def spin_oracle_irreducible(rep):
+    """Exhaustive: irreducible iff every nonzero vector spins to the whole space."""
+    F = rep.field
+    for v in itertools.product([F.element(i) for i in range(F.q)], repeat=rep.dim):
+        nonzero = [x for x in v if not F.is_zero(x)]
+        if nonzero and nonzero[0] == F.one and len(spin_span(F, rep.images, [v])) < rep.dim:
+            return False
+    return True
+
+
+def assert_proper_submodule(rep, sub):
+    assert 0 < len(sub) < rep.dim
+    assert len(spin_span(rep.field, rep.images, sub)) == len(sub)
+
+
+def test_norton_nullity_two_kernel_is_not_a_proof():
+    # the first singular element drawn has a 2-dimensional kernel whose
+    # basis vectors both spin to V; the all-ones line in it does not
+    rep = build_rep(perm_module(builtin_group('A5')), make_field(3))
+    res = is_irreducible(rep, SeedStream(17))
+    assert res.irreducible is False
+    assert_proper_submodule(rep, res.submodule)
+
+
+def test_not_absolutely_irreducible_is_inconclusive():
+    # C3 on GF(2)^2 is irreducible, but its group algebra is GF(4): the only
+    # singular element is 0, whose kernel is the whole space
+    F = make_field(2)
+    _, rep = embed_matrix_group(F, 2, [[[0, 1], [1, 1]]])
+    assert spin_oracle_irreducible(rep)
+    with pytest.raises(Inconclusive):
+        is_irreducible(rep, SeedStream(1), budget=20)
+
+
+def test_norton_verdicts_match_spin_oracle():
+    recipes = [form.format(g=g, p=p)
+               for g in ("S3", "A4", "S4", "A5", "S5", "A6", "S6")
+               for form in ("(perm {g} :field (gf {p}))",
+                            "(deleted (perm {g}) :field (gf {p}))")
+               for p in (2, 3)]
+    recipes += [f"(tensor (deleted (perm S3)) (deleted (perm S3)) :field (gf {p}))"
+                for p in (2, 3, 5)]
+    recipes.append("(tensor (explicit SL2_5) (explicit SL2_5))")
+    for recipe in recipes:
+        rep = build_rep(parse_module_text(recipe))
+        assert rep.dim <= 6
+        truth = spin_oracle_irreducible(rep)
+        for seed in range(1, 41):
+            res = is_irreducible(rep, SeedStream(seed))
+            assert res.irreducible == truth, (recipe, seed)
+            if not truth:
+                assert_proper_submodule(rep, res.submodule)
 
 
 def test_verify_homomorphism_runs():

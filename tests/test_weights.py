@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from fixspace.ff import make_field, poly_mul
@@ -11,6 +14,9 @@ from fixspace.weights import (HypothesisViolated, NotDominant, NotRestricted,
 POSITIVE_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9,
                    "C3": 9, "D4": 12, "G2": 6}
 
+SYSTEMS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+           "D3", "D4", "G2"]
+
 
 def test_positive_root_counts():
     for name, count in POSITIVE_COUNTS.items():
@@ -23,11 +29,40 @@ def test_cartan_matrices():
     assert root_system("G2").cartan == ((2, -3), (-1, 2))
 
 
-def test_fundamental_pairings():
-    rs = root_system("D4")
-    for i in range(4):
-        for j in range(4):
-            assert rs.pairing(rs.fundamental[j], i) == (1 if i == j else 0)
+def test_symmetrized_cartan():
+    for name in SYSTEMS:
+        rs = root_system(name)
+        for i in range(rs.rank):
+            for j in range(rs.rank):
+                assert rs.norm[i] * rs.cartan[i][j] == rs.norm[j] * rs.cartan[j][i]
+
+
+def test_adjoint_module_oracle():
+    # the highest root is the highest weight of the adjoint module, whose
+    # weights are the roots (once each) and 0 (rank times)
+    for name in SYSTEMS:
+        rs = root_system(name)
+        highest = max(rs.positive, key=sum)
+        wms = weight_multiset(rs, rs.root_to_fund(highest))
+        roots = [rs.root_to_fund(a) for a in rs.positive]
+        roots += [tuple(-c for c in r) for r in roots]
+        assert wms.total() == rs.rank + 2 * len(rs.positive), name
+        assert wms.multiplicity((0,) * rs.rank) == rs.rank, name
+        assert sorted(w for w, _ in wms.entries if any(w)) == sorted(roots), name
+        assert all(m == 1 for w, m in wms.entries if any(w)), name
+
+
+def test_symmetric_power_oracle():
+    # Sym^s of the natural module of A_{n-1}: one weight per degree-s
+    # monomial x^e, with fundamental coordinates e_i - e_{i+1}
+    for n in range(2, 6):
+        rs = root_system(f"A{n - 1}")
+        for s in range(1, 4):
+            monomials = Counter(
+                tuple(e[i] - e[i + 1] for i in range(n - 1))
+                for e in product(range(s + 1), repeat=n) if sum(e) == s)
+            wms = weight_multiset(rs, (s,) + (0,) * (n - 2))
+            assert wms.entries == tuple(sorted(monomials.items())), (n, s)
 
 
 def test_weyl_dims_classical():
