@@ -371,45 +371,43 @@ def write_table_cache(table: CharTable, path: str) -> None:
             os.remove(tmp)
 
 
+_CACHE_HEADER = ("degree", "order", "exponent", "modulus", "zeta", "classes")
+
+
 def read_table_cache(path: str, group: PermGroup) -> CharTable:
-    """Rebuild a table from its cache file; the group supplies class data."""
+    """Rebuild a table from its cache file; the group supplies class data.
+
+    LiftFailure unless the file parses, its header, class block and rows
+    match the group, the identity column is the degrees, and the rows are
+    orthogonal mod the cached Dixon prime."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = {}
-    class_lines = []
-    char_lines = []
-    for ln in lines:
-        key, rest = ln.split(" ", 1)
-        if key == "class":
-            class_lines.append(rest)
-        elif key == "character":
-            char_lines.append(rest)
-        else:
-            header[key] = rest
-    if int(header["order"]) != group.order or int(header["degree"]) != group.degree:
+    try:
+        header, class_lines, char_lines = _parse_table_cache(lines)
+    except ValueError as exc:
+        raise LiftFailure(f"malformed cache file {path}: {exc}") from exc
+    if header["order"] != group.order or header["degree"] != group.degree:
         raise LiftFailure("cache file does not match the supplied group")
     classes = group.conjugacy_classes()
     index = group.class_index()
     r = len(classes)
-    if int(header["classes"]) != r or len(class_lines) != r:
+    if header["classes"] != r or len(class_lines) != r:
         raise LiftFailure(f"cache has {len(class_lines)} class lines, the group {r} classes")
     if len(char_lines) != r:
         raise LiftFailure(f"cache has {len(char_lines)} characters, the group {r} classes")
-    for c, ln in zip(classes, class_lines):
-        size, order, _ = ln.split(" ", 2)
-        if c.size != int(size) or c.element_order != int(order):
-            raise LiftFailure("cache class block does not match the group")
-    e = int(header["exponent"])
-    l = int(header["modulus"])
-    z = int(header["zeta"])
+    if any((c.size, c.element_order) != pair for c, pair in zip(classes, class_lines)):
+        raise LiftFailure("cache class block does not match the group")
+    e, l, z = header["exponent"], header["modulus"], header["zeta"]
+    if e < 1 or not ff.is_prime(l) or (l - 1) % e or pow(z, e, l) != 1:
+        raise LiftFailure(f"cache modulus {l} is not a prime with {e}-th root of unity {z}")
     degrees = []
     values = []
-    for ln in char_lines:
-        d, packed = ln.split(" ", 1)
-        row = tuple(tuple(int(x) for x in vec.split(",")) for vec in packed.split("|"))
+    for d, row in char_lines:
         if len(row) != r or any(len(vec) != e for vec in row):
             raise LiftFailure(f"cache character of degree {d} is not {r} vectors of length {e}")
-        degrees.append(int(d))
+        if row[0] != (d,) + (0,) * (e - 1):
+            raise LiftFailure(f"cache character of degree {d} has another value at the identity")
+        degrees.append(d)
         values.append(row)
     if sum(d * d for d in degrees) != group.order:
         raise LiftFailure("cached degree squares do not sum to the group order")
@@ -417,6 +415,14 @@ def read_table_cache(path: str, group: PermGroup) -> CharTable:
         tuple(sum(c * pow(z, i, l) for i, c in enumerate(vec)) % l for vec in row)
         for row in values
     )
+    inverse_class = tuple(index[pinv(c.rep)] for c in classes)
+    # first orthogonality relation: sum_c |C| chi_i(c) chi_j(c^-1) = |G| delta_ij,
+    # symmetric in i and j because |C| = |C^-1|
+    for i, chi in enumerate(values_mod):
+        for j, psi in enumerate(values_mod[i:], i):
+            s = sum(c.size * chi[k] * psi[inverse_class[k]] for k, c in enumerate(classes))
+            if (s - (group.order if i == j else 0)) % l:
+                raise LiftFailure(f"cached characters {i} and {j} are not orthogonal mod {l}")
     return CharTable(
         group=group,
         classes=classes,
@@ -426,5 +432,30 @@ def read_table_cache(path: str, group: PermGroup) -> CharTable:
         degrees=tuple(degrees),
         values_mod=values_mod,
         values=tuple(values),
-        inverse_class=tuple(index[pinv(c.rep)] for c in classes),
+        inverse_class=inverse_class,
     )
+
+
+def _parse_table_cache(lines: list):
+    """Header ints, (size, order) per class line and (degree, row) per
+    character line; ValueError on a missing header key or a malformed line."""
+    header = {}
+    class_lines = []
+    char_lines = []
+    for ln in lines:
+        key, sep, rest = ln.partition(" ")
+        if not sep:
+            raise ValueError(f"line without a value: {ln!r}")
+        if key == "class":
+            size, order, _ = rest.split(" ", 2)
+            class_lines.append((int(size), int(order)))
+        elif key == "character":
+            d, packed = rest.split(" ", 1)
+            row = tuple(tuple(int(x) for x in vec.split(",")) for vec in packed.split("|"))
+            char_lines.append((int(d), row))
+        else:
+            header[key] = rest
+    missing = [key for key in _CACHE_HEADER if key not in header]
+    if missing:
+        raise ValueError(f"no header line for {', '.join(missing)}")
+    return {key: int(header[key]) for key in _CACHE_HEADER}, class_lines, char_lines

@@ -6,6 +6,14 @@ always the smallest moved point at each level and orbits are explored in
 sorted order, so bases, strong generators, orders, transversals, random
 streams, and conjugacy class data are reproducible functions of the
 generator list alone.
+
+Chain levels are rebuilt lazily: installing a strong generator marks the
+levels it belongs to dirty, and a dirty level is recomputed from its
+strong generators the first time it is read.  That is exactly what an
+eager recompute after every installation would hold, so bases, strong
+generators and transversals do not depend on when levels are read.
+Transversal inverses are computed on first use.  `subgroup_order` stops
+building as soon as the chain's orbit lengths multiply to |G|.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ def identity(n: int) -> tuple:
 
 def pmul(a: tuple, b: tuple) -> tuple:
     """Composite permutation: apply a, then b."""
-    return tuple(b[x] for x in a)
+    return tuple([b[x] for x in a])
 
 
 def pinv(a: tuple) -> tuple:
@@ -176,7 +184,7 @@ class ConjClass:
 
 
 class _Level:
-    __slots__ = ("point", "installed", "transversal", "inverse", "orbit_list")
+    __slots__ = ("point", "installed", "transversal", "inverse", "orbit_list", "dirty")
 
     def __init__(self, point):
         self.point = point
@@ -184,28 +192,36 @@ class _Level:
         self.transversal = {}
         self.inverse = {}
         self.orbit_list = []
+        self.dirty = True
 
     def recompute(self, degree, gens):
         b = self.point
-        self.transversal = {b: identity(degree)}
-        self.inverse = {b: identity(degree)}
+        transversal = {b: identity(degree)}
         queue = [b]
         for x in queue:
-            t_x = self.transversal[x]
+            t_x = transversal[x]
             for s in gens:
                 y = s[x]
-                if y not in self.transversal:
-                    t_y = pmul(t_x, s)
-                    self.transversal[y] = t_y
-                    self.inverse[y] = pinv(t_y)
+                if y not in transversal:
+                    transversal[y] = pmul(t_x, s)
                     queue.append(y)
-        self.orbit_list = sorted(self.transversal)
+        self.transversal = transversal
+        self.inverse = {}
+        self.orbit_list = sorted(transversal)
+        self.dirty = False
+
+    def inv(self, y):
+        """Inverse of the transversal element for y, computed on first use."""
+        t = self.inverse.get(y)
+        if t is None:
+            t = self.inverse[y] = pinv(self.transversal[y])
+        return t
 
 
 class PermGroup:
     """Permutation group with a deterministic base and strong generating set."""
 
-    def __init__(self, degree: int, gens, name: str | None = None):
+    def __init__(self, degree: int, gens, name: str | None = None, *, _stop_at: int = 0):
         self.degree = degree
         self.name = name
         checked = []
@@ -216,25 +232,39 @@ class PermGroup:
             checked.append(g)
         self.gens = tuple(checked)
         self._levels = []
-        self._build_chain()
-        self.order = 1
-        for lvl in self._levels:
-            self.order *= len(lvl.transversal)
+        self._build_chain(_stop_at)
+        self.order = self._chain_order()
         self._classes = None
         self._class_index = None
 
     # chain construction ---------------------------------------------
 
+    def _level(self, i: int) -> _Level:
+        """Level i, recomputed from its strong generators if it is dirty."""
+        lvl = self._levels[i]
+        if lvl.dirty:
+            lvl.recompute(self.degree, self._level_gens(i))
+        return lvl
+
+    def _chain_order(self) -> int:
+        order = 1
+        for i in range(len(self._levels)):
+            order *= len(self._level(i).orbit_list)
+        return order
+
     def _sift(self, g: tuple, start: int = 0):
         """Reduce g through levels from start; return (residue, stuck_level)."""
         lv = self._levels
         for i in range(start, len(lv)):
-            x = g[lv[i].point]
-            if x == lv[i].point:
+            lvl = lv[i]
+            if lvl.dirty:
+                lvl = self._level(i)
+            x = g[lvl.point]
+            if x == lvl.point:
                 continue
-            if x not in lv[i].inverse:
+            if x not in lvl.transversal:
                 return g, i
-            g = pmul(g, lv[i].inverse[x])
+            g = pmul(g, lvl.inv(x))
         return g, len(lv)
 
     def _level_gens(self, i: int) -> list:
@@ -252,11 +282,13 @@ class PermGroup:
             lv.append(_Level(moved))
         lv[level].installed.append(g)
         # the new generator lies in every stabilizer down to this level,
-        # so shallower orbits can grow too
+        # so shallower orbits can grow too; each is rebuilt when next read
         for m in range(level + 1):
-            lv[m].recompute(self.degree, self._level_gens(m))
+            lv[m].dirty = True
 
-    def _build_chain(self) -> None:
+    def _build_chain(self, stop_at: int = 0) -> None:
+        """Schreier-Sims; with stop_at, return as soon as the orbit lengths
+        multiply to stop_at (a lower bound on the order; see subgroup_order)."""
         ident = identity(self.degree)
         for g in self.gens:
             if g == ident:
@@ -264,28 +296,33 @@ class PermGroup:
             res, at = self._sift(g)
             if res != ident:
                 self._add_generator(res, at)
+        if stop_at and self._chain_order() == stop_at:
+            return
         i = len(self._levels) - 1
         while i >= 0:
             stuck = self._check_level(i)
             if stuck is None:
                 i -= 1
+            elif stop_at and self._chain_order() == stop_at:
+                return
             else:
                 i = stuck
 
     def _check_level(self, i: int):
         """Sift all Schreier generators of level i through the deeper chain.
         Returns the level where a residue was installed, or None if clean."""
-        lvl = self._levels[i]
+        lvl = self._level(i)
         ident = identity(self.degree)
         gens = self._level_gens(i)
+        transversal = lvl.transversal
         for x in lvl.orbit_list:
-            t_x = lvl.transversal[x]
+            t_x = transversal[x]
             for s in gens:
+                t_xs = pmul(t_x, s)
                 y = s[x]
-                sg = pmul(pmul(t_x, s), lvl.inverse[y])
-                if sg == ident:
+                if t_xs == transversal[y]:
                     continue
-                res, at = self._sift(sg, i + 1)
+                res, at = self._sift(pmul(t_xs, lvl.inv(y)), i + 1)
                 if res != ident:
                     self._add_generator(res, at)
                     return at
@@ -308,11 +345,18 @@ class PermGroup:
         return g
 
     def subgroup_order(self, elems) -> int:
-        """Order of the subgroup generated by elems, via a fresh chain."""
+        """Order of the subgroup generated by elems, via a fresh chain.
+
+        The build stops as soon as the product of the partial chain's orbit
+        lengths reaches |G|: each orbit is an orbit of a subgroup of the
+        true point stabilizer, so the product is a lower bound on the
+        subgroup order, and reaching |G| proves that elems generate.  A
+        proper subgroup gets its full chain.  The partial chain is
+        discarded here."""
         for e in elems:
             if not self.contains(e):
                 raise NotInGroup(f"{format_cycles(e)} is not in the group")
-        return PermGroup(self.degree, elems).order
+        return PermGroup(self.degree, elems, _stop_at=self.order).order
 
     def is_transitive(self) -> bool:
         seen = {0}
@@ -494,26 +538,34 @@ def parse_group_text(text: str) -> PermGroup:
     """Group file: 'group <name>', 'degree <n>', then 'gen <cycles>' lines.
 
     Cycle notation in files is 1-based; everything internal is 0-based.
+    A malformed line raises ValueError naming its line number and text.
     """
     name = None
     degree = None
     gens = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
-        if key == "group":
-            name = rest
-        elif key == "degree":
-            degree = int(rest)
-        elif key == "gen":
-            if degree is None:
-                raise ValueError("gen line before degree line")
-            gens.append(perm_from_cycles(degree, _parse_cycles(rest)))
-        else:
-            raise ValueError(f"unrecognized group-file line: {raw!r}")
+        try:
+            if key == "group":
+                name = rest
+            elif key == "degree":
+                if degree is not None:
+                    raise ValueError("second degree line")
+                degree = int(rest)
+                if degree < 1:
+                    raise ValueError("degree must be positive")
+            elif key == "gen":
+                if degree is None:
+                    raise ValueError("gen line before degree line")
+                gens.append(perm_from_cycles(degree, _parse_cycles(rest)))
+            else:
+                raise ValueError("unrecognized group-file line")
+        except ValueError as exc:
+            raise ValueError(f"group file line {lineno} {raw!r}: {exc}") from exc
     if degree is None or not gens:
         raise ValueError("group file needs a degree and at least one gen line")
     return PermGroup(degree, gens, name=name)
@@ -528,7 +580,9 @@ def _parse_cycles(text: str) -> list:
     while i < len(text):
         if text[i] != "(":
             raise ValueError(f"expected '(' in cycle notation: {text!r}")
-        j = text.index(")", i)
+        j = text.find(")", i)
+        if j < 0:
+            raise ValueError(f"unclosed cycle in {text!r}")
         body = text[i + 1 : j]
         if body:
             cycles.append(tuple(int(tok) for tok in body.split(",")))

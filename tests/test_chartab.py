@@ -161,12 +161,28 @@ def _without_first(lines, prefix):
     return lines[:i] + lines[i + 1:]
 
 
+def _bump_last_value(lines, cls):
+    # add 1 to the first entry of one class vector of the last character
+    head, packed = lines[-1].rsplit(" ", 1)
+    vecs = [vec.split(",") for vec in packed.split("|")]
+    vecs[cls][0] = str(int(vecs[cls][0]) + 1)
+    return lines[:-1] + [head + " " + "|".join(",".join(v) for v in vecs)]
+
+
 @pytest.mark.parametrize("damage", [
     lambda lines: lines[:-1],
     lambda lines: _without_first(lines, "class "),
     lambda lines: lines[:-1] + [lines[-1].rsplit("|", 1)[0]],
     lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
-], ids=["missing-character", "missing-class", "short-row", "short-vector"])
+    lambda lines: _bump_last_value(lines, 4),
+    lambda lines: _bump_last_value(lines, 0),
+    lambda lines: _without_first(lines, "zeta "),
+    lambda lines: lines + ["character"],
+    lambda lines: lines[:-1] + [lines[-1].replace(",", ",x", 1)],
+    lambda lines: [("modulus 0" if ln.startswith("modulus ") else ln) for ln in lines],
+], ids=["missing-character", "missing-class", "short-row", "short-vector",
+        "changed-value", "changed-identity-value", "missing-header", "no-space",
+        "non-integer", "zero-modulus"])
 def test_table_cache_rejects_truncated_file(tmp_path, damage):
     G = builtin_group('A5')
     path = tmp_path / "a5.chartab"

@@ -76,6 +76,17 @@ def test_deleted_dimension_and_fixed_dim_cycle_count():
         assert hom_check(rep)
 
 
+def test_perm_module_fixed_dim_is_cycle_count():
+    # on the permutation module every cycle of g, fixed points included,
+    # spans one fixed vector, in any characteristic
+    for name in ['A5', 'S5', 'A6', 'L2_7']:
+        G = builtin_group(name)
+        for q in (2, 3, 5, 7):
+            rep = build_rep(perm_module(G, make_field(q)))
+            for cls in G.conjugacy_classes():
+                assert fixed_space_dim(rep, cls.rep) == len(cycle_lengths(cls.rep))
+
+
 def test_deleted_in_dividing_characteristic():
     # basis e_i - e_0 still spans an invariant subspace when p | n
     G = builtin_group('A5')

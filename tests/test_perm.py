@@ -1,3 +1,5 @@
+import hashlib
+import re
 from itertools import permutations
 
 import pytest
@@ -143,6 +145,51 @@ def test_subgroup_order():
     assert G.subgroup_order([]) == 1
 
 
+def test_subgroup_order_matches_brute_force():
+    # generating pairs stop at |G| early; the rest build the full chain
+    seen = set()
+    for name in ['A5', 'S5', 'A6', 'L2_7']:
+        G = builtin_group(name)
+        s = SeedStream(23)
+        for _ in range(12):
+            x = G.random_element(s)
+            y = G.random_element(s)
+            for elems in ([x], [x, y]):
+                want = len(brute_elements(G.degree, elems))
+                assert G.subgroup_order(elems) == want
+                assert PermGroup(G.degree, elems).order == want
+                seen.add(want == G.order)
+    assert seen == {True, False}
+
+
+# SHA-256 prefixes of (base points, installed strong generators, orbit
+# lists) and the first 50 random elements from SeedStream(1); any change to
+# the chain construction that moves a base, a generator or a draw shows here
+CHAIN_PINS = {
+    'A10': 'f59f204fd49c1b50', 'A11': '0ca61e5a22ea685e',
+    'A12': '7d2d0e3428172ed7', 'A4': '8ba72282a105a0f9',
+    'A5': '7d1f2ef599f139ad', 'A6': '55ec6fddf4c78f6e',
+    'A7': 'e80bacd842d19c8a', 'A8': '0882ef480ceddf3b',
+    'A9': 'ca8866e3a3284f62', 'F12': 'd8adaed59e38d182',
+    'F56': 'f55d8cbe176cc99f', 'L2_11': '770b0101c2a2e1e6',
+    'L2_13': '6fa6ede1d314dd84', 'L2_7': 'add37848ed317548',
+    'L2_8': '1231533e5aceadc8', 'S3': 'ee6a5c296cb55d97',
+    'S4': '93c55a144fe75f43', 'S5': 'c27060f868edfd67',
+    'S6': 'b3d304c2890323e4',
+}
+
+
+def test_chain_pins():
+    assert sorted(CHAIN_PINS) == builtin_group_names()
+    for name, pin in CHAIN_PINS.items():
+        G = builtin_group(name)
+        s = SeedStream(1)
+        draws = [G.random_element(s) for _ in range(50)]
+        chain = [(lvl.point, lvl.installed, lvl.orbit_list) for lvl in G._levels]
+        digest = hashlib.sha256(repr((chain, draws)).encode()).hexdigest()
+        assert digest[:16] == pin, name
+
+
 def test_psl2_orders_and_degrees():
     # |PSL2(q)| on q + 1 points
     for q, order in [(7, 168), (8, 504), (11, 660), (13, 1092)]:
@@ -181,6 +228,16 @@ def test_group_file_roundtrip(tmp_path):
     bad.write_text("group x\ngen (1,2)\n")
     with pytest.raises(ValueError):
         parse_group_text(bad.read_text())
+
+
+@pytest.mark.parametrize("text, line", [
+    ("degree 5\ndegree 6\ngen (1,2)", "line 2 'degree 6'"),
+    ("degree 3\ngen (1,2,3", "line 2 'gen (1,2,3'"),
+    ("degree 0\ngen ()", "line 1 'degree 0'"),
+], ids=["second-degree", "unclosed-cycle", "degree-zero"])
+def test_group_file_errors_name_the_line(text, line):
+    with pytest.raises(ValueError, match=re.escape(line)):
+        parse_group_text(text)
 
 
 def test_group_from_generators_rejects_non_bijections():
