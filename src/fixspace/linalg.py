@@ -3,7 +3,16 @@
 Matrices are lists of row lists of field elements; vectors are tuples.
 Sizes stay small throughout the package, so schoolbook methods are used
 everywhere and every routine is deterministic.
+
+Over a prime field the elements are plain residues, so the hot routines
+(rref, mat_vec, reduce_vec, scale_vec and add_scaled, and through them
+rref_coords, kron and SpinBasis) run an integer loop with ``% p`` inline
+when ``F.k == 1``. Over GF(p^k) they run the FieldCtx loop (the
+``_*_field`` functions), which is also the reference the integer loops
+are tested against.
 """
+
+from operator import mul as _imul
 
 from .ff import FieldCtx
 
@@ -44,6 +53,13 @@ def mat_mul(F: FieldCtx, A: list, B: list) -> list:
 
 
 def mat_vec(F: FieldCtx, A: list, v) -> tuple:
+    if F.k == 1:
+        p = F.p
+        return tuple([sum(map(_imul, row, v)) % p for row in A])
+    return _mat_vec_field(F, A, v)
+
+
+def _mat_vec_field(F: FieldCtx, A: list, v) -> tuple:
     out = []
     for row in A:
         acc = F.zero
@@ -75,13 +91,47 @@ def kron(F: FieldCtx, A: list, B: list) -> list:
                 if a == F.zero:
                     row.extend([F.zero] * mb)
                 else:
-                    row.extend(F.mul(a, b) for b in B[ib])
+                    row.extend(scale_vec(F, a, B[ib]))
             out.append(row)
     return out
 
 
 def rref(F: FieldCtx, rows: list):
     """Reduced row echelon form (copy) and its pivot column list."""
+    if F.k == 1:
+        return _rref_mod(F.p, rows)
+    return _rref_field(F, rows)
+
+
+def _rref_mod(p: int, rows: list):
+    M = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(M[0]) if M else 0
+    for c in range(ncols):
+        for pr in range(r, len(M)):
+            if M[pr][c]:
+                break
+        else:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        row = M[r]
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row = M[r] = [inv * x % p for x in row]
+        for i, Mi in enumerate(M):
+            f = Mi[c]
+            if f and i != r:
+                f = p - f
+                M[i] = [(x + f * y) % p for x, y in zip(Mi, row)]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    return M[:r], pivots
+
+
+def _rref_field(F: FieldCtx, rows: list):
     M = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -112,13 +162,52 @@ def rref(F: FieldCtx, rows: list):
 def rref_coords(F: FieldCtx, rows: list, pivots: list, w) -> list:
     """Coordinates of w in the rref basis rows with pivot columns pivots,
     or None when w is not in their span."""
-    add, mul, zero = F.add, F.mul, F.zero
-    coords = [w[p] for p in pivots]
-    back = [zero] * len(w)
-    for c, row in zip(coords, rows):
-        if c != zero:
-            back = [add(x, mul(c, y)) for x, y in zip(back, row)]
-    return coords if tuple(back) == tuple(w) else None
+    rest = reduce_vec(F, rows, pivots, w)
+    return [w[c] for c in pivots] if all(x == F.zero for x in rest) else None
+
+
+def reduce_vec(F: FieldCtx, rows: list, pivots: list, v) -> list:
+    """v minus its combination of the rows, each row clearing its pivot
+    entry in turn; the representative of v modulo their span when the
+    rows are in reduced echelon form."""
+    if F.k == 1:
+        return _reduce_vec_mod(F.p, rows, pivots, v)
+    return _reduce_vec_field(F, rows, pivots, v)
+
+
+def _reduce_vec_mod(p: int, rows: list, pivots: list, v) -> list:
+    v = list(v)
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if c:
+            c = p - c
+            v = [(x + c * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def _reduce_vec_field(F: FieldCtx, rows: list, pivots: list, v) -> list:
+    v = list(v)
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if c != F.zero:
+            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def scale_vec(F: FieldCtx, c, v) -> list:
+    """c * v."""
+    if F.k == 1:
+        p = F.p
+        return [c * x % p for x in v]
+    return [F.mul(c, x) for x in v]
+
+
+def add_scaled(F: FieldCtx, v, c, w) -> list:
+    """v + c * w."""
+    if F.k == 1:
+        p = F.p
+        return [(x + c * y) % p for x, y in zip(v, w)]
+    return [F.add(x, F.mul(c, y)) for x, y in zip(v, w)]
 
 
 def rank(F: FieldCtx, A: list) -> int:
@@ -247,14 +336,7 @@ class SpinBasis:
         self.pivot_of_row = []
 
     def reduce(self, v):
-        F = self.F
-        v = list(v)
-        for row, piv in zip(self.rows, self.pivot_of_row):
-            c = v[piv]
-            if c != F.zero:
-                for j in range(self.n):
-                    v[j] = F.sub(v[j], F.mul(c, row[j]))
-        return v
+        return reduce_vec(self.F, self.rows, self.pivot_of_row, v)
 
     def add(self, v) -> bool:
         """Insert v if independent; True when the basis grew."""
@@ -263,14 +345,9 @@ class SpinBasis:
         piv = next((j for j, x in enumerate(v) if x != F.zero), None)
         if piv is None:
             return False
-        inv = F.inv(v[piv])
-        if inv != F.one:
-            v = [F.mul(inv, x) for x in v]
-        for row, rp in zip(self.rows, self.pivot_of_row):
-            c = row[piv]
-            if c != F.zero:
-                for j in range(self.n):
-                    row[j] = F.sub(row[j], F.mul(c, v[j]))
+        v = scale_vec(F, F.inv(v[piv]), v)
+        # clear the new pivot column from the rows already in the basis
+        self.rows = [reduce_vec(F, [v], [piv], row) for row in self.rows]
         self.rows.append(v)
         self.pivot_of_row.append(piv)
         return True

@@ -213,14 +213,15 @@ class MatRep:
                 M[g[j]][j] = F.one
             return M
         if k == "deleted":
-            # basis b_j = e_j - e_0; g.b_j = e_{g[j]} - e_{g[0]} = b_{g[j]} - b_{g[0]}
+            # basis b_j = e_j - e_0; g.b_j = e_{g[j]} - e_{g[0]} = b_{g[j]} - b_{g[0]},
+            # and g[j] != g[0], so the -b_{g[0]} terms fill one whole row
             n = node.children[0].group.degree
             M = [[F.zero] * (n - 1) for _ in range(n - 1)]
             for j in range(1, n):
                 if g[j] != 0:
-                    M[g[j] - 1][j - 1] = F.add(M[g[j] - 1][j - 1], F.one)
-                if g[0] != 0:
-                    M[g[0] - 1][j - 1] = F.sub(M[g[0] - 1][j - 1], F.one)
+                    M[g[j] - 1][j - 1] = F.one
+            if g[0] != 0:
+                M[g[0] - 1] = [F.neg(F.one)] * (n - 1)
             return M
         if k == "tensor":
             A = self._image(node.children[0], g)
@@ -277,12 +278,7 @@ class MatRep:
                 return linalg.transpose(out)
             out = []
             for j in nonpivots:
-                w = [Mc[i][j] for i in range(len(Mc))]
-                for p, row in zip(pivots, rows):
-                    c = w[p]
-                    if c != F.zero:
-                        for t in range(len(w)):
-                            w[t] = F.sub(w[t], F.mul(c, row[t]))
+                w = linalg.reduce_vec(F, rows, pivots, [row[j] for row in Mc])
                 out.append([w[t] for t in nonpivots])
             return linalg.transpose(out)
         raise IllTyped(f"unknown recipe node {k!r}")
@@ -419,19 +415,26 @@ def spin_span(F: FieldCtx, mats, seeds) -> tuple:
 
 
 def _random_algebra_element(rep: MatRep, stream: SeedStream) -> list:
+    """Sum of 3..6 terms c * image(w), each w a word of 1..8 generators.
+
+    A word is multiplied out as a permutation and mapped once. Images
+    compose contravariantly, images[a] * images[b] = image(pmul(gens[b],
+    gens[a])), so each further letter goes on the left of the product.
+    """
     F = rep.field
     n = rep.dim
+    gens = rep.group.gens
     theta = [[F.zero] * n for _ in range(n)]
     terms = 3 + stream.randrange(4)
     for _ in range(terms):
         length = 1 + stream.randrange(8)
-        word = rep.images[stream.randrange(len(rep.images))]
+        g = gens[stream.randrange(len(gens))]
         for _ in range(length - 1):
-            word = linalg.mat_mul(F, word, rep.images[stream.randrange(len(rep.images))])
+            g = pmul(gens[stream.randrange(len(gens))], g)
+        word = rep.image(g)
         coeff = F.element(1 + stream.randrange(F.q - 1))
-        for i in range(n):
-            for j in range(n):
-                theta[i][j] = F.add(theta[i][j], F.mul(coeff, word[i][j]))
+        theta = [linalg.add_scaled(F, trow, coeff, wrow)
+                 for trow, wrow in zip(theta, word)]
     return theta
 
 
@@ -611,7 +614,13 @@ def builtin_matgroup(name: str):
 
 
 def parse_matgroup_text(text: str):
-    """Matrix group file: header line then one gen line per generator."""
+    """Matrix group file: header line then one gen line per generator.
+
+    The header is ``matgroup NAME field P dim D`` with an optional
+    ``ext K``; a gen line is a JSON matrix of field-element encodings. A
+    missing or repeated header, a missing name, field or dim, a
+    non-integer header value or matrix entry raises IllTyped.
+    """
     name = None
     F = None
     dim = None
@@ -621,22 +630,43 @@ def parse_matgroup_text(text: str):
         if not line:
             continue
         if line.startswith("matgroup"):
-            parts = line.split()
-            name = parts[1]
-            fields = dict(zip(parts[2::2], parts[3::2]))
-            p = int(fields["field"])
-            k = int(fields.get("ext", "1"))
-            dim = int(fields["dim"])
-            F = ff.make_field(p, k)
+            if F is not None:
+                raise IllTyped(f"second matgroup header {line!r}")
+            name, F, dim = _parse_matgroup_header(line)
         elif line.startswith("gen"):
             if F is None:
                 raise IllTyped("gen line before matgroup header")
-            mats.append(json.loads(line[3:].strip()))
+            try:
+                gen = json.loads(line[3:].strip())
+            except json.JSONDecodeError as exc:
+                raise IllTyped(f"gen line {line!r} is not JSON: {exc.msg}") from None
+            if not (isinstance(gen, list) and all(
+                    isinstance(row, list) and all(type(x) is int for x in row)
+                    for row in gen)):
+                raise IllTyped(f"gen line {line!r} is not a matrix of integers")
+            mats.append(gen)
         else:
             raise IllTyped(f"unrecognized line {line!r}")
     if F is None or not mats:
         raise IllTyped("matrix group file needs a header and generators")
     return name, F, dim, mats
+
+
+def _parse_matgroup_header(line: str):
+    parts = line.split()
+    if len(parts) % 2 or parts[0] != "matgroup":
+        raise IllTyped(f"matgroup header {line!r} is not 'matgroup NAME' "
+                       "followed by key value pairs")
+    fields = dict(zip(parts[2::2], parts[3::2]))
+    for key in ("field", "dim"):
+        if key not in fields:
+            raise IllTyped(f"matgroup header {line!r} has no {key}")
+    try:
+        p, k, dim = (int(fields["field"]), int(fields.get("ext", "1")),
+                     int(fields["dim"]))
+    except ValueError:
+        raise IllTyped(f"matgroup header {line!r} has a non-integer value") from None
+    return parts[1], ff.make_field(p, k), dim
 
 
 def read_matgroup_file(path: str):
@@ -654,17 +684,21 @@ def _tokenize(text: str):
 
 
 def _parse_forms(tokens: list, pos: int):
-    if tokens[pos] != "(":
-        tok = tokens[pos]
+    tok = tokens[pos]
+    if tok == ")":
+        raise IllTyped("unbalanced ')' in module recipe")
+    if tok != "(":
         try:
             return int(tok), pos + 1
         except ValueError:
             return tok, pos + 1
     pos += 1
     form = []
-    while tokens[pos] != ")":
+    while pos < len(tokens) and tokens[pos] != ")":
         node, pos = _parse_forms(tokens, pos)
         form.append(node)
+    if pos == len(tokens):
+        raise IllTyped("unbalanced '(' in module recipe")
     return form, pos + 1
 
 
@@ -673,9 +707,12 @@ def parse_module_text(text: str, groups=None, matgroups=None) -> ModuleSpec:
 
     Keyword pairs may trail any form; :field fixes the coefficient field
     and :mode selects the section kind. Group names resolve through the
-    provided mappings, with the builtin registries as fallback.
+    provided mappings, with the builtin registries as fallback. An empty,
+    unbalanced or malformed recipe raises IllTyped.
     """
     tokens = _tokenize(text)
+    if not tokens:
+        raise IllTyped("empty module recipe")
     form, pos = _parse_forms(tokens, 0)
     if pos != len(tokens):
         raise IllTyped("trailing tokens after module recipe")
@@ -689,6 +726,8 @@ def _split_keywords(form: list):
     while i < len(form):
         item = form[i]
         if isinstance(item, str) and item.startswith(":"):
+            if i + 1 == len(form):
+                raise IllTyped(f"keyword {item} has no value")
             kw[item[1:]] = form[i + 1]
             i += 2
         else:
@@ -697,17 +736,42 @@ def _split_keywords(form: list):
     return head, kw
 
 
+# operator -> types of its arguments; a list is a nested recipe form
+_RECIPE_ARGS = {
+    "perm": (str,), "deleted": (list,), "tensor": (list, list),
+    "dual": (list,), "twist": (int, list), "sym": (int, list),
+    "explicit": (str,), "section": (list,),
+}
+
+
+def _check_args(head: list):
+    if not head:
+        raise IllTyped("recipe form has no operator")
+    op = head[0]
+    if not isinstance(op, str) or op not in _RECIPE_ARGS:
+        raise IllTyped(f"unknown recipe operator {op!r}")
+    kinds = _RECIPE_ARGS[op]
+    args = head[1:]
+    if len(args) != len(kinds):
+        raise IllTyped(f"{op} takes {len(kinds)} argument(s), got {len(args)}")
+    for arg, kind in zip(args, kinds):
+        if not isinstance(arg, kind):
+            want = {list: "a recipe form", str: "a name", int: "an integer"}[kind]
+            raise IllTyped(f"{op} expects {want}, got {arg!r}")
+
+
 def _interpret(form, groups: dict, matgroups: dict) -> ModuleSpec:
     if not isinstance(form, list) or not form:
         raise IllTyped(f"expected a recipe form, got {form!r}")
     head, kw = _split_keywords(form)
+    _check_args(head)
     op = head[0]
     field = None
     if "field" in kw:
         gf = kw["field"]
-        if not isinstance(gf, list) or gf[0] != "gf":
+        if not isinstance(gf, list) or not 2 <= len(gf) <= 3 or gf[0] != "gf":
             raise IllTyped("field keyword expects (gf p) or (gf p k)")
-        field = ff.make_field(gf[1], gf[2] if len(gf) > 2 else 1)
+        field = ff.make_field(*gf[1:])
     if op == "perm":
         name = head[1]
         group = groups[name] if name in groups else builtin_group(name)
@@ -730,10 +794,8 @@ def _interpret(form, groups: dict, matgroups: dict) -> ModuleSpec:
         else:
             _, rep = builtin_matgroup(name)
         spec = rep.spec
-    elif op == "section":
-        spec = section(_interpret(head[1], groups, matgroups), kw.get("mode", "sub"))
     else:
-        raise IllTyped(f"unknown recipe operator {op!r}")
+        spec = section(_interpret(head[1], groups, matgroups), kw.get("mode", "sub"))
     if field is not None:
         if spec.field is not None and not _same_field(spec.field, field):
             raise FieldMismatch(f"GF({spec.field.q}) vs GF({field.q})")

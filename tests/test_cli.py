@@ -1,3 +1,4 @@
+import hashlib
 import os
 import textwrap
 
@@ -150,6 +151,30 @@ def test_bounds_rejects_reducible(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "--module", str(mod))
     assert code == 2
     assert "reducible" in err
+
+
+@pytest.mark.parametrize("text", [
+    "(deleted (perm A5) :field (gf 7)",
+    "(deleted (perm A5) :field)",
+    "",
+])
+def test_bounds_malformed_module_exits_cleanly(tmp_path, capsys, text):
+    mod = tmp_path / "bad.mod"
+    mod.write_text(text)
+    code, out, err = run(capsys, "bounds", "--module", str(mod))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_malformed_matgroup_exits_cleanly(tmp_path, capsys):
+    mat = tmp_path / "bad.mat"
+    mat.write_text("matgroup T field 5\ngen [[1,1],[0,1]]\ngen [[0,1],[4,0]]\n")
+    code, out, err = run(capsys, "bounds", "--module", f"{DATA}/sym2_sl2_5.mod",
+                         "--matgroup", str(mat))
+    assert code == 2
+    assert out == ""
+    assert err == "error: matgroup header 'matgroup T field 5' has no dim\n"
 
 
 def test_scott_sweep(capsys):
@@ -458,3 +483,22 @@ def test_verify_claim_agrees_with_subcommand(tmp_path, capsys, kind, master_seed
         assert records(out)["claim_c"] == want, (kind, expect, rec)
         verdicts.add(want)
     assert verdicts == {"PASS", "FAIL"}
+
+
+# SHA-256 of the stdout of `fixspace verify --manifest data/claims.manifest
+# --seed 42` in each format, recorded before the prime-field integer
+# kernels of linalg went in. Every record and verdict of the manifest must
+# stay byte-identical for a fixed seed; a change that alters any of them
+# has to show why and record new digests here.
+VERIFY_PINS = {
+    "plain": "ef392e0c83f8f6af9c83e37cd554cfe9e545e853d8c388279df7fa2ec8f0a074",
+    "records": "dc61d6efde2f2389f5b48964e6e9056465fd095ccebaaba6ebc4e8bc568b5536",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_PINS))
+def test_verify_manifest_output_is_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--manifest", f"{DATA}/claims.manifest",
+                       "--seed", "42", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PINS[fmt]

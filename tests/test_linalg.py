@@ -1,9 +1,12 @@
 from itertools import product
 
 from fixspace.ff import make_field, poly_eval, poly_mul
+import pytest
+
+from fixspace import linalg
 from fixspace.linalg import (SpinBasis, char_poly, det, eye, kron, mat_inv,
                              mat_mul, mat_vec, nullspace, rank, rref,
-                             transpose)
+                             rref_coords, transpose)
 from fixspace.rng import SeedStream
 
 
@@ -152,3 +155,130 @@ def test_spin_basis_incremental():
     assert sb.dim() == 3
     reduced = sb.reduce((1, 1, 1, 1))
     assert reduced[0] == F.zero and reduced[1] == F.zero
+
+
+# prime fields run integer loops; the FieldCtx loops (_*_field) are the
+# reference they must agree with entry for entry
+
+PRIMES = (2, 3, 5, 7, 13)
+
+
+def rand_rows(F, nrows, ncols, stream, density):
+    """Random matrix; density in percent, so sparse matrices occur too."""
+    return [[F.element(1 + stream.randrange(F.q - 1))
+             if stream.randrange(100) < density else F.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def shaped_matrices(F, stream):
+    """Square, wide, tall, all-zero and stacked 2n x n inputs."""
+    out = []
+    for n in (1, 2, 3, 5, 8):
+        for density in (100, 60, 25):
+            out.append(rand_rows(F, n, n, stream, density))
+            out.append(rand_rows(F, n, n + 3, stream, density))
+            out.append(rand_rows(F, n + 3, n, stream, density))
+            # a stacked pair of g - 1 blocks, as in joint fixed spaces
+            out.append(rand_rows(F, n, n, stream, density)
+                       + rand_rows(F, n, n, stream, density))
+        out.append([[F.zero] * n for _ in range(n)])
+        out.append([[F.zero] * n for _ in range(2 * n)])
+    # low-rank: rows that are combinations of two rows
+    for _ in range(6):
+        a, b = rand_rows(F, 2, 6, stream, 100)
+        rows = []
+        for _ in range(7):
+            c, d = F.element(stream.randrange(F.q)), F.element(stream.randrange(F.q))
+            rows.append([F.add(F.mul(c, x), F.mul(d, y)) for x, y in zip(a, b)])
+        out.append(rows)
+    return out
+
+
+def generic_rref(F, rows):
+    return linalg._rref_field(F, rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_int_rref_rank_nullspace_match_field_loop(p, monkeypatch):
+    F = make_field(p)
+    mats = shaped_matrices(F, SeedStream(100 + p))
+    fast = [(rref(F, A), rank(F, A), nullspace(F, A)) for A in mats]
+    # rank and nullspace reach the row reduction through rref only
+    monkeypatch.setattr(linalg, "rref", generic_rref)
+    slow = [(generic_rref(F, A), rank(F, A), nullspace(F, A)) for A in mats]
+    assert fast == slow
+    assert any(r == 0 for _, r, _ in fast)
+    assert any(0 < r < min(len(A), len(A[0])) for A, (_, r, _) in zip(mats, fast))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_int_vector_ops_match_field_loop(p):
+    F = make_field(p)
+    s = SeedStream(200 + p)
+    for n, k in [(1, 1), (3, 3), (2, 4), (6, 3), (8, 8)]:
+        for density in (100, 30, 0):
+            A = rand_rows(F, n, k, s, density)
+            v, w = (tuple(r) for r in rand_rows(F, 2, k, s, density))
+            c = F.element(s.randrange(F.q))
+            assert mat_vec(F, A, v) == linalg._mat_vec_field(F, A, v)
+            assert linalg.scale_vec(F, c, v) == [F.mul(c, x) for x in v]
+            assert linalg.add_scaled(F, v, c, w) == \
+                [F.add(x, F.mul(c, y)) for x, y in zip(v, w)]
+
+
+def rref_coords_oracle(F, rows, pivots, w):
+    """The pivot entries of w, if they recombine the rows to w."""
+    coords = [w[c] for c in pivots]
+    back = [F.zero] * len(w)
+    for c, row in zip(coords, rows):
+        back = [F.add(x, F.mul(c, y)) for x, y in zip(back, row)]
+    return coords if tuple(back) == tuple(w) else None
+
+
+@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2)])
+def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
+    F = make_field(p, k)
+    s = SeedStream(300 + F.q)
+    outside = inside = 0
+    for A in shaped_matrices(F, s):
+        rows, pivots = rref(F, A)
+        if not rows:
+            continue
+        n = len(A[0])
+        combo = [F.element(s.randrange(F.q)) for _ in rows]
+        w_in = (F.zero,) * n
+        for c, row in zip(combo, rows):
+            w_in = tuple(F.add(x, F.mul(c, y)) for x, y in zip(w_in, row))
+        w_any = tuple(rand_rows(F, 1, n, s, 100)[0])
+        for w in (w_in, w_any):
+            got = rref_coords(F, rows, pivots, w)
+            assert got == rref_coords_oracle(F, rows, pivots, w)
+            assert linalg.reduce_vec(F, rows, pivots, w) == \
+                linalg._reduce_vec_field(F, rows, pivots, w)
+            outside += got is None
+            inside += got is not None
+        assert rref_coords(F, rows, pivots, w_in) == combo
+    assert outside and inside
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_int_spin_basis_matches_field_loop(p):
+    # the basis is kept fully reduced, so sorted by pivot it is the rref
+    # of everything added so far
+    F = make_field(p)
+    s = SeedStream(400 + p)
+    full = 0
+    for n in (1, 2, 4, 7):
+        for density in (100, 40):
+            sb = SpinBasis(F, n)
+            added = []
+            for v in rand_rows(F, 2 * n, n, s, density) + [[F.zero] * n]:
+                rows, pivots = generic_rref(F, added)
+                w = tuple(rand_rows(F, 1, n, s, 100)[0])
+                assert sb.reduce(w) == linalg._reduce_vec_field(F, rows, pivots, w)
+                added.append(v)
+                after = generic_rref(F, added)[0]
+                assert sb.add(v) == (len(after) > len(rows))
+                assert sb.basis() == tuple(tuple(r) for r in after)
+            full += sb.dim() == n
+    assert full

@@ -1,17 +1,19 @@
 import itertools
+import re
 
 import pytest
 
 from fixspace.ff import make_field
 from fixspace.linalg import eye, mat_mul, transpose
-from fixspace.matrep import (FieldMismatch, Inconclusive, MatRep, NotInGroup, build_rep,
+from fixspace.matrep import (FieldMismatch, IllTyped, Inconclusive, MatRep, NotInGroup,
+                             _random_algebra_element, build_rep,
                              builtin_matgroup, char_poly, deleted, dual,
                              eigenspace_profile, embed_matrix_group,
                              fixed_space_dim, frobenius_twist, is_irreducible,
                              module_dual_fixed_dim, module_fixed_dim,
-                             parse_module_text, perm_module, read_matgroup_file,
-                             read_module_file, section, spin_span, sym_power,
-                             tensor, verify_homomorphism)
+                             parse_matgroup_text, parse_module_text, perm_module,
+                             read_matgroup_file, read_module_file, section,
+                             spin_span, sym_power, tensor, verify_homomorphism)
 from fixspace.perm import builtin_group, cycle_lengths, pinv, pmul
 from fixspace.rng import SeedStream
 
@@ -344,3 +346,95 @@ def test_matgroup_file_roundtrip(tmp_path):
     m.write_text("(sym 2 (explicit T))\n")
     rep2 = read_module_file(str(m), matgroups={"T": (G, rep)})
     assert rep2.dim == 3
+
+
+def theta_by_matrix_words(rep, stream):
+    """Norton element as the product of generator images, word by word,
+    entirely in FieldCtx arithmetic: the reference for the permutation words."""
+    F = rep.field
+    n = rep.dim
+    theta = [[F.zero] * n for _ in range(n)]
+    terms = 3 + stream.randrange(4)
+    for _ in range(terms):
+        length = 1 + stream.randrange(8)
+        word = rep.images[stream.randrange(len(rep.images))]
+        for _ in range(length - 1):
+            word = mat_mul(F, word, rep.images[stream.randrange(len(rep.images))])
+        coeff = F.element(1 + stream.randrange(F.q - 1))
+        for i in range(n):
+            for j in range(n):
+                theta[i][j] = F.add(theta[i][j], F.mul(coeff, word[i][j]))
+    return theta
+
+
+def theta_modules():
+    A5 = builtin_group('A5')
+    F7 = make_field(7)
+    sub = is_irreducible(build_rep(perm_module(A5, F7)), SeedStream(1)).submodule
+    d = deleted(perm_module(builtin_group('S4'), make_field(3)))
+    _, sl2_5 = builtin_matgroup('SL2_5')
+    _, sl3_3 = builtin_matgroup('SL3_3')
+    F9 = make_field(3, 2)
+    _, nat9 = embed_matrix_group(
+        F9, 2, [[[1, 1], [0, 1]], [[1, 3], [0, 1]], [[0, 1], [2, 0]]], name="SL2_9")
+    return [
+        build_rep(perm_module(A5, F7)),
+        build_rep(deleted(perm_module(builtin_group('A6'), make_field(5)))),
+        build_rep(tensor(d, d)),
+        build_rep(dual(deleted(perm_module(A5, F7)))),
+        build_rep(sym_power(sl2_5.spec, 3)),
+        build_rep(section(perm_module(A5, F7), "sub", basis=sub)),
+        build_rep(section(perm_module(A5, F7), "quotient", basis=sub)),
+        sl3_3,
+        build_rep(deleted(perm_module(A5)), make_field(2, 2)),
+        build_rep(tensor(nat9.spec, frobenius_twist(nat9.spec, 1)), F9),
+    ]
+
+
+def test_random_algebra_element_matches_matrix_words():
+    # theta is built from permutation words mapped once; it must equal the
+    # product of generator images and leave the stream at the same place
+    for rep in theta_modules():
+        for seed in range(1, 6):
+            fast, slow = SeedStream(seed), SeedStream(seed)
+            assert _random_algebra_element(rep, fast) == theta_by_matrix_words(rep, slow)
+            assert fast.next64() == slow.next64()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(deleted (perm A5) :field (gf 7)", "unbalanced '('"),
+    ("(deleted (perm A5) :field)", "keyword :field has no value"),
+    ("", "empty module recipe"),
+    ("; only a comment\n", "empty module recipe"),
+    ("(perm A5))", "trailing tokens"),
+    (")", "unbalanced ')'"),
+    ("(:field (gf 7))", "no operator"),
+    ("((perm A5))", "unknown recipe operator"),
+    ("((perm A5) :field (gf 7))", "unknown recipe operator"),
+    ("(perm)", "perm takes 1 argument"),
+    ("(tensor (perm A5))", "tensor takes 2 argument"),
+    ("(twist (perm A5) 1)", "twist expects an integer"),
+    ("(deleted A5)", "deleted expects a recipe form"),
+    ("(perm A5 :field (gf))", "field keyword expects"),
+])
+def test_malformed_module_recipe_is_ill_typed(text, message):
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        parse_module_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("matgroup T field 5\ngen [[1,1],[0,1]]\n", "has no dim"),
+    ("matgroup T dim 2\ngen [[1,1],[0,1]]\n", "has no field"),
+    ("matgroup field 5 dim 2\ngen [[1,1],[0,1]]\n", "is not 'matgroup NAME'"),
+    ("matgroup T field 5 dim 2\nmatgroup H field 5 dim 2\ngen [[1,1],[0,1]]\n",
+     "second matgroup header"),
+    ("matgroup T field five dim 2\ngen [[1,1],[0,1]]\n", "non-integer value"),
+    ("matgroup T field 5 dim 2\ngen [[1.5,1],[0,1]]\n", "not a matrix of integers"),
+    ("matgroup T field 5 dim 2\ngen [[\"a\",1],[0,1]]\n", "not a matrix of integers"),
+    ("matgroup T field 5 dim 2\ngen 7\n", "not a matrix of integers"),
+    ("matgroup T field 5 dim 2\ngen [[1,1],[0,1]\n",
+     "gen line 'gen [[1,1],[0,1]' is not JSON"),
+])
+def test_malformed_matgroup_header_is_ill_typed(text, message):
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        parse_matgroup_text(text)
