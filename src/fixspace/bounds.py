@@ -9,8 +9,8 @@ The catalog rows pin the families where the bounds are known to be sharp.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import matrep
 from .ff import is_prime, make_field, multiplicative_order
+from .linalg import rank
 from .matrep import (
     MatRep,
     build_rep,
@@ -20,12 +20,13 @@ from .matrep import (
     eigenspace_profile,
     fixed_space_dim,
     is_irreducible,
+    minus_one,
     perm_module,
     section,
     sym_power,
     tensor,
 )
-from .perm import builtin_group, element_order, pinv, pmul, ppow
+from .perm import NotInGroup, builtin_group, element_order, pinv, pmul, ppow
 from .rng import SeedStream
 
 
@@ -177,15 +178,25 @@ def scott_check(rep: MatRep, x, y) -> ScottReport:
     """Fixed dims of x, y, (xy)^-1 against dim V plus the invariants of
     <x, y> on V and on its dual.  The inequality is a theorem; a failure
     means a computation bug, so callers treat holds=False as fatal.
+    Raises NotInGroup when x or y lies outside the represented group.
     """
-    dx = fixed_space_dim(rep, x)
-    dy = fixed_space_dim(rep, y)
-    dz = fixed_space_dim(rep, pinv(pmul(x, y)))
-    inv = matrep.module_fixed_dim(rep, (x, y))
-    dinv = matrep.module_dual_fixed_dim(rep, (x, y))
-    lhs = dx + dy + dz
-    rhs = rep.dim + inv + dinv
-    return ScottReport(lhs, rhs, dx, dy, dz, rep.dim, inv, dinv, lhs <= rhs)
+    if not (rep.group.contains(x) and rep.group.contains(y)):
+        raise NotInGroup("element is outside the represented group")
+    return _scott(rep, x, y)
+
+
+def _scott(rep: MatRep, x, y) -> ScottReport:
+    """scott_check on known group elements. With X, Y, Z the images of x,
+    y, (xy)^-1 minus 1, each number is n minus a rank: of X, Y, Z; of X
+    stacked on Y, whose kernel <x, y> fixes; of X beside Y, whose left
+    kernel <x, y> fixes on the dual, as (X^-1)^T v = v iff (X - 1)^T v = 0."""
+    F, n = rep.field, rep.dim
+    X, Y, Z = (minus_one(F, rep.image(g)) for g in (x, y, pinv(pmul(x, y))))
+    dx, dy, dz = (n - rank(F, M) for M in (X, Y, Z))
+    inv = n - rank(F, X + Y)
+    dinv = n - rank(F, [a + b for a, b in zip(X, Y)])
+    lhs, rhs = dx + dy + dz, n + inv + dinv
+    return ScottReport(lhs, rhs, dx, dy, dz, n, inv, dinv, lhs <= rhs)
 
 
 @dataclass(frozen=True)
@@ -200,7 +211,7 @@ def scott_suite(rep: MatRep, pairs: int = 1000, seed: int = 1) -> ScottSuiteRepo
     for _ in range(pairs):
         x = rep.group.random_element(stream)
         y = rep.group.random_element(stream)
-        if not scott_check(rep, x, y).holds:
+        if not _scott(rep, x, y).holds:
             violations.append((x, y))
     return ScottSuiteReport(pairs, tuple(violations))
 

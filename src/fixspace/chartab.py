@@ -47,14 +47,6 @@ def cyc_scale(a: tuple, s: int) -> tuple:
     return tuple(s * x for x in a)
 
 
-def _zpoly_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _zpoly_divmod_exact_leading(a, b):
     # b monic; integer polynomial division
     a = list(a)
@@ -92,10 +84,6 @@ def cyc_reduce(a: tuple, e: int) -> tuple:
     """Remainder of the vector mod the e-th cyclotomic polynomial."""
     _, r = _zpoly_divmod_exact_leading(tuple(a), cyclotomic_poly(e))
     return r
-
-
-def cyc_equal(a: tuple, b: tuple, e: int) -> bool:
-    return cyc_reduce(a, e) == cyc_reduce(b, e)
 
 
 def cyc_as_integer(a: tuple, e: int):

@@ -10,6 +10,7 @@ byte-identical across runs for fixed seed, worker count, and inputs.
 """
 
 import argparse
+import gc
 import hashlib
 import os
 import sys
@@ -17,7 +18,7 @@ import sys
 from . import bounds as bnd
 from . import chartab, gensearch, matrep
 from . import weights as wt
-from .ff import make_field
+from .ff import is_prime, make_field
 from .perm import builtin_group, format_cycles, format_group, read_group_file
 from .rng import SeedStream
 
@@ -67,6 +68,18 @@ def _csv(items) -> str:
 
 def _ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
+
+
+def _check(p: int = None, orders: tuple = None, **counts) -> None:
+    """Reject what an evaluator cannot honour with a ValueError: the runner
+    prints it as one `error:` line (exit status 2), a claim reports FAIL."""
+    if p is not None and not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    if orders is not None and len(orders) != 3:
+        raise ValueError(f"orders needs exactly 3 entries, got {len(orders)}")
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 # input loading -------------------------------------------------------------
@@ -155,6 +168,7 @@ def _witness_records(cert) -> list:
 def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
                  workers: int = 1, orders: tuple = None, exhaustive: bool = False,
                  cache_dir: str = None, base: str = "") -> Result:
+    _check(p, orders, budget=budget, workers=workers)
     G, source = _load_group(group, base)
     name = G.name or "group"
     if exhaustive:
@@ -191,6 +205,7 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
 
 def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
                workers: int = 1, order: int = None, base: str = "") -> Result:
+    _check(p, budget=budget, workers=workers, order=order)
     G, _ = _load_group(group, base)
     name = G.name or "group"
     if seed is None:
@@ -225,9 +240,13 @@ _CLAUSE_KEYS = (
 
 def eval_bounds(module: str, p: int = None, matgroup: str = None,
                 base: str = "") -> Result:
-    """Raises bounds.NotIrreducible (a ValueError) on a reducible module."""
+    """Raises bounds.NotIrreducible (a ValueError) on a reducible module,
+    and ValueError when p is not the characteristic of the module's field."""
     rep = _load_module(module, base, matgroup)
-    p = p if p else rep.field.p
+    p = rep.field.p if p is None else p
+    if p != rep.field.p:
+        raise ValueError(f"p = {p} is not the characteristic {rep.field.p} "
+                         "of the module's field")
     report = bnd.check_bound_theorems(rep, p)
     human = [
         f"module of dimension {report.dim} over GF({rep.field.q}), "
@@ -259,6 +278,7 @@ def eval_scott(module: str, seed: int = None, pairs: int = 1000,
                matgroup: str = None, base: str = "") -> Result:
     if seed is None:
         raise ValueError("--seed is required for the randomized pair sweep")
+    _check(pairs=pairs)
     rep = _load_module(module, base, matgroup)
     suite = bnd.scott_suite(rep, pairs=pairs, seed=seed)
     ok = not suite.violations
@@ -588,6 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # what is loaded by now lives as long as the process: keep the cyclic
+    # collector from traversing it again in a young collection (about 1 ms)
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         res = args.fn(args)

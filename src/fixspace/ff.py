@@ -300,10 +300,6 @@ def poly_deg(f) -> int:
     return len(f) - 1
 
 
-def poly_const(F: FieldCtx, c) -> tuple:
-    return () if F.is_zero(c) else (c,)
-
-
 def poly_x(F: FieldCtx) -> tuple:
     return (F.zero, F.one)
 

@@ -25,10 +25,6 @@ def eye(F: FieldCtx, n: int) -> list:
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
 
-def mat_from_rows(rows) -> list:
-    return [list(r) for r in rows]
-
-
 def transpose(A: list) -> list:
     return [list(col) for col in zip(*A)]
 
@@ -70,14 +66,6 @@ def _mat_vec_field(F: FieldCtx, A: list, v) -> tuple:
     return tuple(out)
 
 
-def mat_sub(F: FieldCtx, A: list, B: list) -> list:
-    return [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_eq(A: list, B: list) -> bool:
-    return all(ra == rb for ra, rb in zip(A, B)) and len(A) == len(B)
-
-
 def kron(F: FieldCtx, A: list, B: list) -> list:
     """Kronecker product with row-major index pairing: (i,j) -> i*len(B)+j."""
     nb = len(B)
@@ -103,7 +91,7 @@ def rref(F: FieldCtx, rows: list):
     return _rref_field(F, rows)
 
 
-def _rref_mod(p: int, rows: list):
+def _rref_mod(p: int, rows: list, _echelon: bool = False):
     M = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -119,11 +107,11 @@ def _rref_mod(p: int, rows: list):
         inv = pow(row[c], -1, p)
         if inv != 1:
             row = M[r] = [inv * x % p for x in row]
-        for i, Mi in enumerate(M):
-            f = Mi[c]
+        for i in range(r + 1 if _echelon else 0, len(M)):
+            f = M[i][c]
             if f and i != r:
                 f = p - f
-                M[i] = [(x + f * y) % p for x, y in zip(Mi, row)]
+                M[i] = [(x + f * y) % p for x, y in zip(M[i], row)]
         pivots.append(c)
         r += 1
         if r == len(M):
@@ -131,7 +119,7 @@ def _rref_mod(p: int, rows: list):
     return M[:r], pivots
 
 
-def _rref_field(F: FieldCtx, rows: list):
+def _rref_field(F: FieldCtx, rows: list, _echelon: bool = False):
     M = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -148,7 +136,7 @@ def _rref_field(F: FieldCtx, rows: list):
         inv = F.inv(M[r][c])
         if inv != F.one:
             M[r] = [F.mul(inv, x) for x in M[r]]
-        for i in range(len(M)):
+        for i in range(r + 1 if _echelon else 0, len(M)):
             if i != r and M[i][c] != F.zero:
                 f = M[i][c]
                 M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
@@ -211,7 +199,10 @@ def add_scaled(F: FieldCtx, v, c, w) -> list:
 
 
 def rank(F: FieldCtx, A: list) -> int:
-    return len(rref(F, A)[0])
+    """Rank by forward elimination: only rows below a pivot are cleared."""
+    if F.k == 1:
+        return len(_rref_mod(F.p, A, _echelon=True)[1])
+    return len(_rref_field(F, A, _echelon=True)[1])
 
 
 def nullity(F: FieldCtx, A: list) -> int:
@@ -318,12 +309,6 @@ def char_poly(F: FieldCtx, A: list) -> tuple:
                     cur[j] = F.sub(cur[j], F.mul(coeff, pi[j]))
         polys.append(tuple(cur))
     return polys[n]
-
-
-def row_reduce_basis(F: FieldCtx, vecs) -> tuple:
-    """Canonical rref basis of the span of the given vectors."""
-    R, pivots = rref(F, mat_from_rows(vecs))
-    return tuple(tuple(r) for r in R), pivots
 
 
 class SpinBasis:

@@ -325,15 +325,18 @@ def char_poly(rep: MatRep, g: tuple) -> tuple:
     return linalg.char_poly(rep.field, rep.image(g))
 
 
+def minus_one(F: FieldCtx, M: list) -> list:
+    """M - 1, computed in place on the square matrix M, which is returned."""
+    for i, row in enumerate(M):
+        row[i] = F.sub(row[i], F.one)
+    return M
+
+
 def fixed_space_dim(rep: MatRep, g: tuple) -> int:
     """dim ker(image(g) - 1), the fixed space dimension."""
     if not rep.group.contains(g):
         raise NotInGroup("element is outside the represented group")
-    F = rep.field
-    M = rep.image(g)
-    for i in range(rep.dim):
-        M[i][i] = F.sub(M[i][i], F.one)
-    return linalg.nullity(F, M)
+    return linalg.nullity(rep.field, minus_one(rep.field, rep.image(g)))
 
 
 @dataclass(frozen=True)
@@ -379,10 +382,7 @@ def _joint_fixed(rep: MatRep, elems, image) -> int:
     for x in elems:
         if not rep.group.contains(x):
             raise NotInGroup("element is outside the represented group")
-        M = image(x)
-        for i in range(rep.dim):
-            M[i][i] = F.sub(M[i][i], F.one)
-        stacked.extend(M)
+        stacked.extend(minus_one(F, image(x)))
     if not stacked:
         return rep.dim
     return linalg.nullity(F, stacked)

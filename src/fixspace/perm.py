@@ -18,7 +18,7 @@ building as soon as the chain's orbit lengths multiply to |G|.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from . import ff
 from .rng import SeedStream
@@ -83,6 +83,15 @@ def ppow(g: tuple, e: int) -> tuple:
     return acc
 
 
+def _bulk_codec(degree: int):
+    """(encode, mul) for bulk work: up to degree 256 bytes, which translate
+    composes in C and which sort like the tuples (tuple() decodes), else tuples."""
+    if degree > 256:
+        return tuple, pmul
+    pad = bytes(range(degree, 256))
+    return bytes, lambda a, b: a.translate(b + pad)
+
+
 def perm_from_images(images) -> tuple:
     g = tuple(images)
     if sorted(g) != list(range(len(g))):
@@ -107,10 +116,7 @@ def cycle_lengths(g: tuple) -> list:
 
 
 def element_order(g: tuple) -> int:
-    o = 1
-    for c in cycle_lengths(g):
-        o = o * c // gcd(o, c)
-    return o
+    return lcm(*cycle_lengths(g))
 
 
 def is_p_prime_element(g: tuple, p: int) -> bool:
@@ -368,19 +374,20 @@ class PermGroup:
                     queue.append(s[x])
         return len(seen) == self.degree
 
-    def elements(self) -> list:
-        """All elements, lexicographically sorted; see CLASS_CAP."""
+    def _all_elements(self, encode, mul) -> list:
+        """Every element once, encoded, unsorted: the products of one
+        transversal element per level; see CLASS_CAP."""
         if self.order > CLASS_CAP:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {CLASS_CAP}")
-        seen = {identity(self.degree)}
-        queue = [identity(self.degree)]
-        for g in queue:
-            for s in self.gens:
-                h = pmul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    queue.append(h)
-        return sorted(seen)
+        out = [encode(identity(self.degree))]
+        for i in reversed(range(len(self._levels))):
+            ts = [encode(t) for t in self._level(i).transversal.values()]
+            out = [mul(g, t) for g in out for t in ts]
+        return out
+
+    def elements(self) -> list:
+        """All elements, lexicographically sorted; see CLASS_CAP."""
+        return [tuple(g) for g in sorted(self._all_elements(*_bulk_codec(self.degree)))]
 
     def conjugacy_classes(self, cap: int = CLASS_CAP) -> tuple:
         """Classes sorted by (element order, size, minimal member)."""
@@ -388,29 +395,27 @@ class PermGroup:
             return self._classes
         if self.order > cap:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {cap}")
-        assigned = {}
-        classes = []
-        for g in self.elements():
+        encode, mul = _bulk_codec(self.degree)
+        conjugators = [(encode(pinv(s)), encode(s)) for s in self.gens]
+        assigned, classes = set(), []
+        for g in self._all_elements(encode, mul):
             if g in assigned:
                 continue
             members = {g}
             queue = [g]
             for x in queue:
-                for s in self.gens:
-                    y = pconj(x, s)
+                for s_inv, s in conjugators:
+                    y = mul(mul(s_inv, x), s)
                     if y not in members:
                         members.add(y)
                         queue.append(y)
-            classes.append(ConjClass(g, len(members), element_order(g), tuple(sorted(members))))
-            for m in members:
-                assigned[m] = None
+            assigned |= members
+            # encodings sort like the tuples: the first is the minimal member
+            members = tuple([tuple(m) for m in sorted(members)])
+            classes.append(ConjClass(members[0], len(members), element_order(members[0]), members))
         classes.sort(key=lambda c: (c.element_order, c.size, c.rep))
-        index = {}
-        for i, cls in enumerate(classes):
-            for m in cls.members:
-                index[m] = i
         self._classes = tuple(classes)
-        self._class_index = index
+        self._class_index = {m: i for i, c in enumerate(classes) for m in c.members}
         return self._classes
 
     def class_index(self) -> dict:
@@ -501,22 +506,14 @@ def affine_frobenius_2a(a: int) -> PermGroup:
 
 # builtin registry and group files -------------------------------------------
 
-_BUILTIN_SPECS = {}
+_BUILTIN_SPECS = {
+    **{f"A{n}": (alternating, n) for n in range(4, 13)},
+    **{f"S{n}": (symmetric, n) for n in range(3, 7)},
+    **{f"L2_{q}": (psl2, q) for q in (7, 8, 11, 13)},
+    "F12": (affine_frobenius_2a, 2),
+    "F56": (affine_frobenius_2a, 3),
+}
 _BUILTIN_CACHE = {}
-
-
-def _register_builtins():
-    for n in range(4, 13):
-        _BUILTIN_SPECS[f"A{n}"] = (alternating, n)
-    for n in range(3, 7):
-        _BUILTIN_SPECS[f"S{n}"] = (symmetric, n)
-    for q in (7, 8, 11, 13):
-        _BUILTIN_SPECS[f"L2_{q}"] = (psl2, q)
-    _BUILTIN_SPECS["F12"] = (affine_frobenius_2a, 2)
-    _BUILTIN_SPECS["F56"] = (affine_frobenius_2a, 3)
-
-
-_register_builtins()
 
 
 def builtin_group_names() -> list:

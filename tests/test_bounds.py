@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from fixspace.bounds import (NotIrreducible, catalog, check_bound_theorems,
-                             extraspecial_free_check, min_semisimple_fixdim,
-                             scott_check, scott_suite, sl3_adjoint_heart,
-                             sl_p_adjoint_check)
+from fixspace.bounds import (NotIrreducible, ScottReport, catalog,
+                             check_bound_theorems, extraspecial_free_check,
+                             min_semisimple_fixdim, scott_check, scott_suite,
+                             sl3_adjoint_heart, sl_p_adjoint_check)
 from fixspace.ff import make_field
-from fixspace.matrep import (build_rep, deleted, fixed_space_dim, perm_module,
-                             is_irreducible)
-from fixspace.perm import builtin_group
+from fixspace.linalg import mat_vec
+from fixspace.matrep import (build_rep, builtin_matgroup, deleted,
+                             embed_matrix_group, fixed_space_dim,
+                             frobenius_twist, is_irreducible, module_dual_fixed_dim,
+                             module_fixed_dim, perm_module, tensor)
+from fixspace.perm import NotInGroup, builtin_group, pinv, pmul, ppow
 from fixspace.rng import SeedStream
 
 
@@ -147,6 +150,81 @@ def test_scott_suite_clean():
     report = scott_suite(rep, pairs=300, seed=9)
     assert report.checked == 300
     assert report.violations == ()
+
+
+# the three-image Scott check against the composition it replaced ----------
+
+
+def old_scott(rep, x, y):
+    """Fixed dims one element at a time, joint fixed dims on V and on its
+    dual from stacked images; every element is sifted."""
+    dx = fixed_space_dim(rep, x)
+    dy = fixed_space_dim(rep, y)
+    dz = fixed_space_dim(rep, pinv(pmul(x, y)))
+    inv = module_fixed_dim(rep, (x, y))
+    dinv = module_dual_fixed_dim(rep, (x, y))
+    lhs, rhs = dx + dy + dz, rep.dim + inv + dinv
+    return ScottReport(lhs, rhs, dx, dy, dz, rep.dim, inv, dinv, lhs <= rhs)
+
+
+def extension_field_modules():
+    """Deleted A5 over GF(4), deleted A6 over GF(25), and the natural
+    module of SL2(9) tensored with its Frobenius twist over GF(9)."""
+    F4, F9, F25 = make_field(2, 2), make_field(3, 2), make_field(5, 2)
+    out = [build_rep(deleted(perm_module(builtin_group(name))), F)
+           for name, F in (("A5", F4), ("A6", F25))]
+    _, nat = embed_matrix_group(
+        F9, 2, [[[1, 1], [0, 1]], [[1, 3], [0, 1]], [[0, 1], [2, 0]]],
+        name="SL2_9")
+    out.append(build_rep(tensor(nat.spec, frobenius_twist(nat.spec, 1)), F9))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scott_check_matches_old_composition(seed):
+    reps = [(e.ident, e.rep) for e in catalog()]
+    reps += [(repr(rep), rep) for rep in extension_field_modules()]
+    assert len(reps) == 64
+    joint = 0
+    for ident, rep in reps:
+        stream = SeedStream(seed)
+        pairs = [(rep.group.random_element(stream), rep.group.random_element(stream))
+                 for _ in range(20)]
+        # x and x^2 generate a cyclic group, which keeps fixed vectors
+        pairs.append((pairs[0][0], ppow(pairs[0][0], 2)))
+        for x, y in pairs:
+            got = scott_check(rep, x, y)
+            assert got == old_scott(rep, x, y), (ident, x, y)
+            joint += got.invariants > 0
+    assert joint
+
+
+def test_scott_check_tells_the_dual_from_the_module():
+    # x = 1 + E12 and y = 1 + E13 on the natural SL3(3) module fix the line
+    # of e1, while on the dual they fix the plane e1* = 0
+    group, nat = builtin_matgroup("SL3_3")
+    orbit = nat.spec.orbit
+    index = {v: i for i, v in enumerate(orbit)}
+    F = nat.field
+
+    def perm_of(M):
+        return tuple(index[mat_vec(F, M, v)] for v in orbit)
+
+    x = perm_of([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    y = perm_of([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    got = scott_check(nat, x, y)
+    assert (got.invariants, got.dual_invariants) == (1, 2)
+    assert got == old_scott(nat, x, y)
+
+
+def test_scott_check_rejects_elements_outside_the_group():
+    rep = deleted_rep("A5", 3)
+    inside = rep.group.random_element(SeedStream(2))
+    odd = (1, 0, 2, 3, 4)            # a transposition: in S5, not in A5
+    with pytest.raises(NotInGroup):
+        scott_check(rep, odd, inside)
+    with pytest.raises(NotInGroup):
+        scott_check(rep, inside, odd)
 
 
 def test_sl3_adjoint_heart_dimensions():

@@ -187,6 +187,103 @@ def test_scott_sweep(capsys):
     assert rec["holds"] == "yes"
 
 
+# parameters an evaluator cannot honour exit 2 with one error line ----------
+
+
+def rejected(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Searches that fail the test if they start: a rejected parameter must
+    stop the evaluator first (with workers 0 the search would never end)."""
+    from fixspace import gensearch
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("search started on a parameter it cannot honour")
+
+    for name in ("find_triple", "find_conjugate_pair", "exhaustive_triple_search"):
+        monkeypatch.setattr(gensearch, name, refuse)
+
+
+@pytest.mark.parametrize("pairs", ["-5", "0"])
+def test_scott_rejects_pairs_below_one(capsys, pairs):
+    err = rejected(capsys, "scott", "--module", f"{DATA}/mersenne3.mod",
+                   "--seed", "4", "--pairs", pairs)
+    assert f"pairs must be at least 1, got {pairs}" in err
+
+
+@pytest.mark.parametrize("p", ["2", "3", "5", "11"])
+def test_bounds_rejects_p_other_than_field_characteristic(capsys, p):
+    err = rejected(capsys, "bounds", "--module", f"{DATA}/mersenne7.mod", "--p", p)
+    assert "characteristic 7" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["triples", "--group", "A5", "--p", "4", "--seed", "1"],
+    ["triples", "--group", "A5", "--p", "4", "--exhaustive"],
+    ["triples", "--group", "A5", "--p", "1", "--seed", "1"],
+    ["pairs", "--group", "A5", "--p", "1", "--seed", "1"],
+    ["pairs", "--group", "A5", "--p", "6", "--seed", "1"],
+])
+def test_searches_reject_non_prime_p(capsys, no_search, argv):
+    assert "p must be a prime" in rejected(capsys, *argv)
+
+
+@pytest.mark.parametrize("orders", ["3,5", "3,5,5,5"])
+def test_triples_reject_orders_without_three_entries(capsys, no_search, orders):
+    err = rejected(capsys, "triples", "--group", "A5", "--p", "2", "--seed", "1",
+                   "--orders", orders)
+    assert "orders needs exactly 3 entries" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--workers", "0"],
+    ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--budget", "-3"],
+    ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--workers", "0"],
+    ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--budget", "0"],
+    ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--order", "0"],
+])
+def test_searches_reject_counts_below_one(capsys, no_search, argv):
+    assert "must be at least 1" in rejected(capsys, *argv)
+
+
+def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
+    path = write_manifest(tmp_path, f"""\
+        [scott]
+        kind = scott
+        module = {os.path.abspath(DATA)}/mersenne3.mod
+        pairs = -5
+        expect = zero-violations
+        provenance = derived
+
+        [bound]
+        kind = bound
+        module = {os.path.abspath(DATA)}/mersenne7.mod
+        p = 5
+        expect = 3
+        provenance = derived
+
+        [triple]
+        kind = triple
+        group = A5
+        p = 4
+        expect = found
+        provenance = derived
+    """)
+    code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL       scott: error: pairs must be at least 1, "
+                        "got -5")
+    assert lines[1].startswith("FAIL       bound: error: p = 5 is not")
+    assert lines[2] == "FAIL       triple: error: p must be a prime, got 4"
+
+
 def test_weights_g2(capsys):
     code, out, _ = run(capsys, "weights", "--type", "G2", "--weight", "1,0",
                        "--format", "records")

@@ -211,6 +211,25 @@ def test_int_rref_rank_nullspace_match_field_loop(p, monkeypatch):
     assert any(0 < r < min(len(A), len(A[0])) for A, (_, r, _) in zip(mats, fast))
 
 
+@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2)])
+def test_rank_by_forward_elimination_matches_rref(p, k, monkeypatch):
+    F = make_field(p, k)
+    mats = shaped_matrices(F, SeedStream(500 + F.q))
+    want = [len(rref(F, A)[0]) for A in mats]
+    before = [[list(r) for r in A] for A in mats]
+
+    def no_rref(F, rows):
+        raise AssertionError("rank went through rref")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    got = [rank(F, A) for A in mats]
+    assert got == want
+    assert mats == before
+    assert 0 in got
+    assert any(0 < r < min(len(A), len(A[0])) for A, r in zip(mats, got))
+    assert any(r == min(len(A), len(A[0])) > 1 for A, r in zip(mats, got))
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_int_vector_ops_match_field_loop(p):
     F = make_field(p)

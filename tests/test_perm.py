@@ -114,6 +114,47 @@ def test_conjugacy_classes_against_brute_force():
             assert element_order(cls.rep) == cls.element_order
 
 
+def orbit_classes(G):
+    # classes as conjugation orbits under the generators, found in sorted
+    # element order, with members and index kept as tuples throughout
+    elems = sorted(brute_elements(G.degree, G.gens))
+    assigned, classes = set(), []
+    for g in elems:
+        if g in assigned:
+            continue
+        members = {g}
+        queue = [g]
+        for x in queue:
+            for s in G.gens:
+                y = pconj(x, s)
+                if y not in members:
+                    members.add(y)
+                    queue.append(y)
+        assigned |= members
+        classes.append((g, len(members), element_order(g), tuple(sorted(members))))
+    classes.sort(key=lambda c: (c[2], c[1], c[0]))
+    index = {m: i for i, c in enumerate(classes) for m in c[3]}
+    return elems, classes, index
+
+
+def test_classes_and_elements_match_tuple_orbits():
+    # SL3(3) on 26 vectors, SL2(17) on 288 vectors (past the byte encoding),
+    # and cyclic groups on either side of degree 256
+    from fixspace.ff import make_field
+    from fixspace.matrep import builtin_matgroup, embed_matrix_group
+    sl2_17, _ = embed_matrix_group(make_field(17), 2,
+                                   [[[1, 1], [0, 1]], [[0, 1], [16, 0]]])
+    groups = [builtin_group(n) for n in ('S4', 'A6', 'L2_8', 'F56')]
+    groups += [builtin_matgroup('SL3_3')[0], sl2_17, cyclic(256), cyclic(257)]
+    for G in groups:
+        elems, classes, index = orbit_classes(G)
+        assert G.elements() == elems
+        got = [(c.rep, c.size, c.element_order, c.members)
+               for c in G.conjugacy_classes()]
+        assert got == classes
+        assert G.class_index() == index
+
+
 def test_class_sizes_a5():
     sizes = sorted(c.size for c in builtin_group('A5').conjugacy_classes())
     assert sizes == [1, 12, 12, 15, 20]
