@@ -2,12 +2,14 @@
 
 All arithmetic is exact. Tables are computed modulo a prime l with
 l = 1 (mod exponent) and l^2 > 4|G|^3, then lifted to dense integer
-vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity.
-Vectors are reduced only by z^e = 1; canonical comparisons go through
-reduction mod the e-th cyclotomic polynomial.
+vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity: the
+entry at z^m of a value is the multiplicity of the eigenvalue z^m.
 
 Frobenius-style triple counting over conjugacy classes lives here too,
-driven entirely by the lifted table.
+driven entirely by the lifted table. It packs each vector into one
+Python int, multiplies mod z^e - 1, and tests whether a sum v is the
+rational integer c by one more product: v = c (mod Phi_e) exactly when
+v Psi_e = c Psi_e (mod z^e - 1), where Psi_e = (z^e - 1) / Phi_e.
 """
 
 import math
@@ -26,25 +28,7 @@ class NonIntegerResult(RuntimeError):
     """A count that must be a rational integer failed to reduce to one."""
 
 
-# integer cyclotomic arithmetic ----------------------------------------------
-
-
-def cyc_mul(a: tuple, b: tuple, e: int) -> tuple:
-    out = [0] * e
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % e] += x * y
-    return tuple(out)
-
-
-def cyc_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def cyc_scale(a: tuple, s: int) -> tuple:
-    return tuple(s * x for x in a)
+# integer cyclotomic polynomials -------------------------------------------------
 
 
 def _zpoly_divmod_exact_leading(a, b):
@@ -64,6 +48,7 @@ def _zpoly_divmod_exact_leading(a, b):
 
 
 _cyclotomic_cache = {1: (-1, 1)}
+_cofactor_cache = {}
 
 
 def cyclotomic_poly(n: int) -> tuple:
@@ -80,18 +65,14 @@ def cyclotomic_poly(n: int) -> tuple:
     return _cyclotomic_cache[n]
 
 
-def cyc_reduce(a: tuple, e: int) -> tuple:
-    """Remainder of the vector mod the e-th cyclotomic polynomial."""
-    _, r = _zpoly_divmod_exact_leading(tuple(a), cyclotomic_poly(e))
-    return r
-
-
-def cyc_as_integer(a: tuple, e: int):
-    """The integer a equals, or None when a is not a rational integer."""
-    r = cyc_reduce(a, e)
-    if any(r[1:]):
-        return None
-    return r[0] if r else 0
+def cyclotomic_cofactor(n: int) -> tuple:
+    """Psi_n = (z^n - 1) / Phi_n, low first: the product of Phi_d over d | n, d < n."""
+    if n not in _cofactor_cache:
+        q, r = _zpoly_divmod_exact_leading((-1,) + (0,) * (n - 1) + (1,), cyclotomic_poly(n))
+        if r:
+            raise AssertionError("cyclotomic division left a remainder")
+        _cofactor_cache[n] = q
+    return _cofactor_cache[n]
 
 
 # class algebra ----------------------------------------------------------------
@@ -304,31 +285,77 @@ def _split_space(F, mat, rows, pivots):
 
 def triple_count(table: CharTable, c1: int, c2: int, c3: int,
                  _pair_cache: dict = None) -> int:
-    """Number of (x, y, z) in C1 x C2 x C3 with xyz = 1, by the column formula."""
-    e = table.exponent
-    L = math.lcm(*table.degrees)
-    if _pair_cache is not None and (c1, c2) in _pair_cache:
-        pair = _pair_cache[(c1, c2)]
-    else:
-        pair = [cyc_mul(row[c1], row[c2], e) for row in table.values]
-        if _pair_cache is not None:
-            _pair_cache[(c1, c2)] = pair
-    total = (0,) * e
-    for chi, d in enumerate(table.degrees):
-        term = cyc_mul(pair[chi], table.values[chi][c3], e)
-        total = cyc_add(total, cyc_scale(term, L // d))
-    c = cyc_as_integer(total, e)
-    if c is None:
+    """Number of (x, y, z) in C1 x C2 x C3 with xyz = 1, by the column formula.
+
+    _pair_cache is a dict the caller keeps for one table; across calls it
+    holds the packed table (key None) and packed pair products."""
+    cache = {} if _pair_cache is None else _pair_cache
+    if None not in cache:
+        cache[None] = _Packed(table)
+    pk = cache[None]
+    if (c1, c2) not in cache:
+        cache[(c1, c2)] = [pk.fold(x * y) for x, y in zip(pk.column(c1), pk.column(c2))]
+    total = 0
+    for w, x, y in zip(pk.weights, cache[(c1, c2)], pk.column(c3)):
+        total += w * (x * y)
+    # total = c (mod Phi_e) exactly when total Psi = c Psi (mod z^e - 1)
+    c, rest = divmod(pk.fold(pk.fold(total) * pk.psi_lifted) - pk.lift, pk.psi)
+    if rest or abs(c) > pk.bound:
         raise NonIntegerResult("character sum is not a rational integer")
     sizes = table.classes[c1].size * table.classes[c2].size * table.classes[c3].size
     num = sizes * c
-    den = table.group.order * L
+    den = table.group.order * pk.lcm
     if num % den:
         raise NonIntegerResult(f"count {num}/{den} is not an integer")
     n = num // den
     if n < 0:
         raise NonIntegerResult(f"negative count {n}")
     return n
+
+
+class _Packed:
+    """One table's cyclotomic integers packed into Python ints.
+
+    A vector (n_0, ..., n_{e-1}) over the powers of z is the int
+    sum n_m 2^(b m); a product is one int multiplication and a fold mod
+    z^e - 1. Slot width: a lifted value counts eigenvalues, so its entries
+    are >= 0 and sum to the degree d. So every product and sum has entries
+    >= 0, and those of the total sum (L/d) chi(C1) chi(C2) chi(C3) sum to
+    L sum d^2 = L|G|. With M = max |Psi_e| and J = 1 + z + ... + z^{e-1},
+    Psi + M J has entries in [0, 2M], so the total times it has entries in
+    [0, 2M L|G|]; so has c Psi + M L|G| J when |c| <= L|G|, as for any
+    rational value c of the total. As 2^b > 2M L|G|, no entry carries into
+    the next at any stage, and these two products are equal as ints
+    exactly when they are equal as vectors."""
+
+    def __init__(self, table: CharTable):
+        self.values = table.values
+        self.columns = {}
+        self.lcm = math.lcm(*table.degrees)
+        self.weights = [self.lcm // d for d in table.degrees]
+        self.bound = self.lcm * table.group.order
+        e = table.exponent
+        psi = cyclotomic_cofactor(e)
+        top = max(map(abs, psi))
+        self.b = b = (2 * top * self.bound).bit_length()
+        self.shift = b * e
+        self.mask = (1 << self.shift) - 1
+        ones = self.mask // ((1 << b) - 1)
+        self.psi = sum(x << (b * m) for m, x in enumerate(psi))
+        self.psi_lifted = self.psi + top * ones
+        self.lift = top * self.bound * ones
+
+    def fold(self, x: int) -> int:
+        """x mod z^e - 1, for x of fewer than 2e entries."""
+        return (x & self.mask) + (x >> self.shift)
+
+    def column(self, cls: int) -> list:
+        """The packed values of every character at one class."""
+        if cls not in self.columns:
+            b = self.b
+            self.columns[cls] = [sum(x << (b * m) for m, x in enumerate(row[cls]) if x)
+                                 for row in self.values]
+        return self.columns[cls]
 
 
 # cache files --------------------------------------------------------------------
@@ -366,8 +393,9 @@ def read_table_cache(path: str, group: PermGroup) -> CharTable:
     """Rebuild a table from its cache file; the group supplies class data.
 
     LiftFailure unless the file parses, its header, class block and rows
-    match the group, the identity column is the degrees, and the rows are
-    orthogonal mod the cached Dixon prime."""
+    match the group, the identity column is the degrees, every value counts
+    chi(1) roots of unity of its class's order, and the rows are orthogonal
+    mod the cached Dixon prime."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     try:
@@ -395,6 +423,13 @@ def read_table_cache(path: str, group: PermGroup) -> CharTable:
             raise LiftFailure(f"cache character of degree {d} is not {r} vectors of length {e}")
         if row[0] != (d,) + (0,) * (e - 1):
             raise LiftFailure(f"cache character of degree {d} has another value at the identity")
+        # a value at a class of order o counts d eigenvalues, all o-th roots
+        # of unity: entries >= 0, summing to d, on the multiples of e/o only
+        for vec, c in zip(row, classes):
+            o = c.element_order
+            if e % o or min(vec) < 0 or sum(vec) != d or sum(vec[::e // o]) != d:
+                raise LiftFailure(f"cache character of degree {d} has a value that is not "
+                                  f"{d} roots of unity of order dividing {o}")
         degrees.append(d)
         values.append(row)
     if sum(d * d for d in degrees) != group.order:

@@ -13,21 +13,8 @@ from dataclasses import dataclass
 
 from . import chartab
 from .ff import prime_power
-from .perm import (GroupTooLarge, PermGroup, element_order, pconj, pinv,
-                   pmul, ppow)
+from .perm import GroupTooLarge, PermGroup, element_order, pconj, pinv, pmul
 from .rng import SeedStream
-
-
-class NotTransitive(ValueError):
-    pass
-
-
-class NotFound(RuntimeError):
-    """Search exhausted its budget for an object that must exist."""
-
-    def __init__(self, budget: int):
-        super().__init__(f"no witness found in {budget} attempts")
-        self.budget = budget
 
 
 class NotPrimePower(ValueError):
@@ -231,34 +218,6 @@ def exhaustive_triple_search(group: PermGroup, p: int, cap: int = 10**4,
                     raise AssertionError("certificate failed independent recheck")
                 return ExhaustiveResult("ExistsWithWitness", cert, tests)
     return ExhaustiveResult("ProvedNone", None, tests)
-
-
-def find_fpf_prime_power_element(group: PermGroup, budget: int = 10**4,
-                                 seed: int = 1) -> tuple:
-    """Element of prime-power order moving every point.
-
-    Works through random elements: for each, test every prime-power part
-    g^(o / r^a) with r^a the full r-part of o = order(g), primes ascending.
-    """
-    if not group.is_transitive():
-        raise NotTransitive("the action has more than one orbit")
-    stream = SeedStream(seed)
-    for _ in range(budget):
-        g = group.random_element(stream)
-        o = element_order(g)
-        rest = o
-        r = 2
-        while rest > 1:
-            if rest % r == 0:
-                ra = 1
-                while rest % r == 0:
-                    rest //= r
-                    ra *= r
-                part = ppow(g, o // ra)
-                if all(part[i] != i for i in range(len(part))):
-                    return part
-            r += 1 if r == 2 else 2
-    raise NotFound(budget)
 
 
 def phi_star(n: int, q: int) -> int:

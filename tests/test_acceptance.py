@@ -13,8 +13,7 @@ from pathlib import Path
 from fixspace.bounds import (catalog, check_bound_theorems,
                              min_semisimple_fixdim, scott_suite,
                              sl3_adjoint_heart)
-from fixspace.chartab import (character_table, cyc_add, cyc_as_integer,
-                              cyc_mul, triple_count)
+from fixspace.chartab import character_table, triple_count
 from fixspace.ff import make_field
 from fixspace.gensearch import (exhaustive_triple_search, find_conjugate_pair,
                                 find_triple, phi_star, verify_pair,
@@ -26,6 +25,8 @@ from fixspace.rng import SeedStream
 from fixspace.weights import (check_sym_divisibility, check_twist_divisibility,
                               root_system, sl2_distinct_eigenvalues,
                               torus_sample_set, weight_multiset, weyl_dim)
+
+from cyclo import cyc_add, cyc_as_integer, cyc_mul
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -1,9 +1,14 @@
+import dataclasses
+import random
+
 import pytest
 
-from fixspace.chartab import (LiftFailure, character_table, cyc_add,
-                              cyc_as_integer, cyc_mul, cyclotomic_poly,
+from fixspace.chartab import (LiftFailure, NonIntegerResult, character_table,
+                              cyclotomic_cofactor, cyclotomic_poly,
                               read_table_cache, triple_count, write_table_cache)
 from fixspace.perm import builtin_group, pinv, pmul
+
+from cyclo import cyc_add, cyc_as_integer, cyc_mul, tuple_triple_count
 
 # complex character degrees, standard small-group data
 KNOWN_DEGREES = {
@@ -38,6 +43,18 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_cofactor():
+    # Psi_n * Phi_n = z^n - 1
+    for n in range(1, 61):
+        psi, phi = cyclotomic_cofactor(n), cyclotomic_poly(n)
+        prod = [0] * (len(psi) + len(phi) - 1)
+        for i, x in enumerate(psi):
+            for j, y in enumerate(phi):
+                prod[i + j] += x * y
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+    assert cyclotomic_cofactor(6) == (-1, -1, 0, 1, 1)
 
 
 def test_cyc_arithmetic_root_of_unity():
@@ -132,6 +149,53 @@ def test_triple_count_matches_brute_force_small():
                         counts.get((i, j, m), 0), (name, i, j, m)
 
 
+@pytest.mark.parametrize("name", ['A5', 'S5', 'A6', 'S6', 'L2_7', 'L2_8'])
+def test_triple_count_matches_tuple_oracle_tensor(name):
+    table = character_table(builtin_group(name))
+    k = len(table.classes)
+    triples = [(i, j, m) for i in range(k) for j in range(k) for m in range(k)]
+    oracle_cache = {}
+    want = [tuple_triple_count(table, *t, oracle_cache) for t in triples]
+    cache = {}
+    assert [triple_count(table, *t, _pair_cache=cache) for t in triples] == want
+    assert [triple_count(table, *t) for t in triples] == want
+
+
+@pytest.mark.parametrize("name", ['A7', 'L2_11', 'A8'])
+def test_triple_count_matches_tuple_oracle_sampled(name):
+    # the exponent-330 and exponent-420 tables, where the packed ints are longest
+    table = character_table(builtin_group(name))
+    k = len(table.classes)
+    rng = random.Random(name)
+    triples = [tuple(rng.randrange(k) for _ in range(3)) for _ in range(40)]
+    cache = {}
+    for t in triples:
+        assert triple_count(table, *t, _pair_cache=cache) == tuple_triple_count(table, *t), t
+
+
+@pytest.mark.parametrize("power", ["z", "z^(e/o)"])
+def test_triple_count_rejects_rotated_value(power):
+    # the trivial character times a root of unity w != 1 at a class C of
+    # order 5 turns the character sum for n(1, C, C^-1) from |C_G| into
+    # |C_G| - 1 + w, which is not rational
+    table = character_table(builtin_group('A5'))
+    cls = next(c for c, cl in enumerate(table.classes) if cl.element_order == 5)
+    e = table.exponent
+    vec = table.values[0][cls]
+    assert table.degrees[0] == 1 and vec == (1,) + (0,) * (e - 1)
+    shift = 1 if power == "z" else e // 5
+    rotated = list(table.values[0])
+    rotated[cls] = vec[-shift:] + vec[:-shift]
+    bad = dataclasses.replace(table, values=(tuple(rotated),) + table.values[1:])
+    triple = (0, cls, table.inverse_class[cls])
+    with pytest.raises(NonIntegerResult, match="rational integer"):
+        tuple_triple_count(bad, *triple)
+    with pytest.raises(NonIntegerResult, match="rational integer"):
+        triple_count(bad, *triple)
+    with pytest.raises(NonIntegerResult, match="rational integer"):
+        triple_count(bad, *triple, _pair_cache={})
+
+
 def test_triple_count_total_is_group_order_squared():
     G = builtin_group('A6')
     table = character_table(G)
@@ -161,12 +225,19 @@ def _without_first(lines, prefix):
     return lines[:i] + lines[i + 1:]
 
 
-def _bump_last_value(lines, cls):
-    # add 1 to the first entry of one class vector of the last character
+def _bump_last_value(lines, *classes, by=1):
+    # add `by` to the first entry of some class vectors of the last character
     head, packed = lines[-1].rsplit(" ", 1)
     vecs = [vec.split(",") for vec in packed.split("|")]
-    vecs[cls][0] = str(int(vecs[cls][0]) + 1)
+    for cls in classes:
+        vecs[cls][0] = str(int(vecs[cls][0]) + by)
     return lines[:-1] + [head + " " + "|".join(",".join(v) for v in vecs)]
+
+
+def _shift_by_modulus(lines):
+    # same residues mod l, so orthogonality mod l still holds
+    l = int(next(ln for ln in lines if ln.startswith("modulus ")).split()[1])
+    return _bump_last_value(lines, 1, 2, by=l)
 
 
 @pytest.mark.parametrize("damage", [
@@ -180,9 +251,10 @@ def _bump_last_value(lines, cls):
     lambda lines: lines + ["character"],
     lambda lines: lines[:-1] + [lines[-1].replace(",", ",x", 1)],
     lambda lines: [("modulus 0" if ln.startswith("modulus ") else ln) for ln in lines],
+    _shift_by_modulus,
 ], ids=["missing-character", "missing-class", "short-row", "short-vector",
         "changed-value", "changed-identity-value", "missing-header", "no-space",
-        "non-integer", "zero-modulus"])
+        "non-integer", "zero-modulus", "shifted-by-modulus"])
 def test_table_cache_rejects_truncated_file(tmp_path, damage):
     G = builtin_group('A5')
     path = tmp_path / "a5.chartab"

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from fixspace.gensearch import (NotPrimePower, exhaustive_triple_search,
-                                find_conjugate_pair,
-                                find_fpf_prime_power_element, find_triple,
-                                phi_star, verify_pair, verify_triple)
+                                find_conjugate_pair, find_triple, phi_star,
+                                verify_pair, verify_triple)
 from fixspace.perm import builtin_group, element_order, pinv, pmul
 
 
@@ -106,14 +105,6 @@ def test_exhaustive_accepts_precomputed_table():
     table = character_table(G)
     res = exhaustive_triple_search(G, 5, table=table)
     assert res.verdict == "ProvedNone"
-
-
-def test_fpf_element():
-    G = builtin_group('F56')
-    # the regular kernel of F56 supplies fixed-point-free involutions
-    g = find_fpf_prime_power_element(G, seed=1)
-    assert element_order(g) == 2
-    assert all(g[i] != i for i in range(G.degree))
 
 
 def test_phi_star_matches_brute_force():
