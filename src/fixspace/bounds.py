@@ -264,16 +264,15 @@ def sl3_adjoint_heart() -> MatRep:
     return _sl3_heart_cache[0]
 
 
-def sl_p_adjoint_check(p: int = 3, q: int = 3) -> AdjointSectionReport:
+def sl_p_adjoint_check() -> AdjointSectionReport:
     """Every nontrivial semisimple class of SL3(3) keeps a fixed space of
-    dimension at least p - 2 = 1 on the 7-dimensional section.
+    dimension at least p - 2 = 1 on the 7-dimensional section, p = 3.
 
     The ambient conjugation module has dimension 9; regular semisimple
     elements are centralized by a maximal torus there, and passing to the
     section costs at most the two trivial composition factors.
     """
-    if p != 3 or q != 3:
-        raise ValueError("only the SL3(3) desk instance is built in")
+    p = 3
     rep = sl3_adjoint_heart()
     bound = p - 2
     cls, mind = min_semisimple_fixdim(rep, p)

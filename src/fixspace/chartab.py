@@ -123,9 +123,6 @@ class CharTable:
     values: tuple             # rows of length-e integer vectors over powers of zeta
     inverse_class: tuple      # position of the inverse class
 
-    def value(self, chi: int, cls: int) -> tuple:
-        return self.values[chi][cls]
-
 
 def _dixon_prime(order: int, exponent: int) -> int:
     n = exponent + 1

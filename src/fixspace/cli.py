@@ -6,7 +6,7 @@ returns a Result, that is its human-readable lines, its machine-readable
 evaluator returns; `--format records` drops the human section. `verify`
 runs the same evaluators on the keys of each manifest claim and compares
 their records against the claim's `expect`. Machine output is
-byte-identical across runs for fixed seed, worker count, and inputs.
+byte-identical across runs for fixed seed and inputs.
 """
 
 import argparse
@@ -70,13 +70,19 @@ def _ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def _check(p: int = None, orders: tuple = None, **counts) -> None:
+def _check(p: int = None, orders: tuple = None, order: int = None,
+           **counts) -> None:
     """Reject what an evaluator cannot honour with a ValueError: the runner
-    prints it as one `error:` line (exit status 2), a claim reports FAIL."""
+    prints it as one `error:` line (exit status 2), a claim reports FAIL.
+    No p'-element has an order below 1 or divisible by p."""
     if p is not None and not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if orders is not None and len(orders) != 3:
         raise ValueError(f"orders needs exactly 3 entries, got {len(orders)}")
+    for value in (orders or ()) + ((order,) if order is not None else ()):
+        if value < 1 or value % p == 0:
+            raise ValueError(f"an element order must be at least 1 and "
+                             f"prime to p = {p}, got {value}")
     for name, value in counts.items():
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -166,9 +172,11 @@ def _witness_records(cert) -> list:
 
 
 def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
-                 workers: int = 1, orders: tuple = None, exhaustive: bool = False,
+                 orders: tuple = None, exhaustive: bool = False,
                  cache_dir: str = None, base: str = "") -> Result:
-    _check(p, orders, budget=budget, workers=workers)
+    _check(p, orders, budget=budget)
+    if exhaustive and orders is not None:
+        raise ValueError("--orders does not apply to the exhaustive search")
     G, source = _load_group(group, base)
     name = G.name or "group"
     if exhaustive:
@@ -188,14 +196,13 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
         return Result(human, records)
     if seed is None:
         raise ValueError("--seed is required for the randomized search")
-    cert = gensearch.find_triple(G, p, budget=budget, seed=seed,
-                                 workers=workers, orders=orders)
+    cert = gensearch.find_triple(G, p, budget=budget, seed=seed, orders=orders)
     found = cert.verdict == "Generates"
     human = [f"random triple search in {name} at p = {p}: "
              + (f"found after {cert.attempts} attempts" if found
                 else f"nothing in {cert.attempts} attempts")]
     records = [("group", name), ("p", p), ("mode", "random"),
-               ("seed", seed), ("workers", workers),
+               ("seed", seed),
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
@@ -204,20 +211,19 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
 
 
 def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
-               workers: int = 1, order: int = None, base: str = "") -> Result:
-    _check(p, budget=budget, workers=workers, order=order)
+               order: int = None, base: str = "") -> Result:
+    _check(p, order=order, budget=budget)
     G, _ = _load_group(group, base)
     name = G.name or "group"
     if seed is None:
         raise ValueError("--seed is required for the randomized search")
     cert = gensearch.find_conjugate_pair(G, p, budget=budget, seed=seed,
-                                         workers=workers, order=order)
+                                         order=order)
     found = cert.verdict == "Generates"
     human = [f"conjugate generating pair search in {name} at p = {p}: "
              + (f"found after {cert.attempts} attempts" if found
                 else f"nothing in {cert.attempts} attempts")]
     records = [("group", name), ("p", p), ("seed", seed),
-               ("workers", workers),
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
@@ -416,7 +422,6 @@ _CLAIMS = {
     "triple": (
         lambda c, seed, args, base: eval_triples(
             c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
-            workers=args.workers,
             orders=_ints(c["orders"]) if "orders" in c else None, base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
@@ -424,7 +429,7 @@ _CLAIMS = {
     "pair": (
         lambda c, seed, args, base: eval_pairs(
             c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
-            workers=args.workers, order=_int(c, "order"), base=base),
+            order=_int(c, "order"), base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
     "exception": (
@@ -529,8 +534,8 @@ def cmd_verify(args) -> Result:
 # argument wiring -------------------------------------------------------------
 
 
-def _add_common(sub, seed=False, workers=False, budget=False, cache=False,
-                module=False, group=False):
+def _add_common(sub, seed=False, budget=False, cache=False, module=False,
+                group=False):
     sub.add_argument("--format", choices=("plain", "records"), default="plain")
     if group:
         sub.add_argument("--group", required=True,
@@ -541,8 +546,6 @@ def _add_common(sub, seed=False, workers=False, budget=False, cache=False,
                          help="optional .mat file registering a matrix group")
     if seed:
         sub.add_argument("--seed", type=int, default=None)
-    if workers:
-        sub.add_argument("--workers", type=int, default=1)
     if budget:
         sub.add_argument("--budget", type=int, default=10 ** 5)
     if cache:
@@ -561,21 +564,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=lambda a: eval_table(a.group, a.cache_dir))
 
     s = subs.add_parser("triples", help="generating triple of coprime-order elements")
-    _add_common(s, group=True, seed=True, workers=True, budget=True, cache=True)
+    _add_common(s, group=True, seed=True, budget=True, cache=True)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--orders", default=None, help="comma list like 4,4,4")
     s.add_argument("--exhaustive", action="store_true",
                    help="complete class-triple sweep (proof when none exists)")
     s.set_defaults(fn=lambda a: eval_triples(
-        a.group, a.p, a.seed, a.budget, a.workers,
-        _ints(a.orders) if a.orders else None, a.exhaustive, a.cache_dir))
+        a.group, a.p, a.seed, a.budget, _ints(a.orders) if a.orders else None,
+        a.exhaustive, a.cache_dir))
 
     s = subs.add_parser("pairs", help="conjugate generating pair")
-    _add_common(s, group=True, seed=True, workers=True, budget=True)
+    _add_common(s, group=True, seed=True, budget=True)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--order", type=int, default=None)
     s.set_defaults(fn=lambda a: eval_pairs(a.group, a.p, a.seed, a.budget,
-                                           a.workers, a.order))
+                                           a.order))
 
     s = subs.add_parser("bounds", help="fixed-space bound clauses on a module")
     _add_common(s, module=True)
@@ -600,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=lambda a: eval_phi(a.n, a.q))
 
     s = subs.add_parser("verify", help="run a claims manifest")
-    _add_common(s, seed=True, workers=True, cache=True)
+    _add_common(s, seed=True, cache=True)
     s.add_argument("--manifest", required=True)
     s.set_defaults(fn=cmd_verify)
 

@@ -94,9 +94,9 @@ class FieldCtx:
     """Arithmetic context for GF(p^k).
 
     Exposes add/sub/neg/mul/inv/pow/frobenius on the element encoding
-    described in the module docstring, plus conversions to and from
-    coefficient vectors and a canonical integer encoding used wherever a
-    deterministic element order is needed.
+    described in the module docstring, plus conversion from coefficient
+    vectors and a canonical integer encoding used wherever a deterministic
+    element order is needed.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_red")
@@ -206,12 +206,6 @@ class FieldCtx:
         return a == self.zero
 
     # conversions --------------------------------------------------------
-
-    def coeffs(self, a) -> tuple:
-        """Coefficient vector of length k, constant term first."""
-        if self.k == 1:
-            return (a,)
-        return a
 
     def from_coeffs(self, vec) -> object:
         vec = tuple(int(c) % self.p for c in vec)

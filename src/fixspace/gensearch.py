@@ -1,9 +1,8 @@
 """Searches for generating triples and pairs of p'-elements.
 
-Random searches are reproducible: a master integer seed is forked into
-one stream per worker, workers take one attempt each per sweep, and the
-lowest worker index succeeding within a sweep wins. Budgets count total
-attempts across workers. Every returned certificate is re-verified
+Random searches are reproducible: each draws its elements from one
+stream forked from the integer seed, and the budget counts attempts, one
+pair of draws each. Every returned certificate is re-verified
 independently of the search path before it is handed back.
 """
 
@@ -81,13 +80,8 @@ def verify_pair(group: PermGroup, cert: PairCertificate) -> bool:
     return group.subgroup_order([cert.x, cert.y]) == group.order
 
 
-def _worker_streams(seed: int, workers: int) -> list:
-    master = SeedStream(seed)
-    return [master.fork(w) for w in range(workers)]
-
-
 def find_triple(group: PermGroup, p: int, budget: int = 10**5, seed: int = 1,
-                workers: int = 1, orders: tuple = None) -> TripleCertificate:
+                orders: tuple = None) -> TripleCertificate:
     """Random search for p'-elements x, y with (xy)^{-1} also p' and <x,y> = G.
 
     When orders is given, only triples with exactly those element orders
@@ -96,77 +90,66 @@ def find_triple(group: PermGroup, p: int, budget: int = 10**5, seed: int = 1,
     if group.order > 1 and all(pmul(a, b) == pmul(b, a)
                                for a in group.gens for b in group.gens):
         warnings.warn("triple search on an abelian group cannot generate")
-    streams = _worker_streams(seed, workers)
-    attempts = 0
-    while attempts < budget:
-        batch = min(workers, budget - attempts)
-        for w in range(batch):
-            stream = streams[w]
-            x = group.random_element(stream)
-            y = group.random_element(stream)
-            attempts += 1
-            ox = element_order(x)
-            oy = element_order(y)
-            if ox % p == 0 or oy % p == 0:
-                continue
-            if orders is not None and (ox, oy) != tuple(orders[:2]):
-                continue
-            z = pinv(pmul(x, y))
-            oz = element_order(z)
-            if oz % p == 0:
-                continue
-            if orders is not None and oz != orders[2]:
-                continue
-            sub = group.subgroup_order([x, y])
-            if sub != group.order:
-                continue
-            cert = TripleCertificate(
-                x=x, y=y, z=z, orders=(ox, oy, oz), p=p,
-                subgroup_order_of_xy=sub, verdict="Generates",
-                attempts=attempts,
-            )
-            if not verify_triple(group, cert):
-                raise AssertionError("certificate failed independent recheck")
-            return cert
+    stream = SeedStream(seed).fork(0)
+    for attempts in range(1, budget + 1):
+        x = group.random_element(stream)
+        y = group.random_element(stream)
+        ox = element_order(x)
+        oy = element_order(y)
+        if ox % p == 0 or oy % p == 0:
+            continue
+        if orders is not None and (ox, oy) != tuple(orders[:2]):
+            continue
+        z = pinv(pmul(x, y))
+        oz = element_order(z)
+        if oz % p == 0:
+            continue
+        if orders is not None and oz != orders[2]:
+            continue
+        sub = group.subgroup_order([x, y])
+        if sub != group.order:
+            continue
+        cert = TripleCertificate(
+            x=x, y=y, z=z, orders=(ox, oy, oz), p=p,
+            subgroup_order_of_xy=sub, verdict="Generates",
+            attempts=attempts,
+        )
+        if not verify_triple(group, cert):
+            raise AssertionError("certificate failed independent recheck")
+        return cert
     return TripleCertificate(
         x=None, y=None, z=None, orders=(), p=p,
-        subgroup_order_of_xy=0, verdict="NotFound", attempts=attempts,
+        subgroup_order_of_xy=0, verdict="NotFound", attempts=budget,
     )
 
 
 def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
-                        seed: int = 1, workers: int = 1,
-                        order: int = None) -> PairCertificate:
+                        seed: int = 1, order: int = None) -> PairCertificate:
     """Random search for a p'-element x and conjugate x^h with <x, x^h> = G."""
-    streams = _worker_streams(seed, workers)
-    attempts = 0
-    while attempts < budget:
-        batch = min(workers, budget - attempts)
-        for w in range(batch):
-            stream = streams[w]
-            x = group.random_element(stream)
-            h = group.random_element(stream)
-            attempts += 1
-            ox = element_order(x)
-            if ox % p == 0:
-                continue
-            if order is not None and ox != order:
-                continue
-            y = pconj(x, h)
-            sub = group.subgroup_order([x, y])
-            if sub != group.order:
-                continue
-            cert = PairCertificate(
-                x=x, h=h, y=y, order=ox, p=p,
-                subgroup_order_of_xy=sub, verdict="Generates",
-                attempts=attempts,
-            )
-            if not verify_pair(group, cert):
-                raise AssertionError("certificate failed independent recheck")
-            return cert
+    stream = SeedStream(seed).fork(0)
+    for attempts in range(1, budget + 1):
+        x = group.random_element(stream)
+        h = group.random_element(stream)
+        ox = element_order(x)
+        if ox % p == 0:
+            continue
+        if order is not None and ox != order:
+            continue
+        y = pconj(x, h)
+        sub = group.subgroup_order([x, y])
+        if sub != group.order:
+            continue
+        cert = PairCertificate(
+            x=x, h=h, y=y, order=ox, p=p,
+            subgroup_order_of_xy=sub, verdict="Generates",
+            attempts=attempts,
+        )
+        if not verify_pair(group, cert):
+            raise AssertionError("certificate failed independent recheck")
+        return cert
     return PairCertificate(
         x=None, h=None, y=None, order=0, p=p,
-        subgroup_order_of_xy=0, verdict="NotFound", attempts=attempts,
+        subgroup_order_of_xy=0, verdict="NotFound", attempts=budget,
     )
 
 

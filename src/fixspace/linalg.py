@@ -17,10 +17,6 @@ from operator import mul as _imul
 from .ff import FieldCtx
 
 
-class SingularMatrix(ValueError):
-    pass
-
-
 def eye(F: FieldCtx, n: int) -> list:
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
@@ -230,15 +226,6 @@ def nullspace(F: FieldCtx, A: list) -> list:
     return basis
 
 
-def mat_inv(F: FieldCtx, A: list) -> list:
-    n = len(A)
-    M = [list(row) + ident_row for row, ident_row in zip(A, eye(F, n))]
-    R, pivots = rref(F, M)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in R]
-
-
 def det(F: FieldCtx, A: list) -> object:
     M = [list(r) for r in A]
     n = len(M)
@@ -336,9 +323,6 @@ class SpinBasis:
         self.rows.append(v)
         self.pivot_of_row.append(piv)
         return True
-
-    def dim(self) -> int:
-        return len(self.rows)
 
     def basis(self) -> tuple:
         order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of_row[i])

@@ -484,37 +484,6 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
     raise Inconclusive(budget)
 
 
-def verify_homomorphism(rep: MatRep, stream: SeedStream, trials: int = 200, max_len: int = 8) -> bool:
-    """Evaluate seeded relator words: w(gens) = 1 in G must give w(images) = 1."""
-    F = rep.field
-    gens = rep.group.gens
-    if not gens:
-        return True
-    ident = linalg.eye(F, rep.dim)
-    for _ in range(trials):
-        length = 1 + stream.randrange(max_len)
-        idx = [stream.randrange(len(gens)) for _ in range(length)]
-        g = gens[idx[0]]
-        M = rep.images[idx[0]]
-        for i in idx[1:]:
-            # images compose contravariantly, so the product grows on the left
-            g = pmul(g, gens[i])
-            M = linalg.mat_mul(F, rep.images[i], M)
-        # w = u^order(u) is a relator
-        power = element_order(g)
-        acc = ident
-        base = M
-        while power:
-            if power & 1:
-                acc = linalg.mat_mul(F, acc, base)
-            power >>= 1
-            if power:
-                base = linalg.mat_mul(F, base, base)
-        if acc != ident:
-            return False
-    return True
-
-
 # matrix groups as permutation groups ----------------------------------------
 
 

@@ -119,11 +119,6 @@ def element_order(g: tuple) -> int:
     return lcm(*cycle_lengths(g))
 
 
-def is_p_prime_element(g: tuple, p: int) -> bool:
-    """True when p does not divide the order of g."""
-    return element_order(g) % p != 0
-
-
 def cycles_of(g: tuple) -> list:
     """Nontrivial cycles, each rotated to start at its minimum, sorted."""
     seen = [False] * len(g)
@@ -142,17 +137,17 @@ def cycles_of(g: tuple) -> list:
     return out
 
 
-def perm_from_cycles(degree: int, cycles, one_based: bool = True) -> tuple:
+def perm_from_cycles(degree: int, cycles) -> tuple:
+    """The permutation with the given cycles, written on points 1..degree."""
     images = list(range(degree))
-    off = 1 if one_based else 0
     used = set()
     for cyc in cycles:
-        pts = [c - off for c in cyc]
+        pts = [c - 1 for c in cyc]
         for pt in pts:
             if not 0 <= pt < degree:
-                raise NotBijection(f"cycle point {pt + off} outside degree {degree}")
+                raise NotBijection(f"cycle point {pt + 1} outside degree {degree}")
             if pt in used:
-                raise NotBijection(f"point {pt + off} repeated across cycles")
+                raise NotBijection(f"point {pt + 1} repeated across cycles")
             used.add(pt)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
@@ -364,16 +359,6 @@ class PermGroup:
                 raise NotInGroup(f"{format_cycles(e)} is not in the group")
         return PermGroup(self.degree, elems, _stop_at=self.order).order
 
-    def is_transitive(self) -> bool:
-        seen = {0}
-        queue = [0]
-        for x in queue:
-            for s in self.gens:
-                if s[x] not in seen:
-                    seen.add(s[x])
-                    queue.append(s[x])
-        return len(seen) == self.degree
-
     def _all_elements(self, encode, mul) -> list:
         """Every element once, encoded, unsorted: the products of one
         transversal element per level; see CLASS_CAP."""
@@ -384,10 +369,6 @@ class PermGroup:
             ts = [encode(t) for t in self._level(i).transversal.values()]
             out = [mul(g, t) for g in out for t in ts]
         return out
-
-    def elements(self) -> list:
-        """All elements, lexicographically sorted; see CLASS_CAP."""
-        return [tuple(g) for g in sorted(self._all_elements(*_bulk_codec(self.degree)))]
 
     def conjugacy_classes(self, cap: int = CLASS_CAP) -> tuple:
         """Classes sorted by (element order, size, minimal member)."""
@@ -429,10 +410,6 @@ class PermGroup:
         return f"PermGroup({label}, order={self.order})"
 
 
-def group_from_generators(degree: int, gens, name: str = None) -> PermGroup:
-    return PermGroup(degree, gens, name=name)
-
-
 # standard constructions ----------------------------------------------------
 
 
@@ -453,10 +430,6 @@ def symmetric(n: int) -> PermGroup:
     swap = perm_from_cycles(n, [(1, 2)])
     big = perm_from_cycles(n, [tuple(range(1, n + 1))])
     return PermGroup(n, (swap, big), name=f"S{n}")
-
-
-def cyclic(n: int) -> PermGroup:
-    return PermGroup(n, (perm_from_cycles(n, [tuple(range(1, n + 1))]),), name=f"C{n}")
 
 
 def psl2(q: int) -> PermGroup:

@@ -298,7 +298,7 @@ def test_acceptance_11_weights():
 def test_acceptance_12_determinism():
     cmd = [sys.executable, "-m", "fixspace.cli", "verify",
            "--manifest", str(ROOT / "data" / "claims.manifest"),
-           "--seed", "42", "--workers", "1", "--format", "records"]
+           "--seed", "42", "--format", "records"]
     first = subprocess.run(cmd, capture_output=True, cwd=ROOT)
     second = subprocess.run(cmd, capture_output=True, cwd=ROOT)
     assert first.returncode == 0, first.stdout.decode()

@@ -235,18 +235,13 @@ def test_sl3_adjoint_heart_dimensions():
 
 
 def test_sl_p_adjoint_check():
-    report = sl_p_adjoint_check(3, 3)
+    report = sl_p_adjoint_check()
     assert report.holds
     assert report.ambient_dim == 9
     assert report.section_dim == 7
     assert report.bound == 1
     assert report.min_fixed == 1
     assert report.classes_checked > 0
-
-
-def test_sl_p_adjoint_check_other_params_rejected():
-    with pytest.raises(ValueError):
-        sl_p_adjoint_check(5, 5)
 
 
 def test_extraspecial_free_action():

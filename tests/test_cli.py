@@ -200,7 +200,7 @@ def rejected(capsys, *argv):
 @pytest.fixture
 def no_search(monkeypatch):
     """Searches that fail the test if they start: a rejected parameter must
-    stop the evaluator first (with workers 0 the search would never end)."""
+    stop the evaluator first."""
     from fixspace import gensearch
 
     def refuse(*args, **kwargs):
@@ -241,13 +241,29 @@ def test_triples_reject_orders_without_three_entries(capsys, no_search, orders):
     assert "orders needs exactly 3 entries" in err
 
 
+def test_triples_reject_orders_with_exhaustive(capsys, no_search):
+    err = rejected(capsys, "triples", "--group", "A5", "--p", "2", "--exhaustive",
+                   "--orders", "3,5,5")
+    assert "--orders does not apply to the exhaustive search" in err
+
+
 @pytest.mark.parametrize("argv", [
-    ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--workers", "0"],
+    ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--orders", "2,3,5"],
+    ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--orders", "0,3,5"],
+    ["triples", "--group", "A5", "--p", "3", "--seed", "1", "--orders", "5,5,-1"],
+    ["pairs", "--group", "A5", "--p", "2", "--seed", "1", "--order", "4"],
+    ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--order", "-3"],
+], ids=["orders-p-divides", "orders-zero", "orders-negative", "order-p-divides",
+        "order-negative"])
+def test_searches_reject_orders_no_p_prime_element_has(capsys, no_search, argv):
+    assert "an element order must be at least 1 and prime to p" in rejected(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
     ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--budget", "-3"],
-    ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--workers", "0"],
     ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--budget", "0"],
     ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--order", "0"],
-])
+], ids=["argv1", "argv3", "argv4"])   # fixed ids keep recorded test names valid
 def test_searches_reject_counts_below_one(capsys, no_search, argv):
     assert "must be at least 1" in rejected(capsys, *argv)
 
@@ -274,6 +290,14 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         p = 4
         expect = found
         provenance = derived
+
+        [pair]
+        kind = pair
+        group = A5
+        p = 2
+        order = 4
+        expect = found
+        provenance = derived
     """)
     code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
     assert code == 1
@@ -282,6 +306,8 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
                         "got -5")
     assert lines[1].startswith("FAIL       bound: error: p = 5 is not")
     assert lines[2] == "FAIL       triple: error: p must be a prime, got 4"
+    assert lines[3] == ("FAIL       pair: error: an element order must be at "
+                        "least 1 and prime to p = 2, got 4")
 
 
 def test_weights_g2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from fixspace.gensearch import (NotPrimePower, exhaustive_triple_search,
                                 find_conjugate_pair, find_triple, phi_star,
                                 verify_pair, verify_triple)
-from fixspace.perm import builtin_group, element_order, pinv, pmul
+from fixspace.perm import builtin_group, element_order, format_cycles, pmul
 
 
 def phi_star_oracle(n, q):
@@ -74,6 +74,27 @@ def test_find_pair_with_order():
     cert = find_conjugate_pair(G, 3, seed=4, order=11)
     assert cert.verdict == "Generates"
     assert cert.order == 11
+
+
+def test_search_results_are_pinned():
+    # one draw stream forked from the seed: a change to the draw order or
+    # to the attempt count changes these witnesses
+    def cycles(cert, *names):
+        return (cert.attempts,) + tuple(format_cycles(getattr(cert, n)) for n in names)
+
+    A5, A6, A7, A12 = (builtin_group(n) for n in ("A5", "A6", "A7", "A12"))
+    assert cycles(find_triple(A7, 5, seed=1), "x", "y") == (
+        8, "(1,6)(2,5,3)(4,7)", "(1,7)(2,4,6,3)")
+    assert cycles(find_triple(A6, 3, seed=2, orders=(4, 4, 4)), "x", "y") == (
+        37, "(1,2,5,3)(4,6)", "(1,4,2,5)(3,6)")
+    cert = find_triple(builtin_group("L2_13"), 7, seed=5)
+    assert (cert.attempts, cert.orders) == (17, (13, 3, 6))
+    assert cycles(find_conjugate_pair(A5, 5, seed=1), "x", "h") == (
+        2, "(1,2,3)", "(1,5,3,4,2)")
+    assert cycles(find_conjugate_pair(A12, 3, seed=3, order=11), "x") == (
+        21, "(1,7,3,6,12,10,8,11,4,5,9)")
+    cert = find_triple(A5, 5, seed=1, budget=200)
+    assert (cert.verdict, cert.attempts) == ("NotFound", 200)
 
 
 def test_exhaustive_a5_p5_proves_none():

@@ -4,9 +4,9 @@ from fixspace.ff import make_field, poly_eval, poly_mul
 import pytest
 
 from fixspace import linalg
-from fixspace.linalg import (SpinBasis, char_poly, det, eye, kron, mat_inv,
-                             mat_mul, mat_vec, nullspace, rank, rref,
-                             rref_coords, transpose)
+from fixspace.linalg import (SpinBasis, char_poly, det, kron, mat_mul,
+                             mat_vec, nullspace, rank, rref, rref_coords,
+                             transpose)
 from fixspace.rng import SeedStream
 
 
@@ -78,18 +78,6 @@ def test_nullspace_annihilated():
             assert all(x == F.zero for x in mat_vec(F, A, v))
 
 
-def test_mat_inv_roundtrip():
-    F = make_field(11)
-    s = SeedStream(3)
-    found = 0
-    while found < 10:
-        A = rand_mat(F, 4, s)
-        if rank(F, A) < 4:
-            continue
-        found += 1
-        assert mat_mul(F, A, mat_inv(F, A)) == eye(F, 4)
-
-
 def test_det_matches_cofactor_oracle():
     F = make_field(3)
     s = SeedStream(4)
@@ -150,9 +138,9 @@ def test_spin_basis_incremental():
     assert sb.add((1, 0, 0, 0))
     assert sb.add((0, 1, 0, 0))
     assert not sb.add((2, 3, 0, 0))   # dependent
-    assert sb.dim() == 2
+    assert len(sb.basis()) == 2
     assert sb.add((0, 0, 1, 1))
-    assert sb.dim() == 3
+    assert len(sb.basis()) == 3
     reduced = sb.reduce((1, 1, 1, 1))
     assert reduced[0] == F.zero and reduced[1] == F.zero
 
@@ -300,5 +288,5 @@ def test_int_spin_basis_matches_field_loop(p):
                 after = generic_rref(F, added)[0]
                 assert sb.add(v) == (len(after) > len(rows))
                 assert sb.basis() == tuple(tuple(r) for r in after)
-            full += sb.dim() == n
+            full += len(sb.basis()) == n
     assert full

@@ -13,7 +13,7 @@ from fixspace.matrep import (FieldMismatch, IllTyped, Inconclusive, MatRep, NotI
                              module_dual_fixed_dim, module_fixed_dim,
                              parse_matgroup_text, parse_module_text, perm_module,
                              read_matgroup_file, read_module_file, section,
-                             spin_span, sym_power, tensor, verify_homomorphism)
+                             spin_span, sym_power, tensor)
 from fixspace.perm import builtin_group, cycle_lengths, pinv, pmul
 from fixspace.rng import SeedStream
 
@@ -266,30 +266,6 @@ def test_norton_verdicts_match_spin_oracle():
             assert res.irreducible == truth, (recipe, seed)
             if not truth:
                 assert_proper_submodule(rep, res.submodule)
-
-
-def test_verify_homomorphism_runs():
-    G = builtin_group('A5')
-    rep = build_rep(deleted(perm_module(G, make_field(2))))
-    assert verify_homomorphism(rep, SeedStream(8), trials=60)
-
-
-def test_verify_homomorphism_word_order():
-    # regression: words whose reversal has a different element order must
-    # not produce false rejections (L2(7) has such words in its generators)
-    G = builtin_group('L2_7')
-    rep = build_rep(perm_module(G, make_field(3)))
-    for seed in range(30):
-        assert verify_homomorphism(rep, SeedStream(seed), trials=100)
-
-
-def test_verify_homomorphism_catches_corruption():
-    G = builtin_group('A5')
-    rep = build_rep(perm_module(G, make_field(7)))
-    bad = [list(row) for row in rep.images[0]]
-    bad[0][0] = rep.field.add(bad[0][0], rep.field.one)
-    rep.images = (bad,) + rep.images[1:]
-    assert not verify_homomorphism(rep, SeedStream(8), trials=60)
 
 
 def test_embed_matrix_group_builtins():

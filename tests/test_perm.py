@@ -6,11 +6,25 @@ import pytest
 
 from fixspace.perm import (DegreeMismatch, NotBijection, PermGroup,
                            alternating, builtin_group, builtin_group_names,
-                           cycle_lengths, cyclic, element_order, format_cycles,
-                           format_group, group_from_generators, identity,
-                           is_p_prime_element, parse_group_text, pconj,
+                           cycle_lengths, element_order, format_cycles,
+                           format_group, identity, parse_group_text, pconj,
                            perm_from_cycles, pinv, pmul, ppow, psl2, symmetric)
 from fixspace.rng import SeedStream
+
+
+def cyclic(n):
+    return PermGroup(n, (perm_from_cycles(n, [tuple(range(1, n + 1))]),), name=f"C{n}")
+
+
+def is_transitive(G):
+    seen = {0}
+    queue = [0]
+    for x in queue:
+        for s in G.gens:
+            if s[x] not in seen:
+                seen.add(s[x])
+                queue.append(s[x])
+    return len(seen) == G.degree
 
 
 def brute_elements(degree, gens):
@@ -45,13 +59,6 @@ def test_pinv_pconj_ppow():
     assert ppow(g, -1) == pinv(g)
     assert element_order(g) == 6
     assert sorted(cycle_lengths(g)) == [2, 3]
-
-
-def test_is_p_prime_element():
-    g = perm_from_cycles(6, [(1, 2, 3, 4, 5, 6)])
-    assert not is_p_prime_element(g, 2)
-    assert not is_p_prime_element(g, 3)
-    assert is_p_prime_element(g, 5)
 
 
 def test_perm_from_cycles_validation():
@@ -94,8 +101,9 @@ def test_contains_degree_mismatch():
 
 
 def test_elements_listing():
+    # the conjugacy classes list every element exactly once
     G = symmetric(4)
-    els = G.elements()
+    els = [g for cls in G.conjugacy_classes() for g in cls.members]
     assert len(els) == 24
     assert len(set(els)) == 24
     assert all(G.contains(g) for g in els)
@@ -106,7 +114,7 @@ def test_conjugacy_classes_against_brute_force():
         G = builtin_group(name)
         classes = G.conjugacy_classes()
         assert sum(c.size for c in classes) == G.order
-        elems = G.elements()
+        elems = brute_elements(G.degree, G.gens)
         for cls in classes:
             orbit = {pconj(cls.rep, h) for h in elems}
             assert orbit == set(cls.members)
@@ -134,7 +142,7 @@ def orbit_classes(G):
         classes.append((g, len(members), element_order(g), tuple(sorted(members))))
     classes.sort(key=lambda c: (c[2], c[1], c[0]))
     index = {m: i for i, c in enumerate(classes) for m in c[3]}
-    return elems, classes, index
+    return classes, index
 
 
 def test_classes_and_elements_match_tuple_orbits():
@@ -147,8 +155,7 @@ def test_classes_and_elements_match_tuple_orbits():
     groups = [builtin_group(n) for n in ('S4', 'A6', 'L2_8', 'F56')]
     groups += [builtin_matgroup('SL3_3')[0], sl2_17, cyclic(256), cyclic(257)]
     for G in groups:
-        elems, classes, index = orbit_classes(G)
-        assert G.elements() == elems
+        classes, index = orbit_classes(G)
         got = [(c.rep, c.size, c.element_order, c.members)
                for c in G.conjugacy_classes()]
         assert got == classes
@@ -174,7 +181,7 @@ def test_random_element_exactly_uniform_on_small_group():
     G = builtin_group('S3')
     s = SeedStream(1)
     seen = {G.random_element(s) for _ in range(600)}
-    assert seen == set(G.elements())
+    assert seen == brute_elements(G.degree, G.gens)
 
 
 def test_subgroup_order():
@@ -237,7 +244,7 @@ def test_psl2_orders_and_degrees():
         G = psl2(q)
         assert G.degree == q + 1
         assert G.order == order
-        assert G.is_transitive()
+        assert is_transitive(G)
 
 
 def test_builtin_registry():
@@ -255,7 +262,7 @@ def test_affine_frobenius_builtins():
     assert (F12.degree, F12.order) == (4, 12)
     assert (F56.degree, F56.order) == (8, 56)
     # Frobenius: point stabilizer of 0 is the cyclic complement
-    assert F12.is_transitive() and F56.is_transitive()
+    assert is_transitive(F12) and is_transitive(F56)
     orders12 = sorted(c.element_order for c in F12.conjugacy_classes())
     assert orders12 == [1, 2, 3, 3]
 
@@ -283,7 +290,7 @@ def test_group_file_errors_name_the_line(text, line):
 
 def test_group_from_generators_rejects_non_bijections():
     with pytest.raises(NotBijection):
-        group_from_generators(3, [(0, 0, 1)])
+        PermGroup(3, [(0, 0, 1)])
 
 
 def test_identity_group():

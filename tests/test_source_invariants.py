@@ -1,12 +1,20 @@
-"""Static guards for two package-wide invariants: exact arithmetic only
-(no float literal, no float() call, no true division) and no dependency
-outside the standard library (every absolute import is a stdlib module)."""
+"""Static guards for three package-wide invariants: exact arithmetic only
+(no float literal, no float() call, no true division), no dependency
+outside the standard library (every absolute import is a stdlib module),
+and no code in the package that only the tests reach."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "fixspace").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "fixspace").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+# read by the benchmark's workloads to build their inputs; not wrapped by
+# the tracer, and no package code calls them
+WORKLOAD_INPUTS = {("fixspace.bounds", None, "catalog")}
 
 
 def violations(path):
@@ -33,3 +41,46 @@ def test_exact_arithmetic_and_stdlib_only():
     assert SOURCES, "package sources not found"
     found = [v for path in SOURCES for v in violations(path)]
     assert found == []
+
+
+def definitions(tree):
+    """(class or None, name, node) for every top-level function and class
+    and every method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield node.name, item.name, item
+
+
+def mentions(tree):
+    """How often each name or attribute name is read in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def tracer_targets():
+    """(module, class or None, attribute) the benchmark tracer wraps; the
+    tracer file runs in a private namespace, perfbench is not imported."""
+    ns = {"__name__": "perfbench_tracer"}
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), ns)
+    return {point[:3] for point in ns["SPAN_POINTS"] + ns["COUNT_POINTS"] + ns["FIELD_OPS"]}
+
+
+def test_every_definition_is_reached_from_the_package():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    named = sum((mentions(tree) for tree in trees.values()), Counter())
+    workloads = WORKLOADS.read_text(encoding="utf-8")
+    assert all(f".{name}(" in workloads for _, _, name in WORKLOAD_INPUTS)
+    exempt = tracer_targets() | WORKLOAD_INPUTS
+    unreached = []
+    for path, tree in trees.items():
+        module = f"fixspace.{path.stem}"
+        for cls, name, node in definitions(tree):
+            # the definition's own body does not count: recursion is no caller
+            if (module, cls, name) not in exempt and named[name] == mentions(node)[name]:
+                unreached.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{name}")
+    assert unreached == []
