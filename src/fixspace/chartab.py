@@ -4,6 +4,9 @@ All arithmetic is exact. Tables are computed modulo a prime l with
 l = 1 (mod exponent) and l^2 > 4|G|^3, then lifted to dense integer
 vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity: the
 entry at z^m of a value is the multiplicity of the eigenvalue z^m.
+Every table is built from its group on each call; nothing is stored
+between runs. Most of a build is the class multiplication constants,
+which compose permutations with perm.bulk_codec one class at a time.
 
 Frobenius-style triple counting over conjugacy classes lives here too,
 driven entirely by the lifted table. It packs each vector into one
@@ -13,11 +16,10 @@ v Psi_e = c Psi_e (mod z^e - 1), where Psi_e = (z^e - 1) / Phi_e.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 from . import ff, linalg
-from .perm import GroupTooLarge, PermGroup, format_cycles, pinv, ppow
+from .perm import GroupTooLarge, PermGroup, bulk_codec, pinv, ppow
 
 
 class LiftFailure(RuntimeError):
@@ -89,23 +91,17 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
     classes = group.conjugacy_classes()
     index = group.class_index()
     r = len(classes)
+    encode, mul = bulk_codec(group.degree)
+    reps = [encode(c.rep) for c in classes]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k in range(r):
-        z = classes[k].rep
-        for i in range(r):
-            row = a[i]
-            for x in classes[i].members:
-                j = index[pmul_inv_left(x, z)]
-                row[j][k] += 1
+    for i in range(r):
+        # as x runs over C_i, x^{-1} runs over the inverse class
+        inverses = [encode(w) for w in classes[index[pinv(classes[i].rep)]].members]
+        row = a[i]
+        for k, z in enumerate(reps):
+            for w in inverses:
+                row[index[tuple(mul(w, z))]][k] += 1
     return ClassAlgebra(group, classes, tuple(tuple(tuple(v) for v in m) for m in a))
-
-
-def pmul_inv_left(x: tuple, z: tuple) -> tuple:
-    # x^{-1} z without materializing the inverse
-    out = [0] * len(x)
-    for i in range(len(x)):
-        out[x[i]] = z[i]
-    return tuple(out)
 
 
 # table construction ------------------------------------------------------------
@@ -353,129 +349,3 @@ class _Packed:
             self.columns[cls] = [sum(x << (b * m) for m, x in enumerate(row[cls]) if x)
                                  for row in self.values]
         return self.columns[cls]
-
-
-# cache files --------------------------------------------------------------------
-
-
-def write_table_cache(table: CharTable, path: str) -> None:
-    lines = [
-        f"chartable {table.group.name or '-'}",
-        f"degree {table.group.degree}",
-        f"order {table.group.order}",
-        f"exponent {table.exponent}",
-        f"modulus {table.modulus}",
-        f"zeta {table.zeta_residue}",
-        f"classes {len(table.classes)}",
-    ]
-    for c in table.classes:
-        lines.append(f"class {c.size} {c.element_order} {format_cycles(c.rep)}")
-    for d, row in zip(table.degrees, table.values):
-        packed = "|".join(",".join(str(x) for x in vec) for vec in row)
-        lines.append(f"character {d} {packed}")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-_CACHE_HEADER = ("degree", "order", "exponent", "modulus", "zeta", "classes")
-
-
-def read_table_cache(path: str, group: PermGroup) -> CharTable:
-    """Rebuild a table from its cache file; the group supplies class data.
-
-    LiftFailure unless the file parses, its header, class block and rows
-    match the group, the identity column is the degrees, every value counts
-    chi(1) roots of unity of its class's order, and the rows are orthogonal
-    mod the cached Dixon prime."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    try:
-        header, class_lines, char_lines = _parse_table_cache(lines)
-    except ValueError as exc:
-        raise LiftFailure(f"malformed cache file {path}: {exc}") from exc
-    if header["order"] != group.order or header["degree"] != group.degree:
-        raise LiftFailure("cache file does not match the supplied group")
-    classes = group.conjugacy_classes()
-    index = group.class_index()
-    r = len(classes)
-    if header["classes"] != r or len(class_lines) != r:
-        raise LiftFailure(f"cache has {len(class_lines)} class lines, the group {r} classes")
-    if len(char_lines) != r:
-        raise LiftFailure(f"cache has {len(char_lines)} characters, the group {r} classes")
-    if any((c.size, c.element_order) != pair for c, pair in zip(classes, class_lines)):
-        raise LiftFailure("cache class block does not match the group")
-    e, l, z = header["exponent"], header["modulus"], header["zeta"]
-    if e < 1 or not ff.is_prime(l) or (l - 1) % e or pow(z, e, l) != 1:
-        raise LiftFailure(f"cache modulus {l} is not a prime with {e}-th root of unity {z}")
-    degrees = []
-    values = []
-    for d, row in char_lines:
-        if len(row) != r or any(len(vec) != e for vec in row):
-            raise LiftFailure(f"cache character of degree {d} is not {r} vectors of length {e}")
-        if row[0] != (d,) + (0,) * (e - 1):
-            raise LiftFailure(f"cache character of degree {d} has another value at the identity")
-        # a value at a class of order o counts d eigenvalues, all o-th roots
-        # of unity: entries >= 0, summing to d, on the multiples of e/o only
-        for vec, c in zip(row, classes):
-            o = c.element_order
-            if e % o or min(vec) < 0 or sum(vec) != d or sum(vec[::e // o]) != d:
-                raise LiftFailure(f"cache character of degree {d} has a value that is not "
-                                  f"{d} roots of unity of order dividing {o}")
-        degrees.append(d)
-        values.append(row)
-    if sum(d * d for d in degrees) != group.order:
-        raise LiftFailure("cached degree squares do not sum to the group order")
-    values_mod = tuple(
-        tuple(sum(c * pow(z, i, l) for i, c in enumerate(vec)) % l for vec in row)
-        for row in values
-    )
-    inverse_class = tuple(index[pinv(c.rep)] for c in classes)
-    # first orthogonality relation: sum_c |C| chi_i(c) chi_j(c^-1) = |G| delta_ij,
-    # symmetric in i and j because |C| = |C^-1|
-    for i, chi in enumerate(values_mod):
-        for j, psi in enumerate(values_mod[i:], i):
-            s = sum(c.size * chi[k] * psi[inverse_class[k]] for k, c in enumerate(classes))
-            if (s - (group.order if i == j else 0)) % l:
-                raise LiftFailure(f"cached characters {i} and {j} are not orthogonal mod {l}")
-    return CharTable(
-        group=group,
-        classes=classes,
-        exponent=e,
-        modulus=l,
-        zeta_residue=z,
-        degrees=tuple(degrees),
-        values_mod=values_mod,
-        values=tuple(values),
-        inverse_class=inverse_class,
-    )
-
-
-def _parse_table_cache(lines: list):
-    """Header ints, (size, order) per class line and (degree, row) per
-    character line; ValueError on a missing header key or a malformed line."""
-    header = {}
-    class_lines = []
-    char_lines = []
-    for ln in lines:
-        key, sep, rest = ln.partition(" ")
-        if not sep:
-            raise ValueError(f"line without a value: {ln!r}")
-        if key == "class":
-            size, order, _ = rest.split(" ", 2)
-            class_lines.append((int(size), int(order)))
-        elif key == "character":
-            d, packed = rest.split(" ", 1)
-            row = tuple(tuple(int(x) for x in vec.split(",")) for vec in packed.split("|"))
-            char_lines.append((int(d), row))
-        else:
-            header[key] = rest
-    missing = [key for key in _CACHE_HEADER if key not in header]
-    if missing:
-        raise ValueError(f"no header line for {', '.join(missing)}")
-    return {key: int(header[key]) for key in _CACHE_HEADER}, class_lines, char_lines

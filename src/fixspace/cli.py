@@ -6,12 +6,12 @@ returns a Result, that is its human-readable lines, its machine-readable
 evaluator returns; `--format records` drops the human section. `verify`
 runs the same evaluators on the keys of each manifest claim and compares
 their records against the claim's `expect`. Machine output is
-byte-identical across runs for fixed seed and inputs.
+byte-identical across runs for fixed seed and inputs, and nothing is kept
+between runs: each evaluator builds what it needs from its inputs.
 """
 
 import argparse
 import gc
-import hashlib
 import os
 import sys
 
@@ -19,7 +19,7 @@ from . import bounds as bnd
 from . import chartab, gensearch, matrep
 from . import weights as wt
 from .ff import is_prime, make_field
-from .perm import builtin_group, format_cycles, format_group, read_group_file
+from .perm import builtin_group, format_cycles, read_group_file
 from .rng import SeedStream
 
 
@@ -71,10 +71,11 @@ def _ints(text: str) -> tuple:
 
 
 def _check(p: int = None, orders: tuple = None, order: int = None,
-           **counts) -> None:
+           group_order: int = None, **counts) -> None:
     """Reject what an evaluator cannot honour with a ValueError: the runner
     prints it as one `error:` line (exit status 2), a claim reports FAIL.
-    No p'-element has an order below 1 or divisible by p."""
+    No p'-element has an order below 1 or divisible by p, and no element
+    of G has an order that does not divide |G|."""
     if p is not None and not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if orders is not None and len(orders) != 3:
@@ -83,6 +84,9 @@ def _check(p: int = None, orders: tuple = None, order: int = None,
         if value < 1 or value % p == 0:
             raise ValueError(f"an element order must be at least 1 and "
                              f"prime to p = {p}, got {value}")
+        if group_order % value:
+            raise ValueError(f"no element has order {value}, which does not "
+                             f"divide |G| = {group_order}")
     for name, value in counts.items():
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -96,17 +100,11 @@ def _path(spec: str, base: str) -> str:
 
 
 def _load_group(spec: str, base: str = ""):
-    """A path to a .grp file, or a builtin group name.
-
-    Returns (group, canonical source text) so results can be cache-keyed.
-    """
+    """A path to a .grp file, or a builtin group name."""
     path = _path(spec, base)
     if os.path.exists(path):
-        with open(path) as fh:
-            text = fh.read()
-        return read_group_file(path), text
-    group = builtin_group(spec)
-    return group, format_group(group)
+        return read_group_file(path)
+    return builtin_group(spec)
 
 
 def _load_module(spec: str, base: str = "", matgroup: str = None):
@@ -117,25 +115,12 @@ def _load_module(spec: str, base: str = "", matgroup: str = None):
     return matrep.read_module_file(_path(spec, base), matgroups=matgroups)
 
 
-def _cached_table(group, source_text: str, cache_dir: str):
-    if not cache_dir:
-        return chartab.character_table(group)
-    digest = hashlib.sha256(source_text.encode()).hexdigest()[:24]
-    path = os.path.join(cache_dir, f"{digest}.chartab")
-    if os.path.exists(path):
-        return chartab.read_table_cache(path, group)
-    table = chartab.character_table(group)
-    os.makedirs(cache_dir, exist_ok=True)
-    chartab.write_table_cache(table, path)
-    return table
-
-
 # subcommand evaluators -----------------------------------------------------
 
 
-def eval_table(group: str, cache_dir: str = None, base: str = "") -> Result:
-    G, source = _load_group(group, base)
-    table = _cached_table(G, source, cache_dir)
+def eval_table(group: str, base: str = "") -> Result:
+    G = _load_group(group, base)
+    table = chartab.character_table(G)
     name = G.name or "group"
     classes = table.classes
     human = [
@@ -173,15 +158,14 @@ def _witness_records(cert) -> list:
 
 def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
                  orders: tuple = None, exhaustive: bool = False,
-                 cache_dir: str = None, base: str = "") -> Result:
-    _check(p, orders, budget=budget)
+                 base: str = "") -> Result:
     if exhaustive and orders is not None:
         raise ValueError("--orders does not apply to the exhaustive search")
-    G, source = _load_group(group, base)
+    G = _load_group(group, base)
+    _check(p, orders, group_order=G.order, budget=budget)
     name = G.name or "group"
     if exhaustive:
-        table = _cached_table(G, source, cache_dir)
-        res = gensearch.exhaustive_triple_search(G, p, table=table)
+        res = gensearch.exhaustive_triple_search(G, p)
         verdict = {"ProvedNone": "proved_none",
                    "ExistsWithWitness": "exists_with_witness"}[res.verdict]
         human = [f"exhaustive class-triple search in {name} at p = {p}"]
@@ -212,8 +196,8 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
 
 def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
                order: int = None, base: str = "") -> Result:
-    _check(p, order=order, budget=budget)
-    G, _ = _load_group(group, base)
+    G = _load_group(group, base)
+    _check(p, order=order, group_order=G.order, budget=budget)
     name = G.name or "group"
     if seed is None:
         raise ValueError("--seed is required for the randomized search")
@@ -415,78 +399,77 @@ def _separation(res: Result) -> str:
 
 
 # claim kind, or check name of an `example` claim ->
-#   (evaluator run on the claim's keys: claim, seed, args, base -> Result,
+#   (evaluator run on the claim's keys: claim, seed, base -> Result,
 #    PASS test: result, expect -> bool,
 #    detail line: result -> str)
 _CLAIMS = {
     "triple": (
-        lambda c, seed, args, base: eval_triples(
+        lambda c, seed, base: eval_triples(
             c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
             orders=_ints(c["orders"]) if "orders" in c else None, base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
                      f"attempts {res.rec['attempts']}")),
     "pair": (
-        lambda c, seed, args, base: eval_pairs(
+        lambda c, seed, base: eval_pairs(
             c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
             order=_int(c, "order"), base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
     "exception": (
-        lambda c, seed, args, base: eval_triples(
-            c["group"], int(c["p"]), exhaustive=True, cache_dir=args.cache_dir,
-            base=base),
+        lambda c, seed, base: eval_triples(
+            c["group"], int(c["p"]), exhaustive=True, base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
                      "generation tests")),
     "bound": (
-        lambda c, seed, args, base: eval_bounds(
+        lambda c, seed, base: eval_bounds(
             c["module"], _int(c, "p"), c.get("matgroup"), base),
         lambda res, expect: (res.rec["holds"] == "yes"
                              and str(res.rec["min_semisimple_fixdim"]) == expect),
         lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
                      + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
     "scott": (
-        lambda c, seed, args, base: eval_scott(
+        lambda c, seed, base: eval_scott(
             c["module"], seed, _int(c, "pairs", 1000), c.get("matgroup"), base),
         lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
         lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
     "weights": (
-        lambda c, seed, args, base: eval_weights(c["type"], c["weight"]),
+        lambda c, seed, base: eval_weights(c["type"], c["weight"]),
         lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
         lambda res: (f"dimension {res.rec['weyl_dim']}, "
                      f"multiset total {_multiset_total(res)}")),
     "phi": (
-        lambda c, seed, args, base: eval_phi(int(c["n"]), int(c["q"])),
+        lambda c, seed, base: eval_phi(int(c["n"]), int(c["q"])),
         lambda res, expect: res.rec["phi_star"] == int(expect),
         lambda res: f"phi_star = {res.rec['phi_star']}"),
     "adjoint-section": (
-        lambda c, seed, args, base: _report(bnd.sl_p_adjoint_check()),
+        lambda c, seed, base: _report(bnd.sl_p_adjoint_check()),
         lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
         lambda res: (f"min fixed dim {res.rec['min_fixed']} "
                      f"on the dim-{res.rec['section_dim']} section")),
     "extraspecial-free": (
-        lambda c, seed, args, base: _report(bnd.extraspecial_free_check()),
+        lambda c, seed, base: _report(bnd.extraspecial_free_check()),
         lambda res, expect: res.rec["holds"] and expect == "free",
         lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
     "eigen-separation": (
-        lambda c, seed, args, base: _report(
+        lambda c, seed, base: _report(
             wt.sl2_distinct_eigenvalues(int(c["q"]), int(c["s"]))),
         lambda res, expect: _separation(res) == expect,
         lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
     "mersenne-sharp": (
-        lambda c, seed, args, base: eval_semisimple_fixdims(
+        lambda c, seed, base: eval_semisimple_fixdims(
             c["module"], int(c["p"]), base),
         lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
         lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
     "twist-divisibility": (
-        lambda c, seed, args, base: eval_twist_divisibility(
+        lambda c, seed, base: eval_twist_divisibility(
             c["type"], c["weight0"], c["weight1"], int(c["p"]),
             _int(c, "ext", 2), _int(c, "samples", 25), _int(c, "sample_seed", 1)),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"verdict {res.rec['verdict']}"),
     "sym-divisibility": (
-        lambda c, seed, args, base: eval_sym_divisibility(
+        lambda c, seed, base: eval_sym_divisibility(
             int(c["n"]), int(c["s"]), int(c["p"]),
             _int(c, "samples", 25), _int(c, "sample_seed", 1)),
         lambda res, expect: res.rec["verdict"] == expect,
@@ -505,7 +488,7 @@ def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
     evaluate, passes, detail = _CLAIMS[key]
     seed = _claim_seed(args.seed, index)
     try:
-        res = evaluate(claim, seed, args, base)
+        res = evaluate(claim, seed, base)
         return ("PASS" if passes(res, claim["expect"]) else "FAIL"), detail(res)
     except Exception as exc:  # a crashed claim is a failed claim
         return "FAIL", f"error: {exc}"
@@ -534,8 +517,7 @@ def cmd_verify(args) -> Result:
 # argument wiring -------------------------------------------------------------
 
 
-def _add_common(sub, seed=False, budget=False, cache=False, module=False,
-                group=False):
+def _add_common(sub, seed=False, budget=False, module=False, group=False):
     sub.add_argument("--format", choices=("plain", "records"), default="plain")
     if group:
         sub.add_argument("--group", required=True,
@@ -548,8 +530,6 @@ def _add_common(sub, seed=False, budget=False, cache=False, module=False,
         sub.add_argument("--seed", type=int, default=None)
     if budget:
         sub.add_argument("--budget", type=int, default=10 ** 5)
-    if cache:
-        sub.add_argument("--cache-dir", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,18 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("table", help="character table of a group")
-    _add_common(s, group=True, cache=True)
-    s.set_defaults(fn=lambda a: eval_table(a.group, a.cache_dir))
+    _add_common(s, group=True)
+    s.set_defaults(fn=lambda a: eval_table(a.group))
 
     s = subs.add_parser("triples", help="generating triple of coprime-order elements")
-    _add_common(s, group=True, seed=True, budget=True, cache=True)
+    _add_common(s, group=True, seed=True, budget=True)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--orders", default=None, help="comma list like 4,4,4")
     s.add_argument("--exhaustive", action="store_true",
                    help="complete class-triple sweep (proof when none exists)")
     s.set_defaults(fn=lambda a: eval_triples(
         a.group, a.p, a.seed, a.budget, _ints(a.orders) if a.orders else None,
-        a.exhaustive, a.cache_dir))
+        a.exhaustive))
 
     s = subs.add_parser("pairs", help="conjugate generating pair")
     _add_common(s, group=True, seed=True, budget=True)
@@ -603,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=lambda a: eval_phi(a.n, a.q))
 
     s = subs.add_parser("verify", help="run a claims manifest")
-    _add_common(s, seed=True, cache=True)
+    _add_common(s, seed=True)
     s.add_argument("--manifest", required=True)
     s.set_defaults(fn=cmd_verify)
 

@@ -226,30 +226,6 @@ def nullspace(F: FieldCtx, A: list) -> list:
     return basis
 
 
-def det(F: FieldCtx, A: list) -> object:
-    M = [list(r) for r in A]
-    n = len(M)
-    d = F.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if M[i][c] != F.zero:
-                pr = i
-                break
-        if pr is None:
-            return F.zero
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            d = F.neg(d)
-        d = F.mul(d, M[c][c])
-        inv = F.inv(M[c][c])
-        for i in range(c + 1, n):
-            if M[i][c] != F.zero:
-                f = F.mul(inv, M[i][c])
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
-    return d
-
-
 def char_poly(F: FieldCtx, A: list) -> tuple:
     """det(xI - A) as a monic Poly, via exact Hessenberg reduction."""
     n = len(A)

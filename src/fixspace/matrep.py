@@ -143,7 +143,7 @@ class MatRep:
         self.dim = self._dim_of(spec)
         self.images = tuple(self.image(g) for g in self.group.gens)
         for M in self.images:
-            if linalg.det(field, M) == field.zero:
+            if linalg.rank(field, M) < self.dim:
                 raise IllTyped("generator image is singular")
 
     def _dim_of(self, node: ModuleSpec) -> int:
@@ -496,7 +496,7 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None,
     """
     mats = [_coerce_matrix(F, M, dim) for M in matrices]
     for M in mats:
-        if linalg.det(F, M) == F.zero:
+        if linalg.rank(F, M) < dim:
             raise NotInvertible("matrix generator is singular")
     index = {}
     orbit = []

@@ -83,7 +83,7 @@ def ppow(g: tuple, e: int) -> tuple:
     return acc
 
 
-def _bulk_codec(degree: int):
+def bulk_codec(degree: int):
     """(encode, mul) for bulk work: up to degree 256 bytes, which translate
     composes in C and which sort like the tuples (tuple() decodes), else tuples."""
     if degree > 256:
@@ -376,7 +376,7 @@ class PermGroup:
             return self._classes
         if self.order > cap:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {cap}")
-        encode, mul = _bulk_codec(self.degree)
+        encode, mul = bulk_codec(self.degree)
         conjugators = [(encode(pinv(s)), encode(s)) for s in self.gens]
         assigned, classes = set(), []
         for g in self._all_elements(encode, mul):
@@ -563,13 +563,3 @@ def _parse_cycles(text: str) -> list:
 def read_group_file(path) -> PermGroup:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_group_text(fh.read())
-
-
-def format_group(G: PermGroup) -> str:
-    lines = []
-    if G.name:
-        lines.append(f"group {G.name}")
-    lines.append(f"degree {G.degree}")
-    for g in G.gens:
-        lines.append(f"gen {format_cycles(g)}")
-    return "\n".join(lines) + "\n"

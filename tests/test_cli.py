@@ -48,13 +48,20 @@ def test_table_records(capsys):
     assert rec["character_0"].startswith("1:")
 
 
-def test_table_cache_roundtrip(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    first = run(capsys, "table", "--group", "A5", "--cache-dir", cache)
-    files = list((tmp_path / "cache").glob("*.chartab"))
-    assert len(files) == 1
-    second = run(capsys, "table", "--group", "A5", "--cache-dir", cache)
-    assert first == second
+@pytest.mark.parametrize("argv", [
+    ["table", "--group", "A5"],
+    ["triples", "--group", "A5", "--p", "5", "--exhaustive"],
+    ["verify", "--manifest", f"{DATA}/claims.manifest", "--seed", "1"],
+], ids=["table", "triples", "verify"])
+def test_no_cache_dir_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    assert "--cache-dir" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", "d"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --cache-dir d\n")
 
 
 def test_triples_exhaustive_proved_none(capsys):
@@ -260,6 +267,18 @@ def test_searches_reject_orders_no_p_prime_element_has(capsys, no_search, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["pairs", "--group", "A5", "--p", "2", "--seed", "1", "--order", "7"],
+    ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--orders", "3,3,7"],
+    ["triples", "--group", f"{DATA}/A5.grp", "--p", "2", "--seed", "1",
+     "--orders", "3,5,9"],
+], ids=["pair-order-7", "triple-orders-3-3-7", "grp-file-orders-3-5-9"])
+def test_searches_reject_orders_not_dividing_the_group_order(capsys, no_search, argv):
+    order = argv[-1].split(",")[-1]
+    err = rejected(capsys, *argv)
+    assert f"no element has order {order}, which does not divide |G| = 60" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--budget", "-3"],
     ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--budget", "0"],
     ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--order", "0"],
@@ -298,6 +317,14 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         order = 4
         expect = found
         provenance = derived
+
+        [pair-order-7]
+        kind = pair
+        group = A5
+        p = 2
+        order = 7
+        expect = found
+        provenance = derived
     """)
     code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
     assert code == 1
@@ -308,6 +335,8 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
     assert lines[2] == "FAIL       triple: error: p must be a prime, got 4"
     assert lines[3] == ("FAIL       pair: error: an element order must be at "
                         "least 1 and prime to p = 2, got 4")
+    assert lines[4] == ("FAIL       pair-order-7: error: no element has order 7, "
+                        "which does not divide |G| = 60")
 
 
 def test_weights_g2(capsys):

@@ -1,10 +1,8 @@
-from itertools import product
-
 from fixspace.ff import make_field, poly_eval, poly_mul
 import pytest
 
 from fixspace import linalg
-from fixspace.linalg import (SpinBasis, char_poly, det, kron, mat_mul,
+from fixspace.linalg import (SpinBasis, char_poly, kron, mat_mul,
                              mat_vec, nullspace, rank, rref, rref_coords,
                              transpose)
 from fixspace.rng import SeedStream
@@ -12,21 +10,6 @@ from fixspace.rng import SeedStream
 
 def rand_mat(F, n, stream):
     return [[F.element(stream.randrange(F.q)) for _ in range(n)] for _ in range(n)]
-
-
-def det_cofactor(F, A):
-    # independent oracle: Laplace expansion
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    total = F.zero
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in A[1:]]
-        term = F.mul(A[0][j], det_cofactor(F, minor))
-        if j % 2:
-            term = F.neg(term)
-        total = F.add(total, term)
-    return total
 
 
 def char_poly_oracle(F, A):
@@ -76,22 +59,6 @@ def test_nullspace_annihilated():
         assert len(basis) == 5 - rank(F, A)
         for v in basis:
             assert all(x == F.zero for x in mat_vec(F, A, v))
-
-
-def test_det_matches_cofactor_oracle():
-    F = make_field(3)
-    s = SeedStream(4)
-    for _ in range(25):
-        A = rand_mat(F, 4, s)
-        assert det(F, A) == det_cofactor(F, A)
-
-
-def test_det_multiplicative_on_all_2x2_gf2():
-    F = make_field(2)
-    mats = [[[a, b], [c, d]] for a, b, c, d in product(range(2), repeat=4)]
-    for A in mats[:8]:
-        for B in mats[8:]:
-            assert det(F, mat_mul(F, A, B)) == F.mul(det(F, A), det(F, B))
 
 
 def test_char_poly_matches_cofactor_oracle():

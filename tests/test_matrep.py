@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fixspace.ff import make_field
 from fixspace.linalg import eye, mat_mul, transpose
 from fixspace.matrep import (FieldMismatch, IllTyped, Inconclusive, MatRep, NotInGroup,
+                             NotInvertible,
                              _random_algebra_element, build_rep,
                              builtin_matgroup, char_poly, deleted, dual,
                              eigenspace_profile, embed_matrix_group,
@@ -414,3 +416,17 @@ def test_malformed_module_recipe_is_ill_typed(text, message):
 def test_malformed_matgroup_header_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):
         parse_matgroup_text(text)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (3, 2)])
+def test_singular_matrix_generator_is_rejected(tmp_path, p, k):
+    # the second generator's rows are proportional: rank 1, though no row is 0
+    F = make_field(p, k)
+    z = F.element(p) if k > 1 else F.element(2)   # encoding p is the root z of GF(p^k)
+    row = [F.one, z]
+    singular = [[F.encode(x) for x in row], [F.encode(F.mul(z, x)) for x in row]]
+    path = tmp_path / "singular.mat"
+    path.write_text(f"matgroup T field {p} ext {k} dim 2\n"
+                    f"gen [[1,1],[0,1]]\ngen {json.dumps(singular)}\n")
+    with pytest.raises(NotInvertible, match="singular"):
+        read_matgroup_file(str(path))

@@ -7,13 +7,20 @@ import pytest
 from fixspace.perm import (DegreeMismatch, NotBijection, PermGroup,
                            alternating, builtin_group, builtin_group_names,
                            cycle_lengths, element_order, format_cycles,
-                           format_group, identity, parse_group_text, pconj,
+                           identity, parse_group_text, pconj,
                            perm_from_cycles, pinv, pmul, ppow, psl2, symmetric)
 from fixspace.rng import SeedStream
 
 
 def cyclic(n):
     return PermGroup(n, (perm_from_cycles(n, [tuple(range(1, n + 1))]),), name=f"C{n}")
+
+
+def format_group(G):
+    lines = [f"group {G.name}"] if G.name else []
+    lines.append(f"degree {G.degree}")
+    lines += [f"gen {format_cycles(g)}" for g in G.gens]
+    return "\n".join(lines) + "\n"
 
 
 def is_transitive(G):

@@ -62,6 +62,36 @@ def mentions(tree):
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def data_attributes(trees):
+    """Names that some object carries as data: assigned as an attribute
+    (self.dim = ...) or declared in a class body (dataclass fields)."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                out.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        targets = [item.target]
+                    elif isinstance(item, ast.Assign):
+                        targets = item.targets
+                    else:
+                        continue
+                    out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def method_uses(tree, data):
+    """How often each attribute name is used as a method in tree: called
+    (x.m(...)), or read where no data attribute has that name. A bare name
+    is a variable or a function, never a method."""
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and (id(node) in calls or node.attr not in data))
+
+
 def tracer_targets():
     """(module, class or None, attribute) the benchmark tracer wraps; the
     tracer file runs in a private namespace, perfbench is not imported."""
@@ -70,9 +100,15 @@ def tracer_targets():
     return {point[:3] for point in ns["SPAN_POINTS"] + ns["COUNT_POINTS"] + ns["FIELD_OPS"]}
 
 
+def is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
 def test_every_definition_is_reached_from_the_package():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     named = sum((mentions(tree) for tree in trees.values()), Counter())
+    data = data_attributes(trees.values())
+    used = sum((method_uses(tree, data) for tree in trees.values()), Counter())
     workloads = WORKLOADS.read_text(encoding="utf-8")
     assert all(f".{name}(" in workloads for _, _, name in WORKLOAD_INPUTS)
     exempt = tracer_targets() | WORKLOAD_INPUTS
@@ -80,7 +116,13 @@ def test_every_definition_is_reached_from_the_package():
     for path, tree in trees.items():
         module = f"fixspace.{path.stem}"
         for cls, name, node in definitions(tree):
+            if (module, cls, name) in exempt:
+                continue
             # the definition's own body does not count: recursion is no caller
-            if (module, cls, name) not in exempt and named[name] == mentions(node)[name]:
+            if cls is None or is_property(node):
+                reached = named[name] > mentions(node)[name]
+            else:
+                reached = used[name] > method_uses(node, data)[name]
+            if not reached:
                 unreached.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{name}")
     assert unreached == []
