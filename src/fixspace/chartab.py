@@ -91,8 +91,9 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
     classes = group.conjugacy_classes()
     index = group.class_index()
     r = len(classes)
-    encode, mul = bulk_codec(group.degree)
-    reps = [encode(c.rep) for c in classes]
+    codec = bulk_codec(group.degree)
+    encode, decode, apply = codec.encode, codec.decode, codec.apply
+    reps = [codec.right(encode(c.rep)) for c in classes]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         # as x runs over C_i, x^{-1} runs over the inverse class
@@ -100,7 +101,7 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
         row = a[i]
         for k, z in enumerate(reps):
             for w in inverses:
-                row[index[tuple(mul(w, z))]][k] += 1
+                row[index[decode(apply(w, z))]][k] += 1
     return ClassAlgebra(group, classes, tuple(tuple(tuple(v) for v in m) for m in a))
 
 

@@ -71,11 +71,13 @@ def _ints(text: str) -> tuple:
 
 
 def _check(p: int = None, orders: tuple = None, order: int = None,
-           group_order: int = None, **counts) -> None:
+           group=None, **counts) -> None:
     """Reject what an evaluator cannot honour with a ValueError: the runner
     prints it as one `error:` line (exit status 2), a claim reports FAIL.
     No p'-element has an order below 1 or divisible by p, and no element
-    of G has an order that does not divide |G|."""
+    of G has an order that does not divide |G|.  Every prime dividing |G|
+    is an element order (Cauchy); a composite one is looked up in the
+    classes when |G| is within the exhaustive cap, and left open above it."""
     if p is not None and not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if orders is not None and len(orders) != 3:
@@ -84,9 +86,13 @@ def _check(p: int = None, orders: tuple = None, order: int = None,
         if value < 1 or value % p == 0:
             raise ValueError(f"an element order must be at least 1 and "
                              f"prime to p = {p}, got {value}")
-        if group_order % value:
+        if group.order % value:
             raise ValueError(f"no element has order {value}, which does not "
-                             f"divide |G| = {group_order}")
+                             f"divide |G| = {group.order}")
+        if (group.order <= gensearch.EXHAUSTIVE_CAP and not is_prime(value)
+                and all(c.element_order != value for c in group.conjugacy_classes())):
+            raise ValueError(f"no element has order {value}: no class of "
+                             f"G (|G| = {group.order}) has it")
     for name, value in counts.items():
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -162,7 +168,7 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
     if exhaustive and orders is not None:
         raise ValueError("--orders does not apply to the exhaustive search")
     G = _load_group(group, base)
-    _check(p, orders, group_order=G.order, budget=budget)
+    _check(p, orders, group=G, budget=budget)
     name = G.name or "group"
     if exhaustive:
         res = gensearch.exhaustive_triple_search(G, p)
@@ -197,7 +203,7 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
 def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
                order: int = None, base: str = "") -> Result:
     G = _load_group(group, base)
-    _check(p, order=order, group_order=G.order, budget=budget)
+    _check(p, order=order, group=G, budget=budget)
     name = G.name or "group"
     if seed is None:
         raise ValueError("--seed is required for the randomized search")

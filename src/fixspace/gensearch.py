@@ -16,6 +16,9 @@ from .perm import GroupTooLarge, PermGroup, element_order, pconj, pinv, pmul
 from .rng import SeedStream
 
 
+EXHAUSTIVE_CAP = 10**4   # largest group order the class-triple search takes
+
+
 class NotPrimePower(ValueError):
     pass
 
@@ -153,7 +156,7 @@ def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
     )
 
 
-def exhaustive_triple_search(group: PermGroup, p: int, cap: int = 10**4,
+def exhaustive_triple_search(group: PermGroup, p: int, cap: int = EXHAUSTIVE_CAP,
                              table=None) -> ExhaustiveResult:
     """Complete search over class triples; ProvedNone is a proof.
 

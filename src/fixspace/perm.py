@@ -1,11 +1,16 @@
 """Permutations and permutation groups with a deterministic stabilizer chain.
 
 A permutation on 0..n-1 is an image tuple: g[i] is where i goes, and
-mul(a, b) applies a first, then b.  The base of the stabilizer chain is
-always the smallest moved point at each level and orbits are explored in
-sorted order, so bases, strong generators, orders, transversals, random
-streams, and conjugacy class data are reproducible functions of the
-generator list alone.
+pmul(a, b) applies a first, then b.  Everything a group takes or hands
+out (generators, arguments, random elements, class members) is a tuple.
+Inside a PermGroup the chain, its running products and its class sweep
+hold elements in the encoding of `bulk_codec`: image `bytes` up to
+degree 256, which compose and invert in C, and image tuples above that.
+
+The base of the stabilizer chain is always the smallest moved point at
+each level and orbits are explored in sorted order, so bases, strong
+generators, orders, transversals, random streams, and conjugacy class
+data are reproducible functions of the generator list alone.
 
 Chain levels are rebuilt lazily: installing a strong generator marks the
 levels it belongs to dirty, and a dirty level is recomputed from its
@@ -19,6 +24,7 @@ building as soon as the chain's orbit lengths multiply to |G|.
 from __future__ import annotations
 
 from math import gcd, lcm
+from typing import Callable, NamedTuple
 
 from . import ff
 from .rng import SeedStream
@@ -83,13 +89,32 @@ def ppow(g: tuple, e: int) -> tuple:
     return acc
 
 
-def bulk_codec(degree: int):
-    """(encode, mul) for bulk work: up to degree 256 bytes, which translate
-    composes in C and which sort like the tuples (tuple() decodes), else tuples."""
+class Codec(NamedTuple):
+    """How a group of one degree stores permutations; see bulk_codec."""
+
+    encode: Callable   # image tuple -> element
+    decode: Callable   # element -> image tuple
+    mul: Callable      # (a, b) -> a then b
+    inv: Callable
+    right: Callable    # b -> the right operand form of b taken by apply
+    apply: Callable    # (a, right(b)) -> mul(a, b)
+
+
+def bulk_codec(degree: int) -> Codec:
+    """The one permutation encoding of the chain, the draws and the classes.
+
+    Up to degree 256 an element is its length-n image `bytes`: translate
+    composes, maketrans inverts, and encodings sort like the tuples.  A
+    right operand is padded to the 256-byte table translate takes.  Above
+    256 an element is its image tuple and the tuple helpers do the work."""
     if degree > 256:
-        return tuple, pmul
+        # tuple() of a tuple is that tuple: no copies
+        return Codec(tuple, tuple, pmul, pinv, tuple, pmul)
     pad = bytes(range(degree, 256))
-    return bytes, lambda a, b: a.translate(b + pad)
+    ident = bytes(range(degree))
+    return Codec(bytes, tuple, lambda a, b: a.translate(b + pad),
+                 lambda g: bytes.maketrans(g, ident)[:degree],
+                 lambda b: b + pad, bytes.translate)
 
 
 def perm_from_images(images) -> tuple:
@@ -195,32 +220,28 @@ class _Level:
         self.orbit_list = []
         self.dirty = True
 
-    def recompute(self, degree, gens):
+    def recompute(self, ident, mul, gens):
         b = self.point
-        transversal = {b: identity(degree)}
+        transversal = {b: ident}
         queue = [b]
         for x in queue:
             t_x = transversal[x]
             for s in gens:
                 y = s[x]
                 if y not in transversal:
-                    transversal[y] = pmul(t_x, s)
+                    transversal[y] = mul(t_x, s)
                     queue.append(y)
         self.transversal = transversal
         self.inverse = {}
         self.orbit_list = sorted(transversal)
         self.dirty = False
 
-    def inv(self, y):
-        """Inverse of the transversal element for y, computed on first use."""
-        t = self.inverse.get(y)
-        if t is None:
-            t = self.inverse[y] = pinv(self.transversal[y])
-        return t
-
 
 class PermGroup:
-    """Permutation group with a deterministic base and strong generating set."""
+    """Permutation group with a deterministic base and strong generating set.
+
+    The chain (installed strong generators, transversals and their
+    inverses) holds elements in the encoding of bulk_codec(degree)."""
 
     def __init__(self, degree: int, gens, name: str | None = None, *, _stop_at: int = 0):
         self.degree = degree
@@ -232,7 +253,10 @@ class PermGroup:
                 raise NotBijection(f"generator degree {len(g)} != {degree}")
             checked.append(g)
         self.gens = tuple(checked)
+        self._codec = bulk_codec(degree)
+        self._ident = self._codec.encode(identity(degree))
         self._levels = []
+        self._operands = None
         self._build_chain(_stop_at)
         self.order = self._chain_order()
         self._classes = None
@@ -244,7 +268,7 @@ class PermGroup:
         """Level i, recomputed from its strong generators if it is dirty."""
         lvl = self._levels[i]
         if lvl.dirty:
-            lvl.recompute(self.degree, self._level_gens(i))
+            lvl.recompute(self._ident, self._codec.mul, self._level_gens(i))
         return lvl
 
     def _chain_order(self) -> int:
@@ -253,9 +277,18 @@ class PermGroup:
             order *= len(self._level(i).orbit_list)
         return order
 
-    def _sift(self, g: tuple, start: int = 0):
-        """Reduce g through levels from start; return (residue, stuck_level)."""
+    def _inverse(self, lvl: _Level, y: int):
+        """Inverse of the transversal element for y, computed on first use."""
+        t = lvl.inverse.get(y)
+        if t is None:
+            t = lvl.inverse[y] = self._codec.inv(lvl.transversal[y])
+        return t
+
+    def _sift(self, g, start: int = 0):
+        """Reduce the encoded g through levels from start; return
+        (residue, stuck_level)."""
         lv = self._levels
+        mul = self._codec.mul
         for i in range(start, len(lv)):
             lvl = lv[i]
             if lvl.dirty:
@@ -265,7 +298,7 @@ class PermGroup:
                 continue
             if x not in lvl.transversal:
                 return g, i
-            g = pmul(g, lvl.inv(x))
+            g = mul(g, self._inverse(lvl, x))
         return g, len(lv)
 
     def _level_gens(self, i: int) -> list:
@@ -276,7 +309,7 @@ class PermGroup:
             out.extend(lvl.installed)
         return out
 
-    def _add_generator(self, g: tuple, level: int) -> None:
+    def _add_generator(self, g, level: int) -> None:
         lv = self._levels
         if level == len(lv):
             moved = min(i for i, x in enumerate(g) if x != i)
@@ -290,8 +323,8 @@ class PermGroup:
     def _build_chain(self, stop_at: int = 0) -> None:
         """Schreier-Sims; with stop_at, return as soon as the orbit lengths
         multiply to stop_at (a lower bound on the order; see subgroup_order)."""
-        ident = identity(self.degree)
-        for g in self.gens:
+        ident = self._ident
+        for g in map(self._codec.encode, self.gens):
             if g == ident:
                 continue
             res, at = self._sift(g)
@@ -313,17 +346,19 @@ class PermGroup:
         """Sift all Schreier generators of level i through the deeper chain.
         Returns the level where a residue was installed, or None if clean."""
         lvl = self._level(i)
-        ident = identity(self.degree)
-        gens = self._level_gens(i)
+        ident = self._ident
+        mul, apply = self._codec.mul, self._codec.apply
+        # right operands map points like their elements do
+        gens = list(map(self._codec.right, self._level_gens(i)))
         transversal = lvl.transversal
         for x in lvl.orbit_list:
             t_x = transversal[x]
             for s in gens:
-                t_xs = pmul(t_x, s)
+                t_xs = apply(t_x, s)
                 y = s[x]
                 if t_xs == transversal[y]:
                     continue
-                res, at = self._sift(pmul(t_xs, lvl.inv(y)), i + 1)
+                res, at = self._sift(mul(t_xs, self._inverse(lvl, y)), i + 1)
                 if res != ident:
                     self._add_generator(res, at)
                     return at
@@ -332,18 +367,33 @@ class PermGroup:
     # queries -----------------------------------------------------------
 
     def contains(self, g: tuple) -> bool:
+        """Membership by sifting; no bijection check, so a tuple that is
+        not a permutation is simply not a member."""
         if len(g) != self.degree:
             raise DegreeMismatch(f"degree {len(g)} vs group degree {self.degree}")
+        try:
+            g = self._codec.encode(g)
+        except ValueError:
+            return False   # an entry outside 0..255 is no point of the group
         res, _ = self._sift(g)
-        return res == identity(self.degree)
+        return res == self._ident
 
     def random_element(self, stream: SeedStream) -> tuple:
-        """Exactly uniform: product of uniformly chosen transversal elements."""
-        g = identity(self.degree)
-        for lvl in reversed(self._levels):
-            x = lvl.orbit_list[stream.randrange(len(lvl.orbit_list))]
-            g = pmul(g, lvl.transversal[x])
-        return g
+        """Exactly uniform: product of uniformly chosen transversal elements.
+
+        The first draw lists each level's transversal, deepest level first
+        and in orbit_list order, as right operands; the chain is complete
+        by then and never changes."""
+        ops = self._operands
+        if ops is None:
+            right = self._codec.right
+            ops = self._operands = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
+                                    for lvl in reversed(self._levels)]
+        apply, randrange = self._codec.apply, stream.randrange
+        g = self._ident
+        for level in ops:
+            g = apply(g, level[randrange(len(level))])
+        return self._codec.decode(g)
 
     def subgroup_order(self, elems) -> int:
         """Order of the subgroup generated by elems, via a fresh chain.
@@ -354,20 +404,22 @@ class PermGroup:
         subgroup order, and reaching |G| proves that elems generate.  A
         proper subgroup gets its full chain.  The partial chain is
         discarded here."""
+        elems = [perm_from_images(e) for e in elems]
         for e in elems:
             if not self.contains(e):
                 raise NotInGroup(f"{format_cycles(e)} is not in the group")
         return PermGroup(self.degree, elems, _stop_at=self.order).order
 
-    def _all_elements(self, encode, mul) -> list:
+    def _all_elements(self) -> list:
         """Every element once, encoded, unsorted: the products of one
         transversal element per level; see CLASS_CAP."""
         if self.order > CLASS_CAP:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {CLASS_CAP}")
-        out = [encode(identity(self.degree))]
+        right, apply = self._codec.right, self._codec.apply
+        out = [self._ident]
         for i in reversed(range(len(self._levels))):
-            ts = [encode(t) for t in self._level(i).transversal.values()]
-            out = [mul(g, t) for g in out for t in ts]
+            ts = [right(t) for t in self._level(i).transversal.values()]
+            out = [apply(g, t) for g in out for t in ts]
         return out
 
     def conjugacy_classes(self, cap: int = CLASS_CAP) -> tuple:
@@ -376,23 +428,23 @@ class PermGroup:
             return self._classes
         if self.order > cap:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {cap}")
-        encode, mul = bulk_codec(self.degree)
-        conjugators = [(encode(pinv(s)), encode(s)) for s in self.gens]
+        encode, decode, mul, inv, right, apply = self._codec
+        conjugators = [(inv(s), right(s)) for s in map(encode, self.gens)]
         assigned, classes = set(), []
-        for g in self._all_elements(encode, mul):
+        for g in self._all_elements():
             if g in assigned:
                 continue
             members = {g}
             queue = [g]
             for x in queue:
                 for s_inv, s in conjugators:
-                    y = mul(mul(s_inv, x), s)
+                    y = apply(mul(s_inv, x), s)
                     if y not in members:
                         members.add(y)
                         queue.append(y)
             assigned |= members
             # encodings sort like the tuples: the first is the minimal member
-            members = tuple([tuple(m) for m in sorted(members)])
+            members = tuple([decode(m) for m in sorted(members)])
             classes.append(ConjClass(members[0], len(members), element_order(members[0]), members))
         classes.sort(key=lambda c: (c.element_order, c.size, c.rep))
         self._classes = tuple(classes)

@@ -279,6 +279,46 @@ def test_searches_reject_orders_not_dividing_the_group_order(capsys, no_search, 
 
 
 @pytest.mark.parametrize("argv", [
+    ["pairs", "--group", "A5", "--p", "3", "--seed", "1", "--order", "4"],
+    ["triples", "--group", "A6", "--p", "5", "--seed", "1", "--orders", "6,6,6"],
+    ["triples", "--group", f"{DATA}/A5.grp", "--p", "2", "--seed", "1",
+     "--orders", "3,5,15"],
+], ids=["pair-order-4", "triple-orders-6-6-6", "grp-file-orders-3-5-15"])
+def test_searches_reject_composite_orders_no_class_has(capsys, no_search, argv):
+    # each divides |G| but no element has it; a prime dividing |G| always
+    # has an element (Cauchy), so only composite orders are looked up
+    order = argv[-1].split(",")[-1]
+    assert f"no element has order {order}: no class of G" in rejected(capsys, *argv)
+
+
+def test_manifest_claims_reject_composite_orders_no_class_has(tmp_path, capsys):
+    path = write_manifest(tmp_path, """\
+        [pair-order-4]
+        kind = pair
+        group = A5
+        p = 3
+        order = 4
+        expect = found
+        provenance = derived
+
+        [triple-orders-6-6-6]
+        kind = triple
+        group = A6
+        p = 5
+        orders = 6,6,6
+        expect = found
+        provenance = derived
+    """)
+    code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL       pair-order-4: error: no element has order 4: "
+                        "no class of G (|G| = 60) has it")
+    assert lines[1] == ("FAIL       triple-orders-6-6-6: error: no element has "
+                        "order 6: no class of G (|G| = 360) has it")
+
+
+@pytest.mark.parametrize("argv", [
     ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--budget", "-3"],
     ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--budget", "0"],
     ["pairs", "--group", "A5", "--p", "5", "--seed", "1", "--order", "0"],

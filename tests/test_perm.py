@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
+from fixspace import perm
 from fixspace.perm import (DegreeMismatch, NotBijection, PermGroup,
-                           alternating, builtin_group, builtin_group_names,
-                           cycle_lengths, element_order, format_cycles,
-                           identity, parse_group_text, pconj,
+                           affine_frobenius_2a, alternating, builtin_group,
+                           builtin_group_names, cycle_lengths, element_order,
+                           format_cycles, identity, parse_group_text, pconj,
                            perm_from_cycles, pinv, pmul, ppow, psl2, symmetric)
 from fixspace.rng import SeedStream
 
@@ -217,9 +218,10 @@ def test_subgroup_order_matches_brute_force():
     assert seen == {True, False}
 
 
-# SHA-256 prefixes of (base points, installed strong generators, orbit
-# lists) and the first 50 random elements from SeedStream(1); any change to
-# the chain construction that moves a base, a generator or a draw shows here
+# SHA-256 prefixes of (base points, installed strong generators decoded to
+# image tuples, orbit lists) and the first 50 random elements from
+# SeedStream(1); any change to the chain construction that moves a base, a
+# generator or a draw shows here
 CHAIN_PINS = {
     'A10': 'f59f204fd49c1b50', 'A11': '0ca61e5a22ea685e',
     'A12': '7d2d0e3428172ed7', 'A4': '8ba72282a105a0f9',
@@ -240,7 +242,8 @@ def test_chain_pins():
         G = builtin_group(name)
         s = SeedStream(1)
         draws = [G.random_element(s) for _ in range(50)]
-        chain = [(lvl.point, lvl.installed, lvl.orbit_list) for lvl in G._levels]
+        chain = [(lvl.point, [tuple(g) for g in lvl.installed], lvl.orbit_list)
+                 for lvl in G._levels]
         digest = hashlib.sha256(repr((chain, draws)).encode()).hexdigest()
         assert digest[:16] == pin, name
 
@@ -304,3 +307,82 @@ def test_identity_group():
     G = PermGroup(4, [identity(4)])
     assert G.order == 1
     assert G.conjugacy_classes()[0].size == 1
+
+
+# the tuple codec as an oracle for the bytes codec ---------------------------
+
+
+def chain_view(G):
+    """Base points, strong generators, orbit lists and transversals, decoded."""
+    return [(lvl.point, [tuple(g) for g in lvl.installed], lvl.orbit_list,
+             {x: tuple(t) for x, t in lvl.transversal.items()})
+            for lvl in G._levels]
+
+
+def codec_oracle_groups():
+    # every builtin, the subgroups generated by the random elements of
+    # test_subgroup_order_matches_brute_force, and degree 256 (the last
+    # byte-encoded degree) beside degree 257 (the first tuple one)
+    builders = [lambda G=builtin_group(name): PermGroup(G.degree, G.gens)
+                for name in builtin_group_names()]
+    for name in ['A5', 'S5', 'A6', 'L2_7']:
+        G = builtin_group(name)
+        s = SeedStream(23)
+        for _ in range(12):
+            gens = (G.random_element(s), G.random_element(s))
+            builders.append(lambda d=G.degree, gens=gens: PermGroup(d, gens))
+    return builders + [lambda: affine_frobenius_2a(8), lambda: psl2(256)]
+
+
+def test_bytes_chain_agrees_with_tuple_codec(monkeypatch):
+    # each group built twice, the second time with the tuple codec that
+    # degrees above 256 use; classes only up to order 20160 (the class
+    # sweep on tuples is slow), see test_classes_and_elements_match_tuple_orbits
+    tuple_codec = perm.bulk_codec(257)
+    answers, generated = set(), set()
+    for build in codec_oracle_groups():
+        G = build()
+        with monkeypatch.context() as m:
+            m.setattr(perm, "bulk_codec", lambda degree: tuple_codec)
+            T = build()
+        assert T._ident == identity(G.degree)
+        assert (T.order, chain_view(T)) == (G.order, chain_view(G))
+        draws = []
+        for seed in (1, 2, 3):
+            sg, st = SeedStream(seed), SeedStream(seed)
+            got = [G.random_element(sg) for _ in range(50)]
+            assert got == [T.random_element(st) for _ in range(50)]
+            draws += got
+        swap = perm_from_cycles(G.degree, [(1, 2)])
+        for g in draws + [pmul(d, swap) for d in draws[:20]]:
+            answers.add(G.contains(g))
+            assert G.contains(g) == T.contains(g)
+        for elems in [draws[:1], draws[1:3], draws[3:5]]:
+            order = G.subgroup_order(elems)
+            assert T.subgroup_order(elems) == order
+            generated.add(order == G.order)
+        if G.order <= 20160:
+            view = lambda H: [(c.rep, c.size, c.element_order, c.members)
+                              for c in H.conjugacy_classes()]
+            assert view(G) == view(T)
+            assert G.class_index() == T.class_index()
+    assert answers == generated == {True, False}
+
+
+def test_contains_rejects_entries_past_the_byte_range():
+    # a tuple is not a member if it is not a permutation, bytes or not
+    G = alternating(5)
+    assert not G.contains((0, 1, 2, 3, 300))
+    assert not G.contains((0, 1, 2, 3, -1))
+    assert not G.contains((0, 1, 2, 3, 5))
+    H = affine_frobenius_2a(8)
+    assert not H.contains(tuple(range(255)) + (256,))
+    assert H.contains(tuple(range(256)))
+
+
+def test_subgroup_order_rejects_non_permutations_by_name():
+    G = builtin_group('A5')
+    with pytest.raises(NotBijection, match=re.escape("(0, 0, 1, 2, 3)")):
+        G.subgroup_order([(0, 0, 1, 2, 3)])
+    with pytest.raises(NotBijection):
+        G.subgroup_order([(0, 1, 2, 3, 300)])
