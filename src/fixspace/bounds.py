@@ -8,6 +8,7 @@ The catalog rows pin the families where the bounds are known to be sharp.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .ff import is_prime, make_field, multiplicative_order
 from .linalg import rank
@@ -219,7 +220,7 @@ def scott_suite(rep: MatRep, pairs: int = 1000, seed: int = 1) -> ScottSuiteRepo
 # the dim p^2 - 2 section of the 3x3 matrix module ------------------------
 
 
-def _irreducible_section(spec, F, target_dim: int, seed: int = 7) -> MatRep:
+def _irreducible_section(spec, F, target_dim: int) -> MatRep:
     """Walk sub/quotient certificates until an irreducible section of the
     wanted dimension appears."""
     queue = [spec]
@@ -228,7 +229,7 @@ def _irreducible_section(spec, F, target_dim: int, seed: int = 7) -> MatRep:
             break
         cur = queue.pop(0)
         rep = build_rep(cur, F)
-        verdict = is_irreducible(rep, SeedStream(seed))
+        verdict = is_irreducible(rep, SeedStream(7))
         if verdict.irreducible:
             if rep.dim == target_dim:
                 return rep
@@ -250,18 +251,12 @@ class AdjointSectionReport:
     holds: bool
 
 
-_sl3_heart_cache = []
-
-
+@cache
 def sl3_adjoint_heart() -> MatRep:
     """The 7-dimensional irreducible section of 3x3 matrices over GF(3)
     under conjugation by SL3(3)."""
-    if not _sl3_heart_cache:
-        _, nat = builtin_matgroup("SL3_3")
-        spec = tensor(nat.spec, dual(nat.spec))
-        rep = _irreducible_section(spec, nat.field, 7)
-        _sl3_heart_cache.append(rep)
-    return _sl3_heart_cache[0]
+    _, nat = builtin_matgroup("SL3_3")
+    return _irreducible_section(tensor(nat.spec, dual(nat.spec)), nat.field, 7)
 
 
 def sl_p_adjoint_check() -> AdjointSectionReport:
@@ -327,9 +322,8 @@ _DELETED_ROWS = (
     ("S3", 3), ("S4", 4), ("S5", 5), ("S6", 6),
 )
 
-_CATALOG = []
 
-
+@cache
 def catalog() -> tuple:
     """Irreducible modules exercised by the bound checks.
 
@@ -338,8 +332,6 @@ def catalog() -> tuple:
     powers up to the restricted range, SL3(3) natural plus its adjoint
     section, and the extraspecial dim-3 module.
     """
-    if _CATALOG:
-        return tuple(_CATALOG)
     entries = []
     for gname, npts in _DELETED_ROWS:
         G = builtin_group(gname)
@@ -376,5 +368,4 @@ def catalog() -> tuple:
     _, e27 = builtin_matgroup("E27")
     entries.append(CatalogEntry(
         "e27", "E27", "extraspecial 27 in dimension 3 over GF(7)", 7, e27))
-    _CATALOG.extend(entries)
-    return tuple(_CATALOG)
+    return tuple(entries)

@@ -17,6 +17,7 @@ v Psi_e = c Psi_e (mod z^e - 1), where Psi_e = (z^e - 1) / Phi_e.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from . import ff, linalg
 from .perm import GroupTooLarge, PermGroup, bulk_codec, pinv, ppow
@@ -49,32 +50,26 @@ def _zpoly_divmod_exact_leading(a, b):
     return tuple(q), tuple(a)
 
 
-_cyclotomic_cache = {1: (-1, 1)}
-_cofactor_cache = {}
-
-
+@cache
 def cyclotomic_poly(n: int) -> tuple:
     """Integer coefficients of the n-th cyclotomic polynomial, low first."""
-    if n not in _cyclotomic_cache:
-        f = tuple([-1] + [0] * (n - 1) + [1])
-        for d in range(1, n):
-            if n % d == 0:
-                q, r = _zpoly_divmod_exact_leading(f, cyclotomic_poly(d))
-                if r:
-                    raise AssertionError("cyclotomic division left a remainder")
-                f = q
-        _cyclotomic_cache[n] = f
-    return _cyclotomic_cache[n]
+    f = tuple([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _zpoly_divmod_exact_leading(f, cyclotomic_poly(d))
+            if r:
+                raise AssertionError("cyclotomic division left a remainder")
+            f = q
+    return f
 
 
+@cache
 def cyclotomic_cofactor(n: int) -> tuple:
     """Psi_n = (z^n - 1) / Phi_n, low first: the product of Phi_d over d | n, d < n."""
-    if n not in _cofactor_cache:
-        q, r = _zpoly_divmod_exact_leading((-1,) + (0,) * (n - 1) + (1,), cyclotomic_poly(n))
-        if r:
-            raise AssertionError("cyclotomic division left a remainder")
-        _cofactor_cache[n] = q
-    return _cofactor_cache[n]
+    q, r = _zpoly_divmod_exact_leading((-1,) + (0,) * (n - 1) + (1,), cyclotomic_poly(n))
+    if r:
+        raise AssertionError("cyclotomic division left a remainder")
+    return q
 
 
 # class algebra ----------------------------------------------------------------
@@ -107,6 +102,8 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
 
 # table construction ------------------------------------------------------------
 
+MAX_CLASSES = 60   # most classes character_table takes
+
 
 @dataclass(frozen=True)
 class CharTable:
@@ -114,9 +111,7 @@ class CharTable:
     classes: tuple
     exponent: int
     modulus: int              # the Dixon prime l
-    zeta_residue: int         # fixed e-th root of unity in GF(l)
     degrees: tuple
-    values_mod: tuple         # rows of residues mod l
     values: tuple             # rows of length-e integer vectors over powers of zeta
     inverse_class: tuple      # position of the inverse class
 
@@ -128,14 +123,14 @@ def _dixon_prime(order: int, exponent: int) -> int:
     return n
 
 
-def character_table(group: PermGroup, cap_classes: int = 60, cap_order: int = 10**6) -> CharTable:
-    if group.order > cap_order:
-        raise GroupTooLarge(f"order {group.order} exceeds {cap_order}")
-    algebra = class_algebra(group)
-    classes = algebra.classes
+def character_table(group: PermGroup) -> CharTable:
+    """GroupTooLarge above perm.CLASS_CAP elements or MAX_CLASSES classes,
+    before any class multiplication constant is counted."""
+    classes = group.conjugacy_classes()
     r = len(classes)
-    if r > cap_classes:
-        raise GroupTooLarge(f"{r} classes exceed {cap_classes}")
+    if r > MAX_CLASSES:
+        raise GroupTooLarge(f"{r} classes exceed {MAX_CLASSES}")
+    algebra = class_algebra(group)
     index = group.class_index()
     e = math.lcm(*(c.element_order for c in classes))
     l = _dixon_prime(group.order, e)
@@ -160,10 +155,7 @@ def character_table(group: PermGroup, cap_classes: int = 60, cap_order: int = 10
         degrees.append(d)
         rows_mod.append(tuple(d * v[j] * inv_size[j] % l for j in range(r)))
 
-    primes = ff.prime_factors(l - 1)
-    w = next(w for w in range(2, l)
-             if all(pow(w, (l - 1) // r, l) != 1 for r in primes))
-    z = pow(w, (l - 1) // e, l)
+    z = pow(ff.multiplicative_generator(F), (l - 1) // e, l)
     power_class = [
         [index[ppow(classes[j].rep, t)] for t in range(classes[j].element_order)]
         for j in range(r)
@@ -199,9 +191,7 @@ def character_table(group: PermGroup, cap_classes: int = 60, cap_order: int = 10
         classes=classes,
         exponent=e,
         modulus=l,
-        zeta_residue=z,
         degrees=tuple(degrees[i] for i in order),
-        values_mod=tuple(rows_mod[i] for i in order),
         values=tuple(rows_cyc[i] for i in order),
         inverse_class=inverse_class,
     )
@@ -243,14 +233,12 @@ def _split_space(F, mat, rows, pivots):
     """Split an invariant subspace into eigenspaces of one class matrix."""
     m = len(rows)
     l = F.p
-    cols = []
-    for b in rows:
-        coords = linalg.rref_coords(F, rows, pivots, linalg.mat_vec(F, mat, b))
-        if coords is None:
-            raise LiftFailure("class matrix does not preserve a split space")
-        cols.append(coords)
-    R = [[cols[j][i] for j in range(m)] for i in range(m)]
+    R = linalg.restrict(F, mat, rows, pivots)
+    if R is None:
+        raise LiftFailure("class matrix does not preserve a split space")
     chp = linalg.char_poly(F, R)
+    # column i of the transpose is b_i: a kernel vector's combination of the b_i
+    span = linalg.transpose(rows)
     pieces = []
     total = 0
     for lam in ff.poly_roots(F, chp):
@@ -258,15 +246,7 @@ def _split_space(F, mat, rows, pivots):
         for t in range(m):
             shifted[t][t] = (shifted[t][t] - lam) % l
         kernel = linalg.nullspace(F, shifted)
-        vecs = []
-        for cv in kernel:
-            v = [0] * len(rows[0])
-            for c, row in zip(cv, rows):
-                if c:
-                    for t in range(len(v)):
-                        v[t] = (v[t] + c * row[t]) % l
-            vecs.append(v)
-        piece = linalg.rref(F, vecs)
+        piece = linalg.rref(F, [linalg.mat_vec(F, span, cv) for cv in kernel])
         total += len(piece[0])
         pieces.append(piece)
     if total != m:

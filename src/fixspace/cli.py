@@ -19,7 +19,7 @@ from . import bounds as bnd
 from . import chartab, gensearch, matrep
 from . import weights as wt
 from .ff import is_prime, make_field
-from .perm import builtin_group, format_cycles, read_group_file
+from .perm import CLASS_CAP, builtin_group, format_cycles, read_group_file
 from .rng import SeedStream
 
 
@@ -77,7 +77,7 @@ def _check(p: int = None, orders: tuple = None, order: int = None,
     No p'-element has an order below 1 or divisible by p, and no element
     of G has an order that does not divide |G|.  Every prime dividing |G|
     is an element order (Cauchy); a composite one is looked up in the
-    classes when |G| is within the exhaustive cap, and left open above it."""
+    classes when |G| is within perm.CLASS_CAP, and left open above it."""
     if p is not None and not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if orders is not None and len(orders) != 3:
@@ -89,7 +89,7 @@ def _check(p: int = None, orders: tuple = None, order: int = None,
         if group.order % value:
             raise ValueError(f"no element has order {value}, which does not "
                              f"divide |G| = {group.order}")
-        if (group.order <= gensearch.EXHAUSTIVE_CAP and not is_prime(value)
+        if (group.order <= CLASS_CAP and not is_prime(value)
                 and all(c.element_order != value for c in group.conjugacy_classes())):
             raise ValueError(f"no element has order {value}: no class of "
                              f"G (|G| = {group.order}) has it")

@@ -113,24 +113,10 @@ class FieldCtx:
         else:
             self.zero = (0,) * k
             self.one = (1,) + (0,) * (k - 1)
-            # x^d mod modulus for d = k .. 2k-2, used by mul
-            red = []
-            cur = list(modulus[:k])
-            for i in range(k):
-                cur[i] = (-cur[i]) % p
-            red.append(tuple(cur))
-            for _ in range(k - 2):
-                nxt = [0] * k
-                carry = cur[k - 1]
-                for i in range(k - 1, 0, -1):
-                    nxt[i] = cur[i - 1]
-                if carry:
-                    top = red[0]
-                    for i in range(k):
-                        nxt[i] = (nxt[i] + carry * top[i]) % p
-                red.append(tuple(nxt))
-                cur = nxt
-            self._red = red
+            # x^d mod modulus for d = k .. 2k-2, padded to k entries, used by mul
+            base = make_field(p)
+            red = [poly_mod(base, (0,) * d + (1,), modulus) for d in range(k, 2 * k - 1)]
+            self._red = [r + (0,) * (k - len(r)) for r in red]
 
     def __repr__(self):
         if self.k == 1:

@@ -156,8 +156,7 @@ def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
     )
 
 
-def exhaustive_triple_search(group: PermGroup, p: int, cap: int = EXHAUSTIVE_CAP,
-                             table=None) -> ExhaustiveResult:
+def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> ExhaustiveResult:
     """Complete search over class triples; ProvedNone is a proof.
 
     Fixing x to one representative of C1 is complete: conjugating a
@@ -166,8 +165,8 @@ def exhaustive_triple_search(group: PermGroup, p: int, cap: int = EXHAUSTIVE_CAP
     contain no triples with product 1 at all and are skipped. A
     precomputed character table for the group may be passed in.
     """
-    if group.order > cap:
-        raise GroupTooLarge(f"order {group.order} exceeds exhaustive cap {cap}")
+    if group.order > EXHAUSTIVE_CAP:
+        raise GroupTooLarge(f"order {group.order} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     if table is None:
         table = chartab.character_table(group)
     classes = group.conjugacy_classes()

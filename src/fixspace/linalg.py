@@ -150,6 +150,19 @@ def rref_coords(F: FieldCtx, rows: list, pivots: list, w) -> list:
     return [w[c] for c in pivots] if all(x == F.zero for x in rest) else None
 
 
+def restrict(F: FieldCtx, M: list, rows: list, pivots: list):
+    """The matrix R of M on the span of the rref basis rows b_i (pivot
+    columns pivots), M b_j = sum_i R[i][j] b_i; None when M does not keep
+    that span."""
+    cols = []
+    for b in rows:
+        coords = rref_coords(F, rows, pivots, mat_vec(F, M, b))
+        if coords is None:
+            return None
+        cols.append(coords)
+    return transpose(cols)
+
+
 def reduce_vec(F: FieldCtx, rows: list, pivots: list, v) -> list:
     """v minus its combination of the rows, each row clearing its pivot
     entry in turn; the representative of v modulo their span when the

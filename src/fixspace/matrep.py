@@ -17,6 +17,7 @@ reducible; the dimension n - 2 heart is then reached via section().
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 from . import ff, linalg
 from .ff import FieldCtx
@@ -62,7 +63,6 @@ class ModuleSpec:
     group: object = None
     field: object = None
     power: int = 0
-    matrices: tuple = ()
     orbit: tuple = ()
     seed_index: tuple = ()
     basis: tuple = None
@@ -160,7 +160,7 @@ class MatRep:
             m = self._dim_of(node.children[0])
             return math.comb(m + node.power - 1, node.power)
         if k == "explicit":
-            return len(node.matrices[0])
+            return len(node.seed_index)
         if k == "section":
             rows, pivots, nonpivots = self._section_of(node)
             return len(rows) if node.mode == "sub" else len(nonpivots)
@@ -231,9 +231,7 @@ class MatRep:
             return linalg.transpose(self._image(node.children[0], pinv(g)))
         if k == "twist":
             A = self._image(node.children[0], g)
-            for _ in range(node.power):
-                A = [[F.frobenius(x) for x in row] for row in A]
-            return A
+            return [[F.frobenius(x, node.power) for x in row] for row in A]
         if k == "sym":
             A = self._image(node.children[0], g)
             m = len(A)
@@ -258,7 +256,7 @@ class MatRep:
             d = len(monos)
             return [[cols[j][i] for j in range(d)] for i in range(d)]
         if k == "explicit":
-            n = len(node.matrices[0])
+            n = len(node.seed_index)
             M = [[F.zero] * n for _ in range(n)]
             for j in range(n):
                 vec = node.orbit[g[node.seed_index[j]]]
@@ -269,13 +267,10 @@ class MatRep:
             Mc = self._image(node.children[0], g)
             rows, pivots, nonpivots = self._section_of(node)
             if node.mode == "sub":
-                out = []
-                for b in rows:
-                    coords = linalg.rref_coords(F, rows, pivots, linalg.mat_vec(F, Mc, b))
-                    if coords is None:
-                        raise IllTyped("section basis is not invariant")
-                    out.append(coords)
-                return linalg.transpose(out)
+                R = linalg.restrict(F, Mc, rows, pivots)
+                if R is None:
+                    raise IllTyped("section basis is not invariant")
+                return R
             out = []
             for j in nonpivots:
                 w = linalg.reduce_vec(F, rows, pivots, [row[j] for row in Mc])
@@ -486,9 +481,10 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
 
 # matrix groups as permutation groups ----------------------------------------
 
+ORBIT_CAP = 10**6   # most vectors embed_matrix_group lists
 
-def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None,
-                       cap: int = 10**6):
+
+def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None):
     """Permutation action on the orbit of the standard basis vectors.
 
     The orbit contains a basis, so the action is faithful by construction.
@@ -504,11 +500,11 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None,
     def visit(v):
         index[v] = len(orbit)
         orbit.append(v)
-        if len(orbit) > cap:
-            raise OrbitTooLarge(f"orbit exceeds {cap} vectors")
+        if len(orbit) > ORBIT_CAP:
+            raise OrbitTooLarge(f"orbit exceeds {ORBIT_CAP} vectors")
 
-    for j in range(dim):
-        e = tuple(F.one if i == j else F.zero for i in range(dim))
+    basis = [tuple(row) for row in linalg.eye(F, dim)]
+    for e in basis:
         if e in index:
             continue
         start = len(orbit)
@@ -521,10 +517,7 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None,
                 if w not in index:
                     visit(w)
             k += 1
-    seed_index = tuple(
-        index[tuple(F.one if i == j else F.zero for i in range(dim))]
-        for j in range(dim)
-    )
+    seed_index = tuple(index[e] for e in basis)
     perms = [
         tuple(index[linalg.mat_vec(F, M, v)] for v in orbit)
         for M in mats
@@ -534,7 +527,6 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None,
         kind="explicit",
         group=group,
         field=F,
-        matrices=tuple(tuple(tuple(row) for row in M) for M in mats),
         orbit=tuple(orbit),
         seed_index=seed_index,
     )
@@ -563,20 +555,17 @@ _MATGROUP_SPECS = {
              [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], 27),
 }
 
-_matgroup_cache = {}
 
-
+@cache
 def builtin_matgroup(name: str):
     """(PermGroup, tautological MatRep) for a named builtin matrix group."""
-    if name not in _matgroup_cache:
-        if name not in _MATGROUP_SPECS:
-            raise KeyError(f"unknown matrix group {name!r}")
-        p, k, dim, mats, order = _MATGROUP_SPECS[name]
-        F = ff.make_field(p, k)
-        group, rep = embed_matrix_group(F, dim, mats, name=name)
-        assert group.order == order, (name, group.order)
-        _matgroup_cache[name] = (group, rep)
-    return _matgroup_cache[name]
+    if name not in _MATGROUP_SPECS:
+        raise KeyError(f"unknown matrix group {name!r}")
+    p, k, dim, mats, order = _MATGROUP_SPECS[name]
+    F = ff.make_field(p, k)
+    group, rep = embed_matrix_group(F, dim, mats, name=name)
+    assert group.order == order, (name, group.order)
+    return group, rep
 
 
 # file formats ----------------------------------------------------------------
@@ -671,13 +660,14 @@ def _parse_forms(tokens: list, pos: int):
     return form, pos + 1
 
 
-def parse_module_text(text: str, groups=None, matgroups=None) -> ModuleSpec:
+def parse_module_text(text: str, matgroups=None) -> ModuleSpec:
     """S-expression module recipe, e.g. (deleted (perm A5) :field (gf 7)).
 
     Keyword pairs may trail any form; :field fixes the coefficient field
-    and :mode selects the section kind. Group names resolve through the
-    provided mappings, with the builtin registries as fallback. An empty,
-    unbalanced or malformed recipe raises IllTyped.
+    and :mode selects the section kind. A perm name is a builtin group; an
+    explicit name resolves through matgroups, with the builtin matrix
+    groups as fallback. An empty, unbalanced or malformed recipe raises
+    IllTyped.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -685,7 +675,7 @@ def parse_module_text(text: str, groups=None, matgroups=None) -> ModuleSpec:
     form, pos = _parse_forms(tokens, 0)
     if pos != len(tokens):
         raise IllTyped("trailing tokens after module recipe")
-    return _interpret(form, groups or {}, matgroups or {})
+    return _interpret(form, matgroups or {})
 
 
 def _split_keywords(form: list):
@@ -729,7 +719,7 @@ def _check_args(head: list):
             raise IllTyped(f"{op} expects {want}, got {arg!r}")
 
 
-def _interpret(form, groups: dict, matgroups: dict) -> ModuleSpec:
+def _interpret(form, matgroups: dict) -> ModuleSpec:
     if not isinstance(form, list) or not form:
         raise IllTyped(f"expected a recipe form, got {form!r}")
     head, kw = _split_keywords(form)
@@ -742,20 +732,18 @@ def _interpret(form, groups: dict, matgroups: dict) -> ModuleSpec:
             raise IllTyped("field keyword expects (gf p) or (gf p k)")
         field = ff.make_field(*gf[1:])
     if op == "perm":
-        name = head[1]
-        group = groups[name] if name in groups else builtin_group(name)
-        spec = perm_module(group)
+        spec = perm_module(builtin_group(head[1]))
     elif op == "deleted":
-        spec = deleted(_interpret(head[1], groups, matgroups))
+        spec = deleted(_interpret(head[1], matgroups))
     elif op == "tensor":
-        spec = tensor(_interpret(head[1], groups, matgroups),
-                      _interpret(head[2], groups, matgroups))
+        spec = tensor(_interpret(head[1], matgroups),
+                      _interpret(head[2], matgroups))
     elif op == "dual":
-        spec = dual(_interpret(head[1], groups, matgroups))
+        spec = dual(_interpret(head[1], matgroups))
     elif op == "twist":
-        spec = frobenius_twist(_interpret(head[2], groups, matgroups), head[1])
+        spec = frobenius_twist(_interpret(head[2], matgroups), head[1])
     elif op == "sym":
-        spec = sym_power(_interpret(head[2], groups, matgroups), head[1])
+        spec = sym_power(_interpret(head[2], matgroups), head[1])
     elif op == "explicit":
         name = head[1]
         if name in matgroups:
@@ -764,7 +752,7 @@ def _interpret(form, groups: dict, matgroups: dict) -> ModuleSpec:
             _, rep = builtin_matgroup(name)
         spec = rep.spec
     else:
-        spec = section(_interpret(head[1], groups, matgroups), kw.get("mode", "sub"))
+        spec = section(_interpret(head[1], matgroups), kw.get("mode", "sub"))
     if field is not None:
         if spec.field is not None and not _same_field(spec.field, field):
             raise FieldMismatch(f"GF({spec.field.q}) vs GF({field.q})")
@@ -772,7 +760,7 @@ def _interpret(form, groups: dict, matgroups: dict) -> ModuleSpec:
     return spec
 
 
-def read_module_file(path: str, groups=None, matgroups=None) -> MatRep:
+def read_module_file(path: str, matgroups=None) -> MatRep:
     with open(path) as fh:
-        spec = parse_module_text(fh.read(), groups, matgroups)
+        spec = parse_module_text(fh.read(), matgroups)
     return build_rep(spec)

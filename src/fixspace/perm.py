@@ -23,6 +23,7 @@ building as soon as the chain's orbit lengths multiply to |G|.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm
 from typing import Callable, NamedTuple
 
@@ -422,12 +423,10 @@ class PermGroup:
             out = [apply(g, t) for g in out for t in ts]
         return out
 
-    def conjugacy_classes(self, cap: int = CLASS_CAP) -> tuple:
+    def conjugacy_classes(self) -> tuple:
         """Classes sorted by (element order, size, minimal member)."""
         if self._classes is not None:
             return self._classes
-        if self.order > cap:
-            raise GroupTooLarge(f"group order {self.order} exceeds cap {cap}")
         encode, decode, mul, inv, right, apply = self._codec
         conjugators = [(inv(s), right(s)) for s in map(encode, self.gens)]
         assigned, classes = set(), []
@@ -538,22 +537,20 @@ _BUILTIN_SPECS = {
     "F12": (affine_frobenius_2a, 2),
     "F56": (affine_frobenius_2a, 3),
 }
-_BUILTIN_CACHE = {}
 
 
 def builtin_group_names() -> list:
     return sorted(_BUILTIN_SPECS)
 
 
+@cache
 def builtin_group(name: str) -> PermGroup:
     if name not in _BUILTIN_SPECS:
         raise KeyError(f"unknown builtin group {name!r}; known: {builtin_group_names()}")
-    if name not in _BUILTIN_CACHE:
-        fn, arg = _BUILTIN_SPECS[name]
-        G = fn(arg)
-        G.name = name
-        _BUILTIN_CACHE[name] = G
-    return _BUILTIN_CACHE[name]
+    fn, arg = _BUILTIN_SPECS[name]
+    G = fn(arg)
+    G.name = name
+    return G
 
 
 def parse_group_text(text: str) -> PermGroup:

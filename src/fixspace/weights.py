@@ -17,6 +17,7 @@ between references; this one is fixed and covered by tests.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .ff import (FieldCtx, make_field, multiplicative_generator, poly_divides,
@@ -162,14 +163,9 @@ def _parse_name(name: str):
     return letter, rank
 
 
-_RS_CACHE: dict = {}
-
-
+@cache
 def root_system(name: str) -> RootSystem:
-    key = name.upper()
-    if key not in _RS_CACHE:
-        _RS_CACHE[key] = RootSystem(key)
-    return _RS_CACHE[key]
+    return RootSystem(name.upper())
 
 
 def _check_dominant(rs: RootSystem, lam) -> tuple:

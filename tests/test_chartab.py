@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from fixspace import chartab, perm
 from fixspace.chartab import (NonIntegerResult, character_table, class_algebra,
                               cyclotomic_cofactor, cyclotomic_poly, triple_count)
-from fixspace.ff import make_field
-from fixspace.matrep import embed_matrix_group
-from fixspace.perm import builtin_group, builtin_group_names, pinv, pmul
+from fixspace.perm import (GroupTooLarge, builtin_group, builtin_group_names,
+                           pinv, pmul)
 
 from cyclo import cyc_add, cyc_as_integer, cyc_mul, tuple_triple_count
 
@@ -65,11 +65,15 @@ def test_class_algebra_matches_tuple_loop(name):
     assert class_algebra(G).constants == class_constants_oracle(G)
 
 
-def test_class_algebra_matches_tuple_loop_past_byte_encoding():
-    # SL2(17) on 288 vectors: the codec composes tuples above degree 256
-    G, _ = embed_matrix_group(make_field(17), 2, [[[1, 1], [0, 1]], [[0, 1], [16, 0]]])
-    assert G.degree == 288
-    assert class_algebra(G).constants == class_constants_oracle(G)
+def test_class_algebra_matches_tuple_loop_past_byte_encoding(monkeypatch):
+    # the codec composes tuples above degree 256; hand class_algebra that
+    # branch whatever the degree of the group
+    tuple_codec = perm.bulk_codec(257)
+    monkeypatch.setattr(chartab, "bulk_codec", lambda degree: tuple_codec)
+    for name in builtin_group_names():
+        G = builtin_group(name)
+        if G.order <= 2520:
+            assert class_algebra(G).constants == class_constants_oracle(G), name
 
 
 def test_cyclotomic_polys():
@@ -248,3 +252,24 @@ def test_identity_class_counts():
     for c in range(5):
         assert triple_count(table, 0, c, table.inverse_class[c]) == \
             table.classes[c].size
+
+
+def test_character_table_refuses_groups_past_the_class_cap():
+    with pytest.raises(GroupTooLarge, match="group order 1814400 exceeds cap"):
+        character_table(builtin_group("A10"))
+
+
+def test_character_table_refuses_many_classes_before_the_constants(monkeypatch):
+    # A7 x C20 on 7 + 20 points: 180 classes, refused from the classes
+    # alone (the class multiplication constants took 12 s)
+    A7 = builtin_group("A7")
+    gens = [g + tuple(range(7, 27)) for g in A7.gens]
+    gens.append(tuple(range(7)) + tuple(7 + (i + 1) % 20 for i in range(20)))
+    G = perm.PermGroup(27, gens)
+
+    def refuse(group):
+        raise AssertionError("class constants counted for a table refused anyway")
+
+    monkeypatch.setattr(chartab, "class_algebra", refuse)
+    with pytest.raises(GroupTooLarge, match="180 classes exceed 60"):
+        character_table(G)

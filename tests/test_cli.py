@@ -283,7 +283,10 @@ def test_searches_reject_orders_not_dividing_the_group_order(capsys, no_search, 
     ["triples", "--group", "A6", "--p", "5", "--seed", "1", "--orders", "6,6,6"],
     ["triples", "--group", f"{DATA}/A5.grp", "--p", "2", "--seed", "1",
      "--orders", "3,5,15"],
-], ids=["pair-order-4", "triple-orders-6-6-6", "grp-file-orders-3-5-15"])
+    # |A8| = 20,160 is past the exhaustive cap but within the class cap
+    ["pairs", "--group", "A8", "--p", "5", "--seed", "1", "--order", "12"],
+], ids=["pair-order-4", "triple-orders-6-6-6", "grp-file-orders-3-5-15",
+        "a8-order-12"])
 def test_searches_reject_composite_orders_no_class_has(capsys, no_search, argv):
     # each divides |G| but no element has it; a prime dividing |G| always
     # has an element (Cauchy), so only composite orders are looked up

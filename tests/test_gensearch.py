@@ -120,6 +120,19 @@ def test_exhaustive_matches_random_outcome():
         assert res.verdict == "ExistsWithWitness"
 
 
+def test_exhaustive_refuses_groups_past_its_cap(monkeypatch):
+    # |A8| = 20,160 > 10^4: refused before a character table is built
+    from fixspace import chartab
+    from fixspace.perm import GroupTooLarge
+
+    def refuse(group):
+        raise AssertionError("character table built past the exhaustive cap")
+
+    monkeypatch.setattr(chartab, "character_table", refuse)
+    with pytest.raises(GroupTooLarge, match="order 20160 exceeds exhaustive cap 10000"):
+        exhaustive_triple_search(builtin_group('A8'), 5)
+
+
 def test_exhaustive_accepts_precomputed_table():
     from fixspace.chartab import character_table
     G = builtin_group('A5')

@@ -5,6 +5,7 @@ from fixspace import linalg
 from fixspace.linalg import (SpinBasis, char_poly, kron, mat_mul,
                              mat_vec, nullspace, rank, rref, rref_coords,
                              transpose)
+from fixspace.matrep import spin_span
 from fixspace.rng import SeedStream
 
 
@@ -257,3 +258,46 @@ def test_int_spin_basis_matches_field_loop(p):
                 assert sb.basis() == tuple(tuple(r) for r in after)
             full += len(sb.basis()) == n
     assert full
+
+
+def block_triangular(F, sizes, stream):
+    """A random matrix that keeps the span of the first sizes[0],
+    sizes[0] + sizes[1], ... standard basis vectors."""
+    n = sum(sizes)
+    ends = [sum(sizes[:i + 1]) for i in range(len(sizes))]
+    M = rand_mat(F, n, stream)
+    for j in range(n):
+        end = next(e for e in ends if j < e)
+        for i in range(end, n):
+            M[i][j] = F.zero
+    return M
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (13, 1), (2, 2), (3, 2)])
+def test_restrict_matches_combination_oracle(p, k):
+    # M b_j = sum_i R[i][j] b_i on every spun-up (so invariant) span, and
+    # None on the line of a seed whose spin-up is larger
+    F = make_field(p, k)
+    s = SeedStream(500 + F.q)
+    proper = moved = 0
+    for sizes in ((1, 3), (2, 2, 1), (3, 3)):
+        n = sum(sizes)
+        M = block_triangular(F, sizes, s)
+        for seed in rand_rows(F, 6, n, s, 100) + [[F.one] + [F.zero] * (n - 1)]:
+            rows = [list(b) for b in spin_span(F, [M], [seed])]
+            if not rows:
+                continue
+            pivots = [next(c for c, x in enumerate(b) if x != F.zero) for b in rows]
+            R = linalg.restrict(F, M, rows, pivots)
+            assert len(R) == len(rows) and all(len(r) == len(rows) for r in R)
+            for j, b in enumerate(rows):
+                combo = [F.zero] * n
+                for i, bi in enumerate(rows):
+                    combo = [F.add(x, F.mul(R[i][j], y)) for x, y in zip(combo, bi)]
+                assert list(mat_vec(F, M, b)) == combo
+            proper += len(rows) < n
+            if len(rows) > 1:
+                line, line_pivots = rref(F, [seed])
+                assert linalg.restrict(F, M, line, line_pivots) is None
+                moved += 1
+    assert proper and moved

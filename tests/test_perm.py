@@ -386,3 +386,12 @@ def test_subgroup_order_rejects_non_permutations_by_name():
         G.subgroup_order([(0, 0, 1, 2, 3)])
     with pytest.raises(NotBijection):
         G.subgroup_order([(0, 1, 2, 3, 300)])
+
+
+def test_classes_refuse_groups_past_the_cap():
+    # |A10| = 1,814,400: refused before any element is listed
+    G = builtin_group("A10")
+    assert G.order > perm.CLASS_CAP
+    for query in (G.conjugacy_classes, G.class_index):
+        with pytest.raises(perm.GroupTooLarge, match="exceeds cap 1000000"):
+            query()

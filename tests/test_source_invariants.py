@@ -1,7 +1,8 @@
-"""Static guards for three package-wide invariants: exact arithmetic only
+"""Static guards for four package-wide invariants: exact arithmetic only
 (no float literal, no float() call, no true division), no dependency
 outside the standard library (every absolute import is a stdlib module),
-and no code in the package that only the tests reach."""
+no code in the package that only the tests reach, and memoization through
+functools.cache only (no module-level container that functions fill)."""
 
 import ast
 import sys
@@ -126,3 +127,48 @@ def test_every_definition_is_reached_from_the_package():
             if not reached:
                 unreached.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{name}")
     assert unreached == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add", "pop",
+            "clear"}
+
+
+def module_containers(tree):
+    """Names bound at module level to a dict, list or set display."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, CONTAINERS):
+            out.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def mutated_names(node):
+    """Names that node item-assigns, item-deletes or calls a mutating
+    method on: x[k] = v, x[k] += v, del x[k], x.append(v), ..."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, (ast.Store, ast.Del)) \
+                and isinstance(sub.value, ast.Name):
+            yield sub.value.id
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
+                and sub.func.attr in MUTATORS and isinstance(sub.func.value, ast.Name):
+            yield sub.func.value.id
+
+
+def test_no_module_level_memo_containers():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        containers = module_containers(tree)
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        for fn in functions:
+            for name in set(mutated_names(fn)) & set(containers):
+                found.append(f"{path.name}:{containers[name]} {name}")
+    assert sorted(set(found)) == []
