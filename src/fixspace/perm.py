@@ -18,7 +18,8 @@ strong generators the first time it is read.  That is exactly what an
 eager recompute after every installation would hold, so bases, strong
 generators and transversals do not depend on when levels are read.
 Transversal inverses are computed on first use.  `subgroup_order` stops
-building as soon as the chain's orbit lengths multiply to |G|.
+building as soon as the chain's orbit lengths multiply to |G|;
+`generated_by` builds none when the first base point's orbit is short.
 """
 
 from __future__ import annotations
@@ -410,6 +411,24 @@ class PermGroup:
             if not self.contains(e):
                 raise NotInGroup(f"{format_cycles(e)} is not in the group")
         return PermGroup(self.degree, elems, _stop_at=self.order).order
+
+    def generated_by(self, elems) -> bool:
+        """subgroup_order(elems) == |G| for elements of G, but with no chain
+        built when G's first base point has a shorter orbit under elems
+        than under G: <elems> <= G, so equal groups have equal orbits."""
+        if self._levels:
+            first = self._level(0)
+            orbit = [first.point]
+            seen = set(orbit)
+            for x in orbit:
+                for e in elems:
+                    y = e[x]
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            if len(orbit) < len(first.orbit_list):
+                return False
+        return self.subgroup_order(elems) == self.order
 
     def _all_elements(self) -> list:
         """Every element once, encoded, unsorted: the products of one

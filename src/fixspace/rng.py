@@ -6,7 +6,8 @@ randomization, or thread timing, so the generator is spelled out here
 instead of delegating to random.Random.
 """
 
-MASK64 = (1 << 64) - 1
+_SPAN = 1 << 64
+MASK64 = _SPAN - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -27,20 +28,22 @@ class SeedStream:
         self.seed = (mix64(seed) ^ mix64((stream + 1) * _GOLDEN)) & MASK64
         self._state = self.seed
 
-    def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & MASK64
-        return mix64(self._state)
-
     def randrange(self, n: int) -> int:
-        """Uniform draw from [0, n), unbiased by rejection."""
+        """Uniform draw from [0, n), unbiased by rejection; each try is one
+        SplitMix64 step (golden gamma, then mix64) written out inline."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
         if n == 1:
             return 0
-        limit = (MASK64 + 1) - (MASK64 + 1) % n
+        limit = _SPAN - _SPAN % n
+        z = self._state
         while True:
-            r = self.next64()
+            z = (z + _GOLDEN) & MASK64
+            r = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & MASK64
+            r ^= r >> 31
             if r < limit:
+                self._state = z
                 return r % n
 
     def fork(self, i: int) -> "SeedStream":

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import pytest
 
 from fixspace.gensearch import (NotPrimePower, exhaustive_triple_search,
                                 find_conjugate_pair, find_triple, phi_star,
                                 verify_pair, verify_triple)
-from fixspace.perm import builtin_group, element_order, format_cycles, pmul
+from fixspace.perm import (PermGroup, builtin_group, element_order,
+                           format_cycles, pmul)
 
 
 def phi_star_oracle(n, q):
@@ -59,6 +61,19 @@ def test_find_triple_deterministic():
     assert (a.x, a.y, a.z, a.attempts) == (b.x, b.y, b.z, b.attempts)
 
 
+def test_find_triple_on_abelian_groups_generates_without_warning():
+    # V4 at p = 3 and C5 at p = 2 are generated by one element and its
+    # inverse, so a search on them finds a triple
+    V4 = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    C5 = PermGroup(5, [(1, 2, 3, 4, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for G, p in ((V4, 3), (C5, 2)):
+            cert = find_triple(G, p, seed=1)
+            assert cert.verdict == "Generates"
+            assert cert.subgroup_order_of_xy == G.order
+
+
 def test_find_pair_certificate():
     G = builtin_group('A5')
     cert = find_conjugate_pair(G, 5, seed=1)
@@ -101,7 +116,24 @@ def test_exhaustive_a5_p5_proves_none():
     res = exhaustive_triple_search(builtin_group('A5'), 5)
     assert res.verdict == "ProvedNone"
     assert res.certificate is None
-    assert res.generation_tests >= 0
+    assert res.generation_tests == 80
+
+
+# generation tests each sweep counts before it ends; the orbit test of
+# generated_by settles some of them without a chain, and each still counts
+EXHAUSTIVE_TESTS = [
+    ('S5', 2, "ProvedNone", 113), ('A5', 2, "ExistsWithWitness", 52),
+    ('A5', 3, "ExistsWithWitness", 54), ('S5', 3, "ExistsWithWitness", 97),
+    ('S5', 5, "ExistsWithWitness", 207), ('A6', 3, "ExistsWithWitness", 327),
+    ('A6', 5, "ExistsWithWitness", 405), ('L2_7', 7, "ExistsWithWitness", 233),
+    ('L2_8', 3, "ExistsWithWitness", 329),
+]
+
+
+@pytest.mark.parametrize("name, p, verdict, tests", EXHAUSTIVE_TESTS)
+def test_exhaustive_generation_tests_are_pinned(name, p, verdict, tests):
+    res = exhaustive_triple_search(builtin_group(name), p)
+    assert (res.verdict, res.generation_tests) == (verdict, tests)
 
 
 def test_exhaustive_a5_p2_finds_witness():

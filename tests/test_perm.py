@@ -218,6 +218,69 @@ def test_subgroup_order_matches_brute_force():
     assert seen == {True, False}
 
 
+# x -> x + 1 and x -> -1/x on GF(5) and infinity (point 5): L2(5) = A5 in A6,
+# transitive on the 6 points
+L2_5_GENS = ((1, 2, 3, 4, 0, 5), (5, 4, 2, 3, 1, 0))
+
+
+def generated_by_cases():
+    """(group, elems) pairs: seeded pairs and singletons from every builtin
+    of order <= 10^4, an intransitive group, the trivial group, and A6
+    pairs that generate L2(5) = A5, transitive on the 6 points."""
+    for name in builtin_group_names():
+        G = builtin_group(name)
+        if G.order > 10**4:
+            continue
+        s = SeedStream(31)
+        for _ in range(10):
+            x, y = G.random_element(s), G.random_element(s)
+            yield G, [x, y]
+            yield G, [x]
+    C3xC3 = PermGroup(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)])
+    a, b = C3xC3.gens
+    yield from ((C3xC3, e) for e in ([a, b], [a], [b], [a, pinv(a)], [pmul(a, b), b], []))
+    trivial = PermGroup(1, [(0,)])
+    yield from ((trivial, e) for e in ([], [(0,)]))
+    A6 = builtin_group('A6')
+    t, u = L2_5_GENS
+    s = SeedStream(5)
+    for _ in range(6):
+        h = A6.random_element(s)
+        yield A6, [pconj(t, h), pconj(u, h)]
+    yield A6, []
+
+
+def test_generated_by_matches_subgroup_order(monkeypatch):
+    # the orbit test must never change the answer; count how many cases it
+    # settles alone, so that both the orbit test and the chain are reached
+    built = []
+    subgroup_order = PermGroup.subgroup_order
+
+    def counted(self, elems):
+        built.append(len(elems))
+        return subgroup_order(self, elems)
+
+    cases = list(generated_by_cases())
+    want = [G.subgroup_order(e) == G.order for G, e in cases]
+    monkeypatch.setattr(PermGroup, "subgroup_order", counted)
+    got = [G.generated_by(e) for G, e in cases]
+    assert got == want
+    assert True in want and False in want
+    orbit_only = len(cases) - len(built)
+    assert 0 < orbit_only
+    assert sum(not w for w in want) > orbit_only   # some False needs the chain
+
+
+def test_generated_by_leaves_l2_5_to_the_chain():
+    # L2(5) moves point 0 round all 6 points, like A6: only the chain sees
+    # that it is proper
+    A6 = builtin_group('A6')
+    t, u = L2_5_GENS
+    assert A6.subgroup_order([t, u]) == 60
+    assert len(A6._levels[0].orbit_list) == 6
+    assert not A6.generated_by([t, u])
+
+
 # SHA-256 prefixes of (base points, installed strong generators decoded to
 # image tuples, orbit lists) and the first 50 random elements from
 # SeedStream(1); any change to the chain construction that moves a base, a

@@ -11,6 +11,33 @@ def _mix_reference(z):
     return z ^ (z >> 31)
 
 
+def raw(stream):
+    # a bound of 2^64 never rejects, so the draw is the raw 64-bit output
+    return stream.randrange(1 << 64)
+
+
+class ReferenceStream:
+    """SplitMix64 spelled out step by step: next64 advances the state and
+    scrambles it, and randrange rejects the top of [0, 2^64) that n does
+    not divide."""
+
+    def __init__(self, state):
+        self._state = state
+
+    def next64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
+        return _mix_reference(self._state)
+
+    def randrange(self, n):
+        if n == 1:
+            return 0
+        limit = 2**64 - 2**64 % n
+        while True:
+            r = self.next64()
+            if r < limit:
+                return r % n
+
+
 def test_mix64_matches_reference():
     for z in [0, 1, 2, 2**31, 2**63, MASK64, 123456789, 0xDEADBEEF]:
         assert mix64(z) == _mix_reference(z)
@@ -24,30 +51,30 @@ def test_mix64_is_injective_on_sample():
 def test_stream_deterministic():
     a = SeedStream(42)
     b = SeedStream(42)
-    assert [a.next64() for _ in range(20)] == [b.next64() for _ in range(20)]
+    assert [raw(a) for _ in range(20)] == [raw(b) for _ in range(20)]
 
 
 def test_distinct_seeds_distinct_sequences():
-    a = [SeedStream(1).next64() for _ in range(4)]
-    b = [SeedStream(2).next64() for _ in range(4)]
+    a = [raw(SeedStream(1)) for _ in range(4)]
+    b = [raw(SeedStream(2)) for _ in range(4)]
     assert a != b
 
 
 def test_fork_disjoint_from_parent_and_siblings():
     parent = SeedStream(7)
     kids = [parent.fork(i) for i in range(8)]
-    seqs = [tuple(k.next64() for _ in range(8)) for k in kids]
+    seqs = [tuple(raw(k) for _ in range(8)) for k in kids]
     assert len(set(seqs)) == 8
-    parent_seq = tuple(parent.next64() for _ in range(8))
+    parent_seq = tuple(raw(parent) for _ in range(8))
     assert parent_seq not in seqs
 
 
 def test_fork_depends_only_on_seed_not_position():
     # forking never consumes parent state
     p1 = SeedStream(9)
-    p1.next64()
+    raw(p1)
     p2 = SeedStream(9)
-    assert p1.fork(3).next64() == p2.fork(3).next64()
+    assert raw(p1.fork(3)) == raw(p2.fork(3))
 
 
 def test_randrange_bounds_and_determinism():
@@ -78,3 +105,20 @@ def test_randrange_large_bound():
     n = 2**62
     vals = [s.randrange(n) for _ in range(50)]
     assert all(0 <= v < n for v in vals)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 360, 2**62, 2**63 + 1, 2**64])
+def test_randrange_matches_reference_stream(n):
+    # 2^63 + 1 rejects about half the raw outputs, so the retry loop runs
+    for seed in (1, 7919):
+        s = SeedStream(seed, stream=3)
+        ref = ReferenceStream(s._state)
+        assert [s.randrange(n) for _ in range(2000)] == [ref.randrange(n) for _ in range(2000)]
+        assert s._state == ref._state
+
+
+def test_reference_stream_rejects_at_half_bound():
+    # the 2^63 + 1 case above only tests the retry loop if draws are rejected
+    ref = ReferenceStream(SeedStream(1)._state)
+    limit = 2**64 - 2**64 % (2**63 + 1)
+    assert sum(ref.next64() >= limit for _ in range(2000)) > 800
