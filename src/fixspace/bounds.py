@@ -6,9 +6,9 @@ dimensions of semisimple elements, strict or non-strict exactly as stated.
 The catalog rows pin the families where the bounds are known to be sharp.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .ff import is_prime, make_field, multiplicative_order
 from .linalg import rank
@@ -61,8 +61,7 @@ def min_semisimple_fixdim(rep: MatRep, p: int = None):
     return best
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     clause: str
     applicable: bool
     threshold: Fraction
@@ -72,8 +71,7 @@ class ClauseResult:
     witness_dim: int = -1
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     dim: int
     p: int
     group_order: int
@@ -162,8 +160,7 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
 # two-generator fixed-space inequality ------------------------------------
 
 
-@dataclass(frozen=True)
-class ScottReport:
+class ScottReport(NamedTuple):
     lhs: int
     rhs: int
     fixed_x: int
@@ -183,36 +180,48 @@ def scott_check(rep: MatRep, x, y) -> ScottReport:
     """
     if not (rep.group.contains(x) and rep.group.contains(y)):
         raise NotInGroup("element is outside the represented group")
-    return _scott(rep, x, y)
+    return _scott(rep, x, y, {})
 
 
-def _scott(rep: MatRep, x, y) -> ScottReport:
+def _shifted(rep: MatRep, g) -> tuple:
+    """image(g) - 1 and its nullity, the fixed dimension of g."""
+    M = minus_one(rep.field, rep.image(g))
+    return M, rep.dim - rank(rep.field, M)
+
+
+def _scott(rep: MatRep, x, y, memo: dict) -> ScottReport:
     """scott_check on known group elements. With X, Y, Z the images of x,
     y, (xy)^-1 minus 1, each number is n minus a rank: of X, Y, Z; of X
     stacked on Y, whose kernel <x, y> fixes; of X beside Y, whose left
-    kernel <x, y> fixes on the dual, as (X^-1)^T v = v iff (X - 1)^T v = 0."""
+    kernel <x, y> fixes on the dual, as (X^-1)^T v = v iff (X - 1)^T v = 0.
+    A memo maps each element to its _shifted pair and fills as it goes."""
     F, n = rep.field, rep.dim
-    X, Y, Z = (minus_one(F, rep.image(g)) for g in (x, y, pinv(pmul(x, y))))
-    dx, dy, dz = (n - rank(F, M) for M in (X, Y, Z))
+    elems = (x, y, pinv(pmul(x, y)))
+    for g in elems:
+        if g not in memo:
+            memo[g] = _shifted(rep, g)
+    (X, dx), (Y, dy), (_, dz) = (memo[g] for g in elems)
     inv = n - rank(F, X + Y)
     dinv = n - rank(F, [a + b for a, b in zip(X, Y)])
     lhs, rhs = dx + dy + dz, n + inv + dinv
     return ScottReport(lhs, rhs, dx, dy, dz, n, inv, dinv, lhs <= rhs)
 
 
-@dataclass(frozen=True)
-class ScottSuiteReport:
+class ScottSuiteReport(NamedTuple):
     checked: int
     violations: tuple
 
 
 def scott_suite(rep: MatRep, pairs: int = 1000, seed: int = 1) -> ScottSuiteReport:
+    """Scott's inequality on `pairs` seeded random pairs, with one memo for
+    this call only, so each drawn element is imaged once."""
     stream = SeedStream(seed)
+    memo = {}
     violations = []
     for _ in range(pairs):
         x = rep.group.random_element(stream)
         y = rep.group.random_element(stream)
-        if not _scott(rep, x, y).holds:
+        if not _scott(rep, x, y, memo).holds:
             violations.append((x, y))
     return ScottSuiteReport(pairs, tuple(violations))
 
@@ -239,8 +248,7 @@ def _irreducible_section(spec, F, target_dim: int) -> MatRep:
     raise AssertionError(f"no irreducible section of dimension {target_dim}")
 
 
-@dataclass(frozen=True)
-class AdjointSectionReport:
+class AdjointSectionReport(NamedTuple):
     p: int
     ambient_dim: int
     section_dim: int
@@ -280,8 +288,7 @@ def sl_p_adjoint_check() -> AdjointSectionReport:
 # free action of an order-3 subgroup of the extraspecial group -------------
 
 
-@dataclass(frozen=True)
-class FreeActionReport:
+class FreeActionReport(NamedTuple):
     dim: int
     subgroup_order: int
     element_orders: tuple
@@ -308,8 +315,7 @@ def extraspecial_free_check() -> FreeActionReport:
 # regression catalog --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     ident: str
     group_name: str
     construction: str

@@ -16,8 +16,8 @@ v Psi_e = c Psi_e (mod z^e - 1), where Psi_e = (z^e - 1) / Phi_e.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import ff, linalg
 from .perm import GroupTooLarge, PermGroup, bulk_codec, pinv, ppow
@@ -75,8 +75,7 @@ def cyclotomic_cofactor(n: int) -> tuple:
 # class algebra ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassAlgebra:
+class ClassAlgebra(NamedTuple):
     group: PermGroup
     classes: tuple
     constants: tuple   # constants[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}
@@ -105,8 +104,7 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
 MAX_CLASSES = 60   # most classes character_table takes
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple):
     group: PermGroup
     classes: tuple
     exponent: int

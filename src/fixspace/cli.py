@@ -315,8 +315,8 @@ def eval_phi(n: int, q: int) -> Result:
 
 
 def _report(rep) -> Result:
-    """A worked example's report dataclass as records, one per field."""
-    return Result([], list(vars(rep).items()))
+    """A worked example's report record as records, one per field."""
+    return Result([], list(rep._asdict().items()))
 
 
 def eval_semisimple_fixdims(module: str, p: int, base: str = "") -> Result:

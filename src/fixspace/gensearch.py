@@ -8,7 +8,7 @@ with the full subgroup_order before it is handed back.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chartab
 from .ff import prime_power
@@ -27,8 +27,7 @@ class Overflow(OverflowError):
     pass
 
 
-@dataclass(frozen=True)
-class TripleCertificate:
+class TripleCertificate(NamedTuple):
     x: tuple
     y: tuple
     z: tuple
@@ -39,8 +38,7 @@ class TripleCertificate:
     attempts: int
 
 
-@dataclass(frozen=True)
-class PairCertificate:
+class PairCertificate(NamedTuple):
     x: tuple
     h: tuple
     y: tuple              # x conjugated by h
@@ -51,8 +49,7 @@ class PairCertificate:
     attempts: int
 
 
-@dataclass(frozen=True)
-class ExhaustiveResult:
+class ExhaustiveResult(NamedTuple):
     verdict: str          # "ExistsWithWitness" or "ProvedNone"
     certificate: object
     generation_tests: int

@@ -16,8 +16,8 @@ reducible; the dimension n - 2 heart is then reached via section().
 
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 from . import ff, linalg
 from .ff import FieldCtx
@@ -56,8 +56,7 @@ class Inconclusive(RuntimeError):
 # recipe AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(NamedTuple):
     kind: str
     children: tuple = ()
     group: object = None
@@ -301,13 +300,13 @@ def build_rep(spec: ModuleSpec, field: FieldCtx = None) -> MatRep:
 def _resolve_sections(node: ModuleSpec, F: FieldCtx) -> ModuleSpec:
     children = tuple(_resolve_sections(c, F) for c in node.children)
     if children != node.children:
-        node = replace(node, children=children)
+        node = node._replace(children=children)
     if node.kind == "section" and node.basis is None:
         parent = MatRep(node.children[0], F)
         verdict = is_irreducible(parent, SeedStream(1))
         if verdict.irreducible:
             raise IllTyped("section of an irreducible module")
-        node = replace(node, basis=verdict.submodule)
+        node = node._replace(basis=verdict.submodule)
     return node
 
 
@@ -334,8 +333,7 @@ def fixed_space_dim(rep: MatRep, g: tuple) -> int:
     return linalg.nullity(rep.field, minus_one(rep.field, rep.image(g)))
 
 
-@dataclass(frozen=True)
-class EigenProfile:
+class EigenProfile(NamedTuple):
     parts: tuple            # (squarefree part degree, multiplicity), ascending mult
     max_eigenspace_dim: int
     fixed_dim: int          # multiplicity of the eigenvalue 1
@@ -386,8 +384,7 @@ def _joint_fixed(rep: MatRep, elems, image) -> int:
 # irreducibility -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrredResult:
+class IrredResult(NamedTuple):
     irreducible: bool
     submodule: tuple = None   # proper invariant subspace basis when reducible
     witness: tuple = None     # singular group-algebra element when irreducible
@@ -756,7 +753,7 @@ def _interpret(form, matgroups: dict) -> ModuleSpec:
     if field is not None:
         if spec.field is not None and not _same_field(spec.field, field):
             raise FieldMismatch(f"GF({spec.field.q}) vs GF({field.q})")
-        spec = replace(spec, field=field)
+        spec = spec._replace(field=field)
     return spec
 
 

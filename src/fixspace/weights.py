@@ -16,9 +16,9 @@ the SHORT simple root, so weyl_dim(G2, (1, 0)) = 7.  Conventions differ
 between references; this one is fixed and covered by tests.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .ff import (FieldCtx, make_field, multiplicative_generator, poly_divides,
                  poly_mul, prime_power)
@@ -194,8 +194,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(NamedTuple):
     """Weights of an irreducible highest-weight module.
 
     `entries` lists (weight in fundamental coordinates, multiplicity),
@@ -348,8 +347,7 @@ def _tensor(a: WeightMultiset, b: WeightMultiset) -> WeightMultiset:
     return WeightMultiset(a.system, a.rank, tuple(sorted(acc.items())))
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Outcome of a character divisibility check.
 
     verdict is "holds", "NotApplicable", or "Unresolved".  The check
@@ -429,8 +427,7 @@ def check_sym_divisibility(n: int, s: int, samples, F: FieldCtx) -> Divisibility
 # eigenvalue separation on a torus of order q + 1 ------------------------
 
 
-@dataclass(frozen=True)
-class EigenvalueReport:
+class EigenvalueReport(NamedTuple):
     """Whether the weight values s, s-2, ..., -s stay distinct at an
     element of order q + 1.
 

@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from fixspace import bounds
 from fixspace.bounds import (NotIrreducible, ScottReport, catalog,
                              check_bound_theorems, extraspecial_free_check,
                              min_semisimple_fixdim, scott_check, scott_suite,
                              sl3_adjoint_heart, sl_p_adjoint_check)
 from fixspace.ff import make_field
 from fixspace.linalg import mat_vec
-from fixspace.matrep import (build_rep, builtin_matgroup, deleted,
+from fixspace.matrep import (MatRep, build_rep, builtin_matgroup, deleted,
                              embed_matrix_group, fixed_space_dim,
                              frobenius_twist, is_irreducible, module_dual_fixed_dim,
-                             module_fixed_dim, perm_module, tensor)
+                             module_fixed_dim, perm_module, sym_power, tensor)
 from fixspace.perm import NotInGroup, builtin_group, pinv, pmul, ppow
 from fixspace.rng import SeedStream
 
@@ -225,6 +226,67 @@ def test_scott_check_rejects_elements_outside_the_group():
         scott_check(rep, odd, inside)
     with pytest.raises(NotInGroup):
         scott_check(rep, inside, odd)
+
+
+# scott_suite's per-call memo against checks that image every element ----
+
+
+def suite_reports(monkeypatch, rep, pairs, seed):
+    """scott_suite's report, each per-pair (x, y, ScottReport) it computed,
+    and how many images it took."""
+    seen = []
+    images = [0]
+    scott, image = bounds._scott, MatRep.image
+
+    def spy(rep, x, y, memo):
+        report = scott(rep, x, y, memo)
+        seen.append((x, y, report))
+        return report
+
+    def counted(self, g):
+        images[0] += 1
+        return image(self, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_scott", spy)
+        m.setattr(MatRep, "image", counted)
+        suite = scott_suite(rep, pairs=pairs, seed=seed)
+    return suite, seen, images[0]
+
+
+def memo_cases():
+    """name -> (rep, pairs): three suites that draw most of G, and deleted
+    A6 over GF(5) with |G| = 360 > 3 * 50, where repeats are rare."""
+    _, nat = builtin_matgroup("SL2_5")
+    a5_gf4, _, sl2_9 = extension_field_modules()
+    return {"sym2-sl2_5-gf5": (build_rep(sym_power(nat.spec, 2), nat.field), 200),
+            "deleted-a5-gf4": (a5_gf4, 40),
+            "sl2_9-natural-twist-gf9": (sl2_9, 250),
+            "deleted-a6-gf5-few-repeats": (deleted_rep("A6", 5), 50)}
+
+
+@pytest.mark.parametrize("name", ["sym2-sl2_5-gf5", "deleted-a5-gf4",
+                                  "sl2_9-natural-twist-gf9", "deleted-a6-gf5-few-repeats"])
+def test_scott_suite_memo_matches_scott_check(monkeypatch, name):
+    rep, pairs = memo_cases()[name]
+    suite, seen, images = suite_reports(monkeypatch, rep, pairs, seed=5)
+    assert len(seen) == pairs and suite.checked == pairs
+    for x, y, report in seen:
+        assert report == old_scott(rep, x, y) == scott_check(rep, x, y), (x, y)
+    assert suite.violations == tuple((x, y) for x, y, r in seen if not r.holds)
+    # one image per distinct element, however often the suite draws it
+    distinct = {g for x, y, _ in seen for g in (x, y, pinv(pmul(x, y)))}
+    assert images == len(distinct) < 3 * pairs
+
+
+def test_scott_suite_memo_lives_for_one_call(monkeypatch):
+    rep, pairs = memo_cases()["deleted-a5-gf4"]
+    keys = set(rep.__dict__)
+    first = suite_reports(monkeypatch, rep, pairs, seed=3)
+    second = suite_reports(monkeypatch, rep, pairs, seed=3)
+    assert first[0] == second[0] and first[1] == second[1]
+    assert first[2] == second[2] < 3 * pairs
+    assert set(rep.__dict__) == keys
 
 
 def test_sl3_adjoint_heart_dimensions():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -225,7 +224,7 @@ def test_triple_count_rejects_rotated_value(power):
     shift = 1 if power == "z" else e // 5
     rotated = list(table.values[0])
     rotated[cls] = vec[-shift:] + vec[:-shift]
-    bad = dataclasses.replace(table, values=(tuple(rotated),) + table.values[1:])
+    bad = table._replace(values=(tuple(rotated),) + table.values[1:])
     triple = (0, cls, table.inverse_class[cls])
     with pytest.raises(NonIntegerResult, match="rational integer"):
         tuple_triple_count(bad, *triple)

@@ -1,10 +1,13 @@
-"""Static guards for four package-wide invariants: exact arithmetic only
-(no float literal, no float() call, no true division), no dependency
-outside the standard library (every absolute import is a stdlib module),
-no code in the package that only the tests reach, and memoization through
-functools.cache only (no module-level container that functions fill)."""
+"""Guards for five package-wide invariants: exact arithmetic only (no
+float literal, no float() call, no true division), no dependency outside
+the standard library (every absolute import is a stdlib module), no code
+in the package that only the tests reach, memoization through
+functools.cache only (no module-level container that functions fill), and
+a cold import of the command line that loads neither dataclasses nor
+inspect."""
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -65,7 +68,7 @@ def mentions(tree):
 
 def data_attributes(trees):
     """Names that some object carries as data: assigned as an attribute
-    (self.dim = ...) or declared in a class body (dataclass fields)."""
+    (self.dim = ...) or declared in a class body (record fields)."""
     out = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -172,3 +175,22 @@ def test_no_module_level_memo_containers():
             for name in set(mutated_names(fn)) & set(containers):
                 found.append(f"{path.name}:{containers[name]} {name}")
     assert sorted(set(found)) == []
+
+
+def test_cold_cli_import_skips_dataclasses_and_inspect():
+    """Result records are NamedTuples: importing the command line in a
+    fresh interpreter without site loads neither module."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fixspace.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_dataclasses_import():
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []
