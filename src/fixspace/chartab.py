@@ -5,8 +5,12 @@ l = 1 (mod exponent) and l^2 > 4|G|^3, then lifted to dense integer
 vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity: the
 entry at z^m of a value is the multiplicity of the eigenvalue z^m.
 Every table is built from its group on each call; nothing is stored
-between runs. Most of a build is the class multiplication constants,
-which compose permutations with perm.bulk_codec one class at a time.
+between runs. Up to A7, two thirds or more of a build is the split into
+eigenspaces of the class matrices over GF(l). At A8 (20,160 elements)
+about two thirds is the class multiplication constants, which compose
+permutations with perm.bulk_codec one class at a time and look up the
+class of each product under its encoding. The lift reads every power
+of z from one table of z^i mod l.
 
 Frobenius-style triple counting over conjugacy classes lives here too,
 driven entirely by the lifted table. It packs each vector into one
@@ -16,6 +20,7 @@ v Psi_e = c Psi_e (mod z^e - 1), where Psi_e = (z^e - 1) / Phi_e.
 """
 
 import math
+import operator
 from functools import cache
 from typing import NamedTuple
 
@@ -86,7 +91,9 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
     index = group.class_index()
     r = len(classes)
     codec = bulk_codec(group.degree)
-    encode, decode, apply = codec.encode, codec.decode, codec.apply
+    encode, apply = codec.encode, codec.apply
+    # the class of each element under its encoding: no product is decoded
+    where = {encode(m): i for i, c in enumerate(classes) for m in c.members}
     reps = [codec.right(encode(c.rep)) for c in classes]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
@@ -95,7 +102,7 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
         row = a[i]
         for k, z in enumerate(reps):
             for w in inverses:
-                row[index[decode(apply(w, z))]][k] += 1
+                row[where[apply(w, z)]][k] += 1
     return ClassAlgebra(group, classes, tuple(tuple(tuple(v) for v in m) for m in a))
 
 
@@ -154,28 +161,32 @@ def character_table(group: PermGroup) -> CharTable:
         rows_mod.append(tuple(d * v[j] * inv_size[j] % l for j in range(r)))
 
     z = pow(ff.multiplicative_generator(F), (l - 1) // e, l)
-    power_class = [
-        [index[ppow(classes[j].rep, t)] for t in range(classes[j].element_order)]
-        for j in range(r)
-    ]
+    zpow = [1] * e
+    for i in range(1, e):
+        zpow[i] = zpow[i - 1] * z % l
+    # per class of order o: its power classes, e/o, 1/o mod l, and the
+    # rows zo^(-m t) (m, t < o) for zo = z^(e/o)
+    lifts = []
+    for c in classes:
+        o = c.element_order
+        step = e // o
+        lifts.append(([index[ppow(c.rep, t)] for t in range(o)], step, pow(o, -1, l),
+                      [[zpow[(-m * t) % o * step] for t in range(o)] for m in range(o)]))
     rows_cyc = []
     for chi, d in enumerate(degrees):
+        values = rows_mod[chi]
         row = []
-        for j in range(r):
-            o = classes[j].element_order
-            zo = pow(z, e // o, l)
-            inv_o = pow(o, -1, l)
+        for j, (power_class, step, inv_o, twiddles) in enumerate(lifts):
+            powers = [values[c] for c in power_class]
             vec = [0] * e
-            for m in range(o):
-                acc = 0
-                for t in range(o):
-                    acc += rows_mod[chi][power_class[j][t]] * pow(zo, (-m * t) % o, l)
-                n_m = acc * inv_o % l
+            check = 0
+            for m, tw in enumerate(twiddles):
+                n_m = sum(map(operator.mul, powers, tw)) * inv_o % l
                 if n_m > d:
                     raise LiftFailure(f"eigenvalue multiplicity {n_m} exceeds degree {d}")
-                vec[m * (e // o)] = n_m
-            check = sum(c * pow(z, i, l) for i, c in enumerate(vec)) % l
-            if check != rows_mod[chi][j]:
+                vec[m * step] = n_m
+                check += n_m * zpow[m * step]
+            if check % l != values[j]:
                 raise LiftFailure("lifted value does not reduce to the modular value")
             row.append(tuple(vec))
         rows_cyc.append(tuple(row))

@@ -9,6 +9,13 @@ The canonical modulus of GF(p^k) is the monic irreducible of degree k
 whose coefficient vector (constant term first) reads as the smallest
 base-p integer.  Fields built twice therefore agree element for element.
 
+Over a prime field, poly_mul and poly_divmod run on plain ints, with one
+reduction mod p per output coefficient (the _*_mod helpers); everything
+built on them (poly_mod, poly_gcd, poly_pow_mod, poly_roots, the
+squarefree decomposition) goes through them. The loop over FieldCtx
+operations (the _*_field helpers) is the only GF(p^k) path for k > 1 and
+the reference the tests hold the int path to.
+
 There is no general factorization here: squarefree decomposition plus
 root extraction cover every need in this package.
 """
@@ -309,6 +316,22 @@ def poly_scale(F: FieldCtx, f, s) -> tuple:
 def poly_mul(F: FieldCtx, a, b) -> tuple:
     if not a or not b:
         return ()
+    if F.k == 1:
+        return _poly_mul_mod(F.p, a, b)
+    return _poly_mul_field(F, a, b)
+
+
+def _poly_mul_mod(p: int, a, b) -> tuple:
+    # integer convolution, one reduction per output coefficient
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _strip([c % p for c in out])
+
+
+def _poly_mul_field(F: FieldCtx, a, b) -> tuple:
     out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if F.is_zero(x):
@@ -323,6 +346,29 @@ def poly_divmod(F: FieldCtx, a, b) -> tuple:
         raise DivisorZero("polynomial division by zero")
     if len(a) < len(b):
         return (), a
+    if F.k == 1:
+        return _poly_divmod_mod(F.p, a, b)
+    return _poly_divmod_field(F, a, b)
+
+
+def _poly_divmod_mod(p: int, a, b) -> tuple:
+    # the remainder stays unreduced until a coefficient is read
+    rem = list(a)
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c:
+            q = c * lead_inv % p
+            lo = i - db
+            quo[lo] = q
+            for j in range(db):
+                rem[lo + j] -= q * b[j]
+    return _strip(quo), _strip([c % p for c in rem[:db]])
+
+
+def _poly_divmod_field(F: FieldCtx, a, b) -> tuple:
     rem = list(a)
     db = len(b) - 1
     lead_inv = F.inv(b[-1])
@@ -336,6 +382,13 @@ def poly_divmod(F: FieldCtx, a, b) -> tuple:
         for j in range(db + 1):
             rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, b[j]))
     return poly_norm(F, quo), poly_norm(F, rem)
+
+
+def _strip(coeffs: list) -> tuple:
+    """Residues without their trailing zeros, as a polynomial."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def poly_mod(F: FieldCtx, a, b) -> tuple:
@@ -359,8 +412,11 @@ def poly_gcd(F: FieldCtx, a, b) -> tuple:
 
 
 def poly_pow_mod(F: FieldCtx, a, e: int, m) -> tuple:
-    acc = (F.one,)
+    """a^e mod m for e >= 0; a^0 is 1 mod m, so () when m is a constant."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     base = poly_mod(F, a, m)
+    acc = (F.one,) if poly_deg(m) > 0 else ()
     while e:
         if e & 1:
             acc = poly_mod(F, poly_mul(F, acc, base), m)

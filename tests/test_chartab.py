@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -66,13 +67,35 @@ def test_class_algebra_matches_tuple_loop(name):
 
 def test_class_algebra_matches_tuple_loop_past_byte_encoding(monkeypatch):
     # the codec composes tuples above degree 256; hand class_algebra that
-    # branch whatever the degree of the group
+    # branch whatever the degree of the group, where the class lookup is
+    # keyed by image tuples instead of bytes
+    groups = [builtin_group(name) for name in builtin_group_names()]
+    groups = [G for G in groups if G.order <= 2520]
+    byte_tables = [character_table(G) for G in groups]
     tuple_codec = perm.bulk_codec(257)
     monkeypatch.setattr(chartab, "bulk_codec", lambda degree: tuple_codec)
-    for name in builtin_group_names():
-        G = builtin_group(name)
-        if G.order <= 2520:
-            assert class_algebra(G).constants == class_constants_oracle(G), name
+    for G, table in zip(groups, byte_tables):
+        assert class_algebra(G).constants == class_constants_oracle(G), G
+        assert character_table(G) == table, G
+
+
+# SHA-256 of repr((exponent, modulus, degrees, values)): a faster build
+# must reproduce every table exactly, row order and Dixon prime included
+TABLE_DIGESTS = {
+    'A5': 'dd150ed70ae91dc324bb5e29584f3c437c5b6b37e015692fc54d15bdc068c578',
+    'S5': 'a78ef7b9f2fa53d0509e966fd94247115513794af071bac5366a3cfeb7384c33',
+    'A6': '3203e325cf843d4e79b8ed3629c2529049cf8a3d7f73478e6bab376dfae80a47',
+    'L2_7': '1078541806d0a61f4028c98926a810618231d95b5db18957b7553d863897f654',
+    'L2_8': 'f3e087fdaf686cb03c879f58cd6fdbc54f9c485a541e1b20f4bc1b40f6ab720b',
+    'A7': 'afb1f0b6ec889a1fde75ec9dc1271a6da1358484d1674e1eb1c727a2144ea88a',
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_character_table_digest(name):
+    t = character_table(builtin_group(name))
+    blob = repr((t.exponent, t.modulus, t.degrees, t.values)).encode()
+    assert hashlib.sha256(blob).hexdigest() == TABLE_DIGESTS[name]
 
 
 def test_cyclotomic_polys():

@@ -1,12 +1,13 @@
 import math
+import random
 
 import pytest
 
-from fixspace import ff
+from fixspace import chartab, ff
 from fixspace.ff import (DegreeOutOfRange, DivisorZero, NotPrime, make_field,
                          poly_add, poly_deriv, poly_divides, poly_divmod,
                          poly_eval, poly_gcd, poly_is_irreducible, poly_mul,
-                         poly_roots, root_multiplicity,
+                         poly_pow_mod, poly_roots, poly_x, root_multiplicity,
                          squarefree_decomposition)
 
 
@@ -231,3 +232,75 @@ def test_multiplicative_order_matches_loop():
             while pow(a, k, n) != 1 % n:
                 k += 1
             assert ff.multiplicative_order(a, n) == k, (a, n)
+
+
+def test_poly_pow_mod_rejects_negative_exponent():
+    F = make_field(7)
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly_pow_mod(F, poly_x(F), -1, (1, 0, 1))
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_poly_pow_mod_is_reduced_for_every_exponent(q):
+    # modulo a nonzero constant every power is 0, a^0 included
+    F = make_field(*ff.prime_power(q))
+    unit = F.element(3)
+    assert poly_pow_mod(F, poly_x(F), 0, (unit,)) == ()
+    assert poly_pow_mod(F, poly_x(F), 5, (unit,)) == ()
+    m = (F.one, F.zero, F.one)
+    assert poly_pow_mod(F, poly_x(F), 0, m) == (F.one,)
+    assert poly_pow_mod(F, poly_x(F), 2, m) == (F.neg(F.one),)
+
+
+# prime fields the int path serves: the smallest ones and the Dixon prime
+# of a group of order 2520 and exponent 420
+ORACLE_PRIMES = [2, 3, 7, chartab._dixon_prime(2520, 420)]
+
+
+def oracle_polys(p, rng):
+    """The zero polynomial, constants, and seeded polynomials of degree up
+    to 7 whose leading coefficient is any nonzero residue."""
+    polys = [(), (1,), (p - 1,), (rng.randrange(1, p),)]
+    for _ in range(24):
+        deg = rng.randrange(1, 8)
+        polys.append(tuple(rng.randrange(p) for _ in range(deg)) + (rng.randrange(1, p),))
+    return polys
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_prime_field_int_path_matches_field_loop(p, monkeypatch):
+    F = make_field(p)
+    rng = random.Random(p)
+    polys = oracle_polys(p, rng)
+    if p > 2:
+        assert any(len(b) > 1 and b[-1] != 1 for b in polys)
+    pairs = [(a, b) for a in polys for b in polys[::3]]
+    exponents = [0, 1, 2, p, p * p + 3, rng.randrange(2, 2 * p)]
+
+    def results():
+        out = []
+        for a, b in pairs:
+            out.append(poly_mul(F, a, b))
+            out.append(poly_gcd(F, a, b))
+            if b:
+                out.append(poly_divmod(F, a, b))
+                out += [poly_pow_mod(F, a, e, b) for e in exponents]
+        return out
+
+    ints = results()
+    # the reference: every prime-field product and division on the FieldCtx loop
+    monkeypatch.setattr(ff, "_poly_mul_mod", lambda _, a, b: ff._poly_mul_field(F, a, b))
+    monkeypatch.setattr(ff, "_poly_divmod_mod", lambda _, a, b: ff._poly_divmod_field(F, a, b))
+    assert results() == ints
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_poly_roots_of_distinct_linear_factors(p):
+    F = make_field(p)
+    rng = random.Random(p)
+    for _ in range(6):
+        roots = rng.sample(range(p), min(p, rng.randrange(1, 9)))
+        f = (rng.randrange(1, p),)
+        for r in roots:
+            f = poly_mul(F, f, ((-r) % p, 1))
+        assert poly_roots(F, f) == sorted(roots)
