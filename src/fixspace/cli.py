@@ -326,20 +326,23 @@ def eval_semisimple_fixdims(module: str, p: int, base: str = "") -> Result:
     return Result([], [("fixed_dims", dims)])
 
 
+# the divisibility examples test this many torus points, drawn from this seed
+DIVISIBILITY_SAMPLES = 25
+DIVISIBILITY_SEED = 1
+
+
 def eval_twist_divisibility(system: str, weight0: str, weight1: str, p: int,
-                            ext: int = 2, samples: int = 25,
-                            sample_seed: int = 1) -> Result:
+                            ext: int = 2) -> Result:
     rs = wt.root_system(system)
     F = make_field(p, ext)
-    points = wt.torus_sample_set(F, rs.rank, samples, seed=sample_seed)
+    points = wt.torus_sample_set(F, rs.rank, DIVISIBILITY_SAMPLES, seed=DIVISIBILITY_SEED)
     return _report(wt.check_twist_divisibility(
         rs, _ints(weight0), _ints(weight1), p, points, F))
 
 
-def eval_sym_divisibility(n: int, s: int, p: int, samples: int = 25,
-                          sample_seed: int = 1) -> Result:
+def eval_sym_divisibility(n: int, s: int, p: int) -> Result:
     F = make_field(p)
-    points = wt.torus_sample_set(F, n - 1, samples, seed=sample_seed)
+    points = wt.torus_sample_set(F, n - 1, DIVISIBILITY_SAMPLES, seed=DIVISIBILITY_SEED)
     return _report(wt.check_sym_divisibility(n, s, points, F))
 
 
@@ -347,7 +350,11 @@ def eval_sym_divisibility(n: int, s: int, p: int, samples: int = 25,
 
 
 def parse_manifest(text: str) -> list:
+    """Claims as dicts of their keys plus `id` and `_line` (the header's
+    line). A key the claim's kind does not read, a repeated key and an
+    unknown `check` raise ManifestParse at the line that carries them."""
     claims = []
+    sections = []   # per claim: header id, header line, key -> the line that sets it
     seen = set()
     cur = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -363,27 +370,40 @@ def parse_manifest(text: str) -> list:
             seen.add(ident)
             cur = {"id": ident, "_line": lineno}
             claims.append(cur)
+            sections.append((ident, lineno, {}))
         elif "=" in line:
             if cur is None:
                 raise ManifestParse(lineno, "key outside any [claim] section")
-            key, value = line.split("=", 1)
-            cur[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in sections[-1][2]:
+                raise ManifestParse(lineno, f"claim {sections[-1][0]!r} repeats key {key!r}")
+            sections[-1][2][key] = lineno
+            cur[key] = value
         else:
             raise ManifestParse(lineno, f"unparseable line {line!r}")
-    for claim in claims:
-        lineno = claim["_line"]
+    for claim, (ident, lineno, lines) in zip(claims, sections):
         kind = claim.get("kind")
         if kind not in CLAIM_KINDS:
-            raise ManifestParse(lineno, f"claim {claim['id']!r} has bad kind {kind!r}")
+            raise ManifestParse(lineno, f"claim {ident!r} has bad kind {kind!r}")
+        entry, allowed = kind, _COMMON_KEYS
+        if kind == "example":
+            entry, allowed = claim.get("check"), allowed + ("check",)
+            if entry not in _CLAIMS or entry in CLAIM_KINDS:
+                raise ManifestParse(lines.get("check", lineno),
+                                    f"claim {ident!r} has unknown check {entry!r}")
+        for key, at in lines.items():
+            if key not in allowed + _CLAIMS[entry][0]:
+                raise ManifestParse(at, f"claim {ident!r} of kind {kind} "
+                                        f"has unknown key {key!r}")
         if "expect" not in claim:
-            raise ManifestParse(lineno, f"claim {claim['id']!r} lacks expect")
+            raise ManifestParse(lineno, f"claim {ident!r} lacks expect")
         prov = claim.get("provenance")
         if prov not in ("paper", "derived"):
             raise ManifestParse(
-                lineno, f"claim {claim['id']!r} provenance must be paper or derived")
+                lineno, f"claim {ident!r} provenance must be paper or derived")
         if prov == "paper" and not claim.get("anchor"):
             raise ManifestParse(
-                lineno, f"claim {claim['id']!r} needs an anchor line")
+                lineno, f"claim {ident!r} needs an anchor line")
     return claims
 
 
@@ -404,12 +424,17 @@ def _separation(res: Result) -> str:
     return "distinct" if res.rec["distinct"] else "coincidence"
 
 
+# keys every claim may carry; an `example` claim also carries its `check`
+_COMMON_KEYS = ("kind", "expect", "provenance", "anchor", "scale")
+
 # claim kind, or check name of an `example` claim ->
-#   (evaluator run on the claim's keys: claim, seed, base -> Result,
+#   (the claim keys the evaluator reads,
+#    evaluator run on the claim's keys: claim, seed, base -> Result,
 #    PASS test: result, expect -> bool,
 #    detail line: result -> str)
 _CLAIMS = {
     "triple": (
+        ("group", "p", "budget", "orders"),
         lambda c, seed, base: eval_triples(
             c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
             orders=_ints(c["orders"]) if "orders" in c else None, base=base),
@@ -417,18 +442,21 @@ _CLAIMS = {
         lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
                      f"attempts {res.rec['attempts']}")),
     "pair": (
+        ("group", "p", "budget", "order"),
         lambda c, seed, base: eval_pairs(
             c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
             order=_int(c, "order"), base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
     "exception": (
+        ("group", "p"),
         lambda c, seed, base: eval_triples(
             c["group"], int(c["p"]), exhaustive=True, base=base),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
                      "generation tests")),
     "bound": (
+        ("module", "p", "matgroup"),
         lambda c, seed, base: eval_bounds(
             c["module"], _int(c, "p"), c.get("matgroup"), base),
         lambda res, expect: (res.rec["holds"] == "yes"
@@ -436,48 +464,54 @@ _CLAIMS = {
         lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
                      + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
     "scott": (
+        ("module", "pairs", "matgroup"),
         lambda c, seed, base: eval_scott(
             c["module"], seed, _int(c, "pairs", 1000), c.get("matgroup"), base),
         lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
         lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
     "weights": (
+        ("type", "weight"),
         lambda c, seed, base: eval_weights(c["type"], c["weight"]),
         lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
         lambda res: (f"dimension {res.rec['weyl_dim']}, "
                      f"multiset total {_multiset_total(res)}")),
     "phi": (
+        ("n", "q"),
         lambda c, seed, base: eval_phi(int(c["n"]), int(c["q"])),
         lambda res, expect: res.rec["phi_star"] == int(expect),
         lambda res: f"phi_star = {res.rec['phi_star']}"),
     "adjoint-section": (
+        (),
         lambda c, seed, base: _report(bnd.sl_p_adjoint_check()),
         lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
         lambda res: (f"min fixed dim {res.rec['min_fixed']} "
                      f"on the dim-{res.rec['section_dim']} section")),
     "extraspecial-free": (
+        (),
         lambda c, seed, base: _report(bnd.extraspecial_free_check()),
         lambda res, expect: res.rec["holds"] and expect == "free",
         lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
     "eigen-separation": (
+        ("q", "s"),
         lambda c, seed, base: _report(
             wt.sl2_distinct_eigenvalues(int(c["q"]), int(c["s"]))),
         lambda res, expect: _separation(res) == expect,
         lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
     "mersenne-sharp": (
+        ("module", "p"),
         lambda c, seed, base: eval_semisimple_fixdims(
             c["module"], int(c["p"]), base),
         lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
         lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
     "twist-divisibility": (
+        ("type", "weight0", "weight1", "p", "ext"),
         lambda c, seed, base: eval_twist_divisibility(
-            c["type"], c["weight0"], c["weight1"], int(c["p"]),
-            _int(c, "ext", 2), _int(c, "samples", 25), _int(c, "sample_seed", 1)),
+            c["type"], c["weight0"], c["weight1"], int(c["p"]), _int(c, "ext", 2)),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"verdict {res.rec['verdict']}"),
     "sym-divisibility": (
-        lambda c, seed, base: eval_sym_divisibility(
-            int(c["n"]), int(c["s"]), int(c["p"]),
-            _int(c, "samples", 25), _int(c, "sample_seed", 1)),
+        ("n", "s", "p"),
+        lambda c, seed, base: eval_sym_divisibility(int(c["n"]), int(c["s"]), int(c["p"])),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"verdict {res.rec['verdict']}"),
 }
@@ -488,10 +522,7 @@ def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
     if claim.get("scale") == "beyond-desk":
         return "UNVERIFIED", "beyond desk scale; recorded, not executed"
     kind = claim["kind"]
-    key = claim.get("check", "") if kind == "example" else kind
-    if kind == "example" and (key not in _CLAIMS or key in CLAIM_KINDS):
-        return "FAIL", f"unknown example check {key!r}"
-    evaluate, passes, detail = _CLAIMS[key]
+    _, evaluate, passes, detail = _CLAIMS[claim["check"] if kind == "example" else kind]
     seed = _claim_seed(args.seed, index)
     try:
         res = evaluate(claim, seed, base)

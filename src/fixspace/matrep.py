@@ -8,6 +8,9 @@ permutation module, deleted (sum-zero) module, tensor product, dual,
 Frobenius twist, symmetric power, explicit matrix generators, and
 sub/quotient sections.
 
+Building a MatRep compiles its recipe in one walk into the group, the
+dimension and the image function; the built representation keeps no cache.
+
 The deleted module is the span of e_i - e_0 inside the permutation
 module, which is the sum-zero hyperplane in every characteristic.
 When p divides the point count it contains the all-ones vector and is
@@ -15,7 +18,6 @@ reducible; the dimension n - 2 heart is then reached via section().
 """
 
 import json
-import math
 from functools import cache
 from typing import NamedTuple
 
@@ -113,21 +115,133 @@ def _fields_of(spec: ModuleSpec, out: list):
         _fields_of(c, out)
 
 
-def _group_of(spec: ModuleSpec) -> PermGroup:
-    if spec.kind in ("perm", "explicit"):
-        return spec.group
-    groups = [_group_of(c) for c in spec.children]
-    for g in groups[1:]:
-        if g is not groups[0]:
-            raise IllTyped("recipe mixes modules of different groups")
-    return groups[0]
-
-
 def _same_field(a: FieldCtx, b: FieldCtx) -> bool:
     return a.p == b.p and a.k == b.k and a.modulus == b.modulus
 
 
 # representation ------------------------------------------------------------
+
+
+def _compile(node: ModuleSpec, F: FieldCtx):
+    """(group, dim, g -> image(g)) of a recipe node, in one walk of the recipe.
+
+    Each node kind's rules sit in one place. Every check (both tensor
+    factors over one group, a section basis of the parent's length that is
+    proper) and every per-node datum (a section's reduced basis, a
+    symmetric power's monomials) is done once, here; the image function
+    only computes matrices.
+    """
+    k = node.kind
+    if k == "perm":
+        n = node.group.degree
+
+        def image(g):
+            M = [[F.zero] * n for _ in range(n)]
+            for j in range(n):
+                M[g[j]][j] = F.one
+            return M
+        return node.group, n, image
+    if k == "explicit":
+        orbit, seeds = node.orbit, node.seed_index
+        n = len(seeds)
+
+        def image(g):
+            M = [[F.zero] * n for _ in range(n)]
+            for j in range(n):
+                vec = orbit[g[seeds[j]]]
+                for i in range(n):
+                    M[i][j] = vec[i]
+            return M
+        return node.group, n, image
+    if k not in ("deleted", "tensor", "dual", "twist", "sym", "section"):
+        raise IllTyped(f"unknown recipe node {k!r}")
+    group, m, child = _compile(node.children[0], F)
+    if k == "deleted":
+        def image(g):
+            # basis b_j = e_j - e_0; g.b_j = e_{g[j]} - e_{g[0]} = b_{g[j]} - b_{g[0]},
+            # and g[j] != g[0], so the -b_{g[0]} terms fill one whole row
+            M = [[F.zero] * (m - 1) for _ in range(m - 1)]
+            for j in range(1, m):
+                if g[j] != 0:
+                    M[g[j] - 1][j - 1] = F.one
+            if g[0] != 0:
+                M[g[0] - 1] = [F.neg(F.one)] * (m - 1)
+            return M
+        return group, m - 1, image
+    if k == "tensor":
+        right_group, r, right = _compile(node.children[1], F)
+        if right_group is not group:
+            raise IllTyped("recipe mixes modules of different groups")
+        return group, m * r, lambda g: linalg.kron(F, child(g), right(g))
+    if k == "dual":
+        return group, m, lambda g: linalg.transpose(child(pinv(g)))
+    if k == "twist":
+        i = node.power
+        return group, m, lambda g: [[F.frobenius(x, i) for x in row] for row in child(g)]
+    if k == "sym":
+        return _compile_sym(group, m, child, node.power, F)
+    if node.basis is None:
+        raise IllTyped("section basis unresolved; use build_rep")
+    if any(len(v) != m for v in node.basis):
+        raise IllTyped("section basis length differs from parent dimension")
+    rows, pivots = linalg.rref(F, [list(v) for v in node.basis])
+    if not rows or len(rows) == m:
+        raise IllTyped("section basis spans zero or everything")
+    if node.mode == "sub":
+        def image(g):
+            R = linalg.restrict(F, child(g), rows, pivots)
+            if R is None:
+                raise IllTyped("section basis is not invariant")
+            return R
+        return group, len(rows), image
+    nonpivots = [j for j in range(m) if j not in set(pivots)]
+
+    def image(g):
+        Mc = child(g)
+        out = []
+        for j in nonpivots:
+            w = linalg.reduce_vec(F, rows, pivots, [row[j] for row in Mc])
+            out.append([w[t] for t in nonpivots])
+        return linalg.transpose(out)
+    return group, len(nonpivots), image
+
+
+def _compile_sym(group, m: int, child, s: int, F: FieldCtx):
+    """Sym^s of an m-dimensional module: column j of the image expands the
+    j-th monomial of degree s in the images of the m basis vectors."""
+    monos = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            monos.append(prefix + (remaining,))
+            return
+        for a in range(remaining, -1, -1):
+            rec(prefix + (a,), remaining - a, slots - 1)
+
+    rec((), s, m)
+
+    def image(g):
+        A = child(g)
+        cols = []
+        for expo in monos:
+            poly = {(0,) * m: F.one}
+            for i, a in enumerate(expo):
+                for _ in range(a):
+                    nxt = {}
+                    for t, c in poly.items():
+                        for r in range(m):
+                            coef = A[r][i]
+                            if coef == F.zero:
+                                continue
+                            t2 = t[:r] + (t[r] + 1,) + t[r + 1:]
+                            prev = nxt.get(t2, F.zero)
+                            nxt[t2] = F.add(prev, F.mul(c, coef))
+                    poly = nxt
+                # a = 0 contributes nothing
+            cols.append([poly.get(mo, F.zero) for mo in monos])
+        d = len(monos)
+        return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return group, len(monos), image
 
 
 class MatRep:
@@ -136,146 +250,17 @@ class MatRep:
     def __init__(self, spec: ModuleSpec, field: FieldCtx):
         self.spec = spec
         self.field = field
-        self.group = _group_of(spec)
-        self._section_data = {}
-        self._monomials = {}
-        self.dim = self._dim_of(spec)
+        self.group, self.dim, self._evaluate = _compile(spec, field)
         self.images = tuple(self.image(g) for g in self.group.gens)
         for M in self.images:
             if linalg.rank(field, M) < self.dim:
                 raise IllTyped("generator image is singular")
 
-    def _dim_of(self, node: ModuleSpec) -> int:
-        k = node.kind
-        if k == "perm":
-            return node.group.degree
-        if k == "deleted":
-            return node.children[0].group.degree - 1
-        if k == "tensor":
-            return self._dim_of(node.children[0]) * self._dim_of(node.children[1])
-        if k in ("dual", "twist"):
-            return self._dim_of(node.children[0])
-        if k == "sym":
-            m = self._dim_of(node.children[0])
-            return math.comb(m + node.power - 1, node.power)
-        if k == "explicit":
-            return len(node.seed_index)
-        if k == "section":
-            rows, pivots, nonpivots = self._section_of(node)
-            return len(rows) if node.mode == "sub" else len(nonpivots)
-        raise IllTyped(f"unknown recipe node {k!r}")
-
-    def _section_of(self, node: ModuleSpec):
-        key = id(node)
-        if key not in self._section_data:
-            if node.basis is None:
-                raise IllTyped("section basis unresolved; use build_rep")
-            parent_dim = self._dim_of(node.children[0])
-            if any(len(v) != parent_dim for v in node.basis):
-                raise IllTyped("section basis length differs from parent dimension")
-            rows, pivots = linalg.rref(self.field, [list(v) for v in node.basis])
-            if not rows or len(rows) == parent_dim:
-                raise IllTyped("section basis spans zero or everything")
-            nonpivots = [j for j in range(parent_dim) if j not in set(pivots)]
-            self._section_data[key] = (rows, pivots, nonpivots)
-        return self._section_data[key]
-
-    def _monomials_of(self, node: ModuleSpec, m: int):
-        key = id(node)
-        if key not in self._monomials:
-            monos = []
-
-            def rec(prefix, remaining, slots):
-                if slots == 1:
-                    monos.append(prefix + (remaining,))
-                    return
-                for a in range(remaining, -1, -1):
-                    rec(prefix + (a,), remaining - a, slots - 1)
-
-            rec((), node.power, m)
-            self._monomials[key] = (tuple(monos), {mo: i for i, mo in enumerate(monos)})
-        return self._monomials[key]
-
     def image(self, g: tuple) -> list:
-        return self._image(self.spec, g)
+        return self._evaluate(g)
 
     def dual_image(self, g: tuple) -> list:
-        return linalg.transpose(self._image(self.spec, pinv(g)))
-
-    def _image(self, node: ModuleSpec, g: tuple) -> list:
-        F = self.field
-        k = node.kind
-        if k == "perm":
-            n = node.group.degree
-            M = [[F.zero] * n for _ in range(n)]
-            for j in range(n):
-                M[g[j]][j] = F.one
-            return M
-        if k == "deleted":
-            # basis b_j = e_j - e_0; g.b_j = e_{g[j]} - e_{g[0]} = b_{g[j]} - b_{g[0]},
-            # and g[j] != g[0], so the -b_{g[0]} terms fill one whole row
-            n = node.children[0].group.degree
-            M = [[F.zero] * (n - 1) for _ in range(n - 1)]
-            for j in range(1, n):
-                if g[j] != 0:
-                    M[g[j] - 1][j - 1] = F.one
-            if g[0] != 0:
-                M[g[0] - 1] = [F.neg(F.one)] * (n - 1)
-            return M
-        if k == "tensor":
-            A = self._image(node.children[0], g)
-            B = self._image(node.children[1], g)
-            return linalg.kron(F, A, B)
-        if k == "dual":
-            return linalg.transpose(self._image(node.children[0], pinv(g)))
-        if k == "twist":
-            A = self._image(node.children[0], g)
-            return [[F.frobenius(x, node.power) for x in row] for row in A]
-        if k == "sym":
-            A = self._image(node.children[0], g)
-            m = len(A)
-            monos, index = self._monomials_of(node, m)
-            cols = []
-            for expo in monos:
-                poly = {(0,) * m: F.one}
-                for i, a in enumerate(expo):
-                    for _ in range(a):
-                        nxt = {}
-                        for t, c in poly.items():
-                            for r in range(m):
-                                coef = A[r][i]
-                                if coef == F.zero:
-                                    continue
-                                t2 = t[:r] + (t[r] + 1,) + t[r + 1:]
-                                prev = nxt.get(t2, F.zero)
-                                nxt[t2] = F.add(prev, F.mul(c, coef))
-                        poly = nxt
-                    # a = 0 contributes nothing
-                cols.append([poly.get(mo, F.zero) for mo in monos])
-            d = len(monos)
-            return [[cols[j][i] for j in range(d)] for i in range(d)]
-        if k == "explicit":
-            n = len(node.seed_index)
-            M = [[F.zero] * n for _ in range(n)]
-            for j in range(n):
-                vec = node.orbit[g[node.seed_index[j]]]
-                for i in range(n):
-                    M[i][j] = vec[i]
-            return M
-        if k == "section":
-            Mc = self._image(node.children[0], g)
-            rows, pivots, nonpivots = self._section_of(node)
-            if node.mode == "sub":
-                R = linalg.restrict(F, Mc, rows, pivots)
-                if R is None:
-                    raise IllTyped("section basis is not invariant")
-                return R
-            out = []
-            for j in nonpivots:
-                w = linalg.reduce_vec(F, rows, pivots, [row[j] for row in Mc])
-                out.append([w[t] for t in nonpivots])
-            return linalg.transpose(out)
-        raise IllTyped(f"unknown recipe node {k!r}")
+        return linalg.transpose(self._evaluate(pinv(g)))
 
     def __repr__(self):
         return f"MatRep(dim={self.dim}, q={self.field.q}, group={self.group!r})"
@@ -572,9 +557,10 @@ def parse_matgroup_text(text: str):
     """Matrix group file: header line then one gen line per generator.
 
     The header is ``matgroup NAME field P dim D`` with an optional
-    ``ext K``; a gen line is a JSON matrix of field-element encodings. A
-    missing or repeated header, a missing name, field or dim, a
-    non-integer header value or matrix entry raises IllTyped.
+    ``ext K``, and no other key; a gen line is a JSON matrix of
+    field-element encodings. A missing or repeated header, a missing name,
+    field or dim, an unknown or repeated key, a non-integer header value
+    or matrix entry raises IllTyped.
     """
     name = None
     F = None
@@ -612,7 +598,13 @@ def _parse_matgroup_header(line: str):
     if len(parts) % 2 or parts[0] != "matgroup":
         raise IllTyped(f"matgroup header {line!r} is not 'matgroup NAME' "
                        "followed by key value pairs")
-    fields = dict(zip(parts[2::2], parts[3::2]))
+    fields = {}
+    for key, value in zip(parts[2::2], parts[3::2]):
+        if key not in ("field", "ext", "dim"):
+            raise IllTyped(f"matgroup header {line!r} has unknown key {key!r}")
+        if key in fields:
+            raise IllTyped(f"matgroup header {line!r} repeats key {key!r}")
+        fields[key] = value
     for key in ("field", "dim"):
         if key not in fields:
             raise IllTyped(f"matgroup header {line!r} has no {key}")
@@ -660,11 +652,12 @@ def _parse_forms(tokens: list, pos: int):
 def parse_module_text(text: str, matgroups=None) -> ModuleSpec:
     """S-expression module recipe, e.g. (deleted (perm A5) :field (gf 7)).
 
-    Keyword pairs may trail any form; :field fixes the coefficient field
-    and :mode selects the section kind. A perm name is a builtin group; an
-    explicit name resolves through matgroups, with the builtin matrix
-    groups as fallback. An empty, unbalanced or malformed recipe raises
-    IllTyped.
+    Keyword pairs may trail a form, each at most once: :field (gf p) or
+    (gf p k) on any form fixes the coefficient field, and :mode sub or
+    quotient on a section selects its kind. A perm name is a builtin group;
+    an explicit name resolves through matgroups, with the builtin matrix
+    groups as fallback. An empty, unbalanced or malformed recipe, or any
+    other keyword, raises IllTyped.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -684,6 +677,8 @@ def _split_keywords(form: list):
         if isinstance(item, str) and item.startswith(":"):
             if i + 1 == len(form):
                 raise IllTyped(f"keyword {item} has no value")
+            if item[1:] in kw:
+                raise IllTyped(f"keyword {item} given twice")
             kw[item[1:]] = form[i + 1]
             i += 2
         else:
@@ -692,21 +687,29 @@ def _split_keywords(form: list):
     return head, kw
 
 
-# operator -> types of its arguments; a list is a nested recipe form
+# operator -> (types of its arguments, a list being a nested recipe form;
+#              builder: keywords, matgroups, arguments -> ModuleSpec;
+#              the keywords it takes besides :field)
 _RECIPE_ARGS = {
-    "perm": (str,), "deleted": (list,), "tensor": (list, list),
-    "dual": (list,), "twist": (int, list), "sym": (int, list),
-    "explicit": (str,), "section": (list,),
+    "perm": ((str,), lambda kw, mg, name: perm_module(builtin_group(name)), ()),
+    "deleted": ((list,), lambda kw, mg, a: deleted(a), ()),
+    "tensor": ((list, list), lambda kw, mg, a, b: tensor(a, b), ()),
+    "dual": ((list,), lambda kw, mg, a: dual(a), ()),
+    "twist": ((int, list), lambda kw, mg, i, a: frobenius_twist(a, i), ()),
+    "sym": ((int, list), lambda kw, mg, s, a: sym_power(a, s), ()),
+    "explicit": ((str,), lambda kw, mg, name:
+                 (mg.get(name) or builtin_matgroup(name))[1].spec, ()),
+    "section": ((list,), lambda kw, mg, a: section(a, kw.get("mode", "sub")), ("mode",)),
 }
 
 
-def _check_args(head: list):
+def _check_args(head: list, kw: dict):
     if not head:
         raise IllTyped("recipe form has no operator")
     op = head[0]
     if not isinstance(op, str) or op not in _RECIPE_ARGS:
         raise IllTyped(f"unknown recipe operator {op!r}")
-    kinds = _RECIPE_ARGS[op]
+    kinds, build, keywords = _RECIPE_ARGS[op]
     args = head[1:]
     if len(args) != len(kinds):
         raise IllTyped(f"{op} takes {len(kinds)} argument(s), got {len(args)}")
@@ -714,42 +717,26 @@ def _check_args(head: list):
         if not isinstance(arg, kind):
             want = {list: "a recipe form", str: "a name", int: "an integer"}[kind]
             raise IllTyped(f"{op} expects {want}, got {arg!r}")
+    for key in kw:
+        if key != "field" and key not in keywords:
+            raise IllTyped(f"{op} takes no keyword :{key}")
+    return kinds, build
 
 
 def _interpret(form, matgroups: dict) -> ModuleSpec:
     if not isinstance(form, list) or not form:
         raise IllTyped(f"expected a recipe form, got {form!r}")
     head, kw = _split_keywords(form)
-    _check_args(head)
-    op = head[0]
+    kinds, build = _check_args(head, kw)
     field = None
     if "field" in kw:
         gf = kw["field"]
         if not isinstance(gf, list) or not 2 <= len(gf) <= 3 or gf[0] != "gf":
             raise IllTyped("field keyword expects (gf p) or (gf p k)")
         field = ff.make_field(*gf[1:])
-    if op == "perm":
-        spec = perm_module(builtin_group(head[1]))
-    elif op == "deleted":
-        spec = deleted(_interpret(head[1], matgroups))
-    elif op == "tensor":
-        spec = tensor(_interpret(head[1], matgroups),
-                      _interpret(head[2], matgroups))
-    elif op == "dual":
-        spec = dual(_interpret(head[1], matgroups))
-    elif op == "twist":
-        spec = frobenius_twist(_interpret(head[2], matgroups), head[1])
-    elif op == "sym":
-        spec = sym_power(_interpret(head[2], matgroups), head[1])
-    elif op == "explicit":
-        name = head[1]
-        if name in matgroups:
-            _, rep = matgroups[name]
-        else:
-            _, rep = builtin_matgroup(name)
-        spec = rep.spec
-    else:
-        spec = section(_interpret(head[1], matgroups), kw.get("mode", "sub"))
+    args = [_interpret(arg, matgroups) if kind is list else arg
+            for arg, kind in zip(head[1:], kinds)]
+    spec = build(kw, matgroups, *args)
     if field is not None:
         if spec.field is not None and not _same_field(spec.field, field):
             raise FieldMismatch(f"GF({spec.field.q}) vs GF({field.q})")

@@ -450,6 +450,48 @@ def test_parse_manifest_bad_kind():
     assert "bad kind" in str(info.value)
 
 
+A6_TRIPLE = ("[typo]\nkind = triple\ngroup = A6\np = 3\n{}\nexpect = found\n"
+             "provenance = derived\n")
+
+
+@pytest.mark.parametrize("line, key", [("oders = 4,4,4", "oders"), ("id = other", "id")])
+def test_parse_manifest_misspelled_key(line, key):
+    # `oders` in place of `orders` once ran an unrestricted search and passed
+    with pytest.raises(ManifestParse) as info:
+        parse_manifest(A6_TRIPLE.format(line))
+    assert info.value.lineno == 5
+    assert f"claim 'typo' of kind triple has unknown key {key!r}" in str(info.value)
+
+
+def test_verify_rejects_misspelled_key_at_load_time(tmp_path, capsys):
+    path = write_manifest(tmp_path, A6_TRIPLE.format("oders = 4,4,4"))
+    err = rejected(capsys, "verify", "--manifest", path, "--seed", "1")
+    assert "manifest line 5" in err and "'oders'" in err
+
+
+def test_parse_manifest_repeated_key():
+    with pytest.raises(ManifestParse) as info:
+        parse_manifest(A6_TRIPLE.format("orders = 4,4,4\norders = 5,5,5"))
+    assert info.value.lineno == 6
+    assert "repeats key 'orders'" in str(info.value)
+
+
+def test_parse_manifest_check_on_a_non_example_kind():
+    with pytest.raises(ManifestParse) as info:
+        parse_manifest(A6_TRIPLE.format("check = adjoint-section"))
+    assert info.value.lineno == 5
+    assert "unknown key 'check'" in str(info.value)
+
+
+@pytest.mark.parametrize("check", ["adjoint-sectoin", "triple", None])
+def test_parse_manifest_unknown_check(check):
+    line = f"check = {check}\n" if check else ""
+    with pytest.raises(ManifestParse) as info:
+        parse_manifest(f"[x]\nkind = example\n{line}expect = 1\nprovenance = derived\n")
+    assert info.value.lineno == (3 if check else 1)
+    assert f"claim 'x' has unknown check {check!r}" in str(info.value)
+
+
 def test_parse_manifest_missing_expect():
     with pytest.raises(ManifestParse) as info:
         parse_manifest("[x]\nkind = phi\nprovenance = derived\n")

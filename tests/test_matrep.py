@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import re
 
 import pytest
 
+from fixspace.bounds import sl3_adjoint_heart
 from fixspace.ff import make_field
 from fixspace.linalg import eye, mat_mul, transpose
 from fixspace.matrep import (FieldMismatch, IllTyped, Inconclusive, MatRep, NotInGroup,
@@ -394,6 +396,9 @@ def test_random_algebra_element_matches_matrix_words():
     ("(twist (perm A5) 1)", "twist expects an integer"),
     ("(deleted A5)", "deleted expects a recipe form"),
     ("(perm A5 :field (gf))", "field keyword expects"),
+    ("(section (perm A5) :mdoe quotient :field (gf 5))", "section takes no keyword :mdoe"),
+    ("(perm A5 :mode quotient :field (gf 5))", "perm takes no keyword :mode"),
+    ("(perm A5 :field (gf 5) :field (gf 7))", "keyword :field given twice"),
 ])
 def test_malformed_module_recipe_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):
@@ -412,6 +417,8 @@ def test_malformed_module_recipe_is_ill_typed(text, message):
     ("matgroup T field 5 dim 2\ngen 7\n", "not a matrix of integers"),
     ("matgroup T field 5 dim 2\ngen [[1,1],[0,1]\n",
      "gen line 'gen [[1,1],[0,1]' is not JSON"),
+    ("matgroup X field 3 exd 2 dim 2\ngen [[1,1],[0,1]]\n", "has unknown key 'exd'"),
+    ("matgroup X field 3 dim 2 field 5\ngen [[1,1],[0,1]]\n", "repeats key 'field'"),
 ])
 def test_malformed_matgroup_header_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):
@@ -430,3 +437,69 @@ def test_singular_matrix_generator_is_rejected(tmp_path, p, k):
                     f"gen [[1,1],[0,1]]\ngen {json.dumps(singular)}\n")
     with pytest.raises(NotInvertible, match="singular"):
         read_matgroup_file(str(path))
+
+
+def pinned_modules():
+    """(name, rep) for the recipe shapes whose images are pinned below."""
+    A5 = builtin_group('A5')
+    F7 = make_field(7)
+    sub = is_irreducible(build_rep(perm_module(A5, F7)), SeedStream(1)).submodule
+    F9 = make_field(3, 2)
+    _, nat9 = embed_matrix_group(
+        F9, 2, [[[1, 1], [0, 1]], [[1, 3], [0, 1]], [[0, 1], [2, 0]]], name="SL2_9")
+    _, sl2_5 = builtin_matgroup('SL2_5')
+    _, e27 = builtin_matgroup('E27')
+    return [
+        ("perm-a5-gf7", build_rep(perm_module(A5, F7))),
+        ("deleted-a5-gf4", build_rep(deleted(perm_module(A5)), make_field(2, 2))),
+        ("sl2_9-natural-x-twist",
+         build_rep(tensor(nat9.spec, frobenius_twist(nat9.spec, 1)), F9)),
+        ("dual-deleted-a6-gf5",
+         build_rep(dual(deleted(perm_module(builtin_group('A6'), make_field(5)))))),
+        ("sym3-sl2_5", build_rep(sym_power(sl2_5.spec, 3))),
+        ("explicit-e27", e27),
+        ("sub-perm-a5-gf7", build_rep(section(perm_module(A5, F7), "sub", basis=sub))),
+        ("quotient-perm-a5-gf7",
+         build_rep(section(perm_module(A5, F7), "quotient", basis=sub))),
+        ("sl3_3-adjoint-heart", sl3_adjoint_heart()),
+    ]
+
+
+def image_digest(rep, elements=20, seed=11):
+    """SHA-256 of the dimension and the encoded images of seeded elements."""
+    F = rep.field
+    s = SeedStream(seed)
+    h = hashlib.sha256(str(rep.dim).encode())
+    for _ in range(elements):
+        M = rep.image(rep.group.random_element(s))
+        h.update(json.dumps([[F.encode(x) for x in row] for row in M]).encode())
+    return h.hexdigest()
+
+
+PINNED_IMAGE_DIGESTS = {
+    "perm-a5-gf7":
+        "1d97d6606fe36d871b8f678e1552a909e497797427bd889fa7d16a185754defc",
+    "deleted-a5-gf4":
+        "1d1b5a00cb51214e0cc21b065a066b882de76d437b9d70c2c158787a96337f82",
+    "sl2_9-natural-x-twist":
+        "11bbd68c768fcf819dadc5203fd764d6f8ba7130b2cfd961bf27810f20f9f1b0",
+    "dual-deleted-a6-gf5":
+        "5cdfe763ec1fc62fd599a84bd87c49253c1fd7f876b518c039b92aaefb6cbc37",
+    "sym3-sl2_5":
+        "b4d3da086b831f26d2f088c21d2fd41ad3fed4adfe0503834eba9b6c6c49bcfa",
+    "explicit-e27":
+        "87ce3dc3447cb72c32b1845773ce74daebdd805b367d58e15e1b7aa39f96a672",
+    "sub-perm-a5-gf7":
+        "31be8886509f6dbd031dadc8880bd06bfee522fba698289cafda603a78c71752",
+    "quotient-perm-a5-gf7":
+        "5b1c1d05c04d4417a601b756715e450703c0673bb34191cdd04349477a648a30",
+    "sl3_3-adjoint-heart":
+        "83e6d6fe4f0b4559c2ef12c44fb4e3d1596209df6bf64ceb84a281d2b6bd78db",
+}
+
+
+def test_images_match_pinned_digests():
+    # recorded before the recipe evaluator was restructured: every node kind
+    # must keep producing the same matrices for the same elements
+    got = {name: image_digest(rep) for name, rep in pinned_modules()}
+    assert got == PINNED_IMAGE_DIGESTS

@@ -1,10 +1,10 @@
-"""Guards for five package-wide invariants: exact arithmetic only (no
+"""Guards for six package-wide invariants: exact arithmetic only (no
 float literal, no float() call, no true division), no dependency outside
 the standard library (every absolute import is a stdlib module), no code
 in the package that only the tests reach, memoization through
-functools.cache only (no module-level container that functions fill), and
-a cold import of the command line that loads neither dataclasses nor
-inspect."""
+functools.cache only (no module-level container that functions fill), no
+state keyed by object identity (no id() call), and a cold import of the
+command line that loads neither dataclasses nor inspect."""
 
 import ast
 import subprocess
@@ -185,6 +185,16 @@ def test_cold_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_identity_keyed_state():
+    """No package code calls id(): state keyed by object identity outlives
+    or aliases the object it describes."""
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert found == []
 
 
 def test_no_dataclasses_import():
