@@ -18,7 +18,7 @@ import sys
 from . import bounds as bnd
 from . import chartab, gensearch, matrep
 from . import weights as wt
-from .ff import is_prime, make_field
+from .ff import is_prime
 from .perm import CLASS_CAP, builtin_group, format_cycles, read_group_file
 from .rng import SeedStream
 
@@ -326,24 +326,15 @@ def eval_semisimple_fixdims(module: str, p: int, base: str = "") -> Result:
     return Result([], [("fixed_dims", dims)])
 
 
-# the divisibility examples test this many torus points, drawn from this seed
-DIVISIBILITY_SAMPLES = 25
-DIVISIBILITY_SEED = 1
-
-
-def eval_twist_divisibility(system: str, weight0: str, weight1: str, p: int,
-                            ext: int = 2) -> Result:
-    rs = wt.root_system(system)
-    F = make_field(p, ext)
-    points = wt.torus_sample_set(F, rs.rank, DIVISIBILITY_SAMPLES, seed=DIVISIBILITY_SEED)
+def eval_twist_divisibility(system: str, weight0: str, weight1: str, p: int) -> Result:
+    _check(p=p)
     return _report(wt.check_twist_divisibility(
-        rs, _ints(weight0), _ints(weight1), p, points, F))
+        wt.root_system(system), _ints(weight0), _ints(weight1), p))
 
 
 def eval_sym_divisibility(n: int, s: int, p: int) -> Result:
-    F = make_field(p)
-    points = wt.torus_sample_set(F, n - 1, DIVISIBILITY_SAMPLES, seed=DIVISIBILITY_SEED)
-    return _report(wt.check_sym_divisibility(n, s, points, F))
+    _check(p=p)
+    return _report(wt.check_sym_divisibility(n, s, p))
 
 
 # the claim regression runner ------------------------------------------------
@@ -504,9 +495,9 @@ _CLAIMS = {
         lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
         lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
     "twist-divisibility": (
-        ("type", "weight0", "weight1", "p", "ext"),
+        ("type", "weight0", "weight1", "p"),
         lambda c, seed, base: eval_twist_divisibility(
-            c["type"], c["weight0"], c["weight1"], int(c["p"]), _int(c, "ext", 2)),
+            c["type"], c["weight0"], c["weight1"], int(c["p"])),
         lambda res, expect: res.rec["verdict"] == expect,
         lambda res: f"verdict {res.rec['verdict']}"),
     "sym-divisibility": (

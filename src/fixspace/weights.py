@@ -1,8 +1,11 @@
 """Root systems and highest-weight modules.
 
-Weyl dimensions, Freudenthal weight multiplicities, and torus
-specializations of characteristic polynomials, plus the divisibility and
-eigenvalue-separation checks built on them.
+Weyl dimensions and Freudenthal weight multiplicities, plus the
+characteristic-polynomial divisibility checks and the eigenvalue-separation
+check built on them.  A diagonalizable element's characteristic polynomial
+on a module is the product of (x - t^mu) over its weights mu, so one
+polynomial divides another at every torus element exactly when the first
+weight multiset is contained in the second.
 
 Everything is integer arithmetic on Cartan-matrix data.  Weights are
 integer vectors in fundamental-weight coordinates, roots and differences
@@ -20,9 +23,7 @@ from functools import cache
 from itertools import product
 from typing import NamedTuple
 
-from .ff import (FieldCtx, make_field, multiplicative_generator, poly_divides,
-                 poly_mul, prime_power)
-from .rng import SeedStream
+from .ff import make_field, multiplicative_generator, prime_power
 
 
 class NotDominant(ValueError):
@@ -30,10 +31,6 @@ class NotDominant(ValueError):
 
 
 class TooLarge(ValueError):
-    pass
-
-
-class ZeroTorusValue(ValueError):
     pass
 
 
@@ -46,11 +43,6 @@ class NotRestricted(ValueError):
 
 
 DIM_CAP = 10 ** 5
-
-# Scope statement attached to every divisibility report: the comparison is
-# made at torus specializations, where characteristic polynomials of
-# diagonalizable elements are products over weight values.
-SCOPE_NOTE = "compared at torus specializations only"
 
 
 _POSITIVE_COUNT = {
@@ -294,41 +286,7 @@ def weight_multiset(rs: RootSystem, lam) -> WeightMultiset:
     return wms
 
 
-# torus specialization --------------------------------------------------
-
-
-def torus_char_poly(wms: WeightMultiset, t, F: FieldCtx) -> tuple:
-    """prod over (weight mu, mult m) of (x - t^mu)^m.
-
-    `t` assigns one nonzero field element per fundamental-torus coordinate;
-    t^mu multiplies t_i raised to the i-th coordinate of mu.
-    """
-    t = tuple(t)
-    if len(t) != wms.rank:
-        raise ValueError(f"expected {wms.rank} torus values, got {len(t)}")
-    for x in t:
-        if F.is_zero(x):
-            raise ZeroTorusValue("torus values must be nonzero")
-    poly = (F.one,)
-    for weight, m in wms.entries:
-        val = F.one
-        for x, w in zip(t, weight):
-            val = F.mul(val, F.pow(x, w))
-        factor = (F.neg(val), F.one)
-        for _ in range(m):
-            poly = poly_mul(F, poly, factor)
-    return poly
-
-
-def torus_sample_set(F: FieldCtx, rank: int, count: int, seed: int) -> list:
-    """Seeded nonzero torus assignments for the divisibility checks."""
-    stream = SeedStream(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            tuple(F.element(1 + stream.randrange(F.q - 1)) for _ in range(rank))
-        )
-    return out
+# divisibility of characteristic polynomials ---------------------------
 
 
 def _scaled(wms: WeightMultiset, c: int) -> WeightMultiset:
@@ -348,80 +306,90 @@ def _tensor(a: WeightMultiset, b: WeightMultiset) -> WeightMultiset:
 
 
 class DivisibilityReport(NamedTuple):
-    """Outcome of a character divisibility check.
+    """Outcome of a characteristic-polynomial divisibility check.
 
-    verdict is "holds", "NotApplicable", or "Unresolved".  The check
-    compares characteristic polynomials at sampled torus elements only
-    (`scope`); containment_ok records the weight-multiset route.
+    verdict is "holds" when the smaller weight multiset is contained in the
+    larger one, "fails" when it is not, and "NotApplicable" when the
+    check's hypothesis (a zero weight) is absent.  short_weight is, for
+    "fails", a weight whose multiplicity in the larger multiset falls
+    short, and () otherwise.
     """
 
     verdict: str
-    containment_ok: bool
-    samples_checked: int
-    failed_samples: tuple
-    scope: str = SCOPE_NOTE
+    short_weight: tuple
 
 
-def _compare_divisibility(small: WeightMultiset, big: WeightMultiset, samples,
-                          F: FieldCtx) -> DivisibilityReport:
-    """Weight-multiset containment of small in big, and divisibility of
-    their torus characteristic polynomials at every sample."""
+def _compare_divisibility(small: WeightMultiset, big: WeightMultiset) -> DivisibilityReport:
+    """Containment of small in big, weight by weight with multiplicity."""
     lookup = dict(big.entries)
-    containment = all(lookup.get(w, 0) >= m for w, m in small.entries)
-    failed = []
-    checked = 0
-    for t in samples:
-        if not poly_divides(F, torus_char_poly(small, t, F), torus_char_poly(big, t, F)):
-            failed.append(tuple(t))
-        checked += 1
-    verdict = "holds" if containment and not failed else "Unresolved"
-    return DivisibilityReport(verdict, containment, checked, tuple(failed))
+    for w, m in small.entries:
+        if lookup.get(w, 0) < m:
+            return DivisibilityReport("fails", w)
+    return DivisibilityReport("holds", ())
 
 
-def check_twist_divisibility(
-    rs: RootSystem, lam0, lam1, p: int, samples, F: FieldCtx
-) -> DivisibilityReport:
+def _check_lowest_alcove(rs: RootSystem, lam, p: int) -> None:
+    """Raise HypothesisViolated unless <lam + rho, alpha^vee> <= p for every
+    positive root alpha.  In that closed alcove the Weyl module is
+    irreducible (Jantzen, Representations of Algebraic Groups, II.6, the
+    linkage principle), so its Freudenthal weights are the weights of the
+    simple module in characteristic p."""
+    shift = tuple(c + 1 for c in lam)
+    level = max(2 * rs.inner(shift, a) // rs.inner(rs.root_to_fund(a), a)
+                for a in rs.positive)
+    if level > p:
+        raise HypothesisViolated(
+            f"weight {lam} lies outside the lowest alcove closure: "
+            f"<lambda + rho, alpha^vee> = {level} > p = {p}"
+        )
+
+
+def check_twist_divisibility(rs: RootSystem, lam0, lam1, p: int) -> DivisibilityReport:
     """Does the twisted factor's polynomial divide the tensor's?
 
     The tensor is module(lam0) with module(lam1) twisted by the p-power
     map, so its weights are weights(lam0) + p*weights(lam1).  When 0 is a
     weight of lam0 the twisted factor's weight multiset embeds in the
     tensor's, forcing divisibility; without a 0 weight the hypothesis
-    fails and the verdict is NotApplicable.
+    fails and the verdict is NotApplicable.  Both weights must lie in the
+    closure of the lowest alcove for p, where the characteristic-0 weights
+    are the module's; outside it HypothesisViolated is raised.
     """
     if p < 2:
         raise ValueError(f"twist exponent must be at least 2: {p}")
+    lam0, lam1 = _check_dominant(rs, lam0), _check_dominant(rs, lam1)
+    _check_lowest_alcove(rs, lam0, p)
+    _check_lowest_alcove(rs, lam1, p)
     w0 = weight_multiset(rs, lam0)
-    w1 = weight_multiset(rs, lam1)
     if w0.multiplicity((0,) * rs.rank) == 0:
-        return DivisibilityReport("NotApplicable", False, 0, ())
-    twisted = _scaled(w1, p)
-    return _compare_divisibility(twisted, _tensor(w0, twisted), samples, F)
+        return DivisibilityReport("NotApplicable", ())
+    twisted = _scaled(weight_multiset(rs, lam1), p)
+    return _compare_divisibility(twisted, _tensor(w0, twisted))
 
 
-def check_sym_divisibility(n: int, s: int, samples, F: FieldCtx) -> DivisibilityReport:
+def check_sym_divisibility(n: int, s: int, p: int) -> DivisibilityReport:
     """Does the degree-s symmetric power's polynomial divide the degree-(s+n) one?
 
     Type A_{n-1}.  Multiplying a degree-s monomial in n variables by the
     product of all variables gives a degree-(s+n) monomial with the same
     torus character (the determinant weight is trivial), so the smaller
     weight multiset embeds in the larger.  Valid only past s + n in the
-    field characteristic; below that the modules involved need not match
+    characteristic p; below that the modules involved need not match
     their characteristic-0 weight structure.
     """
     if not 2 <= n <= 5:
         raise ValueError(f"n must be between 2 and 5: {n}")
     if s < 1:
         raise ValueError(f"s must be positive: {s}")
-    if F.p <= s + n:
+    if p <= s + n:
         raise HypothesisViolated(
-            f"requires characteristic > s + n = {s + n}, field has {F.p}"
+            f"requires characteristic > s + n = {s + n}, got p = {p}"
         )
     rs = root_system(f"A{n - 1}")
     lam_small = (s,) + (0,) * (rs.rank - 1)
     lam_big = (s + n,) + (0,) * (rs.rank - 1)
     return _compare_divisibility(weight_multiset(rs, lam_small),
-                                 weight_multiset(rs, lam_big), samples, F)
+                                 weight_multiset(rs, lam_big))
 
 
 # eigenvalue separation on a torus of order q + 1 ------------------------

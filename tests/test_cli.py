@@ -368,6 +368,25 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         order = 7
         expect = found
         provenance = derived
+
+        [twist-p4]
+        kind = example
+        check = twist-divisibility
+        type = A1
+        weight0 = 2
+        weight1 = 1
+        p = 4
+        expect = holds
+        provenance = derived
+
+        [sym-p9]
+        kind = example
+        check = sym-divisibility
+        n = 3
+        s = 2
+        p = 9
+        expect = holds
+        provenance = derived
     """)
     code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
     assert code == 1
@@ -380,6 +399,8 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
                         "least 1 and prime to p = 2, got 4")
     assert lines[4] == ("FAIL       pair-order-7: error: no element has order 7, "
                         "which does not divide |G| = 60")
+    assert lines[5] == "FAIL       twist-p4: error: p must be a prime, got 4"
+    assert lines[6] == "FAIL       sym-p9: error: p must be a prime, got 9"
 
 
 def test_weights_g2(capsys):
@@ -452,15 +473,23 @@ def test_parse_manifest_bad_kind():
 
 A6_TRIPLE = ("[typo]\nkind = triple\ngroup = A6\np = 3\n{}\nexpect = found\n"
              "provenance = derived\n")
+A1_TWIST = ("[typo]\nkind = example\ncheck = twist-divisibility\ntype = A1\n"
+            "weight0 = 2\nweight1 = 1\np = 5\n{}\nexpect = holds\nprovenance = derived\n")
 
 
-@pytest.mark.parametrize("line, key", [("oders = 4,4,4", "oders"), ("id = other", "id")])
-def test_parse_manifest_misspelled_key(line, key):
+# fixed ids keep recorded test names valid
+@pytest.mark.parametrize("template, kind, line, key", [
+    (A6_TRIPLE, "triple", "oders = 4,4,4", "oders"),
+    (A6_TRIPLE, "triple", "id = other", "id"),
+    (A1_TWIST, "example", "ext = 2", "ext"),
+], ids=["oders = 4,4,4-oders", "id = other-id", "ext = 2-ext"])
+def test_parse_manifest_misspelled_key(template, kind, line, key):
     # `oders` in place of `orders` once ran an unrestricted search and passed
+    text = template.format(line)
     with pytest.raises(ManifestParse) as info:
-        parse_manifest(A6_TRIPLE.format(line))
-    assert info.value.lineno == 5
-    assert f"claim 'typo' of kind triple has unknown key {key!r}" in str(info.value)
+        parse_manifest(text)
+    assert info.value.lineno == text.splitlines().index(line) + 1
+    assert f"claim 'typo' of kind {kind} has unknown key {key!r}" in str(info.value)
 
 
 def test_verify_rejects_misspelled_key_at_load_time(tmp_path, capsys):

@@ -3,13 +3,15 @@ from itertools import product
 
 import pytest
 
-from fixspace.ff import make_field, poly_mul
+from fixspace.cli import eval_twist_divisibility
+from fixspace.ff import (is_prime, make_field, multiplicative_generator,
+                         poly_divides, poly_mul)
 from fixspace.weights import (HypothesisViolated, NotDominant, NotRestricted,
-                              TooLarge, ZeroTorusValue,
+                              TooLarge, _compare_divisibility, _scaled, _tensor,
                               check_sym_divisibility, check_twist_divisibility,
                               root_system, sl2_distinct_eigenvalues,
-                              torus_char_poly, torus_sample_set,
                               weight_multiset, weyl_dim)
+from torus import torus_char_poly
 
 POSITIVE_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9,
                    "C3": 9, "D4": 12, "G2": 6}
@@ -169,60 +171,156 @@ def test_torus_char_poly_sl2():
 def test_torus_char_poly_rejects_zero():
     F = make_field(5)
     wms = weight_multiset(root_system("A1"), (1,))
-    with pytest.raises(ZeroTorusValue):
+    with pytest.raises(ValueError):
         torus_char_poly(wms, (F.zero,), F)
 
 
-def test_torus_sample_set_deterministic():
-    F = make_field(5, 2)
-    a = torus_sample_set(F, 2, 5, seed=7)
-    b = torus_sample_set(F, 2, 5, seed=7)
-    assert a == b
-    assert all(len(t) == 2 and all(not F.is_zero(x) for x in t) for x in a for t in [x])
+def separating_point(rank, bound):
+    """A prime field and a torus point t = (g, g^B) at which distinct
+    weights with coordinates in [-bound, bound] take distinct values:
+    t^mu = g^(mu_1 + B mu_2) with B = 2 bound + 1, and the multiplicative
+    group's order exceeds every difference of those exponents."""
+    base = 2 * bound + 1
+    span = 2 * bound * (base + 1 if rank == 2 else 1)
+    q = next(q for q in range(span + 2, 2 * span + 4) if is_prime(q))
+    F = make_field(q)
+    g = multiplicative_generator(F)
+    return F, (g, F.pow(g, base))[:rank]
+
+
+def torus_divides(small, big):
+    """Divisibility of the torus characteristic polynomials at a point
+    that separates the weights of both multisets; by unique factorization
+    it holds exactly when small is contained in big."""
+    bound = max(abs(c) for wms in (small, big) for w, _ in wms.entries for c in w)
+    F, t = separating_point(small.rank, bound)
+    return poly_divides(F, torus_char_poly(small, t, F), torus_char_poly(big, t, F))
+
+
+def test_containment_verdict_matches_torus_divisibility():
+    A1, A2 = root_system("A1"), root_system("A2")
+    grid = {A1: [weight_multiset(A1, (s,)) for s in range(5)],
+            A2: [weight_multiset(A2, lam) for lam in
+                 [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]]}
+    for rs, lam, twist in [(A1, (1,), 3), (A1, (2,), 3), (A2, (1, 0), 2)]:
+        twisted = _scaled(weight_multiset(rs, lam), twist)
+        grid[rs].append(twisted)
+        grid[rs] += [_tensor(base, twisted) for base in grid[rs][:3]]
+    verdicts = set()
+    for entries in grid.values():
+        for small, big in product(entries, repeat=2):
+            rep = _compare_divisibility(small, big)
+            assert (rep.verdict == "holds") == torus_divides(small, big), (small, big)
+            if rep.verdict == "fails":
+                w = rep.short_weight
+                assert small.multiplicity(w) > big.multiplicity(w)
+            else:
+                assert rep.short_weight == ()
+            verdicts.add(rep.verdict)
+    assert verdicts == {"holds", "fails"}
+
+
+def test_twist_verdicts_match_torus_divisibility():
+    # every admitted A1 pair at p = 5: holds exactly for even lam0, whose
+    # module has the zero weight; odd lam0 is NotApplicable
+    A1 = root_system("A1")
+    for lam0, lam1 in product(range(5), repeat=2):
+        rep = check_twist_divisibility(A1, (lam0,), (lam1,), 5)
+        twisted = _scaled(weight_multiset(A1, (lam1,)), 5)
+        tensor = _tensor(weight_multiset(A1, (lam0,)), twisted)
+        if lam0 % 2:
+            assert rep == ("NotApplicable", ())
+        else:
+            assert rep == ("holds", ()) and torus_divides(twisted, tensor)
 
 
 def test_twist_divisibility_sl2():
-    F = make_field(5, 2)
-    rs = root_system("A1")
-    samples = torus_sample_set(F, 1, 12, seed=3)
-    rep = check_twist_divisibility(rs, (2,), (1,), 5, samples, F)
+    rep = check_twist_divisibility(root_system("A1"), (2,), (1,), 5)
     assert rep.verdict == "holds"
-    assert rep.containment_ok
-    assert rep.samples_checked == 12
-    assert rep.failed_samples == ()
+    assert rep.short_weight == ()
 
 
 def test_twist_divisibility_needs_zero_weight():
-    F = make_field(5, 2)
-    rs = root_system("A1")
-    samples = torus_sample_set(F, 1, 4, seed=3)
-    rep = check_twist_divisibility(rs, (1,), (1,), 5, samples, F)
+    rep = check_twist_divisibility(root_system("A1"), (1,), (1,), 5)
     assert rep.verdict == "NotApplicable"
-    assert rep.samples_checked == 0
+    assert rep.short_weight == ()
 
 
 def test_twist_divisibility_sl3():
-    F = make_field(7, 2)
-    rs = root_system("A2")
-    samples = torus_sample_set(F, 2, 10, seed=11)
-    rep = check_twist_divisibility(rs, (1, 1), (1, 0), 7, samples, F)
+    rep = check_twist_divisibility(root_system("A2"), (1, 1), (1, 0), 7)
     assert rep.verdict == "holds"
+
+
+def steinberg_weights(lam, p):
+    """Weights of the simple SL2 module L(lam) in characteristic p, by
+    Steinberg's tensor product theorem: L(lam) is the tensor product of
+    the twists L(d_i)^(p^i) over the base-p digits d_i of lam, and the
+    restricted L(d) has weights d, d - 2, ..., -d."""
+    weights = Counter({0: 1})
+    scale = 1
+    while lam:
+        lam, digit = divmod(lam, p)
+        step = Counter()
+        for w, m in weights.items():
+            for d in range(-digit, digit + 1, 2):
+                step[w + scale * d] += m
+        weights, scale = step, scale * p
+    return weights
+
+
+def admits(rs, lam0, lam1, p):
+    try:
+        check_twist_divisibility(rs, lam0, lam1, p)
+    except HypothesisViolated:
+        return False
+    return True
+
+
+def test_twist_guard_matches_steinberg_on_a1():
+    # on A1 the guard admits exactly lam <= p - 1, and there the
+    # characteristic-0 weights are the simple module's.  The guard is
+    # sufficient, not necessary: below p^2 the Weyl module is also simple
+    # when the last base-p digit is p - 1, and the guard refuses those.
+    A1 = root_system("A1")
+    for p in (2, 3, 5, 7):
+        for lam in range(p * p):
+            admitted = admits(A1, (lam,), (0,), p)
+            freudenthal = Counter({w[0]: m for w, m in weight_multiset(A1, (lam,)).entries})
+            same = steinberg_weights(lam, p) == freudenthal
+            assert same or not admitted, (p, lam)
+            assert same == (lam < p or lam % p == p - 1), (p, lam)
+            assert admitted == (lam <= p - 1), (p, lam)
+            assert admits(A1, (0,), (lam,), p) == admitted, (p, lam)
+
+
+def test_twist_guard_refuses_steinberg_counterexample():
+    # in characteristic 5, L(6) = L(1) x L(1)^(5) has weights +-6, +-4 and
+    # no zero weight, while the Weyl module V(6) has one
+    with pytest.raises(HypothesisViolated):
+        eval_twist_divisibility("A1", "6", "1", 5)
+
+
+def test_twist_guard_on_a2():
+    # <(1,1) + rho, alpha^vee> peaks at 4 on the highest root
+    A2 = root_system("A2")
+    assert check_twist_divisibility(A2, (1, 1), (1, 0), 5).verdict == "holds"
+    with pytest.raises(HypothesisViolated):
+        check_twist_divisibility(A2, (1, 1), (1, 0), 3)
+    with pytest.raises(HypothesisViolated):
+        check_twist_divisibility(A2, (0, 0), (2, 1), 3)
 
 
 def test_sym_divisibility_grid():
     fields = {(2, 1): 5, (2, 2): 5, (2, 3): 7, (3, 1): 5, (3, 2): 7, (3, 3): 7}
     for (n, s), p in fields.items():
-        F = make_field(p)
-        samples = torus_sample_set(F, n - 1, 8, seed=n * 10 + s)
-        rep = check_sym_divisibility(n, s, samples, F)
+        rep = check_sym_divisibility(n, s, p)
         assert rep.verdict == "holds", (n, s)
-        assert rep.containment_ok
+        assert rep.short_weight == ()
 
 
 def test_sym_divisibility_small_characteristic():
-    F = make_field(3)
     with pytest.raises(HypothesisViolated):
-        check_sym_divisibility(2, 1, [], F)
+        check_sym_divisibility(2, 1, 3)
 
 
 def test_eigen_separation_criterion():
