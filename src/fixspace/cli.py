@@ -8,6 +8,10 @@ runs the same evaluators on the keys of each manifest claim and compares
 their records against the claim's `expect`. Machine output is
 byte-identical across runs for fixed seed and inputs, and nothing is kept
 between runs: each evaluator builds what it needs from its inputs.
+
+One table, EVALUATORS, declares each evaluator's parameters once: the
+parser builds the subcommands from it, and the manifest loader checks and
+converts each claim's keys against it before any claim runs.
 """
 
 import argparse
@@ -27,10 +31,6 @@ class ManifestParse(ValueError):
     def __init__(self, lineno: int, msg: str):
         super().__init__(f"manifest line {lineno}: {msg}")
         self.lineno = lineno
-
-
-CLAIM_KINDS = ("triple", "pair", "exception", "bound", "scott", "weights",
-               "phi", "example")
 
 
 class Result:
@@ -101,31 +101,27 @@ def _check(p: int = None, orders: tuple = None, order: int = None,
 # input loading -------------------------------------------------------------
 
 
-def _path(spec: str, base: str) -> str:
-    return spec if os.path.isabs(spec) or not base else os.path.join(base, spec)
-
-
 def _load_group(spec: str, base: str = ""):
     """A path to a .grp file, or a builtin group name."""
-    path = _path(spec, base)
+    path = os.path.join(base, spec)
     if os.path.exists(path):
         return read_group_file(path)
     return builtin_group(spec)
 
 
-def _load_module(spec: str, base: str = "", matgroup: str = None):
+def _load_module(spec: str, base: str, matgroup: str = None):
     matgroups = {}
     if matgroup:
-        group, rep = matrep.read_matgroup_file(_path(matgroup, base))
+        group, rep = matrep.read_matgroup_file(os.path.join(base, matgroup))
         matgroups[group.name] = (group, rep)
-    return matrep.read_module_file(_path(spec, base), matgroups=matgroups)
+    return matrep.read_module_file(os.path.join(base, spec), matgroups=matgroups)
 
 
 # subcommand evaluators -----------------------------------------------------
 
 
-def eval_table(group: str, base: str = "") -> Result:
-    G = _load_group(group, base)
+def eval_table(group: str) -> Result:
+    G = _load_group(group)
     table = chartab.character_table(G)
     name = G.name or "group"
     classes = table.classes
@@ -162,9 +158,8 @@ def _witness_records(cert) -> list:
     ]
 
 
-def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
-                 orders: tuple = None, exhaustive: bool = False,
-                 base: str = "") -> Result:
+def eval_triples(group: str, p: int, seed: int, budget: int, orders: tuple,
+                 exhaustive: bool, base: str) -> Result:
     if exhaustive and orders is not None:
         raise ValueError("--orders does not apply to the exhaustive search")
     G = _load_group(group, base)
@@ -200,8 +195,8 @@ def eval_triples(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
     return Result(human, records, 0 if found else 1)
 
 
-def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
-               order: int = None, base: str = "") -> Result:
+def eval_pairs(group: str, p: int, seed: int, budget: int, order: int,
+               base: str) -> Result:
     G = _load_group(group, base)
     _check(p, order=order, group=G, budget=budget)
     name = G.name or "group"
@@ -227,22 +222,20 @@ def eval_pairs(group: str, p: int, seed: int = None, budget: int = 10 ** 5,
     return Result(human, records, 0 if found else 1)
 
 
-_CLAUSE_KEYS = (
-    "half-strict", "coprime-order-third", "large-char-third",
-    "coprime-dim-three-eighths", "two-primitive-third",
-    "prime-dim-line-eigenspaces",
-)
+def _characteristic(rep, p: int) -> int:
+    """The characteristic of the module's field, which p (None: unset) must
+    equal: at any other p the module has no semisimple classes to check."""
+    if p not in (None, rep.field.p):
+        raise ValueError(f"p = {p} is not the characteristic {rep.field.p} "
+                         "of the module's field")
+    return rep.field.p
 
 
-def eval_bounds(module: str, p: int = None, matgroup: str = None,
-                base: str = "") -> Result:
+def eval_bounds(module: str, p: int, matgroup: str, base: str) -> Result:
     """Raises bounds.NotIrreducible (a ValueError) on a reducible module,
     and ValueError when p is not the characteristic of the module's field."""
     rep = _load_module(module, base, matgroup)
-    p = rep.field.p if p is None else p
-    if p != rep.field.p:
-        raise ValueError(f"p = {p} is not the characteristic {rep.field.p} "
-                         "of the module's field")
+    p = _characteristic(rep, p)
     report = bnd.check_bound_theorems(rep, p)
     human = [
         f"module of dimension {report.dim} over GF({rep.field.q}), "
@@ -258,20 +251,18 @@ def eval_bounds(module: str, p: int = None, matgroup: str = None,
         ("min_semisimple_fixdim", report.min_fixed_dim),
         ("min_class_order", report.min_class_order),
     ]
-    by_name = {c.clause: c for c in report.clauses}
-    for key in _CLAUSE_KEYS:
-        c = by_name[key]
+    for c in report.clauses:   # in the order check_bound_theorems documents
         status = "skip" if not c.applicable else ("pass" if c.satisfied else "fail")
-        human.append(f"  {key}: {status}"
+        human.append(f"  {c.clause}: {status}"
                      + (f" (threshold {c.threshold}, witness {c.witness_dim})"
                         if c.applicable else ""))
-        records.append((f"clause_{key.replace('-', '_')}", status))
+        records.append((f"clause_{c.clause.replace('-', '_')}", status))
     records.append(("holds", "yes" if report.holds else "no"))
     return Result(human, records, 0 if report.holds else 1)
 
 
-def eval_scott(module: str, seed: int = None, pairs: int = 1000,
-               matgroup: str = None, base: str = "") -> Result:
+def eval_scott(module: str, seed: int, pairs: int, matgroup: str,
+               base: str) -> Result:
     if seed is None:
         raise ValueError("--seed is required for the randomized pair sweep")
     _check(pairs=pairs)
@@ -287,9 +278,9 @@ def eval_scott(module: str, seed: int = None, pairs: int = 1000,
     return Result(human, records, 0 if ok else 1)
 
 
-def eval_weights(system: str, weight: str) -> Result:
+def eval_weights(type: str, weight: str) -> Result:
     """Exit status 1 when the multiset total differs from the Weyl dimension."""
-    rs = wt.root_system(system)
+    rs = wt.root_system(type)
     lam = _ints(weight)
     dim = wt.weyl_dim(rs, lam)
     wms = wt.weight_multiset(rs, lam)
@@ -319,17 +310,17 @@ def _report(rep) -> Result:
     return Result([], list(rep._asdict().items()))
 
 
-def eval_semisimple_fixdims(module: str, p: int, base: str = "") -> Result:
+def eval_semisimple_fixdims(module: str, p: int, base: str) -> Result:
     rep = _load_module(module, base)
-    dims = sorted({matrep.fixed_space_dim(rep, cls.rep)
-                   for cls in bnd.semisimple_classes(rep.group, p)})
+    classes = bnd.semisimple_classes(rep.group, _characteristic(rep, p))
+    dims = sorted({matrep.fixed_space_dim(rep, cls.rep) for cls in classes})
     return Result([], [("fixed_dims", dims)])
 
 
-def eval_twist_divisibility(system: str, weight0: str, weight1: str, p: int) -> Result:
+def eval_twist_divisibility(type: str, weight0: str, weight1: str, p: int) -> Result:
     _check(p=p)
     return _report(wt.check_twist_divisibility(
-        wt.root_system(system), _ints(weight0), _ints(weight1), p))
+        wt.root_system(type), _ints(weight0), _ints(weight1), p))
 
 
 def eval_sym_divisibility(n: int, s: int, p: int) -> Result:
@@ -337,13 +328,137 @@ def eval_sym_divisibility(n: int, s: int, p: int) -> Result:
     return _report(wt.check_sym_divisibility(n, s, p))
 
 
+# the evaluator table ---------------------------------------------------------
+
+# defaults of the parameters that must be given: as options, or positionally
+_REQUIRED, _POSITIONAL = object(), object()
+
+_GROUP = ("group", str, _REQUIRED, "path to a .grp file, or a builtin group name")
+_MODULE = ("module", str, _REQUIRED, "path to a .mod recipe")
+_MATGROUP = ("matgroup", str, None, "optional .mat file registering a matrix group")
+_TYPE = ("type", str, _REQUIRED, "root system name like A2 or G2")
+_P = ("p", int, _REQUIRED, None)
+_SEED = ("seed", int, None, None)
+_BUDGET = ("budget", int, 10 ** 5, None)
+# the directory relative paths resolve against: the manifest's for a claim,
+# the working directory ("") for a subcommand
+_BASE = ("base", None, "", None)
+
+# evaluator name -> (evaluator, subcommand help or None for an `example`
+# check, parameters as (name, conversion, default, help)), each parameter
+# passed by name. A subcommand takes each as an option (a flag where the
+# conversion is bool); a claim sets each as a key but `seed`, which the
+# runner forks from the run's seed, those its kind fixes, and `base`.
+EVALUATORS = {
+    "table": (eval_table, "character table of a group", (_GROUP,)),
+    "triples": (eval_triples, "generating triple of coprime-order elements", (
+        _GROUP, _P, _SEED, _BUDGET, ("orders", _ints, None, "comma list like 4,4,4"),
+        ("exhaustive", bool, False,
+         "complete class-triple sweep (proof when none exists)"), _BASE)),
+    "pairs": (eval_pairs, "conjugate generating pair", (
+        _GROUP, _P, _SEED, _BUDGET, ("order", int, None, None), _BASE)),
+    "bounds": (eval_bounds, "fixed-space bound clauses on a module", (
+        _MODULE, ("p", int, None, None), _MATGROUP, _BASE)),
+    "scott": (eval_scott, "random-pair fixed-dimension inequality sweep", (
+        _MODULE, _SEED, ("pairs", int, 1000, None), _MATGROUP, _BASE)),
+    "weights": (eval_weights, "weight multiset of a highest-weight module", (
+        _TYPE, ("weight", str, _REQUIRED, "fundamental coordinates like 1,1"))),
+    "phi": (eval_phi, "largest primitive divisor of q^n - 1", (
+        ("n", int, _POSITIONAL, None), ("q", int, _POSITIONAL, None))),
+    "adjoint-section": (lambda: _report(bnd.sl_p_adjoint_check()), None, ()),
+    "extraspecial-free": (lambda: _report(bnd.extraspecial_free_check()), None, ()),
+    "eigen-separation": (lambda q, s: _report(wt.sl2_distinct_eigenvalues(q, s)), None,
+                         (("q", int, _REQUIRED, None), ("s", int, _REQUIRED, None))),
+    "mersenne-sharp": (eval_semisimple_fixdims, None, (_MODULE, _P, _BASE)),
+    "twist-divisibility": (eval_twist_divisibility, None, (
+        _TYPE, ("weight0", str, _REQUIRED, None), ("weight1", str, _REQUIRED, None), _P)),
+    "sym-divisibility": (eval_sym_divisibility, None, (
+        ("n", int, _REQUIRED, None), ("s", int, _REQUIRED, None), _P)),
+}
+
+
 # the claim regression runner ------------------------------------------------
 
 
+def _multiset_total(res: Result) -> int:
+    return sum(int(v.rsplit(":", 1)[1]) for k, v in res.records
+               if k.startswith("weight_"))
+
+
+def _separation(res: Result) -> str:
+    return "distinct" if res.rec["distinct"] else "coincidence"
+
+
+def _verdict(res: Result, expect: str) -> bool:
+    return res.rec["verdict"] == expect
+
+
+# keys every claim may carry; an `example` claim also carries its `check`
+_COMMON_KEYS = ("kind", "expect", "provenance", "anchor", "scale")
+
+# claim kind, or check name of an `example` claim ->
+#   (evaluator name, the parameters the kind fixes, which no key may set,
+#    PASS test: result, expect -> bool,
+#    detail line: result -> str)
+_CLAIMS = {
+    "triple": (
+        "triples", {"exhaustive": False}, _verdict,
+        lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
+                     f"attempts {res.rec['attempts']}")),
+    "pair": (
+        "pairs", {}, _verdict,
+        lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
+    "exception": (
+        # the exhaustive sweep draws nothing: no budget, no orders
+        "triples", {"exhaustive": True, "budget": None, "orders": None}, _verdict,
+        lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
+                     "generation tests")),
+    "bound": (
+        "bounds", {},
+        lambda res, expect: (res.rec["holds"] == "yes"
+                             and str(res.rec["min_semisimple_fixdim"]) == expect),
+        lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
+                     + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
+    "scott": (
+        "scott", {},
+        lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
+        lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
+    "weights": (
+        "weights", {},
+        lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
+        lambda res: (f"dimension {res.rec['weyl_dim']}, "
+                     f"multiset total {_multiset_total(res)}")),
+    "phi": (
+        "phi", {}, lambda res, expect: res.rec["phi_star"] == int(expect),
+        lambda res: f"phi_star = {res.rec['phi_star']}"),
+    "adjoint-section": (
+        "adjoint-section", {},
+        lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
+        lambda res: (f"min fixed dim {res.rec['min_fixed']} "
+                     f"on the dim-{res.rec['section_dim']} section")),
+    "extraspecial-free": (
+        "extraspecial-free", {}, lambda res, expect: res.rec["holds"] and expect == "free",
+        lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
+    "eigen-separation": (
+        "eigen-separation", {}, lambda res, expect: _separation(res) == expect,
+        lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
+    "mersenne-sharp": (
+        "mersenne-sharp", {},
+        lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
+        lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
+    "twist-divisibility": (
+        "twist-divisibility", {}, _verdict, lambda res: f"verdict {res.rec['verdict']}"),
+    "sym-divisibility": (
+        "sym-divisibility", {}, _verdict, lambda res: f"verdict {res.rec['verdict']}"),
+}
+
+
 def parse_manifest(text: str) -> list:
-    """Claims as dicts of their keys plus `id` and `_line` (the header's
-    line). A key the claim's kind does not read, a repeated key and an
-    unknown `check` raise ManifestParse at the line that carries them."""
+    """Claims as dicts of their keys plus `id`, `_line` (the header's line)
+    and `_args` (the evaluator's arguments, converted). A key the claim's
+    kind does not read, a repeated key, a value that does not convert and an
+    unknown `check` raise ManifestParse at the line that carries them, a
+    missing key at the claim's header."""
     claims = []
     sections = []   # per claim: header id, header line, key -> the line that sets it
     seen = set()
@@ -374,16 +489,19 @@ def parse_manifest(text: str) -> list:
             raise ManifestParse(lineno, f"unparseable line {line!r}")
     for claim, (ident, lineno, lines) in zip(claims, sections):
         kind = claim.get("kind")
-        if kind not in CLAIM_KINDS:
+        example = kind == "example"
+        row = _CLAIMS.get(claim.get("check") if example else kind)
+        # a kind runs a subcommand's evaluator, an `example` check one of its own
+        if row is None or (EVALUATORS[row[0]][1] is None) != example:
+            if example:
+                raise ManifestParse(lines.get("check", lineno), f"claim {ident!r} "
+                                    f"has unknown check {claim.get('check')!r}")
             raise ManifestParse(lineno, f"claim {ident!r} has bad kind {kind!r}")
-        entry, allowed = kind, _COMMON_KEYS
-        if kind == "example":
-            entry, allowed = claim.get("check"), allowed + ("check",)
-            if entry not in _CLAIMS or entry in CLAIM_KINDS:
-                raise ManifestParse(lines.get("check", lineno),
-                                    f"claim {ident!r} has unknown check {entry!r}")
+        name, fixed, _, _ = row
+        params = EVALUATORS[name][2]
+        keys = {p[0]: p for p in params if p[1] and p[0] != "seed" and p[0] not in fixed}
         for key, at in lines.items():
-            if key not in allowed + _CLAIMS[entry][0]:
+            if key not in _COMMON_KEYS + ("check",) * example and key not in keys:
                 raise ManifestParse(at, f"claim {ident!r} of kind {kind} "
                                         f"has unknown key {key!r}")
         if "expect" not in claim:
@@ -395,6 +513,17 @@ def parse_manifest(text: str) -> list:
         if prov == "paper" and not claim.get("anchor"):
             raise ManifestParse(
                 lineno, f"claim {ident!r} needs an anchor line")
+        args = {**{p[0]: p[2] for p in params}, **fixed}
+        for key, convert, default, _ in keys.values():
+            if key in claim:
+                try:
+                    args[key] = convert(claim[key])
+                except ValueError as exc:
+                    raise ManifestParse(lines[key], f"claim {ident!r} has bad {key} "
+                                                    f"{claim[key]!r}: {exc}") from None
+            elif default is _REQUIRED or default is _POSITIONAL:
+                raise ManifestParse(lineno, f"claim {ident!r} lacks {key}")
+        claim["_args"] = args
     return claims
 
 
@@ -402,121 +531,19 @@ def _claim_seed(master_seed: int, index: int) -> int:
     return SeedStream(master_seed).fork(index).randrange(2 ** 62) + 1
 
 
-def _int(claim: dict, key: str, default=None):
-    return int(claim[key]) if key in claim else default
-
-
-def _multiset_total(res: Result) -> int:
-    return sum(int(v.rsplit(":", 1)[1]) for k, v in res.records
-               if k.startswith("weight_"))
-
-
-def _separation(res: Result) -> str:
-    return "distinct" if res.rec["distinct"] else "coincidence"
-
-
-# keys every claim may carry; an `example` claim also carries its `check`
-_COMMON_KEYS = ("kind", "expect", "provenance", "anchor", "scale")
-
-# claim kind, or check name of an `example` claim ->
-#   (the claim keys the evaluator reads,
-#    evaluator run on the claim's keys: claim, seed, base -> Result,
-#    PASS test: result, expect -> bool,
-#    detail line: result -> str)
-_CLAIMS = {
-    "triple": (
-        ("group", "p", "budget", "orders"),
-        lambda c, seed, base: eval_triples(
-            c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
-            orders=_ints(c["orders"]) if "orders" in c else None, base=base),
-        lambda res, expect: res.rec["verdict"] == expect,
-        lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
-                     f"attempts {res.rec['attempts']}")),
-    "pair": (
-        ("group", "p", "budget", "order"),
-        lambda c, seed, base: eval_pairs(
-            c["group"], int(c["p"]), seed=seed, budget=_int(c, "budget", 10 ** 5),
-            order=_int(c, "order"), base=base),
-        lambda res, expect: res.rec["verdict"] == expect,
-        lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
-    "exception": (
-        ("group", "p"),
-        lambda c, seed, base: eval_triples(
-            c["group"], int(c["p"]), exhaustive=True, base=base),
-        lambda res, expect: res.rec["verdict"] == expect,
-        lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
-                     "generation tests")),
-    "bound": (
-        ("module", "p", "matgroup"),
-        lambda c, seed, base: eval_bounds(
-            c["module"], _int(c, "p"), c.get("matgroup"), base),
-        lambda res, expect: (res.rec["holds"] == "yes"
-                             and str(res.rec["min_semisimple_fixdim"]) == expect),
-        lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
-                     + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
-    "scott": (
-        ("module", "pairs", "matgroup"),
-        lambda c, seed, base: eval_scott(
-            c["module"], seed, _int(c, "pairs", 1000), c.get("matgroup"), base),
-        lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
-        lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
-    "weights": (
-        ("type", "weight"),
-        lambda c, seed, base: eval_weights(c["type"], c["weight"]),
-        lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
-        lambda res: (f"dimension {res.rec['weyl_dim']}, "
-                     f"multiset total {_multiset_total(res)}")),
-    "phi": (
-        ("n", "q"),
-        lambda c, seed, base: eval_phi(int(c["n"]), int(c["q"])),
-        lambda res, expect: res.rec["phi_star"] == int(expect),
-        lambda res: f"phi_star = {res.rec['phi_star']}"),
-    "adjoint-section": (
-        (),
-        lambda c, seed, base: _report(bnd.sl_p_adjoint_check()),
-        lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
-        lambda res: (f"min fixed dim {res.rec['min_fixed']} "
-                     f"on the dim-{res.rec['section_dim']} section")),
-    "extraspecial-free": (
-        (),
-        lambda c, seed, base: _report(bnd.extraspecial_free_check()),
-        lambda res, expect: res.rec["holds"] and expect == "free",
-        lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
-    "eigen-separation": (
-        ("q", "s"),
-        lambda c, seed, base: _report(
-            wt.sl2_distinct_eigenvalues(int(c["q"]), int(c["s"]))),
-        lambda res, expect: _separation(res) == expect,
-        lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
-    "mersenne-sharp": (
-        ("module", "p"),
-        lambda c, seed, base: eval_semisimple_fixdims(
-            c["module"], int(c["p"]), base),
-        lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
-        lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
-    "twist-divisibility": (
-        ("type", "weight0", "weight1", "p"),
-        lambda c, seed, base: eval_twist_divisibility(
-            c["type"], c["weight0"], c["weight1"], int(c["p"])),
-        lambda res, expect: res.rec["verdict"] == expect,
-        lambda res: f"verdict {res.rec['verdict']}"),
-    "sym-divisibility": (
-        ("n", "s", "p"),
-        lambda c, seed, base: eval_sym_divisibility(int(c["n"]), int(c["s"]), int(c["p"])),
-        lambda res, expect: res.rec["verdict"] == expect,
-        lambda res: f"verdict {res.rec['verdict']}"),
-}
-
-
 def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
     """Returns (status, detail) with status PASS, FAIL, or UNVERIFIED."""
     if claim.get("scale") == "beyond-desk":
         return "UNVERIFIED", "beyond desk scale; recorded, not executed"
     kind = claim["kind"]
-    _, evaluate, passes, detail = _CLAIMS[claim["check"] if kind == "example" else kind]
-    seed = _claim_seed(args.seed, index)
+    name, _, passes, detail = _CLAIMS[claim["check"] if kind == "example" else kind]
+    kwargs = claim["_args"]
+    if "seed" in kwargs:
+        kwargs["seed"] = _claim_seed(args.seed, index)
+    if "base" in kwargs:
+        kwargs["base"] = base
     try:
-        res = evaluate(claim, seed, base)
+        res = EVALUATORS[name][0](**kwargs)
         return ("PASS" if passes(res, claim["expect"]) else "FAIL"), detail(res)
     except Exception as exc:  # a crashed claim is a failed claim
         return "FAIL", f"error: {exc}"
@@ -532,6 +559,9 @@ def cmd_verify(args) -> Result:
     records = []
     counts = {"PASS": 0, "FAIL": 0, "UNVERIFIED": 0}
     for index, claim in enumerate(claims):
+        # what earlier claims left (group caches) lives as long as the process:
+        # freeze it, so a claim's collections follow from its own allocations
+        gc.freeze()
         status, detail = _run_claim(claim, index, args, base)
         counts[status] += 1
         human.append(f"{status:10} {claim['id']}: {detail}")
@@ -545,19 +575,17 @@ def cmd_verify(args) -> Result:
 # argument wiring -------------------------------------------------------------
 
 
-def _add_common(sub, seed=False, budget=False, module=False, group=False):
+def _add_options(sub, params) -> None:
     sub.add_argument("--format", choices=("plain", "records"), default="plain")
-    if group:
-        sub.add_argument("--group", required=True,
-                         help="path to a .grp file, or a builtin group name")
-    if module:
-        sub.add_argument("--module", required=True, help="path to a .mod recipe")
-        sub.add_argument("--matgroup", default=None,
-                         help="optional .mat file registering a matrix group")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None)
-    if budget:
-        sub.add_argument("--budget", type=int, default=10 ** 5)
+    for name, convert, default, text in params:
+        if convert is bool:
+            sub.add_argument(f"--{name}", action="store_true", help=text)
+        elif default is _POSITIONAL:
+            sub.add_argument(name, type=convert, help=text)
+        elif convert is not None:
+            required = default is _REQUIRED
+            sub.add_argument(f"--{name}", type=convert, required=required,
+                             default=None if required else default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,55 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="group and representation computations with exact "
                     "fixed-space bound checks")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("table", help="character table of a group")
-    _add_common(s, group=True)
-    s.set_defaults(fn=lambda a: eval_table(a.group))
-
-    s = subs.add_parser("triples", help="generating triple of coprime-order elements")
-    _add_common(s, group=True, seed=True, budget=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--orders", default=None, help="comma list like 4,4,4")
-    s.add_argument("--exhaustive", action="store_true",
-                   help="complete class-triple sweep (proof when none exists)")
-    s.set_defaults(fn=lambda a: eval_triples(
-        a.group, a.p, a.seed, a.budget, _ints(a.orders) if a.orders else None,
-        a.exhaustive))
-
-    s = subs.add_parser("pairs", help="conjugate generating pair")
-    _add_common(s, group=True, seed=True, budget=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--order", type=int, default=None)
-    s.set_defaults(fn=lambda a: eval_pairs(a.group, a.p, a.seed, a.budget,
-                                           a.order))
-
-    s = subs.add_parser("bounds", help="fixed-space bound clauses on a module")
-    _add_common(s, module=True)
-    s.add_argument("--p", type=int, default=None)
-    s.set_defaults(fn=lambda a: eval_bounds(a.module, a.p, a.matgroup))
-
-    s = subs.add_parser("scott", help="random-pair fixed-dimension inequality sweep")
-    _add_common(s, module=True, seed=True)
-    s.add_argument("--pairs", type=int, default=1000)
-    s.set_defaults(fn=lambda a: eval_scott(a.module, a.seed, a.pairs, a.matgroup))
-
-    s = subs.add_parser("weights", help="weight multiset of a highest-weight module")
-    _add_common(s)
-    s.add_argument("--type", required=True, help="root system name like A2 or G2")
-    s.add_argument("--weight", required=True, help="fundamental coordinates like 1,1")
-    s.set_defaults(fn=lambda a: eval_weights(a.type, a.weight))
-
-    s = subs.add_parser("phi", help="largest primitive divisor of q^n - 1")
-    _add_common(s)
-    s.add_argument("n", type=int)
-    s.add_argument("q", type=int)
-    s.set_defaults(fn=lambda a: eval_phi(a.n, a.q))
-
-    s = subs.add_parser("verify", help="run a claims manifest")
-    _add_common(s, seed=True)
-    s.add_argument("--manifest", required=True)
-    s.set_defaults(fn=cmd_verify)
-
+    for name, (_, text, params) in EVALUATORS.items():
+        if text is not None:
+            _add_options(subs.add_parser(name, help=text), params)
+    _add_options(subs.add_parser("verify", help="run a claims manifest"),
+                 (_SEED, ("manifest", str, _REQUIRED, None)))
     return parser
 
 
@@ -624,10 +608,14 @@ def main(argv=None) -> int:
     gc.freeze()
     args = build_parser().parse_args(argv)
     try:
-        res = args.fn(args)
+        if args.command == "verify":
+            res = cmd_verify(args)
+        else:  # `base`, no option, keeps its default
+            evaluate, _, params = EVALUATORS[args.command]
+            res = evaluate(**{p[0]: getattr(args, p[0], p[2]) for p in params})
         _emit(res, args.format)
         return res.status
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, matrep.Inconclusive) as exc:
         return _fail(str(exc))
 
 

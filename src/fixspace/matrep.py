@@ -560,7 +560,7 @@ def parse_matgroup_text(text: str):
     ``ext K``, and no other key; a gen line is a JSON matrix of
     field-element encodings. A missing or repeated header, a missing name,
     field or dim, an unknown or repeated key, a non-integer header value
-    or matrix entry raises IllTyped.
+    or matrix entry, and a dim below 1 raise IllTyped.
     """
     name = None
     F = None
@@ -613,6 +613,8 @@ def _parse_matgroup_header(line: str):
                      int(fields["dim"]))
     except ValueError:
         raise IllTyped(f"matgroup header {line!r} has a non-integer value") from None
+    if dim < 1:
+        raise IllTyped(f"matgroup header {line!r} has dim {dim}, below 1")
     return parts[1], ff.make_field(p, k), dim
 
 

@@ -589,6 +589,8 @@ def parse_group_text(text: str) -> PermGroup:
         rest = rest.strip()
         try:
             if key == "group":
+                if name is not None:
+                    raise ValueError("second group line")
                 name = rest
             elif key == "degree":
                 if degree is not None:

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import os
 import textwrap
 
 import pytest
 
-from fixspace.cli import ManifestParse, _claim_seed, main, parse_manifest
+from fixspace.cli import ManifestParse, _claim_seed, build_parser, main, parse_manifest
 
 DATA = "data"
 
@@ -46,6 +47,47 @@ def test_table_records(capsys):
     assert rec["classes"] == "3"
     assert rec["degrees"] == "1,1,2"
     assert rec["character_0"].startswith("1:")
+
+
+# every subcommand's options as (default, required, nargs), positionals
+# included by name; nargs 0 is a flag
+SURFACE = {
+    "table": {"--format": ("plain", False, None), "--group": (None, True, None)},
+    "triples": {"--format": ("plain", False, None), "--group": (None, True, None),
+                "--seed": (None, False, None), "--budget": (100000, False, None),
+                "--p": (None, True, None), "--orders": (None, False, None),
+                "--exhaustive": (False, False, 0)},
+    "pairs": {"--format": ("plain", False, None), "--group": (None, True, None),
+              "--seed": (None, False, None), "--budget": (100000, False, None),
+              "--p": (None, True, None), "--order": (None, False, None)},
+    "bounds": {"--format": ("plain", False, None), "--module": (None, True, None),
+               "--matgroup": (None, False, None), "--p": (None, False, None)},
+    "scott": {"--format": ("plain", False, None), "--module": (None, True, None),
+              "--matgroup": (None, False, None), "--seed": (None, False, None),
+              "--pairs": (1000, False, None)},
+    "weights": {"--format": ("plain", False, None), "--type": (None, True, None),
+                "--weight": (None, True, None)},
+    "phi": {"--format": ("plain", False, None), "n": (None, True, None),
+            "q": (None, True, None)},
+    "verify": {"--format": ("plain", False, None), "--seed": (None, False, None),
+               "--manifest": (None, True, None)},
+}
+
+
+def test_subcommand_surface_is_pinned():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(subs) == sorted(SURFACE)
+    for name, sub in subs.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        got = {(a.option_strings[0] if a.option_strings else a.dest):
+               (a.default, a.required, a.nargs) for a in actions}
+        assert got == SURFACE[name], name
+        assert all(len(a.option_strings) <= 1 for a in actions), name
+        assert next(a for a in actions if a.dest == "format").choices == (
+            "plain", "records"), name
+        positionals = [a.dest for a in actions if not a.option_strings]
+        assert positionals == (["n", "q"] if name == "phi" else []), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -230,6 +272,16 @@ def test_bounds_rejects_p_other_than_field_characteristic(capsys, p):
     assert "characteristic 7" in err
 
 
+def test_bounds_rejects_module_it_cannot_decide(tmp_path, capsys):
+    # C3 on GF(2)^2 is irreducible but not absolutely irreducible: the
+    # irreducibility search finds no verdict
+    (tmp_path / "c3.mat").write_text("matgroup C3 field 2 dim 2\ngen [[0,1],[1,1]]\n")
+    (tmp_path / "c3.mod").write_text("(explicit C3)\n")
+    err = rejected(capsys, "bounds", "--module", str(tmp_path / "c3.mod"),
+                   "--matgroup", str(tmp_path / "c3.mat"))
+    assert "no verdict after" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["triples", "--group", "A5", "--p", "4", "--seed", "1"],
     ["triples", "--group", "A5", "--p", "4", "--exhaustive"],
@@ -387,6 +439,22 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         p = 9
         expect = holds
         provenance = derived
+
+        [sharp-p4]
+        kind = example
+        check = mersenne-sharp
+        module = {os.path.abspath(DATA)}/mersenne7.mod
+        p = 4
+        expect = 3
+        provenance = derived
+
+        [sharp-p5]
+        kind = example
+        check = mersenne-sharp
+        module = {os.path.abspath(DATA)}/mersenne7.mod
+        p = 5
+        expect = 3
+        provenance = derived
     """)
     code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
     assert code == 1
@@ -401,6 +469,10 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
                         "which does not divide |G| = 60")
     assert lines[5] == "FAIL       twist-p4: error: p must be a prime, got 4"
     assert lines[6] == "FAIL       sym-p9: error: p must be a prime, got 9"
+    assert lines[7] == ("FAIL       sharp-p4: error: p = 4 is not the characteristic "
+                        "7 of the module's field")
+    assert lines[8] == ("FAIL       sharp-p5: error: p = 5 is not the characteristic "
+                        "7 of the module's field")
 
 
 def test_weights_g2(capsys):
@@ -473,6 +545,8 @@ def test_parse_manifest_bad_kind():
 
 A6_TRIPLE = ("[typo]\nkind = triple\ngroup = A6\np = 3\n{}\nexpect = found\n"
              "provenance = derived\n")
+A5_EXCEPTION = ("[typo]\nkind = exception\ngroup = A5\np = 5\n{}\n"
+                "expect = proved_none\nprovenance = derived\n")
 A1_TWIST = ("[typo]\nkind = example\ncheck = twist-divisibility\ntype = A1\n"
             "weight0 = 2\nweight1 = 1\np = 5\n{}\nexpect = holds\nprovenance = derived\n")
 
@@ -482,7 +556,14 @@ A1_TWIST = ("[typo]\nkind = example\ncheck = twist-divisibility\ntype = A1\n"
     (A6_TRIPLE, "triple", "oders = 4,4,4", "oders"),
     (A6_TRIPLE, "triple", "id = other", "id"),
     (A1_TWIST, "example", "ext = 2", "ext"),
-], ids=["oders = 4,4,4-oders", "id = other-id", "ext = 2-ext"])
+    (A6_TRIPLE, "triple", "seed = 3", "seed"),
+    (A6_TRIPLE, "triple", "exhaustive = yes", "exhaustive"),
+    (A5_EXCEPTION, "exception", "budget = 5", "budget"),
+    (A5_EXCEPTION, "exception", "orders = 3,3,5", "orders"),
+    (A5_EXCEPTION, "exception", "exhaustive = no", "exhaustive"),
+], ids=["oders = 4,4,4-oders", "id = other-id", "ext = 2-ext", "triple-seed",
+        "triple-exhaustive", "exception-budget", "exception-orders",
+        "exception-exhaustive"])
 def test_parse_manifest_misspelled_key(template, kind, line, key):
     # `oders` in place of `orders` once ran an unrestricted search and passed
     text = template.format(line)
@@ -490,6 +571,43 @@ def test_parse_manifest_misspelled_key(template, kind, line, key):
         parse_manifest(text)
     assert info.value.lineno == text.splitlines().index(line) + 1
     assert f"claim 'typo' of kind {kind} has unknown key {key!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("text, line", [
+    (A6_TRIPLE.format("").replace("p = 3", "p = five"), "p = five"),
+    (A6_TRIPLE.format("orders = 4,x"), "orders = 4,x"),
+    (A1_TWIST.format("").replace("p = 5", "p = 5.0"), "p = 5.0"),
+], ids=["p-five", "orders-4-x", "twist-p-5.0"])
+def test_parse_manifest_value_that_does_not_convert(text, line):
+    with pytest.raises(ManifestParse) as info:
+        parse_manifest(text)
+    key, _, value = line.partition(" = ")
+    assert info.value.lineno == text.splitlines().index(line) + 1
+    assert f"claim 'typo' has bad {key} {value!r}: invalid literal" in str(info.value)
+
+
+@pytest.mark.parametrize("text, key", [
+    (A6_TRIPLE.format("").replace("group = A6\n", ""), "group"),
+    (A6_TRIPLE.format("").replace("p = 3\n", ""), "p"),
+    (A1_TWIST.format("").replace("weight1 = 1\n", ""), "weight1"),
+    ("[typo]\nkind = phi\nn = 4\nexpect = 5\nprovenance = derived\n", "q"),
+], ids=["triple-group", "triple-p", "twist-weight1", "phi-q"])
+def test_parse_manifest_missing_key(text, key):
+    with pytest.raises(ManifestParse) as info:
+        parse_manifest(text)
+    assert info.value.lineno == 1
+    assert str(info.value).endswith(f"claim 'typo' lacks {key}")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (A6_TRIPLE.format("").replace("p = 3", "p = five"), 4),
+    (A6_TRIPLE.format("orders = 4,x"), 5),
+    (A6_TRIPLE.format("").replace("group = A6\n", ""), 1),
+], ids=["p-five", "orders-4-x", "missing-group"])
+def test_verify_rejects_bad_value_at_load_time(tmp_path, capsys, text, lineno):
+    path = write_manifest(tmp_path, text)
+    assert f"manifest line {lineno}: " in rejected(capsys, "verify", "--manifest", path,
+                                                  "--seed", "1")
 
 
 def test_verify_rejects_misspelled_key_at_load_time(tmp_path, capsys):

@@ -419,6 +419,8 @@ def test_malformed_module_recipe_is_ill_typed(text, message):
      "gen line 'gen [[1,1],[0,1]' is not JSON"),
     ("matgroup X field 3 exd 2 dim 2\ngen [[1,1],[0,1]]\n", "has unknown key 'exd'"),
     ("matgroup X field 3 dim 2 field 5\ngen [[1,1],[0,1]]\n", "repeats key 'field'"),
+    ("matgroup Z field 5 dim 0\ngen []\n", "has dim 0, below 1"),
+    ("matgroup Z field 5 dim -2\ngen []\n", "has dim -2, below 1"),
 ])
 def test_malformed_matgroup_header_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):

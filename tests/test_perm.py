@@ -355,7 +355,8 @@ def test_group_file_roundtrip(tmp_path):
     ("degree 5\ndegree 6\ngen (1,2)", "line 2 'degree 6'"),
     ("degree 3\ngen (1,2,3", "line 2 'gen (1,2,3'"),
     ("degree 0\ngen ()", "line 1 'degree 0'"),
-], ids=["second-degree", "unclosed-cycle", "degree-zero"])
+    ("group A\ngroup B\ndegree 3\ngen (1,2,3)", "line 2 'group B': second group line"),
+], ids=["second-degree", "unclosed-cycle", "degree-zero", "second-group"])
 def test_group_file_errors_name_the_line(text, line):
     with pytest.raises(ValueError, match=re.escape(line)):
         parse_group_text(text)
