@@ -160,8 +160,8 @@ def _witness_records(cert) -> list:
 
 def eval_triples(group: str, p: int, seed: int, budget: int, orders: tuple,
                  exhaustive: bool, base: str) -> Result:
-    if exhaustive and orders is not None:
-        raise ValueError("--orders does not apply to the exhaustive search")
+    """The exhaustive sweep reads no seed, budget or orders: `main` and an
+    `exception` claim pass it the None values of _EXHAUSTIVE."""
     G = _load_group(group, base)
     _check(p, orders, group=G, budget=budget)
     name = G.name or "group"
@@ -344,6 +344,10 @@ _BUDGET = ("budget", int, 10 ** 5, None)
 # the working directory ("") for a subcommand
 _BASE = ("base", None, "", None)
 
+# the exhaustive sweep draws nothing: it reads no seed, budget or orders. An
+# `exception` claim fixes these, and `triples --exhaustive` refuses them.
+_EXHAUSTIVE = {"exhaustive": True, "seed": None, "budget": None, "orders": None}
+
 # evaluator name -> (evaluator, subcommand help or None for an `example`
 # check, parameters as (name, conversion, default, help)), each parameter
 # passed by name. A subcommand takes each as an option (a flag where the
@@ -409,8 +413,7 @@ _CLAIMS = {
         "pairs", {}, _verdict,
         lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
     "exception": (
-        # the exhaustive sweep draws nothing: no budget, no orders
-        "triples", {"exhaustive": True, "budget": None, "orders": None}, _verdict,
+        "triples", _EXHAUSTIVE, _verdict,
         lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
                      "generation tests")),
     "bound": (
@@ -536,9 +539,9 @@ def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
     if claim.get("scale") == "beyond-desk":
         return "UNVERIFIED", "beyond desk scale; recorded, not executed"
     kind = claim["kind"]
-    name, _, passes, detail = _CLAIMS[claim["check"] if kind == "example" else kind]
+    name, fixed, passes, detail = _CLAIMS[claim["check"] if kind == "example" else kind]
     kwargs = claim["_args"]
-    if "seed" in kwargs:
+    if "seed" in kwargs and "seed" not in fixed:
         kwargs["seed"] = _claim_seed(args.seed, index)
     if "base" in kwargs:
         kwargs["base"] = base
@@ -575,6 +578,16 @@ def cmd_verify(args) -> Result:
 # argument wiring -------------------------------------------------------------
 
 
+class _Given(argparse.Action):
+    """Stores an option's value, and adds the option to the namespace's
+    `given`: a mode can refuse an option it does not read even when the
+    option has a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def _add_options(sub, params) -> None:
     sub.add_argument("--format", choices=("plain", "records"), default="plain")
     for name, convert, default, text in params:
@@ -584,7 +597,8 @@ def _add_options(sub, params) -> None:
             sub.add_argument(name, type=convert, help=text)
         elif convert is not None:
             required = default is _REQUIRED
-            sub.add_argument(f"--{name}", type=convert, required=required,
+            sub.add_argument(f"--{name}", action=_Given, type=convert,
+                             required=required,
                              default=None if required else default, help=text)
 
 
@@ -612,7 +626,15 @@ def main(argv=None) -> int:
             res = cmd_verify(args)
         else:  # `base`, no option, keeps its default
             evaluate, _, params = EVALUATORS[args.command]
-            res = evaluate(**{p[0]: getattr(args, p[0], p[2]) for p in params})
+            kwargs = {p[0]: getattr(args, p[0], p[2]) for p in params}
+            if kwargs.get("exhaustive"):
+                given = getattr(args, "given", ())
+                for name in _EXHAUSTIVE:
+                    if name in given:
+                        raise ValueError(f"--{name} does not apply to the "
+                                         "exhaustive search")
+                kwargs.update(_EXHAUSTIVE)
+            res = evaluate(**kwargs)
         _emit(res, args.format)
         return res.status
     except (OSError, KeyError, ValueError, matrep.Inconclusive) as exc:

@@ -2,9 +2,13 @@
 
 Random searches are reproducible: each draws its elements from one
 stream forked from the integer seed, and the budget counts attempts, one
-pair of draws each. Candidates are tested by PermGroup.generated_by (an
-orbit test, then a chain build); every returned certificate is rechecked
-with the full subgroup_order before it is handed back.
+pair of elements each. An attempt tests the order of x before it builds
+the second element; when x is rejected, PermGroup.skip_element moves the
+stream past the second element without drawing it, so every stream,
+witness and attempt count is that of drawing both. Candidates are tested
+by PermGroup.generated_by (an orbit test, then a chain build); every
+returned certificate is rechecked with the full subgroup_order before it
+is handed back.
 """
 
 import math
@@ -90,10 +94,11 @@ def find_triple(group: PermGroup, p: int, budget: int = 10**5, seed: int = 1,
     stream = SeedStream(seed).fork(0)
     for attempts in range(1, budget + 1):
         x = group.random_element(stream)
-        y = group.random_element(stream)
         ox = element_order(x)
         if ox % p == 0 or orders is not None and ox != orders[0]:
+            group.skip_element(stream)   # y, which nothing reads
             continue
+        y = group.random_element(stream)
         oy = element_order(y)
         if oy % p == 0 or orders is not None and oy != orders[1]:
             continue
@@ -125,12 +130,11 @@ def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
     stream = SeedStream(seed).fork(0)
     for attempts in range(1, budget + 1):
         x = group.random_element(stream)
-        h = group.random_element(stream)
         ox = element_order(x)
-        if ox % p == 0:
+        if ox % p == 0 or order is not None and ox != order:
+            group.skip_element(stream)   # h, which nothing reads
             continue
-        if order is not None and ox != order:
-            continue
+        h = group.random_element(stream)
         y = pconj(x, h)
         if not group.generated_by([x, y]):
             continue

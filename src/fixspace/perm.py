@@ -17,7 +17,10 @@ levels it belongs to dirty, and a dirty level is recomputed from its
 strong generators the first time it is read.  That is exactly what an
 eager recompute after every installation would hold, so bases, strong
 generators and transversals do not depend on when levels are read.
-Transversal inverses are computed on first use.  `subgroup_order` stops
+Transversal inverses are computed on first use.  A random element takes
+one index per level from a single `SeedStream.randranges` call over the
+levels' bounds; `skip_element` advances a stream by exactly those draws
+(`SeedStream.skip`) and builds nothing.  `subgroup_order` stops
 building as soon as the chain's orbit lengths multiply to |G|;
 `generated_by` builds none when the first base point's orbit is short.
 """
@@ -29,7 +32,7 @@ from math import gcd, lcm
 from typing import Callable, NamedTuple
 
 from . import ff
-from .rng import SeedStream
+from .rng import SeedStream, bound
 
 CLASS_CAP = 10**6
 
@@ -380,22 +383,32 @@ class PermGroup:
         res, _ = self._sift(g)
         return res == self._ident
 
-    def random_element(self, stream: SeedStream) -> tuple:
-        """Exactly uniform: product of uniformly chosen transversal elements.
-
-        The first draw lists each level's transversal, deepest level first
-        and in orbit_list order, as right operands; the chain is complete
-        by then and never changes."""
-        ops = self._operands
-        if ops is None:
+    def _draws(self) -> tuple:
+        """(operands, bounds) of a random element: each level's transversal,
+        deepest level first and in orbit_list order, as right operands, and
+        the rng bound of each level's orbit length (at least 2: a level's
+        base point is moved by the generator installed there).  Listed on
+        first use; the chain is complete by then and never changes."""
+        if self._operands is None:
             right = self._codec.right
-            ops = self._operands = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
-                                    for lvl in reversed(self._levels)]
-        apply, randrange = self._codec.apply, stream.randrange
+            ops = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
+                   for lvl in reversed(self._levels)]
+            self._operands = ops, tuple(bound(len(level)) for level in ops)
+        return self._operands
+
+    def random_element(self, stream: SeedStream) -> tuple:
+        """Exactly uniform: product of uniformly chosen transversal
+        elements, one rng index per level drawn in a single call."""
+        ops, bounds = self._operands or self._draws()
+        apply = self._codec.apply
         g = self._ident
-        for level in ops:
-            g = apply(g, level[randrange(len(level))])
+        for level, i in zip(ops, stream.randranges(bounds)):
+            g = apply(g, level[i])
         return self._codec.decode(g)
+
+    def skip_element(self, stream: SeedStream) -> None:
+        """Advance stream exactly as random_element would, building nothing."""
+        stream.skip((self._operands or self._draws())[1])
 
     def subgroup_order(self, elems) -> int:
         """Order of the subgroup generated by elems, via a fresh chain.

@@ -306,6 +306,17 @@ def test_triples_reject_orders_with_exhaustive(capsys, no_search):
     assert "--orders does not apply to the exhaustive search" in err
 
 
+# the sweep draws nothing: a seed or budget it would ignore is refused, the
+# default budget included when it is given
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "1"), ("--seed", "7"), ("--budget", "100000"), ("--budget", "5"),
+])
+def test_triples_reject_seed_and_budget_with_exhaustive(capsys, no_search, flag, value):
+    err = rejected(capsys, "triples", "--group", "A5", "--p", "5", "--exhaustive",
+                   flag, value)
+    assert f"{flag} does not apply to the exhaustive search" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--orders", "2,3,5"],
     ["triples", "--group", "A5", "--p", "2", "--seed", "1", "--orders", "0,3,5"],

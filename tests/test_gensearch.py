@@ -7,7 +7,8 @@ from fixspace.gensearch import (NotPrimePower, exhaustive_triple_search,
                                 find_conjugate_pair, find_triple, phi_star,
                                 verify_pair, verify_triple)
 from fixspace.perm import (PermGroup, builtin_group, element_order,
-                           format_cycles, pmul)
+                           format_cycles, pconj, pinv, pmul)
+from fixspace.rng import SeedStream
 
 
 def phi_star_oracle(n, q):
@@ -194,3 +195,54 @@ def test_phi_star_rejects_non_prime_power():
         phi_star(4, 6)
     with pytest.raises(NotPrimePower):
         phi_star(4, 1)
+
+
+# the draw order before a rejected x stopped drawing: x and then y (or h)
+# through random_element on every attempt, with every test after both draws
+def reference_triple(group, p, budget, seed, orders=None):
+    stream = SeedStream(seed).fork(0)
+    for attempts in range(1, budget + 1):
+        x = group.random_element(stream)
+        y = group.random_element(stream)
+        z = pinv(pmul(x, y))
+        got = tuple(element_order(g) for g in (x, y, z))
+        if any(o % p == 0 for o in got) or orders is not None and got != orders:
+            continue
+        if group.subgroup_order([x, y]) == group.order:
+            return "Generates", attempts, x, y
+    return "NotFound", budget, None, None
+
+
+def reference_pair(group, p, budget, seed, order):
+    stream = SeedStream(seed).fork(0)
+    for attempts in range(1, budget + 1):
+        x = group.random_element(stream)
+        h = group.random_element(stream)
+        ox = element_order(x)
+        if ox % p == 0 or ox != order:
+            continue
+        if group.subgroup_order([x, pconj(x, h)]) == group.order:
+            return "Generates", attempts, x, h
+    return "NotFound", budget, None, None
+
+
+@pytest.mark.parametrize("name, p, budget, orders", [
+    ("A7", 2, 10**5, (5, 5, 5)),
+    ("A6", 5, 10**5, (4, 4, 4)),
+    ("L2_7", 3, 10**5, None),
+    ("A5", 5, 200, None),
+])
+def test_find_triple_matches_reference_draws(name, p, budget, orders):
+    G = builtin_group(name)
+    for seed in range(1, 26):
+        cert = find_triple(G, p, budget=budget, seed=seed, orders=orders)
+        assert (cert.verdict, cert.attempts, cert.x, cert.y) == reference_triple(
+            G, p, budget, seed, orders), seed
+
+
+def test_find_conjugate_pair_matches_reference_draws():
+    G = builtin_group("A12")
+    for seed in range(1, 26):
+        cert = find_conjugate_pair(G, 5, seed=seed, order=11)
+        assert (cert.verdict, cert.attempts, cert.x, cert.h) == reference_pair(
+            G, 5, 10**5, seed, 11), seed

@@ -1,6 +1,8 @@
+import signal
+
 import pytest
 
-from fixspace.rng import MASK64, SeedStream, mix64
+from fixspace.rng import MASK64, SeedStream, bound, mix64
 
 
 def _mix_reference(z):
@@ -100,6 +102,23 @@ def test_randrange_rejects_bad_bound():
         SeedStream(1).randrange(-4)
 
 
+def test_randrange_rejects_bound_past_2_64_at_once():
+    # the limit would be 0, and every draw rejected for ever: the alarm
+    # turns such a loop into a failure instead of a hung suite
+    def stuck(*_):
+        raise AssertionError("randrange kept drawing past a bound above 2^64")
+
+    old = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        for n in (2**64 + 1, 2**70):
+            with pytest.raises(ValueError):
+                SeedStream(1).randrange(n)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_randrange_large_bound():
     s = SeedStream(11)
     n = 2**62
@@ -122,3 +141,73 @@ def test_reference_stream_rejects_at_half_bound():
     ref = ReferenceStream(SeedStream(1)._state)
     limit = 2**64 - 2**64 % (2**63 + 1)
     assert sum(ref.next64() >= limit for _ in range(2000)) > 800
+
+
+def _unmix_reference(r):
+    # mix64 run backwards: xorshift by s undone by re-applying it until
+    # every bit is fixed, odd multipliers undone by their inverses mod 2^64
+    def unshift(y, s):
+        x = y
+        for _ in range(64):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(r, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & MASK64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64, 30)
+
+
+SKIP_BOUNDS = list(range(2, 14)) + [364, 2**63 + 1]
+
+
+def _rejected_states(n):
+    """The states whose step is rejected for n: the preimages of the
+    2^64 mod n outputs past the limit, or of the top 64 for a large n."""
+    top = range(2**64 - (2**64 % n if n < 2**12 else 64), 2**64)
+    return [_unmix_reference(r) for r in top]
+
+
+def _stream_at(state):
+    s = SeedStream(0)
+    s._state = state
+    return s
+
+
+def _three_ways(state, n, count):
+    """The state after count draws below n, made by skip, by randranges and
+    by randrange in turn."""
+    a, b, c = _stream_at(state), _stream_at(state), _stream_at(state)
+    a.skip([bound(n)] * count)
+    b.randranges([bound(n)] * count)
+    for _ in range(count):
+        c.randrange(n)
+    return a._state, b._state, c._state
+
+
+@pytest.mark.parametrize("n", SKIP_BOUNDS)
+def test_skip_leaves_the_state_randranges_leaves(n):
+    for seed in (1, 7919):
+        state = SeedStream(seed, stream=3)._state
+        a, b, c = _three_ways(state, n, 500)
+        assert a == b == c
+    # one golden step before a rejected state: the first try is rejected
+    for z in _rejected_states(n):
+        before = (z - 0x9E3779B97F4A7C15) & MASK64
+        a, b, c = _three_ways(before, n, 3)
+        assert a == b == c
+        assert a != (z + 2 * 0x9E3779B97F4A7C15) & MASK64
+
+
+@pytest.mark.parametrize("n", SKIP_BOUNDS)
+def test_rejected_states_are_exactly_those_past_the_limit(n):
+    _, limit, rejected = bound(n)
+    assert limit == 2**64 - 2**64 % n
+    for z in _rejected_states(n):
+        assert mix64(z) >= limit and z in rejected
+    if isinstance(rejected, frozenset):
+        # listed: each state has its output at or past the limit, and
+        # there is one state per rejected output
+        assert len(rejected) == 2**64 % n < n
+        assert all(mix64(z) >= limit for z in rejected)
+        assert rejected == frozenset(_rejected_states(n))
+    assert all(z not in rejected for z in range(1000) if mix64(z) < limit)
