@@ -13,8 +13,7 @@ leaves the state exactly where the draws would have, without the
 scramble.  Every step adds the golden gamma to the state, so only the
 extra tries need finding, and those happen at the 2^64 mod n states
 whose scramble is too large.  Inverting the scramble lists those states
-once per bound; a bound with more than _LIST_CAP of them (only n above
-2^12 can have that many) tells them apart by mixing instead.
+once per bound.
 """
 
 from functools import cache
@@ -25,8 +24,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # inverses mod 2^64 of mix64's two odd multipliers, for unmix64
 _M1_INV = pow(0xBF58476D1CE4E5B9, -1, _SPAN)
 _M2_INV = pow(0x94D049BB133111EB, -1, _SPAN)
-# most rejected states listed for one bound; past it they are told by mixing
-_LIST_CAP = 1 << 12
 
 
 def mix64(z: int) -> int:
@@ -53,34 +50,15 @@ def unmix64(r: int) -> int:
     return _unshift((z * _M1_INV) & MASK64, 30)
 
 
-class _Mixed:
-    """The states (after their golden step) whose output is >= limit, told
-    apart by mixing: for a bound with too many of them to list."""
-
-    __slots__ = ("limit",)
-
-    def __init__(self, limit: int):
-        self.limit = limit
-
-    def __contains__(self, z: int) -> bool:
-        return mix64(z) >= self.limit
-
-
 @cache
-def _rejected(limit: int):
-    """The states (after their golden step) whose output is >= limit: the
-    frozenset of the 2^64 - limit preimages when there are at most
-    _LIST_CAP of them, else a _Mixed test."""
-    if _SPAN - limit > _LIST_CAP:
-        return _Mixed(limit)
-    return frozenset(map(unmix64, range(limit, _SPAN)))
-
-
 def bound(n: int) -> tuple:
     """(n, limit, rejected) for a draw below n >= 2: outputs from limit up
-    are rejected and retried, and rejected holds the states that give them."""
+    are rejected and tried again, and rejected is the frozenset of the
+    2^64 mod n states (after their golden step) that give them.  There are
+    fewer than n of them, so n is meant to be the length of a list the
+    caller already holds, such as a transversal."""
     limit = _SPAN - _SPAN % n
-    return n, limit, _rejected(limit)
+    return n, limit, frozenset(map(unmix64, range(limit, _SPAN)))
 
 
 class SeedStream:
@@ -99,7 +77,8 @@ class SeedStream:
             raise ValueError(f"randrange needs a bound in 1..2^64, got {n}")
         if n == 1:
             return 0
-        # a lone draw is never skipped: it needs no rejected states
+        # a lone draw is never skipped, so it lists no rejected states: a
+        # bound just above 2^63 has nearly 2^63 of them
         return self.randranges(((n, _SPAN - _SPAN % n, None),))[0]
 
     def randranges(self, bounds) -> list:
