@@ -11,7 +11,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .ff import is_prime, make_field, multiplicative_order
-from .linalg import rank
+from .linalg import eye, rank
 from .matrep import (
     MatRep,
     build_rep,
@@ -33,6 +33,11 @@ from .rng import SeedStream
 
 class NotIrreducible(ValueError):
     pass
+
+
+class TrivialAction(ValueError):
+    """Every generator acts as the identity: no element moves a vector, so
+    no fixed-space bound can hold."""
 
 
 def semisimple_classes(group, p: int):
@@ -106,53 +111,42 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     if not verdict.irreducible:
         raise NotIrreducible(f"module of dimension {rep.dim} is reducible")
     n = rep.dim
+    identity = eye(rep.field, n)
+    if all(M == identity for M in rep.images):
+        raise TrivialAction(f"the group acts trivially on the module of dimension {n}")
     group = rep.group
     cls, mindim = min_semisimple_fixdim(rep, p)
     if fixed_space_dim(rep, cls.rep) != mindim:
         raise AssertionError("witness fixed dimension failed recomputation")
     cls_index = group.conjugacy_classes().index(cls)
     mo = cls.element_order
-    md = Fraction(mindim)
+    odd_prime = n % 2 == 1 and is_prime(n)
 
+    rows = (
+        ("half-strict", True, Fraction(n, 2), True),
+        ("coprime-order-third", group.order % p != 0, Fraction(n, 3), False),
+        ("large-char-third", p > n + 2, Fraction(n, 3), False),
+        ("coprime-dim-three-eighths", n % p != 0, Fraction(3 * n, 8), False),
+        ("two-primitive-third", odd_prime and multiplicative_order(2, n) == n - 1,
+         Fraction(n, 3), False),
+    )
     clauses = [
-        ClauseResult("half-strict", True, Fraction(n, 2), True,
-                     md < Fraction(n, 2), mo, mindim),
-        ClauseResult("coprime-order-third", group.order % p != 0,
-                     Fraction(n, 3), False, md <= Fraction(n, 3), mo, mindim),
-        ClauseResult("large-char-third", p > n + 2,
-                     Fraction(n, 3), False, md <= Fraction(n, 3), mo, mindim),
-        ClauseResult("coprime-dim-three-eighths", n % p != 0,
-                     Fraction(3 * n, 8), False, md <= Fraction(3 * n, 8),
-                     mo, mindim),
-        ClauseResult("two-primitive-third",
-                     n % 2 == 1 and is_prime(n) and multiplicative_order(2, n) == n - 1,
-                     Fraction(n, 3), False, md <= Fraction(n, 3), mo, mindim),
-    ]
-    # make inapplicable clauses vacuous regardless of the observed minimum
-    clauses = [
-        c if c.applicable else
-        ClauseResult(c.clause, False, c.threshold, c.strict, True)
-        for c in clauses
+        ClauseResult(name, True, t, strict, mindim < t if strict else mindim <= t,
+                     mo, mindim)
+        if gate else ClauseResult(name, False, t, strict, True)
+        for name, gate, t, strict in rows
     ]
 
-    line_applicable = n % 2 == 1 and is_prime(n) and p > 2 * n - 3
-    if line_applicable:
-        found = None
-        for c in semisimple_classes(group, p):
-            prof = eigenspace_profile(rep, c.rep, p)
-            if prof.max_eigenspace_dim <= 1:
-                found = (c, prof.max_eigenspace_dim)
-                break
-        if found:
-            clauses.append(ClauseResult(
-                "prime-dim-line-eigenspaces", True, Fraction(1), False,
-                True, found[0].element_order, found[1]))
-        else:
-            clauses.append(ClauseResult(
-                "prime-dim-line-eigenspaces", True, Fraction(1), False, False))
-    else:
-        clauses.append(ClauseResult(
-            "prime-dim-line-eigenspaces", False, Fraction(1), False, True))
+    # a witness has every eigenspace of dimension <= 1, so of dimension 1
+    line_gate = odd_prime and p > 2 * n - 3
+    line = line_gate and next(
+        (c for c in semisimple_classes(group, p)
+         if eigenspace_profile(rep, c.rep, p).max_eigenspace_dim <= 1), None)
+    clauses.append(
+        ClauseResult("prime-dim-line-eigenspaces", True, Fraction(1), False, True,
+                     line.element_order, 1) if line else
+        ClauseResult("prime-dim-line-eigenspaces", line_gate, Fraction(1), False,
+                     not line_gate))
 
     return BoundReport(n, p, group.order, mindim, mo, cls_index, tuple(clauses))
 
@@ -229,25 +223,6 @@ def scott_suite(rep: MatRep, pairs: int = 1000, seed: int = 1) -> ScottSuiteRepo
 # the dim p^2 - 2 section of the 3x3 matrix module ------------------------
 
 
-def _irreducible_section(spec, F, target_dim: int) -> MatRep:
-    """Walk sub/quotient certificates until an irreducible section of the
-    wanted dimension appears."""
-    queue = [spec]
-    for _ in range(64):
-        if not queue:
-            break
-        cur = queue.pop(0)
-        rep = build_rep(cur, F)
-        verdict = is_irreducible(rep, SeedStream(7))
-        if verdict.irreducible:
-            if rep.dim == target_dim:
-                return rep
-            continue
-        queue.append(section(cur, "sub", verdict.submodule))
-        queue.append(section(cur, "quotient", verdict.submodule))
-    raise AssertionError(f"no irreducible section of dimension {target_dim}")
-
-
 class AdjointSectionReport(NamedTuple):
     p: int
     ambient_dim: int
@@ -262,9 +237,12 @@ class AdjointSectionReport(NamedTuple):
 @cache
 def sl3_adjoint_heart() -> MatRep:
     """The 7-dimensional irreducible section of 3x3 matrices over GF(3)
-    under conjugation by SL3(3)."""
+    under conjugation by SL3(3): the quotient by the scalars (the identity
+    is the sum of e_i (x) e_i*), then its automatic sub section."""
     _, nat = builtin_matgroup("SL3_3")
-    return _irreducible_section(tensor(nat.spec, dual(nat.spec)), nat.field, 7)
+    matrices = tensor(nat.spec, dual(nat.spec))
+    scalars = ((1, 0, 0, 0, 1, 0, 0, 0, 1),)
+    return build_rep(section(section(matrices, "quotient", basis=scalars), "sub"))
 
 
 def sl_p_adjoint_check() -> AdjointSectionReport:
@@ -317,8 +295,6 @@ def extraspecial_free_check() -> FreeActionReport:
 
 class CatalogEntry(NamedTuple):
     ident: str
-    group_name: str
-    construction: str
     p: int
     rep: MatRep
 
@@ -345,33 +321,21 @@ def catalog() -> tuple:
             if npts % q == 0:
                 continue
             rep = build_rep(deleted(perm_module(G)), make_field(q))
-            entries.append(CatalogEntry(
-                f"{gname.lower()}-deleted-gf{q}", gname,
-                f"deleted({gname} on {npts} points) over GF({q})", q, rep))
+            entries.append(CatalogEntry(f"{gname.lower()}-deleted-gf{q}", q, rep))
     for name, a, q in (("F12", 2, 3), ("F56", 3, 7)):
         G = builtin_group(name)
         rep = build_rep(deleted(perm_module(G)), make_field(q))
-        entries.append(CatalogEntry(
-            f"mersenne-a{a}", name,
-            f"deleted({name} on {2 ** a} points) over GF({q})", q, rep))
+        entries.append(CatalogEntry(f"mersenne-a{a}", q, rep))
     for name in ("SL2_5", "SL2_7"):
         _, nat = builtin_matgroup(name)
         low = name.lower()
-        entries.append(CatalogEntry(
-            f"{low}-natural", name, f"natural {name} module", nat.field.p, nat))
+        entries.append(CatalogEntry(f"{low}-natural", nat.field.p, nat))
         for s in (2, 3, 4):
             rep = build_rep(sym_power(nat.spec, s), nat.field)
-            entries.append(CatalogEntry(
-                f"{low}-sym{s}", name, f"sym^{s} of natural {name}",
-                nat.field.p, rep))
+            entries.append(CatalogEntry(f"{low}-sym{s}", nat.field.p, rep))
     _, nat = builtin_matgroup("SL3_3")
-    entries.append(CatalogEntry(
-        "sl3_3-natural", "SL3_3", "natural SL3(3) module", 3, nat))
-    entries.append(CatalogEntry(
-        "sl3_3-adjoint-heart", "SL3_3",
-        "dim-7 section of 3x3 matrices under SL3(3) conjugation", 3,
-        sl3_adjoint_heart()))
+    entries.append(CatalogEntry("sl3_3-natural", 3, nat))
+    entries.append(CatalogEntry("sl3_3-adjoint-heart", 3, sl3_adjoint_heart()))
     _, e27 = builtin_matgroup("E27")
-    entries.append(CatalogEntry(
-        "e27", "E27", "extraspecial 27 in dimension 3 over GF(7)", 7, e27))
+    entries.append(CatalogEntry("e27", 7, e27))
     return tuple(entries)

@@ -62,6 +62,11 @@ def _fail(msg: str) -> int:
     return 2
 
 
+def _message(exc: Exception) -> str:
+    """What an error says: str() of a KeyError would quote it as a repr."""
+    return str(exc.args[0] if isinstance(exc, KeyError) else exc)
+
+
 def _csv(items) -> str:
     return ",".join(str(x) for x in items)
 
@@ -232,8 +237,10 @@ def _characteristic(rep, p: int) -> int:
 
 
 def eval_bounds(module: str, p: int, matgroup: str, base: str) -> Result:
-    """Raises bounds.NotIrreducible (a ValueError) on a reducible module,
-    and ValueError when p is not the characteristic of the module's field."""
+    """Raises bounds.NotIrreducible on a reducible module and
+    bounds.TrivialAction on one where the group acts as the identity (both
+    ValueErrors), and ValueError when p is not the characteristic of the
+    module's field."""
     rep = _load_module(module, base, matgroup)
     p = _characteristic(rep, p)
     report = bnd.check_bound_theorems(rep, p)
@@ -549,7 +556,7 @@ def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
         res = EVALUATORS[name][0](**kwargs)
         return ("PASS" if passes(res, claim["expect"]) else "FAIL"), detail(res)
     except Exception as exc:  # a crashed claim is a failed claim
-        return "FAIL", f"error: {exc}"
+        return "FAIL", f"error: {_message(exc)}"
 
 
 def cmd_verify(args) -> Result:
@@ -638,7 +645,7 @@ def main(argv=None) -> int:
         _emit(res, args.format)
         return res.status
     except (OSError, KeyError, ValueError, matrep.Inconclusive) as exc:
-        return _fail(str(exc))
+        return _fail(_message(exc))
 
 
 if __name__ == "__main__":

@@ -101,9 +101,8 @@ class FieldCtx:
     """Arithmetic context for GF(p^k).
 
     Exposes add/sub/neg/mul/inv/pow/frobenius on the element encoding
-    described in the module docstring, plus conversion from coefficient
-    vectors and a canonical integer encoding used wherever a deterministic
-    element order is needed.
+    described in the module docstring, plus a canonical integer encoding
+    used wherever a deterministic element order is needed.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_red")
@@ -199,12 +198,6 @@ class FieldCtx:
         return a == self.zero
 
     # conversions --------------------------------------------------------
-
-    def from_coeffs(self, vec) -> object:
-        vec = tuple(int(c) % self.p for c in vec)
-        if len(vec) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(vec)}")
-        return vec[0] if self.k == 1 else vec
 
     def encode(self, a) -> int:
         """Canonical integer in [0, q): base-p reading of the coefficients."""
@@ -442,7 +435,7 @@ def poly_deriv(F: FieldCtx, f) -> tuple:
         elif m == 1:
             out.append(f[i])
         else:
-            out.append(F.mul(F.from_coeffs((m,) + (0,) * (F.k - 1)), f[i]))
+            out.append(F.mul(F.element(m), f[i]))
     return poly_norm(F, out)
 
 

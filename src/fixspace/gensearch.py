@@ -27,7 +27,7 @@ class NotPrimePower(ValueError):
     pass
 
 
-class Overflow(OverflowError):
+class Overflow(ValueError):
     pass
 
 

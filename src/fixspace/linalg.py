@@ -6,7 +6,7 @@ everywhere and every routine is deterministic.
 
 Over a prime field the elements are plain residues, so the hot routines
 (rref, mat_vec, reduce_vec, scale_vec and add_scaled, and through them
-rref_coords, kron and SpinBasis) run an integer loop with ``% p`` inline
+rref_coords and kron) run an integer loop with ``% p`` inline
 when ``F.k == 1``. Over GF(p^k) they run the FieldCtx loop (the
 ``_*_field`` functions), which is also the reference the integer loops
 are tested against.
@@ -286,33 +286,3 @@ def char_poly(F: FieldCtx, A: list) -> tuple:
         polys.append(tuple(cur))
     return polys[n]
 
-
-class SpinBasis:
-    """Incrementally row-reduced spanning set for spin closures."""
-
-    def __init__(self, F: FieldCtx, n: int):
-        self.F = F
-        self.n = n
-        self.rows = []
-        self.pivot_of_row = []
-
-    def reduce(self, v):
-        return reduce_vec(self.F, self.rows, self.pivot_of_row, v)
-
-    def add(self, v) -> bool:
-        """Insert v if independent; True when the basis grew."""
-        F = self.F
-        v = self.reduce(v)
-        piv = next((j for j, x in enumerate(v) if x != F.zero), None)
-        if piv is None:
-            return False
-        v = scale_vec(F, F.inv(v[piv]), v)
-        # clear the new pivot column from the rows already in the basis
-        self.rows = [reduce_vec(F, [v], [piv], row) for row in self.rows]
-        self.rows.append(v)
-        self.pivot_of_row.append(piv)
-        return True
-
-    def basis(self) -> tuple:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of_row[i])
-        return tuple(tuple(self.rows[i]) for i in order)

@@ -376,19 +376,33 @@ class IrredResult(NamedTuple):
 
 
 def spin_span(F: FieldCtx, mats, seeds) -> tuple:
-    """Row-reduced basis of the smallest mats-invariant space containing seeds."""
-    n = len(mats[0]) if mats else len(seeds[0])
-    sb = linalg.SpinBasis(F, n)
-    queue = []
+    """Row-reduced basis of the smallest mats-invariant space containing seeds.
+
+    A vector joins the rows when reduce_vec leaves it nonzero, scaled to a
+    leading one; so each row is zero at the pivots of the rows before it,
+    and reduce_vec against them leaves zero exactly on their span. The
+    reduced echelon basis of a span is unique: one rref at the end gives it.
+    """
+    rows, pivots, queue = [], [], []
+
+    def grew(v) -> bool:
+        v = linalg.reduce_vec(F, rows, pivots, v)
+        piv = next((j for j, x in enumerate(v) if x != F.zero), None)
+        if piv is None:
+            return False
+        rows.append(linalg.scale_vec(F, F.inv(v[piv]), v))
+        pivots.append(piv)
+        return True
+
     for v in seeds:
-        if sb.add(v):
+        if grew(v):
             queue.append(tuple(v))
     for v in queue:
         for M in mats:
             w = linalg.mat_vec(F, M, v)
-            if sb.add(w):
+            if grew(w):
                 queue.append(w)
-    return sb.basis()
+    return tuple(tuple(r) for r in linalg.rref(F, rows)[0])
 
 
 def _random_algebra_element(rep: MatRep, stream: SeedStream) -> list:

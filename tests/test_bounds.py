@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from fixspace import bounds
-from fixspace.bounds import (NotIrreducible, ScottReport, catalog,
+from fixspace.bounds import (NotIrreducible, ScottReport, TrivialAction, catalog,
                              check_bound_theorems, extraspecial_free_check,
                              min_semisimple_fixdim, scott_check, scott_suite,
                              sl3_adjoint_heart, sl_p_adjoint_check)
 from fixspace.ff import make_field
 from fixspace.linalg import mat_vec
 from fixspace.matrep import (MatRep, build_rep, builtin_matgroup, deleted,
-                             embed_matrix_group, fixed_space_dim,
+                             embed_matrix_group, fixed_space_dim, section,
                              frobenius_twist, is_irreducible, module_dual_fixed_dim,
                              module_fixed_dim, perm_module, sym_power, tensor)
 from fixspace.perm import NotInGroup, builtin_group, pinv, pmul, ppow
@@ -116,6 +116,16 @@ def test_line_eigenspace_clause_live():
 def test_bounds_reject_reducible():
     rep = build_rep(perm_module(builtin_group('A5')), make_field(7))
     with pytest.raises(NotIrreducible):
+        check_bound_theorems(rep)
+
+
+def test_bounds_reject_trivial_action():
+    # p = 5 divides the 5 points: the deleted module's automatic section
+    # is the line of the all-ones vector, where A5 acts as the identity
+    rep = build_rep(section(deleted(perm_module(builtin_group('A5'))), "sub"),
+                    make_field(5))
+    assert rep.dim == 1 and is_irreducible(rep).irreducible
+    with pytest.raises(TrivialAction):
         check_bound_theorems(rep)
 
 

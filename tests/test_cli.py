@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from fixspace.cli import ManifestParse, _claim_seed, build_parser, main, parse_manifest
+from fixspace.perm import builtin_group_names
 
 DATA = "data"
 
@@ -36,6 +37,11 @@ def test_phi_plain_has_human_section(capsys):
     lines = out.splitlines()
     assert lines[1] == ""
     assert lines[-1] == "phi_star = 1"
+
+
+def test_phi_overflow_is_a_range_error(capsys):
+    code, out, err = run(capsys, "phi", "40", "3")
+    assert (code, out, err) == (2, "", "error: q^n = 3^40 exceeds 2^62\n")
 
 
 def test_table_records(capsys):
@@ -280,6 +286,21 @@ def test_bounds_rejects_module_it_cannot_decide(tmp_path, capsys):
     err = rejected(capsys, "bounds", "--module", str(tmp_path / "c3.mod"),
                    "--matgroup", str(tmp_path / "c3.mat"))
     assert "no verdict after" in err
+
+
+def test_bounds_rejects_trivial_action(tmp_path, capsys):
+    # the section resolves to the line of the all-ones vector, p = 5
+    (tmp_path / "triv.mod").write_text("(section (deleted (perm A5)) :field (gf 5))\n")
+    err = rejected(capsys, "bounds", "--module", str(tmp_path / "triv.mod"))
+    assert err == "error: the group acts trivially on the module of dimension 1\n"
+
+
+def test_unknown_names_print_without_quotes(tmp_path, capsys):
+    err = rejected(capsys, "table", "--group", "C2")
+    assert err == f"error: unknown builtin group 'C2'; known: {builtin_group_names()}\n"
+    (tmp_path / "foo.mod").write_text("(explicit FOO)\n")
+    err = rejected(capsys, "bounds", "--module", str(tmp_path / "foo.mod"))
+    assert err == "error: unknown matrix group 'FOO'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -786,6 +807,29 @@ def test_verify_crashing_claim_fails(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
     assert code == 1
     assert "error:" in out
+
+
+def test_verify_claim_errors_print_without_quotes(tmp_path, capsys):
+    (tmp_path / "triv.mod").write_text("(section (deleted (perm A5)) :field (gf 5))\n")
+    (tmp_path / "foo.mod").write_text("(explicit FOO)\n")
+    path = write_manifest(tmp_path, """\
+        [trivial]
+        kind = bound
+        module = triv.mod
+        expect = 1
+        provenance = derived
+
+        [unknown]
+        kind = bound
+        module = foo.mod
+        expect = 1
+        provenance = derived
+    """)
+    code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
+    assert code == 1
+    assert "FAIL       trivial: error: the group acts trivially on the module " \
+        "of dimension 1\n" in out
+    assert "FAIL       unknown: error: unknown matrix group 'FOO'\n" in out
 
 
 def test_verify_byte_identical(tmp_path, capsys):

@@ -2,7 +2,7 @@ from fixspace.ff import make_field, poly_eval, poly_mul
 import pytest
 
 from fixspace import linalg
-from fixspace.linalg import (SpinBasis, char_poly, kron, mat_mul,
+from fixspace.linalg import (char_poly, kron, mat_mul,
                              mat_vec, nullspace, rank, rref, rref_coords,
                              transpose)
 from fixspace.matrep import spin_span
@@ -98,19 +98,6 @@ def test_transpose_involution():
     s = SeedStream(7)
     A = rand_mat(F, 4, s)
     assert transpose(transpose(A)) == A
-
-
-def test_spin_basis_incremental():
-    F = make_field(5)
-    sb = SpinBasis(F, 4)
-    assert sb.add((1, 0, 0, 0))
-    assert sb.add((0, 1, 0, 0))
-    assert not sb.add((2, 3, 0, 0))   # dependent
-    assert len(sb.basis()) == 2
-    assert sb.add((0, 0, 1, 1))
-    assert len(sb.basis()) == 3
-    reduced = sb.reduce((1, 1, 1, 1))
-    assert reduced[0] == F.zero and reduced[1] == F.zero
 
 
 # prime fields run integer loops; the FieldCtx loops (_*_field) are the
@@ -237,27 +224,38 @@ def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
     assert outside and inside
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_int_spin_basis_matches_field_loop(p):
-    # the basis is kept fully reduced, so sorted by pivot it is the rref
-    # of everything added so far
-    F = make_field(p)
-    s = SeedStream(400 + p)
-    full = 0
+def closure_oracle(F, mats, seeds):
+    """Field-loop rref of everything the seeds reach under mats, collected
+    until the rank of the collection stops growing."""
+    found = [list(v) for v in seeds]
+    while True:
+        rows = generic_rref(F, found)[0]
+        found = rows + [list(linalg._mat_vec_field(F, M, v)) for M in mats for v in rows]
+        if len(generic_rref(F, found)[0]) == len(rows):
+            return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2)])
+def test_spin_span_matches_closure_oracle(p, k):
+    # spin_span keeps its rows unreduced above their pivots while the span
+    # grows; its result must still be the one rref of the closure, with no
+    # matrices (every prefix of a list with dependent and zero vectors) and
+    # with one or two matrices
+    F = make_field(p, k)
+    s = SeedStream(400 + F.q)
+    full = grown = 0
     for n in (1, 2, 4, 7):
         for density in (100, 40):
-            sb = SpinBasis(F, n)
-            added = []
-            for v in rand_rows(F, 2 * n, n, s, density) + [[F.zero] * n]:
-                rows, pivots = generic_rref(F, added)
-                w = tuple(rand_rows(F, 1, n, s, 100)[0])
-                assert sb.reduce(w) == linalg._reduce_vec_field(F, rows, pivots, w)
-                added.append(v)
-                after = generic_rref(F, added)[0]
-                assert sb.add(v) == (len(after) > len(rows))
-                assert sb.basis() == tuple(tuple(r) for r in after)
-            full += len(sb.basis()) == n
-    assert full
+            vecs = rand_rows(F, 2 * n, n, s, density) + [[F.zero] * n]
+            for i in range(len(vecs) + 1):
+                assert spin_span(F, [], vecs[:i]) == closure_oracle(F, [], vecs[:i])
+            full += len(spin_span(F, [], vecs)) == n
+            for count in (1, 2):
+                mats = [rand_rows(F, n, n, s, density) for _ in range(count)]
+                got = spin_span(F, mats, vecs[:1])
+                assert got == closure_oracle(F, mats, vecs[:1])
+                grown += len(got) > len(spin_span(F, [], vecs[:1]))
+    assert full and grown
 
 
 def block_triangular(F, sizes, stream):
