@@ -1,28 +1,29 @@
 """Finite fields GF(p^k) and dense univariate polynomials over them.
 
-Prime-field elements are plain residues (int).  Extension elements are
-tuples of k residues, coefficients with respect to the canonical modulus,
-constant term first.  Polynomials are tuples of field elements, lowest
-degree first, trailing zeros stripped; the zero polynomial is ().
+An element of GF(p^k) is an int in [0, q) whose base-p digits, lowest
+first, are its coefficients over the canonical modulus; so 0 and 1 are
+zero and one, and n < p is the constant n. No other module knows this.
+The canonical modulus is the monic irreducible of degree k whose
+coefficients (constant term first) read as the smallest base-p integer,
+so fields built twice agree element for element. Polynomials are tuples
+of elements, lowest degree first, trailing zeros stripped; zero is ().
 
-The canonical modulus of GF(p^k) is the monic irreducible of degree k
-whose coefficient vector (constant term first) reads as the smallest
-base-p integer.  Fields built twice therefore agree element for element.
+The FieldCtx methods multiply digits as polynomials reduced by the
+modulus, with no size cap. For k > 1 and q <= TABLE_CAP, tables() fills
+from them the add, sub, mul and inverse tables that linalg's loops read.
 
 Over a prime field, poly_mul and poly_divmod run on plain ints, with one
-reduction mod p per output coefficient (the _*_mod helpers); everything
-built on them (poly_mod, poly_gcd, poly_pow_mod, poly_roots, the
-squarefree decomposition) goes through them. The loop over FieldCtx
-operations (the _*_field helpers) is the only GF(p^k) path for k > 1 and
-the reference the tests hold the int path to.
-
-There is no general factorization here: squarefree decomposition plus
-root extraction cover every need in this package.
+reduction mod p per output coefficient (the _*_mod helpers), and so does
+everything built on them (poly_mod, poly_gcd, poly_pow_mod, poly_roots,
+squarefree decomposition); for k > 1 they loop over FieldCtx operations
+(the _*_field helpers). Squarefree decomposition plus root extraction
+cover every factorization this package needs.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul as _imul
 
 
 class NotPrime(ValueError):
@@ -97,32 +98,36 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
-class FieldCtx:
-    """Arithmetic context for GF(p^k).
+TABLE_CAP = 256   # largest GF(p^k), k > 1, with linear-algebra tables
 
-    Exposes add/sub/neg/mul/inv/pow/frobenius on the element encoding
-    described in the module docstring, plus a canonical integer encoding
-    used wherever a deterministic element order is needed.
+
+class FieldCtx:
+    """Arithmetic context for GF(p^k); an element is an int in [0, q).
+
+    add/sub/neg/mul/inv/pow/frobenius follow the definition in the module
+    docstring and build nothing. tables() gives the linear-algebra loops
+    their table rows, built on the first call.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_red")
+    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_red", "_places", "_tables")
 
     def __init__(self, p: int, k: int, modulus: tuple):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        if k == 1:
-            self.zero = 0
-            self.one = 1
-            self._red = None
-        else:
-            self.zero = (0,) * k
-            self.one = (1,) + (0,) * (k - 1)
-            # x^d mod modulus for d = k .. 2k-2, padded to k entries, used by mul
-            base = make_field(p)
-            red = [poly_mod(base, (0,) * d + (1,), modulus) for d in range(k, 2 * k - 1)]
-            self._red = [r + (0,) * (k - len(r)) for r in red]
+        self.zero = 0
+        self.one = 1
+        self._red = self._places = self._tables = None
+        if k > 1:
+            self._places = [p**i for i in range(k)]
+            # digits of x^d mod modulus for d = k .. 2k-2, used by mul: x^k is
+            # minus the lower terms of the modulus, and each further x shifts
+            row = [(-c) % p for c in modulus[:k]]
+            self._red = [row]
+            for _ in range(k - 2):
+                row = [(a + row[-1] * b) % p for a, b in zip([0] + row[:-1], self._red[0])]
+                self._red.append(row)
 
     def __repr__(self):
         if self.k == 1:
@@ -135,42 +140,27 @@ class FieldCtx:
         if self.k == 1:
             return (a + b) % self.p
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self._pack([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
 
     def sub(self, a, b):
         if self.k == 1:
             return (a - b) % self.p
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self._pack([(x - y) % p for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a):
         if self.k == 1:
             return (-a) % self.p
         p = self.p
-        return tuple((-x) % p for x in a)
+        return self._pack([(-x) % p for x in self._digits(a)])
 
     def mul(self, a, b):
         if self.k == 1:
             return a * b % self.p
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        out = [c % p for c in prod[:k]]
-        red = self._red
-        for d in range(k, 2 * k - 1):
-            c = prod[d] % p
-            if c:
-                row = red[d - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+        return self._pack(self._mul_digits(self._digits(a), self._digits(b)))
 
     def inv(self, a):
-        if a == self.zero:
+        if a == 0:
             raise ZeroDivisionError("field inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
@@ -181,44 +171,68 @@ class FieldCtx:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        acc = self.one
-        base = a
+        acc = [1] + [0] * (self.k - 1)
+        base = self._digits(a)
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = self._mul_digits(acc, base)
+            base = self._mul_digits(base, base)
             e >>= 1
-        return acc
+        return self._pack(acc)
 
     def frobenius(self, a, i: int = 1):
         """a -> a^(p^i)."""
         return self.pow(a, self.p ** (i % self.k if self.k > 1 else 1))
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    # conversions --------------------------------------------------------
-
-    def encode(self, a) -> int:
-        """Canonical integer in [0, q): base-p reading of the coefficients."""
-        if self.k == 1:
-            return a
-        n = 0
-        for c in reversed(a):
-            n = n * self.p + c
+    def element(self, n: int) -> int:
+        """n itself when it is an element, an int in [0, q); ValueError otherwise."""
+        if type(n) is not int or not 0 <= n < self.q:
+            raise ValueError(f"GF({self.q}) element out of range: {n!r}")
         return n
 
-    def element(self, n: int):
-        """Inverse of encode."""
-        if not 0 <= n < self.q:
-            raise ValueError(f"encoding out of range: {n}")
-        if self.k == 1:
-            return n
-        out = []
-        for _ in range(self.k):
-            out.append(n % self.p)
-            n //= self.p
-        return tuple(out)
+    # base-p digits: the coefficients, constant term first ----------------
+
+    def _digits(self, n: int) -> list:
+        p = self.p
+        return [n // e % p for e in self._places]
+
+    def _pack(self, digits) -> int:
+        return sum(map(_imul, digits, self._places))
+
+    def _mul_digits(self, a: list, b: list) -> list:
+        """Product of two digit lists: the polynomial product reduced by the modulus."""
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        prod[j] += x * y
+        out = prod[:k]
+        red = self._red
+        for d in range(k, 2 * k - 1):
+            c = prod[d]
+            if c:
+                row = red[d - k]
+                for i in range(k):
+                    out[i] += c * row[i]
+        return [o % p for o in out]
+
+    # linear-algebra tables ----------------------------------------------
+
+    def tables(self) -> tuple:
+        """(ADD, SUB, MUL, INV) of GF(p^k), k > 1 and q <= TABLE_CAP, built
+        once from the methods: ADD[x][y] = x + y, SUB[x][y] = x - y and
+        MUL[x][y] = x * y, each row a bytes; INV[x] = 1 / x for x != 0."""
+        if self._tables is None:
+            if self.k == 1 or self.q > TABLE_CAP:
+                raise ValueError(f"{self!r} has no tables: they cover GF(p^k), "
+                                 f"k > 1, up to q = {TABLE_CAP}")
+            r = range(self.q)
+            add, sub, mul = ([bytes([op(x, y) for y in r]) for x in r]
+                             for op in (self.add, self.sub, self.mul))
+            self._tables = add, sub, mul, [None] + [row.index(1) for row in mul[1:]]
+        return self._tables
 
 
 def make_field(p: int, k: int = 1) -> FieldCtx:
@@ -239,27 +253,22 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
 
 
 def multiplicative_generator(F: FieldCtx):
-    """Generator of the multiplicative group with the smallest encoding >= 1."""
+    """The smallest generator of the multiplicative group."""
     n = F.q - 1
     primes = prime_factors(n)
-    for enc in range(1, F.q):
-        x = F.element(enc)
-        if all(F.pow(x, n // r) != F.one for r in primes):
+    for x in range(1, F.q):
+        if all(F.pow(x, n // r) != 1 for r in primes):
             return x
     raise AssertionError("multiplicative group has a generator; unreachable")
 
 
 def canonical_modulus(p: int, k: int) -> tuple:
-    """Smallest monic irreducible of degree k, by base-p coefficient reading."""
+    """Smallest monic irreducible of degree k >= 2, by base-p coefficient
+    reading; a zero constant term (n divisible by p) leaves the factor x."""
     base = make_field(p)
-    for n in range(p**k):
-        low = []
-        m = n
-        for _ in range(k):
-            low.append(m % p)
-            m //= p
-        f = tuple(low) + (1,)
-        if poly_is_irreducible(base, f):
+    for n in range(1, p**k):
+        f = tuple(n // p**i % p for i in range(k)) + (1,)
+        if n % p and poly_is_irreducible(base, f):
             return f
     raise AssertionError("no irreducible polynomial found; unreachable")
 
@@ -269,10 +278,7 @@ def canonical_modulus(p: int, k: int) -> tuple:
 
 
 def poly_norm(F: FieldCtx, coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and F.is_zero(coeffs[-1]):
-        coeffs.pop()
-    return tuple(coeffs)
+    return _strip(list(coeffs))
 
 
 def poly_deg(f) -> int:
@@ -301,7 +307,7 @@ def poly_sub(F: FieldCtx, a, b) -> tuple:
 
 
 def poly_scale(F: FieldCtx, f, s) -> tuple:
-    if F.is_zero(s):
+    if not s:
         return ()
     return poly_norm(F, [F.mul(c, s) for c in f])
 
@@ -327,7 +333,7 @@ def _poly_mul_mod(p: int, a, b) -> tuple:
 def _poly_mul_field(F: FieldCtx, a, b) -> tuple:
     out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if F.is_zero(x):
+        if not x:
             continue
         for j, y in enumerate(b):
             out[i + j] = F.add(out[i + j], F.mul(x, y))
@@ -368,7 +374,7 @@ def _poly_divmod_field(F: FieldCtx, a, b) -> tuple:
     quo = [F.zero] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
-        if F.is_zero(c):
+        if not c:
             continue
         q = F.mul(c, lead_inv)
         quo[i - db] = q
@@ -378,7 +384,7 @@ def _poly_divmod_field(F: FieldCtx, a, b) -> tuple:
 
 
 def _strip(coeffs: list) -> tuple:
-    """Residues without their trailing zeros, as a polynomial."""
+    """Elements without their trailing zeros, as a polynomial."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
@@ -435,7 +441,7 @@ def poly_deriv(F: FieldCtx, f) -> tuple:
         elif m == 1:
             out.append(f[i])
         else:
-            out.append(F.mul(F.element(m), f[i]))
+            out.append(F.mul(m, f[i]))
     return poly_norm(F, out)
 
 
@@ -538,13 +544,13 @@ def root_multiplicity(F: FieldCtx, f, a) -> int:
 
 
 def poly_roots(F: FieldCtx, f) -> list:
-    """Distinct roots of f in the field, sorted by canonical encoding."""
+    """Distinct roots of f in the field, in increasing order."""
     if not f:
         raise ValueError("zero polynomial")
     roots = []
     # split off x-power
     i = 0
-    while i < len(f) and F.is_zero(f[i]):
+    while i < len(f) and not f[i]:
         i += 1
     if i > 0:
         roots.append(F.zero)
@@ -554,7 +560,7 @@ def poly_roots(F: FieldCtx, f) -> list:
         xq = poly_pow_mod(F, poly_x(F), F.q, f)
         g = poly_gcd(F, poly_sub(F, xq, poly_x(F)), f)
         _collect_linear_roots(F, g, roots)
-    return sorted(roots, key=F.encode)
+    return sorted(roots)
 
 
 def _collect_linear_roots(F: FieldCtx, g, roots: list) -> None:
@@ -569,8 +575,7 @@ def _collect_linear_roots(F: FieldCtx, g, roots: list) -> None:
         splitter = _even_splitter
     else:
         splitter = _odd_splitter
-    for n in range(F.q):
-        s = F.element(n)
+    for s in range(F.q):
         h = splitter(F, g, s)
         dh = poly_deg(h)
         if 0 < dh < d:

@@ -4,12 +4,13 @@ Matrices are lists of row lists of field elements; vectors are tuples.
 Sizes stay small throughout the package, so schoolbook methods are used
 everywhere and every routine is deterministic.
 
-Over a prime field the elements are plain residues, so the hot routines
-(rref, mat_vec, reduce_vec, scale_vec and add_scaled, and through them
-rref_coords and kron) run an integer loop with ``% p`` inline
-when ``F.k == 1``. Over GF(p^k) they run the FieldCtx loop (the
-``_*_field`` functions), which is also the reference the integer loops
-are tested against.
+Field elements are ints (see ff). The hot routines (rref, mat_vec,
+reduce_vec, scale_vec and add_scaled, and through them rref_coords, kron
+and mat_mul) have two loops each, chosen by ``F.k == 1``: over a prime
+field an integer loop with ``% p`` inline, over GF(p^k) a loop that
+indexes the field's tables (``F.tables()``, so q <= 256), a row operation
+reading ``SUB[x][MUL[f][y]]``. char_poly and nullspace call the FieldCtx
+methods, which serve every field.
 """
 
 from operator import mul as _imul
@@ -26,56 +27,34 @@ def transpose(A: list) -> list:
 
 
 def mat_mul(F: FieldCtx, A: list, B: list) -> list:
-    n, m, k = len(A), len(B[0]), len(B)
-    BT = list(zip(*B))
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            Bj = BT[j]
-            acc = F.zero
-            for t in range(k):
-                a = Ai[t]
-                if a != F.zero:
-                    acc = F.add(acc, F.mul(a, Bj[t]))
-            row.append(acc)
-        out.append(row)
-    return out
+    """A B, column by column of B."""
+    return transpose([mat_vec(F, A, col) for col in zip(*B)])
 
 
 def mat_vec(F: FieldCtx, A: list, v) -> tuple:
     if F.k == 1:
         p = F.p
         return tuple([sum(map(_imul, row, v)) % p for row in A])
-    return _mat_vec_field(F, A, v)
-
-
-def _mat_vec_field(F: FieldCtx, A: list, v) -> tuple:
+    ADD, _, MUL, _ = F.tables()
     out = []
     for row in A:
-        acc = F.zero
+        acc = 0
         for a, x in zip(row, v):
-            if a != F.zero and x != F.zero:
-                acc = F.add(acc, F.mul(a, x))
+            if a and x:
+                acc = ADD[acc][MUL[a][x]]
         out.append(acc)
     return tuple(out)
 
 
 def kron(F: FieldCtx, A: list, B: list) -> list:
     """Kronecker product with row-major index pairing: (i,j) -> i*len(B)+j."""
-    nb = len(B)
-    mb = len(B[0])
+    zeros = [F.zero] * len(B[0])
     out = []
-    for i in range(len(A)):
-        for ib in range(nb):
+    for Arow in A:
+        for Brow in B:
             row = []
-            for j in range(len(A[0])):
-                a = A[i][j]
-                if a == F.zero:
-                    row.extend([F.zero] * mb)
-                else:
-                    row.extend(scale_vec(F, a, B[ib]))
+            for a in Arow:
+                row += scale_vec(F, a, Brow) if a else zeros
             out.append(row)
     return out
 
@@ -84,7 +63,7 @@ def rref(F: FieldCtx, rows: list):
     """Reduced row echelon form (copy) and its pivot column list."""
     if F.k == 1:
         return _rref_mod(F.p, rows)
-    return _rref_field(F, rows)
+    return _rref_tab(F.tables(), rows)
 
 
 def _rref_mod(p: int, rows: list, _echelon: bool = False):
@@ -115,27 +94,29 @@ def _rref_mod(p: int, rows: list, _echelon: bool = False):
     return M[:r], pivots
 
 
-def _rref_field(F: FieldCtx, rows: list, _echelon: bool = False):
+def _rref_tab(tables: tuple, rows: list, _echelon: bool = False):
+    _, SUB, MUL, INV = tables
     M = [list(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(M[0]) if M else 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(M)):
-            if M[i][c] != F.zero:
-                pr = i
+        for pr in range(r, len(M)):
+            if M[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         M[r], M[pr] = M[pr], M[r]
-        inv = F.inv(M[r][c])
-        if inv != F.one:
-            M[r] = [F.mul(inv, x) for x in M[r]]
+        row = M[r]
+        inv = INV[row[c]]
+        if inv != 1:
+            m = MUL[inv]
+            row = M[r] = [m[x] for x in row]
         for i in range(r + 1 if _echelon else 0, len(M)):
-            if i != r and M[i][c] != F.zero:
-                f = M[i][c]
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+            f = M[i][c]
+            if f and i != r:
+                m = MUL[f]
+                M[i] = [SUB[x][m[y]] for x, y in zip(M[i], row)]
         pivots.append(c)
         r += 1
         if r == len(M):
@@ -169,7 +150,7 @@ def reduce_vec(F: FieldCtx, rows: list, pivots: list, v) -> list:
     rows are in reduced echelon form."""
     if F.k == 1:
         return _reduce_vec_mod(F.p, rows, pivots, v)
-    return _reduce_vec_field(F, rows, pivots, v)
+    return _reduce_vec_tab(F.tables(), rows, pivots, v)
 
 
 def _reduce_vec_mod(p: int, rows: list, pivots: list, v) -> list:
@@ -182,12 +163,14 @@ def _reduce_vec_mod(p: int, rows: list, pivots: list, v) -> list:
     return v
 
 
-def _reduce_vec_field(F: FieldCtx, rows: list, pivots: list, v) -> list:
+def _reduce_vec_tab(tables: tuple, rows: list, pivots: list, v) -> list:
+    _, SUB, MUL, _ = tables
     v = list(v)
     for row, piv in zip(rows, pivots):
         c = v[piv]
-        if c != F.zero:
-            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+        if c:
+            m = MUL[c]
+            v = [SUB[x][m[y]] for x, y in zip(v, row)]
     return v
 
 
@@ -196,7 +179,8 @@ def scale_vec(F: FieldCtx, c, v) -> list:
     if F.k == 1:
         p = F.p
         return [c * x % p for x in v]
-    return [F.mul(c, x) for x in v]
+    m = F.tables()[2][c]
+    return [m[x] for x in v]
 
 
 def add_scaled(F: FieldCtx, v, c, w) -> list:
@@ -204,14 +188,16 @@ def add_scaled(F: FieldCtx, v, c, w) -> list:
     if F.k == 1:
         p = F.p
         return [(x + c * y) % p for x, y in zip(v, w)]
-    return [F.add(x, F.mul(c, y)) for x, y in zip(v, w)]
+    ADD, _, MUL, _ = F.tables()
+    m = MUL[c]
+    return [ADD[x][m[y]] for x, y in zip(v, w)]
 
 
 def rank(F: FieldCtx, A: list) -> int:
     """Rank by forward elimination: only rows below a pivot are cleared."""
     if F.k == 1:
         return len(_rref_mod(F.p, A, _echelon=True)[1])
-    return len(_rref_field(F, A, _echelon=True)[1])
+    return len(_rref_tab(F.tables(), A, _echelon=True)[1])
 
 
 def nullity(F: FieldCtx, A: list) -> int:

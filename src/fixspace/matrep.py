@@ -119,6 +119,14 @@ def _same_field(a: FieldCtx, b: FieldCtx) -> bool:
     return a.p == b.p and a.k == b.k and a.modulus == b.modulus
 
 
+def _module_field(F: FieldCtx) -> FieldCtx:
+    """F, or IllTyped when it is a GF(p^k), k > 1, too large for linalg's tables."""
+    if F.k > 1 and F.q > ff.TABLE_CAP:
+        raise IllTyped(f"modules over GF({F.p}^{F.k}) are not supported: "
+                       f"q = {F.q} exceeds {ff.TABLE_CAP}")
+    return F
+
+
 # representation ------------------------------------------------------------
 
 
@@ -277,7 +285,7 @@ def build_rep(spec: ModuleSpec, field: FieldCtx = None) -> MatRep:
     for other in found[1:]:
         if not _same_field(found[0], other):
             raise FieldMismatch(f"GF({found[0].q}) vs GF({other.q})")
-    F = found[0]
+    F = _module_field(found[0])
     spec = _resolve_sections(spec, F)
     return MatRep(spec, F)
 
@@ -382,6 +390,7 @@ def spin_span(F: FieldCtx, mats, seeds) -> tuple:
     leading one; so each row is zero at the pivots of the rows before it,
     and reduce_vec against them leaves zero exactly on their span. The
     reduced echelon basis of a span is unique: one rref at the end gives it.
+    Spinning stops once the rows span the whole space.
     """
     rows, pivots, queue = [], [], []
 
@@ -399,6 +408,8 @@ def spin_span(F: FieldCtx, mats, seeds) -> tuple:
             queue.append(tuple(v))
     for v in queue:
         for M in mats:
+            if len(rows) == len(M):
+                break
             w = linalg.mat_vec(F, M, v)
             if grew(w):
                 queue.append(w)
@@ -423,7 +434,7 @@ def _random_algebra_element(rep: MatRep, stream: SeedStream) -> list:
         for _ in range(length - 1):
             g = pmul(gens[stream.randrange(len(gens))], g)
         word = rep.image(g)
-        coeff = F.element(1 + stream.randrange(F.q - 1))
+        coeff = 1 + stream.randrange(F.q - 1)
         theta = [linalg.add_scaled(F, trow, coeff, wrow)
                  for trow, wrow in zip(theta, word)]
     return theta
@@ -486,6 +497,7 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None):
     The orbit contains a basis, so the action is faithful by construction.
     Returns (PermGroup, MatRep); the representation is the tautological one.
     """
+    _module_field(F)
     mats = [_coerce_matrix(F, M, dim) for M in matrices]
     for M in mats:
         if linalg.rank(F, M) < dim:
@@ -532,7 +544,7 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None):
 def _coerce_matrix(F: FieldCtx, M, dim: int) -> list:
     if len(M) != dim or any(len(row) != dim for row in M):
         raise IllTyped(f"matrix is not {dim}x{dim}")
-    return [[x if not isinstance(x, int) else F.element(x) for x in row] for row in M]
+    return [[F.element(x) for x in row] for row in M]
 
 
 # builtin matrix groups -------------------------------------------------------
@@ -629,7 +641,7 @@ def _parse_matgroup_header(line: str):
         raise IllTyped(f"matgroup header {line!r} has a non-integer value") from None
     if dim < 1:
         raise IllTyped(f"matgroup header {line!r} has dim {dim}, below 1")
-    return parts[1], ff.make_field(p, k), dim
+    return parts[1], _module_field(ff.make_field(p, k)), dim
 
 
 def read_matgroup_file(path: str):

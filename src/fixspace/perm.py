@@ -526,21 +526,10 @@ def psl2(q: int) -> PermGroup:
     infinity = q
     gamma = ff.multiplicative_generator(F)
     gamma2 = F.mul(gamma, gamma)
-    trans = [0] * (q + 1)
-    mult = [0] * (q + 1)
-    invneg = [0] * (q + 1)
-    for n in range(q):
-        x = F.element(n)
-        trans[n] = F.encode(F.add(x, F.one))
-        mult[n] = F.encode(F.mul(gamma2, x))
-        if n == 0:
-            invneg[n] = infinity
-        else:
-            invneg[n] = F.encode(F.neg(F.inv(x)))
-    trans[infinity] = infinity
-    mult[infinity] = infinity
-    invneg[infinity] = 0
-    G = PermGroup(q + 1, (tuple(trans), tuple(mult), tuple(invneg)), name=f"L2({q})")
+    trans = tuple(F.add(x, 1) for x in range(q)) + (infinity,)
+    mult = tuple(F.mul(gamma2, x) for x in range(q)) + (infinity,)
+    invneg = (infinity,) + tuple(F.neg(F.inv(x)) for x in range(1, q)) + (0,)
+    G = PermGroup(q + 1, (trans, mult, invneg), name=f"L2({q})")
     expected = q * (q * q - 1) // gcd(2, q - 1)
     if G.order != expected:
         raise AssertionError(f"PSL(2,{q}) construction has order {G.order}, expected {expected}")
@@ -552,8 +541,8 @@ def affine_frobenius_2a(a: int) -> PermGroup:
     F = ff.make_field(2, a)
     q = 1 << a
     gamma = ff.multiplicative_generator(F)
-    trans = [F.encode(F.add(F.element(n), F.one)) for n in range(q)]
-    mult = [F.encode(F.mul(gamma, F.element(n))) for n in range(q)]
+    trans = [F.add(x, 1) for x in range(q)]
+    mult = [F.mul(gamma, x) for x in range(q)]
     G = PermGroup(q, (tuple(trans), tuple(mult)), name=f"F{q * (q - 1)}")
     if G.order != q * (q - 1):
         raise AssertionError(f"affine group over GF(2^{a}) has order {G.order}")

@@ -440,5 +440,5 @@ def sl2_distinct_eigenvalues(q: int, s: int) -> EigenvalueReport:
     distinct = pair is None
     if distinct != (2 * (s + 1) - 2 < q + 1):
         raise AssertionError("distinctness disagrees with the threshold criterion")
-    witness = tuple(F.encode(v) for v in values) if distinct else pair
+    witness = tuple(values) if distinct else pair
     return EigenvalueReport(q, s, p, s + 1, q + 1, distinct, witness)

@@ -295,6 +295,13 @@ def test_bounds_rejects_trivial_action(tmp_path, capsys):
     assert err == "error: the group acts trivially on the module of dimension 1\n"
 
 
+def test_bounds_rejects_extension_field_above_table_cap(tmp_path, capsys):
+    # GF(3^6) has 729 elements; linalg's tables stop at 256
+    (tmp_path / "big.mod").write_text("(deleted (perm A5) :field (gf 3 6))\n")
+    err = rejected(capsys, "bounds", "--module", str(tmp_path / "big.mod"))
+    assert err == "error: modules over GF(3^6) are not supported: q = 729 exceeds 256\n"
+
+
 def test_unknown_names_print_without_quotes(tmp_path, capsys):
     err = rejected(capsys, "table", "--group", "C2")
     assert err == f"error: unknown builtin group 'C2'; known: {builtin_group_names()}\n"

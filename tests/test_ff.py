@@ -10,6 +10,8 @@ from fixspace.ff import (DegreeOutOfRange, DivisorZero, NotPrime, make_field,
                          poly_pow_mod, poly_roots, poly_x, root_multiplicity,
                          squarefree_decomposition)
 
+from fieldoracle import TupleField, poly_divmod_field, poly_mul_field
+
 
 def all_elements(F):
     return [F.element(n) for n in range(F.q)]
@@ -49,7 +51,7 @@ def test_field_axioms_sampled():
             assert F.add(a, F.zero) == a
             assert F.mul(a, F.one) == a
             assert F.add(a, F.neg(a)) == F.zero
-            if not F.is_zero(a):
+            if a:
                 assert F.mul(a, F.inv(a)) == F.one
         # associativity and distributivity spot checks on a fixed window
         window = elems[: min(len(elems), 9)]
@@ -64,7 +66,7 @@ def test_multiplicative_group_order():
     for (p, k) in [(2, 3), (3, 2), (5, 2)]:
         F = make_field(p, k)
         for a in all_elements(F):
-            if not F.is_zero(a):
+            if a:
                 assert F.pow(a, F.q - 1) == F.one
 
 
@@ -85,9 +87,18 @@ def test_frobenius_is_pth_power():
 
 
 def test_encode_element_roundtrip():
-    F = make_field(5, 2)
-    for n in range(F.q):
-        assert F.encode(F.element(n)) == n
+    # an element is its base-p reading; element() is the range check only
+    for p, k in [(5, 1), (5, 2), (2, 5), (3, 4)]:
+        F, T = make_field(p, k), TupleField(p, k)
+        for n in range(F.q):
+            assert F.element(n) == n
+            assert T.encode(T.element(n)) == n
+            if k > 1:
+                assert F._digits(n) == list(T.element(n))
+                assert F._pack(F._digits(n)) == n
+        for bad in (-1, F.q, 1.0, True, (0,) * k):
+            with pytest.raises(ValueError):
+                F.element(bad)
 
 
 def test_poly_divmod_recombines():
@@ -142,7 +153,7 @@ def test_poly_roots_extension_field():
     assert len(roots) == 2
     for r in roots:
         assert F.add(F.mul(r, r), F.one) == F.zero
-    assert roots == sorted(roots, key=F.encode)
+    assert roots == sorted(roots)
 
 
 def test_root_multiplicity():
@@ -218,7 +229,7 @@ def test_multiplicative_generator_has_full_order():
         assert brute_order(F, g) == q - 1, q
         # and no smaller nonzero encoding generates
         assert all(brute_order(F, F.element(n)) < q - 1
-                   for n in range(1, F.encode(g))), q
+                   for n in range(1, g)), q
 
 
 def test_multiplicative_order_matches_loop():
@@ -288,9 +299,10 @@ def test_prime_field_int_path_matches_field_loop(p, monkeypatch):
         return out
 
     ints = results()
-    # the reference: every prime-field product and division on the FieldCtx loop
-    monkeypatch.setattr(ff, "_poly_mul_mod", lambda _, a, b: ff._poly_mul_field(F, a, b))
-    monkeypatch.setattr(ff, "_poly_divmod_mod", lambda _, a, b: ff._poly_divmod_field(F, a, b))
+    # the reference: every prime-field product and division on the method loop
+    T = TupleField(p)
+    monkeypatch.setattr(ff, "_poly_mul_mod", lambda _, a, b: poly_mul_field(T, a, b))
+    monkeypatch.setattr(ff, "_poly_divmod_mod", lambda _, a, b: poly_divmod_field(T, a, b))
     assert results() == ints
 
 
@@ -304,3 +316,56 @@ def test_poly_roots_of_distinct_linear_factors(p):
         for r in roots:
             f = poly_mul(F, f, ((-r) % p, 1))
         assert poly_roots(F, f) == sorted(roots)
+
+
+# GF(p^k) elements are ints; the tuple field in fieldoracle is the reference
+# for the digit arithmetic and for the tables filled from it
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_tables_match_tuple_oracle_on_every_pair(q):
+    F, T = make_field(*ff.prime_power(q)), TupleField(*ff.prime_power(q))
+    ADD, SUB, MUL, INV = F.tables()
+    el = [T.element(n) for n in range(q)]
+    for x in range(q):
+        assert list(ADD[x]) == [T.encode(T.add(el[x], b)) for b in el]
+        assert list(SUB[x]) == [T.encode(T.sub(el[x], b)) for b in el]
+        assert list(MUL[x]) == [T.encode(T.mul(el[x], b)) for b in el]
+        if x:
+            assert INV[x] == T.encode(T.inv(el[x]))
+    assert F.tables() is F.tables()
+
+
+@pytest.mark.parametrize("q", [49, 64, 81, 125, 169, 243, 256])
+def test_tables_match_tuple_oracle_on_samples(q):
+    F, T = make_field(*ff.prime_power(q)), TupleField(*ff.prime_power(q))
+    ADD, SUB, MUL, INV = F.tables()
+    rng = random.Random(q)
+    for _ in range(400):
+        x, y = rng.randrange(q), rng.randrange(q)
+        a, b = T.element(x), T.element(y)
+        assert ADD[x][y] == T.encode(T.add(a, b))
+        assert SUB[x][y] == T.encode(T.sub(a, b))
+        assert MUL[x][y] == T.encode(T.mul(a, b))
+        if x:
+            assert INV[x] == T.encode(T.inv(a))
+
+
+@pytest.mark.parametrize("p, k", [(2, 9), (3, 6), (5, 4), (7, 3), (101, 2), (2, 16)])
+def test_digit_arithmetic_above_the_table_cap_matches_tuple_oracle(p, k):
+    F, T = make_field(p, k), TupleField(p, k)
+    rng = random.Random(p * 100 + k)
+    for _ in range(200):
+        x, y = rng.randrange(F.q), rng.randrange(F.q)
+        a, b = T.element(x), T.element(y)
+        assert F.add(x, y) == T.encode(T.add(a, b))
+        assert F.sub(x, y) == T.encode(T.sub(a, b))
+        assert F.neg(x) == T.encode(T.neg(a))
+        assert F.mul(x, y) == T.encode(T.mul(a, b))
+        e = rng.randrange(40)
+        assert F.pow(x, e) == T.encode(T.pow(a, e))
+        if x:
+            assert F.inv(x) == T.encode(T.inv(a))
+    with pytest.raises(ValueError, match="no tables"):
+        F.tables()
+    with pytest.raises(ValueError, match="no tables"):
+        make_field(p).tables()

@@ -1,6 +1,7 @@
-from fixspace.ff import make_field, poly_eval, poly_mul
+from fixspace.ff import make_field, poly_eval, poly_mul, prime_power
 import pytest
 
+from fieldoracle import TupleField, mat_vec_field, reduce_vec_field, rref_ints
 from fixspace import linalg
 from fixspace.linalg import (char_poly, kron, mat_mul,
                              mat_vec, nullspace, rank, rref, rref_coords,
@@ -100,10 +101,12 @@ def test_transpose_involution():
     assert transpose(transpose(A)) == A
 
 
-# prime fields run integer loops; the FieldCtx loops (_*_field) are the
-# reference they must agree with entry for entry
+# prime fields run integer loops and GF(p^k) runs table loops; the tuple
+# field's method loops (fieldoracle) are the reference both must agree
+# with entry for entry
 
 PRIMES = (2, 3, 5, 7, 13)
+TABLE_FIELDS = (4, 8, 9, 16, 25, 49)
 
 
 def rand_rows(F, nrows, ncols, stream, density):
@@ -138,16 +141,16 @@ def shaped_matrices(F, stream):
 
 
 def generic_rref(F, rows):
-    return linalg._rref_field(F, rows)
+    return rref_ints(TupleField(*prime_power(F.q)), rows)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_int_rref_rank_nullspace_match_field_loop(p, monkeypatch):
-    F = make_field(p)
-    mats = shaped_matrices(F, SeedStream(100 + p))
+@pytest.mark.parametrize("q", PRIMES + TABLE_FIELDS)
+def test_int_rref_rank_nullspace_match_field_loop(q, monkeypatch):
+    F = make_field(*prime_power(q))
+    mats = shaped_matrices(F, SeedStream(100 + q))
     fast = [(rref(F, A), rank(F, A), nullspace(F, A)) for A in mats]
     # nullspace reaches the row reduction through rref only; rank runs the
-    # integer loop itself, so it is held against the field loop's pivot count
+    # int loop itself, so it is held against the field loop's pivot count
     monkeypatch.setattr(linalg, "rref", generic_rref)
     slow = [(generic_rref(F, A), len(generic_rref(F, A)[1]), nullspace(F, A)) for A in mats]
     assert fast == slow
@@ -174,19 +177,20 @@ def test_rank_by_forward_elimination_matches_rref(p, k, monkeypatch):
     assert any(r == min(len(A), len(A[0])) > 1 for A, r in zip(mats, got))
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_int_vector_ops_match_field_loop(p):
-    F = make_field(p)
-    s = SeedStream(200 + p)
+@pytest.mark.parametrize("q", PRIMES + TABLE_FIELDS)
+def test_int_vector_ops_match_field_loop(q):
+    F, T = make_field(*prime_power(q)), TupleField(*prime_power(q))
+    s = SeedStream(200 + q)
     for n, k in [(1, 1), (3, 3), (2, 4), (6, 3), (8, 8)]:
         for density in (100, 30, 0):
             A = rand_rows(F, n, k, s, density)
-            v, w = (tuple(r) for r in rand_rows(F, 2, k, s, density))
-            c = F.element(s.randrange(F.q))
-            assert mat_vec(F, A, v) == linalg._mat_vec_field(F, A, v)
-            assert linalg.scale_vec(F, c, v) == [F.mul(c, x) for x in v]
+            v, w = rand_rows(F, 2, k, s, density)
+            c = s.randrange(F.q)
+            (tv, tw), tc = T.lift([v, w]), T.element(c)
+            assert list(mat_vec(F, A, tuple(v))) == T.drop([mat_vec_field(T, T.lift(A), tv)])[0]
+            assert linalg.scale_vec(F, c, v) == T.drop([[T.mul(tc, x) for x in tv]])[0]
             assert linalg.add_scaled(F, v, c, w) == \
-                [F.add(x, F.mul(c, y)) for x, y in zip(v, w)]
+                T.drop([[T.add(x, T.mul(tc, y)) for x, y in zip(tv, tw)]])[0]
 
 
 def rref_coords_oracle(F, rows, pivots, w):
@@ -198,9 +202,9 @@ def rref_coords_oracle(F, rows, pivots, w):
     return coords if tuple(back) == tuple(w) else None
 
 
-@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2)])
+@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
-    F = make_field(p, k)
+    F, T = make_field(p, k), TupleField(p, k)
     s = SeedStream(300 + F.q)
     outside = inside = 0
     for A in shaped_matrices(F, s):
@@ -217,7 +221,7 @@ def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
             got = rref_coords(F, rows, pivots, w)
             assert got == rref_coords_oracle(F, rows, pivots, w)
             assert linalg.reduce_vec(F, rows, pivots, w) == \
-                linalg._reduce_vec_field(F, rows, pivots, w)
+                T.drop([reduce_vec_field(T, T.lift(rows), pivots, T.lift([w])[0])])[0]
             outside += got is None
             inside += got is not None
         assert rref_coords(F, rows, pivots, w_in) == combo
@@ -227,15 +231,17 @@ def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
 def closure_oracle(F, mats, seeds):
     """Field-loop rref of everything the seeds reach under mats, collected
     until the rank of the collection stops growing."""
+    T = TupleField(*prime_power(F.q))
     found = [list(v) for v in seeds]
     while True:
         rows = generic_rref(F, found)[0]
-        found = rows + [list(linalg._mat_vec_field(F, M, v)) for M in mats for v in rows]
+        found = rows + T.drop([mat_vec_field(T, T.lift(M), T.lift([v])[0])
+                               for M in mats for v in rows])
         if len(generic_rref(F, found)[0]) == len(rows):
             return tuple(tuple(r) for r in rows)
 
 
-@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2)])
+@pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_spin_span_matches_closure_oracle(p, k):
     # spin_span keeps its rows unreduced above their pivots while the span
     # grows; its result must still be the one rref of the closure, with no

@@ -222,7 +222,7 @@ def spin_oracle_irreducible(rep):
     """Exhaustive: irreducible iff every nonzero vector spins to the whole space."""
     F = rep.field
     for v in itertools.product([F.element(i) for i in range(F.q)], repeat=rep.dim):
-        nonzero = [x for x in v if not F.is_zero(x)]
+        nonzero = [x for x in v if x]
         if nonzero and nonzero[0] == F.one and len(spin_span(F, rep.images, [v])) < rep.dim:
             return False
     return True
@@ -270,6 +270,32 @@ def test_norton_verdicts_match_spin_oracle():
             assert res.irreducible == truth, (recipe, seed)
             if not truth:
                 assert_proper_submodule(rep, res.submodule)
+
+
+@pytest.mark.parametrize("recipe", [
+    "(deleted (perm A5) :field (gf 7))",
+    "(deleted (perm A6) :field (gf 5 2))",
+    "(explicit SL3_3)",
+])
+def test_spin_span_stops_once_the_span_is_full(recipe, monkeypatch):
+    # on an irreducible module every nonzero seed spins to the whole space;
+    # no matrix-vector product may come after the rows span it
+    from fixspace import linalg
+    rep = build_rep(parse_module_text(recipe))
+    F, n = rep.field, rep.dim
+    events = []
+    for name, tag in (("mat_vec", "product"), ("scale_vec", "row")):
+        def traced(*args, _fn=getattr(linalg, name), _tag=tag):
+            events.append(_tag)
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, traced)
+    for j in range(n):
+        seed = [F.zero] * n
+        seed[j] = F.one
+        events.clear()
+        assert spin_span(F, rep.images, [seed]) == tuple(map(tuple, eye(F, n)))
+        full = [i for i, e in enumerate(events) if e == "row"][n - 1]
+        assert "product" not in events[full:], (recipe, j)
 
 
 def test_embed_matrix_group_builtins():
@@ -427,13 +453,36 @@ def test_malformed_matgroup_header_is_ill_typed(text, message):
         parse_matgroup_text(text)
 
 
+def test_matgroup_over_extension_field_above_table_cap_is_ill_typed(tmp_path, monkeypatch):
+    # GF(3^6) has 729 elements; refused at the header, before any image
+    from fixspace import linalg
+
+    def no_image(*args):
+        raise AssertionError("an image was built")
+
+    for name in ("mat_vec", "rank", "rref"):
+        monkeypatch.setattr(linalg, name, no_image)
+    text = "matgroup B field 3 ext 6 dim 2\ngen [[1,1],[0,1]]\n"
+    message = "modules over GF(3^6) are not supported: q = 729 exceeds 256"
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        parse_matgroup_text(text)
+    path = tmp_path / "big.mat"
+    path.write_text(text)
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        read_matgroup_file(str(path))
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        embed_matrix_group(make_field(3, 6), 2, [[[1, 1], [0, 1]]])
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        build_rep(deleted(perm_module(builtin_group('A5'))), make_field(3, 6))
+
+
 @pytest.mark.parametrize("p, k", [(5, 1), (3, 2)])
 def test_singular_matrix_generator_is_rejected(tmp_path, p, k):
     # the second generator's rows are proportional: rank 1, though no row is 0
     F = make_field(p, k)
-    z = F.element(p) if k > 1 else F.element(2)   # encoding p is the root z of GF(p^k)
-    row = [F.one, z]
-    singular = [[F.encode(x) for x in row], [F.encode(F.mul(z, x)) for x in row]]
+    z = p if k > 1 else 2   # element p is the root z of GF(p^k)
+    row = [1, z]
+    singular = [row, [F.mul(z, x) for x in row]]
     path = tmp_path / "singular.mat"
     path.write_text(f"matgroup T field {p} ext {k} dim 2\n"
                     f"gen [[1,1],[0,1]]\ngen {json.dumps(singular)}\n")
@@ -468,13 +517,12 @@ def pinned_modules():
 
 
 def image_digest(rep, elements=20, seed=11):
-    """SHA-256 of the dimension and the encoded images of seeded elements."""
-    F = rep.field
+    """SHA-256 of the dimension and the images of seeded elements."""
     s = SeedStream(seed)
     h = hashlib.sha256(str(rep.dim).encode())
     for _ in range(elements):
         M = rep.image(rep.group.random_element(s))
-        h.update(json.dumps([[F.encode(x) for x in row] for row in M]).encode())
+        h.update(json.dumps(M).encode())
     return h.hexdigest()
 
 

@@ -342,6 +342,19 @@ def test_eigen_separation_examples():
     assert lo != hi and (lo - hi) % 2 == 0
 
 
+@pytest.mark.parametrize("q, s, witness", [
+    (17, 3, (162, 243, 56, 145)),
+    (25, 4, (536, 578, 1, 203, 166)),
+    (27, 2, (340, 1, 307)),
+    (101, 3, (4991, 3400, 6935, 5294)),
+])
+def test_eigen_separation_witnesses_above_the_table_cap(q, s, witness):
+    # GF(q^2) has more than 256 elements, so these run on ff's digit
+    # arithmetic alone; the eigenvalues were pinned with tuple elements
+    rep = sl2_distinct_eigenvalues(q, s)
+    assert rep.distinct and rep.witness == witness
+
+
 def test_eigen_separation_guards():
     with pytest.raises(NotRestricted):
         sl2_distinct_eigenvalues(9, 3)

@@ -19,7 +19,7 @@ def torus_char_poly(wms, t, F: FieldCtx) -> tuple:
     t = tuple(t)
     if len(t) != wms.rank:
         raise ValueError(f"expected {wms.rank} torus values, got {len(t)}")
-    if any(F.is_zero(x) for x in t):
+    if not all(t):
         raise ValueError("torus values must be nonzero")
     poly = (F.one,)
     for weight, m in wms.entries:
