@@ -8,8 +8,9 @@ Every table is built from its group on each call; nothing is stored
 between runs. Up to A7, two thirds or more of a build is the split into
 eigenspaces of the class matrices over GF(l). At A8 (20,160 elements)
 about two thirds is the class multiplication constants, which compose
-permutations with perm.bulk_codec one class at a time and look up the
-class of each product under its encoding. The lift reads every power
+the encoded members of one class at a time with the group's codec and
+look up the class of each product in the group's encoded class map
+(PermGroup.class_map); no member is decoded. The lift reads every power
 of z from one table of z^i mod l.
 
 Frobenius-style triple counting over conjugacy classes lives here too,
@@ -25,7 +26,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import ff, linalg
-from .perm import GroupTooLarge, PermGroup, bulk_codec, pinv, ppow
+from .perm import GroupTooLarge, PermGroup, pinv, ppow
 
 
 class LiftFailure(RuntimeError):
@@ -88,17 +89,15 @@ class ClassAlgebra(NamedTuple):
 
 def class_algebra(group: PermGroup) -> ClassAlgebra:
     classes = group.conjugacy_classes()
-    index = group.class_index()
+    where = group.class_map()
     r = len(classes)
-    codec = bulk_codec(group.degree)
-    encode, apply = codec.encode, codec.apply
-    # the class of each element under its encoding: no product is decoded
-    where = {encode(m): i for i, c in enumerate(classes) for m in c.members}
-    reps = [codec.right(encode(c.rep)) for c in classes]
+    codec = group.codec
+    apply = codec.apply
+    reps = [codec.right(codec.encode(c.rep)) for c in classes]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         # as x runs over C_i, x^{-1} runs over the inverse class
-        inverses = [encode(w) for w in classes[index[pinv(classes[i].rep)]].members]
+        inverses = classes[group.class_of(pinv(classes[i].rep))].encoded
         row = a[i]
         for k, z in enumerate(reps):
             for w in inverses:
@@ -136,13 +135,12 @@ def character_table(group: PermGroup) -> CharTable:
     if r > MAX_CLASSES:
         raise GroupTooLarge(f"{r} classes exceed {MAX_CLASSES}")
     algebra = class_algebra(group)
-    index = group.class_index()
     e = math.lcm(*(c.element_order for c in classes))
     l = _dixon_prime(group.order, e)
     F = ff.make_field(l)
 
     omegas = _central_characters(F, algebra)
-    inverse_class = tuple(index[pinv(c.rep)] for c in classes)
+    inverse_class = tuple(group.class_of(pinv(c.rep)) for c in classes)
 
     inv_size = [pow(classes[j].size, -1, l) for j in range(r)]
     rows_mod = []
@@ -170,7 +168,7 @@ def character_table(group: PermGroup) -> CharTable:
     for c in classes:
         o = c.element_order
         step = e // o
-        lifts.append(([index[ppow(c.rep, t)] for t in range(o)], step, pow(o, -1, l),
+        lifts.append(([group.class_of(ppow(c.rep, t)) for t in range(o)], step, pow(o, -1, l),
                       [[zpow[(-m * t) % o * step] for t in range(o)] for m in range(o)]))
     rows_cyc = []
     for chi, d in enumerate(degrees):

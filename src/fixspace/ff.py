@@ -10,7 +10,8 @@ of elements, lowest degree first, trailing zeros stripped; zero is ().
 
 The FieldCtx methods multiply digits as polynomials reduced by the
 modulus, with no size cap. For k > 1 and q <= TABLE_CAP, tables() fills
-from them the add, sub, mul and inverse tables that linalg's loops read.
+the add, sub, mul and inverse tables that linalg's loops read: add and
+sub digit by digit, mul from exp/log lists, with O(q) method calls.
 
 Over a prime field, poly_mul and poly_divmod run on plain ints, with one
 reduction mod p per output coefficient (the _*_mod helpers), and so does
@@ -23,7 +24,7 @@ cover every factorization this package needs.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul as _imul
+from operator import add as _iadd, itemgetter, mul as _imul, sub as _isub
 
 
 class NotPrime(ValueError):
@@ -222,15 +223,37 @@ class FieldCtx:
 
     def tables(self) -> tuple:
         """(ADD, SUB, MUL, INV) of GF(p^k), k > 1 and q <= TABLE_CAP, built
-        once from the methods: ADD[x][y] = x + y, SUB[x][y] = x - y and
-        MUL[x][y] = x * y, each row a bytes; INV[x] = 1 / x for x != 0."""
+        once: ADD[x][y] = x + y, SUB[x][y] = x - y and MUL[x][y] = x * y,
+        each row a bytes; INV[x] = 1 / x for x != 0.
+
+        ADD and SUB grow one base-p digit at a time: below p^(j+1) an
+        element is x + d p^j with x below p^j, and (x + d p^j) ± (y + e p^j)
+        is (x ± y) + ((d ± e) mod p) p^j, so a row is p rows of the smaller
+        table, each shifted by one translate.  MUL reads the exp and log
+        lists of multiplicative_generator, found with q - 2 products."""
         if self._tables is None:
             if self.k == 1 or self.q > TABLE_CAP:
                 raise ValueError(f"{self!r} has no tables: they cover GF(p^k), "
                                  f"k > 1, up to q = {TABLE_CAP}")
-            r = range(self.q)
-            add, sub, mul = ([bytes([op(x, y) for y in r]) for x in r]
-                             for op in (self.add, self.sub, self.mul))
+            p, q = self.p, self.q
+            add = sub = [bytes(1)]   # the tables of {0}
+            for place in self._places:
+                # shift[c] maps v to v + c p^j; only v below p^j is read
+                shift = [bytes((v + c * place) & 255 for v in range(256)) for c in range(p)]
+                add, sub = ([b"".join(row.translate(shift[op(d, e) % p]) for e in range(p))
+                             for d in range(p) for row in table]
+                            for table, op in ((add, _iadd), (sub, _isub)))
+            g = multiplicative_generator(self)
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(self.mul(exp[-1], g))
+            log = [0] * q
+            for i, x in enumerate(exp):
+                log[x] = i
+            # row x at y != 0 is exp[log x + log y]: a window of exp, permuted
+            by_log = itemgetter(*log[1:])
+            exp += exp
+            mul = [bytes(q)] + [bytes((0,) + by_log(exp[i:i + q - 1])) for i in log[1:]]
             self._tables = add, sub, mul, [None] + [row.index(1) for row in mul[1:]]
         return self._tables
 

@@ -166,7 +166,6 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
     if table is None:
         table = chartab.character_table(group)
     classes = group.conjugacy_classes()
-    index = group.class_index()
     r = len(classes)
     prime_to_p = [i for i in range(r) if classes[i].element_order % p != 0]
     pair_cache = {}
@@ -183,7 +182,7 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
                 continue
             for y in classes[j].members:
                 z = pinv(pmul(x, y))
-                if index[z] not in live:
+                if group.class_of(z) not in live:
                     continue
                 tests += 1
                 if not group.generated_by([x, y]):

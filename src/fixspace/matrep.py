@@ -184,8 +184,11 @@ def _compile(node: ModuleSpec, F: FieldCtx):
     if k == "dual":
         return group, m, lambda g: linalg.transpose(child(pinv(g)))
     if k == "twist":
-        i = node.power
-        return group, m, lambda g: [[F.frobenius(x, i) for x in row] for row in child(g)]
+        if F.k == 1:
+            return group, m, child   # x^p = x in GF(p)
+        # x -> x^(p^i) on every element, listed once; q <= TABLE_CAP here
+        frob = [F.frobenius(x, node.power) for x in range(F.q)]
+        return group, m, lambda g: [[frob[x] for x in row] for row in child(g)]
     if k == "sym":
         return _compile_sym(group, m, child, node.power, F)
     if node.basis is None:
@@ -314,8 +317,13 @@ def char_poly(rep: MatRep, g: tuple) -> tuple:
 
 def minus_one(F: FieldCtx, M: list) -> list:
     """M - 1, computed in place on the square matrix M, which is returned."""
+    if F.k == 1:
+        for i, row in enumerate(M):
+            row[i] = (row[i] - 1) % F.p
+        return M
+    SUB = F.tables()[1]
     for i, row in enumerate(M):
-        row[i] = F.sub(row[i], F.one)
+        row[i] = SUB[row[i]][1]
     return M
 
 

@@ -4,8 +4,19 @@ A permutation on 0..n-1 is an image tuple: g[i] is where i goes, and
 pmul(a, b) applies a first, then b.  Everything a group takes or hands
 out (generators, arguments, random elements, class members) is a tuple.
 Inside a PermGroup the chain, its running products and its class sweep
-hold elements in the encoding of `bulk_codec`: image `bytes` up to
-degree 256, which compose and invert in C, and image tuples above that.
+hold elements in the encoding of its `codec` (`bulk_codec`): image
+`bytes` up to degree 256, which compose and invert in C, and image
+tuples above that, on the same code path.
+
+Conjugacy classes come from one sweep over a shrinking set of the
+encoded elements of G (the orbit algorithm: each class is the
+conjugation orbit, under the generators, of an element still in the
+set).  A class keeps its members encoded; its `members` tuple is sorted
+and decoded on first read.  The one element-to-class map is keyed by the
+encoding and built on first use (`class_map`, `class_of`).  Which
+element starts a class follows set order, and so the hash seed; nothing
+read depends on it: a rep is the minimal member, the classes are sorted
+and so is `members`.
 
 The base of the stabilizer chain is always the smallest moved point at
 each level and orbits are explored in sorted order, so bases, strong
@@ -196,16 +207,30 @@ def format_cycles(g: tuple) -> str:
 
 
 class ConjClass:
-    """One conjugacy class: minimal-member representative, size, order,
-    and (for groups within the storage cap) the sorted member tuple."""
+    """One conjugacy class: minimal-member representative, size and
+    element order, read off the encoded members the class sweep found.
 
-    __slots__ = ("rep", "size", "element_order", "members")
+    `encoded` lists the members in the group's codec encoding, in the
+    order the sweep met them.  `members` is the sorted tuple of image
+    tuples; it is sorted and decoded on first read, so a caller that only
+    needs reps and sizes never decodes a member."""
 
-    def __init__(self, rep, size, order, members):
-        self.rep = rep
-        self.size = size
-        self.element_order = order
-        self.members = members
+    __slots__ = ("rep", "size", "element_order", "encoded", "_decode", "_members")
+
+    def __init__(self, encoded: list, decode):
+        # encodings sort like the tuples: the least is the minimal member
+        self.rep = decode(min(encoded))
+        self.size = len(encoded)
+        self.element_order = element_order(self.rep)
+        self.encoded = encoded
+        self._decode = decode
+        self._members = None
+
+    @property
+    def members(self) -> tuple:
+        if self._members is None:
+            self._members = tuple(map(self._decode, sorted(self.encoded)))
+        return self._members
 
     def __repr__(self):
         return f"ConjClass(order={self.element_order}, size={self.size}, rep={format_cycles(self.rep)})"
@@ -258,14 +283,14 @@ class PermGroup:
                 raise NotBijection(f"generator degree {len(g)} != {degree}")
             checked.append(g)
         self.gens = tuple(checked)
-        self._codec = bulk_codec(degree)
-        self._ident = self._codec.encode(identity(degree))
+        self.codec = bulk_codec(degree)
+        self._ident = self.codec.encode(identity(degree))
         self._levels = []
         self._operands = None
         self._build_chain(_stop_at)
         self.order = self._chain_order()
         self._classes = None
-        self._class_index = None
+        self._class_map = None
 
     # chain construction ---------------------------------------------
 
@@ -273,7 +298,7 @@ class PermGroup:
         """Level i, recomputed from its strong generators if it is dirty."""
         lvl = self._levels[i]
         if lvl.dirty:
-            lvl.recompute(self._ident, self._codec.mul, self._level_gens(i))
+            lvl.recompute(self._ident, self.codec.mul, self._level_gens(i))
         return lvl
 
     def _chain_order(self) -> int:
@@ -286,14 +311,14 @@ class PermGroup:
         """Inverse of the transversal element for y, computed on first use."""
         t = lvl.inverse.get(y)
         if t is None:
-            t = lvl.inverse[y] = self._codec.inv(lvl.transversal[y])
+            t = lvl.inverse[y] = self.codec.inv(lvl.transversal[y])
         return t
 
     def _sift(self, g, start: int = 0):
         """Reduce the encoded g through levels from start; return
         (residue, stuck_level)."""
         lv = self._levels
-        mul = self._codec.mul
+        mul = self.codec.mul
         for i in range(start, len(lv)):
             lvl = lv[i]
             if lvl.dirty:
@@ -329,7 +354,7 @@ class PermGroup:
         """Schreier-Sims; with stop_at, return as soon as the orbit lengths
         multiply to stop_at (a lower bound on the order; see subgroup_order)."""
         ident = self._ident
-        for g in map(self._codec.encode, self.gens):
+        for g in map(self.codec.encode, self.gens):
             if g == ident:
                 continue
             res, at = self._sift(g)
@@ -352,9 +377,9 @@ class PermGroup:
         Returns the level where a residue was installed, or None if clean."""
         lvl = self._level(i)
         ident = self._ident
-        mul, apply = self._codec.mul, self._codec.apply
+        mul, apply = self.codec.mul, self.codec.apply
         # right operands map points like their elements do
-        gens = list(map(self._codec.right, self._level_gens(i)))
+        gens = list(map(self.codec.right, self._level_gens(i)))
         transversal = lvl.transversal
         for x in lvl.orbit_list:
             t_x = transversal[x]
@@ -377,7 +402,7 @@ class PermGroup:
         if len(g) != self.degree:
             raise DegreeMismatch(f"degree {len(g)} vs group degree {self.degree}")
         try:
-            g = self._codec.encode(g)
+            g = self.codec.encode(g)
         except ValueError:
             return False   # an entry outside 0..255 is no point of the group
         res, _ = self._sift(g)
@@ -390,7 +415,7 @@ class PermGroup:
         base point is moved by the generator installed there).  Listed on
         first use; the chain is complete by then and never changes."""
         if self._operands is None:
-            right = self._codec.right
+            right = self.codec.right
             ops = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
                    for lvl in reversed(self._levels)]
             self._operands = ops, tuple(bound(len(level)) for level in ops)
@@ -400,11 +425,11 @@ class PermGroup:
         """Exactly uniform: product of uniformly chosen transversal
         elements, one rng index per level drawn in a single call."""
         ops, bounds = self._operands or self._draws()
-        apply = self._codec.apply
+        apply = self.codec.apply
         g = self._ident
         for level, i in zip(ops, stream.randranges(bounds)):
             g = apply(g, level[i])
-        return self._codec.decode(g)
+        return self.codec.decode(g)
 
     def skip_element(self, stream: SeedStream) -> None:
         """Advance stream exactly as random_element would, building nothing."""
@@ -448,7 +473,7 @@ class PermGroup:
         transversal element per level; see CLASS_CAP."""
         if self.order > CLASS_CAP:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {CLASS_CAP}")
-        right, apply = self._codec.right, self._codec.apply
+        right, apply = self.codec.right, self.codec.apply
         out = [self._ident]
         for i in reversed(range(len(self._levels))):
             ts = [right(t) for t in self._level(i).transversal.values()]
@@ -456,37 +481,37 @@ class PermGroup:
         return out
 
     def conjugacy_classes(self) -> tuple:
-        """Classes sorted by (element order, size, minimal member)."""
+        """Classes sorted by (element order, size, minimal member), from
+        one sweep over a shrinking set of G; see the module docstring."""
         if self._classes is not None:
             return self._classes
-        encode, decode, mul, inv, right, apply = self._codec
+        encode, decode, mul, inv, right, apply = self.codec
         conjugators = [(inv(s), right(s)) for s in map(encode, self.gens)]
-        assigned, classes = set(), []
-        for g in self._all_elements():
-            if g in assigned:
-                continue
-            members = {g}
-            queue = [g]
-            for x in queue:
+        remaining = set(self._all_elements())
+        classes = []
+        while remaining:
+            members = [remaining.pop()]
+            for x in members:
                 for s_inv, s in conjugators:
                     y = apply(mul(s_inv, x), s)
-                    if y not in members:
-                        members.add(y)
-                        queue.append(y)
-            assigned |= members
-            # encodings sort like the tuples: the first is the minimal member
-            members = tuple([decode(m) for m in sorted(members)])
-            classes.append(ConjClass(members[0], len(members), element_order(members[0]), members))
+                    if y in remaining:
+                        remaining.remove(y)
+                        members.append(y)
+            classes.append(ConjClass(members, decode))
         classes.sort(key=lambda c: (c.element_order, c.size, c.rep))
         self._classes = tuple(classes)
-        self._class_index = {m: i for i, c in enumerate(classes) for m in c.members}
         return self._classes
 
-    def class_index(self) -> dict:
-        """Member-to-class-position map; builds classes on first use."""
-        if self._class_index is None:
-            self.conjugacy_classes()
-        return self._class_index
+    def class_map(self) -> dict:
+        """Encoded element -> position of its class; built on first use."""
+        if self._class_map is None:
+            self._class_map = {g: i for i, c in enumerate(self.conjugacy_classes())
+                               for g in c.encoded}
+        return self._class_map
+
+    def class_of(self, g: tuple) -> int:
+        """Position of the class of the element g."""
+        return self.class_map()[self.codec.encode(g)]
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"

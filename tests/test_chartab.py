@@ -48,7 +48,8 @@ def pmul_inv_left(x, z):
 
 def class_constants_oracle(G):
     """a[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}, one tuple loop per x."""
-    classes, index = G.conjugacy_classes(), G.class_index()
+    classes = G.conjugacy_classes()
+    index = {m: i for i, c in enumerate(classes) for m in c.members}
     r = len(classes)
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k in range(r):
@@ -66,17 +67,21 @@ def test_class_algebra_matches_tuple_loop(name):
 
 
 def test_class_algebra_matches_tuple_loop_past_byte_encoding(monkeypatch):
-    # the codec composes tuples above degree 256; hand class_algebra that
-    # branch whatever the degree of the group, where the class lookup is
-    # keyed by image tuples instead of bytes
-    groups = [builtin_group(name) for name in builtin_group_names()]
-    groups = [G for G in groups if G.order <= 2520]
-    byte_tables = [character_table(G) for G in groups]
+    # the codec composes tuples above degree 256; build each group a second
+    # time with that branch whatever its degree, so its classes, class map
+    # and class_algebra are keyed by image tuples instead of bytes
+    names = [n for n in builtin_group_names() if builtin_group(n).order <= 2520]
+    byte_tables = [character_table(builtin_group(n)) for n in names]
     tuple_codec = perm.bulk_codec(257)
-    monkeypatch.setattr(chartab, "bulk_codec", lambda degree: tuple_codec)
-    for G, table in zip(groups, byte_tables):
+    monkeypatch.setattr(perm, "bulk_codec", lambda degree: tuple_codec)
+    for name, table in zip(names, byte_tables):
+        G = perm.builtin_group.__wrapped__(name)   # uncached: a fresh build
+        assert G.codec is tuple_codec
         assert class_algebra(G).constants == class_constants_oracle(G), G
-        assert character_table(G) == table, G
+        # the group and its classes are new objects: compare everything else
+        view = lambda T: ([(c.rep, c.size, c.element_order) for c in T.classes],
+                          T[2:])
+        assert view(character_table(G)) == view(table), G
 
 
 # SHA-256 of repr((exponent, modulus, degrees, values)): a faster build

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -167,7 +170,58 @@ def test_classes_and_elements_match_tuple_orbits():
         got = [(c.rep, c.size, c.element_order, c.members)
                for c in G.conjugacy_classes()]
         assert got == classes
-        assert G.class_index() == index
+        assert len(G.class_map()) == len(index)
+        assert all(G.class_of(m) == i for m, i in index.items())
+
+
+# every class datum a caller can read, hashed in a fresh interpreter: bytes
+# hashes, and so set order and the member each class sweep starts from,
+# depend on PYTHONHASHSEED, and nothing read may
+HASH_SEED_PROBE = """
+import hashlib
+from fixspace import chartab, gensearch
+from fixspace.ff import make_field
+from fixspace.matrep import builtin_matgroup, embed_matrix_group
+from fixspace.perm import builtin_group
+sl2_17, _ = embed_matrix_group(make_field(17), 2, [[[1, 1], [0, 1]], [[0, 1], [16, 0]]])
+data = []
+for G in [builtin_group('A6'), builtin_group('S6'), builtin_matgroup('SL3_3')[0], sl2_17]:
+    classes = G.conjugacy_classes()
+    data.append([(c.rep, c.size, c.element_order, c.members) for c in classes])
+    data.append([G.class_of(m) for c in classes for m in c.members])
+t = chartab.character_table(builtin_group('S6'))
+data.append((t.exponent, t.modulus, t.degrees, t.values, t.inverse_class))
+data.append(gensearch.exhaustive_triple_search(builtin_group('A6'), 3))
+print(hashlib.sha256(repr(data).encode()).hexdigest())
+"""
+
+
+def test_classes_do_not_depend_on_the_hash_seed():
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert len(outs[0].strip()) == 64
+    assert outs[0] == outs[1]
+
+
+def test_bound_checks_decode_no_member():
+    # the bound clauses read reps, sizes and orders only: no class decodes
+    # its members and no class map is built; members read afterwards are
+    # the tuple orbits
+    from fixspace.bounds import check_bound_theorems
+    from fixspace.ff import make_field
+    from fixspace.matrep import build_rep, deleted, perm_module
+    G = alternating(8)
+    assert check_bound_theorems(build_rep(deleted(perm_module(G)), make_field(3)), 3).holds
+    classes = G.conjugacy_classes()
+    assert all(c._members is None for c in classes)
+    assert G._class_map is None
+    expected, _ = orbit_classes(G)
+    assert [(c.rep, c.size, c.element_order, c.members) for c in classes] == expected
 
 
 def test_class_sizes_a5():
@@ -429,7 +483,8 @@ def test_bytes_chain_agrees_with_tuple_codec(monkeypatch):
             view = lambda H: [(c.rep, c.size, c.element_order, c.members)
                               for c in H.conjugacy_classes()]
             assert view(G) == view(T)
-            assert G.class_index() == T.class_index()
+            assert all(G.class_of(m) == T.class_of(m) == i
+                       for i, c in enumerate(G.conjugacy_classes()) for m in c.members)
     assert answers == generated == {True, False}
 
 
@@ -456,6 +511,6 @@ def test_classes_refuse_groups_past_the_cap():
     # |A10| = 1,814,400: refused before any element is listed
     G = builtin_group("A10")
     assert G.order > perm.CLASS_CAP
-    for query in (G.conjugacy_classes, G.class_index):
+    for query in (G.conjugacy_classes, G.class_map):
         with pytest.raises(perm.GroupTooLarge, match="exceeds cap 1000000"):
             query()
