@@ -4,8 +4,10 @@ Random searches are reproducible: each draws its elements from one
 stream forked from the integer seed, and the budget counts attempts, one
 pair of elements each. An attempt tests the order of x before it builds
 the second element; when x is rejected, PermGroup.skip_element moves the
-stream past the second element without drawing it, so every stream,
-witness and attempt count is that of drawing both. Candidates are tested
+stream past the second element without drawing it (one set lookup and
+one addition to the state, unless that element's draws meet a
+rejection), so every stream, witness and attempt count is that of
+drawing both. Candidates are tested
 by PermGroup.generated_by (an orbit test, then a chain build); every
 returned certificate is rechecked with the full subgroup_order before it
 is handed back.

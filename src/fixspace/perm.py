@@ -24,26 +24,31 @@ generators, orders, transversals, random streams, and conjugacy class
 data are reproducible functions of the generator list alone.
 
 Chain levels are rebuilt lazily: installing a strong generator marks the
-levels it belongs to dirty, and a dirty level is recomputed from its
-strong generators the first time it is read.  That is exactly what an
-eager recompute after every installation would hold, so bases, strong
-generators and transversals do not depend on when levels are read.
-Transversal inverses are computed on first use.  A random element takes
-one index per level from a single `SeedStream.randranges` call over the
-levels' bounds; `skip_element` advances a stream by exactly those draws
-(`SeedStream.skip`) and builds nothing.  `subgroup_order` stops
-building as soon as the chain's orbit lengths multiply to |G|;
+levels it belongs to dirty, and a dirty level's transversal is
+recomputed from its strong generators the first time it is read.  That
+is exactly what an eager recompute after every installation would hold,
+so bases, strong generators and transversals do not depend on when
+levels are read.  Each level also keeps its basic orbit as a set, closed
+under the new generator when it is installed, so the order (the product
+of the orbit lengths) is known without reading a transversal.
+Transversal inverses are computed on first use and kept as right
+operands (`Codec.right`), so a sift step is one `Codec.apply`.  A random
+element takes one index per level from a single `SeedStream.randranges`
+call over the group's `rng.Draws` (`_draws`, listed once beside the
+transversal operands); `skip_element` advances a stream by exactly
+those draws (`SeedStream.skip`) and builds nothing.  `subgroup_order`
+stops building as soon as the chain's orbit lengths multiply to |G|;
 `generated_by` builds none when the first base point's orbit is short.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, NamedTuple
 
 from . import ff
-from .rng import SeedStream, bound
+from .rng import Draws, SeedStream
 
 CLASS_CAP = 10**6
 
@@ -239,12 +244,27 @@ class ConjClass:
 # stabilizer chain ---------------------------------------------------------
 
 
+def _orbit_closure(orbit: set, queue: list, gens) -> set:
+    """Grow the point set orbit to its closure under gens, exploring from
+    queue: the points of queue are in orbit, and every generator already
+    takes each other point of orbit into orbit."""
+    for x in queue:
+        for s in gens:
+            y = s[x]
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
+
+
 class _Level:
-    __slots__ = ("point", "installed", "transversal", "inverse", "orbit_list", "dirty")
+    __slots__ = ("point", "installed", "orbit", "transversal", "inverse",
+                 "orbit_list", "dirty")
 
     def __init__(self, point):
         self.point = point
         self.installed = []
+        self.orbit = {point}
         self.transversal = {}
         self.inverse = {}
         self.orbit_list = []
@@ -302,23 +322,21 @@ class PermGroup:
         return lvl
 
     def _chain_order(self) -> int:
-        order = 1
-        for i in range(len(self._levels)):
-            order *= len(self._level(i).orbit_list)
-        return order
+        return prod(len(lvl.orbit) for lvl in self._levels)
 
     def _inverse(self, lvl: _Level, y: int):
-        """Inverse of the transversal element for y, computed on first use."""
+        """Inverse of the transversal element for y as a right operand,
+        computed on first use."""
         t = lvl.inverse.get(y)
         if t is None:
-            t = lvl.inverse[y] = self.codec.inv(lvl.transversal[y])
+            t = lvl.inverse[y] = self.codec.right(self.codec.inv(lvl.transversal[y]))
         return t
 
     def _sift(self, g, start: int = 0):
         """Reduce the encoded g through levels from start; return
         (residue, stuck_level)."""
         lv = self._levels
-        mul = self.codec.mul
+        apply = self.codec.apply
         for i in range(start, len(lv)):
             lvl = lv[i]
             if lvl.dirty:
@@ -328,7 +346,7 @@ class PermGroup:
                 continue
             if x not in lvl.transversal:
                 return g, i
-            g = mul(g, self._inverse(lvl, x))
+            g = apply(g, self._inverse(lvl, x))
         return g, len(lv)
 
     def _level_gens(self, i: int) -> list:
@@ -345,10 +363,17 @@ class PermGroup:
             moved = min(i for i, x in enumerate(g) if x != i)
             lv.append(_Level(moved))
         lv[level].installed.append(g)
-        # the new generator lies in every stabilizer down to this level,
-        # so shallower orbits can grow too; each is rebuilt when next read
+        # the new generator lies in every stabilizer down to this level, so
+        # shallower orbits can grow too: each orbit set is closed now, and
+        # each transversal is rebuilt when next read
         for m in range(level + 1):
-            lv[m].dirty = True
+            lvl = lv[m]
+            lvl.dirty = True
+            orbit = lvl.orbit
+            new = [y for y in map(g.__getitem__, orbit) if y not in orbit]
+            if new:
+                orbit.update(new)
+                _orbit_closure(orbit, new, self._level_gens(m))
 
     def _build_chain(self, stop_at: int = 0) -> None:
         """Schreier-Sims; with stop_at, return as soon as the orbit lengths
@@ -377,7 +402,7 @@ class PermGroup:
         Returns the level where a residue was installed, or None if clean."""
         lvl = self._level(i)
         ident = self._ident
-        mul, apply = self.codec.mul, self.codec.apply
+        apply = self.codec.apply
         # right operands map points like their elements do
         gens = list(map(self.codec.right, self._level_gens(i)))
         transversal = lvl.transversal
@@ -388,7 +413,7 @@ class PermGroup:
                 y = s[x]
                 if t_xs == transversal[y]:
                     continue
-                res, at = self._sift(mul(t_xs, self._inverse(lvl, y)), i + 1)
+                res, at = self._sift(apply(t_xs, self._inverse(lvl, y)), i + 1)
                 if res != ident:
                     self._add_generator(res, at)
                     return at
@@ -409,25 +434,26 @@ class PermGroup:
         return res == self._ident
 
     def _draws(self) -> tuple:
-        """(operands, bounds) of a random element: each level's transversal,
+        """(operands, draws) of a random element: each level's transversal,
         deepest level first and in orbit_list order, as right operands, and
-        the rng bound of each level's orbit length (at least 2: a level's
-        base point is moved by the generator installed there).  Listed on
-        first use; the chain is complete by then and never changes."""
+        the rng Draws over the levels' orbit lengths (each at least 2: a
+        level's base point is moved by the generator installed there).
+        Listed on first use; the chain is complete by then and never
+        changes."""
         if self._operands is None:
             right = self.codec.right
             ops = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
                    for lvl in reversed(self._levels)]
-            self._operands = ops, tuple(bound(len(level)) for level in ops)
+            self._operands = ops, Draws(map(len, ops))
         return self._operands
 
     def random_element(self, stream: SeedStream) -> tuple:
         """Exactly uniform: product of uniformly chosen transversal
         elements, one rng index per level drawn in a single call."""
-        ops, bounds = self._operands or self._draws()
+        ops, draws = self._operands or self._draws()
         apply = self.codec.apply
         g = self._ident
-        for level, i in zip(ops, stream.randranges(bounds)):
+        for level, i in zip(ops, stream.randranges(draws)):
             g = apply(g, level[i])
         return self.codec.decode(g)
 
@@ -455,16 +481,9 @@ class PermGroup:
         built when G's first base point has a shorter orbit under elems
         than under G: <elems> <= G, so equal groups have equal orbits."""
         if self._levels:
-            first = self._level(0)
-            orbit = [first.point]
-            seen = set(orbit)
-            for x in orbit:
-                for e in elems:
-                    y = e[x]
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-            if len(orbit) < len(first.orbit_list):
+            first = self._levels[0]
+            b = first.point
+            if len(_orbit_closure({b}, [b], elems)) < len(first.orbit):
                 return False
         return self.subgroup_order(elems) == self.order
 

@@ -7,16 +7,24 @@ instead of delegating to random.Random.
 
 A draw of one index below n is one SplitMix64 step, tried again while the
 output lands in the top 2^64 mod n values, where n does not divide
-evenly.  `randranges` makes a run of such draws in one loop.  A search
-that rejects an element without reading it need not draw it: `skip`
-leaves the state exactly where the draws would have, without the
-scramble.  Every step adds the golden gamma to the state, so only the
-extra tries need finding, and those happen at the 2^64 mod n states
-whose scramble is too large.  Inverting the scramble lists those states
-once per bound.
+evenly.  Every step adds the golden gamma to the state, so a run of k
+draws with no rejection visits the states z + gamma, ..., z + k*gamma, and a
+`Draws` (the bounds of one such run, built once) scrambles them side by
+side: one 128-bit lane per state in one int, where a 64-bit product
+fills its lane and never carries into the next.  The rejections happen
+at the 2^64 mod n states whose scramble is too large; inverting the
+scramble (`unmix64`) lists them once per bound, and moved back by each
+lane's offset they form the run's `bad` set.  A run starting at z has a
+rejection exactly when z is in `bad`, so one set lookup decides whether
+`randranges` scrambles in lanes or falls back to the step loop, and
+whether `skip`, for a search that rejects an element without reading
+it, adds k*gamma to the state or draws and discards.  A lone `randrange`
+(n up to 2^64) always takes the step loop.
 """
 
 from functools import cache
+from operator import mod
+from struct import Struct
 
 _SPAN = 1 << 64
 MASK64 = _SPAN - 1
@@ -61,6 +69,51 @@ def bound(n: int) -> tuple:
     return n, limit, frozenset(map(unmix64, range(limit, _SPAN)))
 
 
+def _steps(z: int, bounds) -> tuple:
+    """(state, indices) after one uniform index below n for each (n, limit,
+    _) in bounds, in turn, from state z: a try is one SplitMix64 step
+    (golden gamma, then mix64) written out inline, and an output of limit
+    or more is rejected and tried again."""
+    out = []
+    for n, limit, _ in bounds:
+        while True:
+            z = (z + _GOLDEN) & MASK64
+            r = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & MASK64
+            r ^= r >> 31
+            if r < limit:
+                break
+        out.append(r % n)
+    return z, out
+
+
+class Draws:
+    """A run of draws below ns[0], ns[1], ... (each at least 2), with what
+    the lane path needs worked out once: bound(n) of each draw, the
+    state's advance k*gamma over a run of k, the constants that place a
+    state z in every lane (z * lanes + offsets, lane j holding z plus
+    (j + 1) golden steps, below 2^69 and so clear of the next lane), the
+    mask of the lanes' low 64 bits, the starting states `bad` whose run
+    meets a rejection, and the unpacker of those low 64 bits."""
+
+    __slots__ = ("ns", "bounds", "step", "lanes", "offsets", "mask", "bad",
+                 "unpack", "size")
+
+    def __init__(self, ns):
+        self.ns = tuple(ns)
+        self.bounds = tuple(map(bound, self.ns))
+        k = len(self.ns)
+        self.step = (k * _GOLDEN) & MASK64
+        self.lanes = sum(1 << 128 * j for j in range(k))
+        self.offsets = sum((j + 1) * _GOLDEN << 128 * j for j in range(k))
+        self.mask = MASK64 * self.lanes
+        self.bad = frozenset((z - (j + 1) * _GOLDEN) & MASK64
+                             for j, (_, _, rejected) in enumerate(self.bounds)
+                             for z in rejected)
+        self.unpack = Struct("<" + "Q8x" * k).unpack
+        self.size = 16 * k
+
+
 class SeedStream:
     """SplitMix64 sequence; fork(i) derives disjoint child streams."""
 
@@ -79,36 +132,35 @@ class SeedStream:
             return 0
         # a lone draw is never skipped, so it lists no rejected states: a
         # bound just above 2^63 has nearly 2^63 of them
-        return self.randranges(((n, _SPAN - _SPAN % n, None),))[0]
+        self._state, out = _steps(self._state, ((n, _SPAN - _SPAN % n, None),))
+        return out[0]
 
-    def randranges(self, bounds) -> list:
-        """One uniform index below n for each bound(n), in turn: a try is
-        one SplitMix64 step (golden gamma, then mix64) written out inline,
-        and an output of limit or more is rejected and tried again."""
+    def randranges(self, draws: Draws) -> list:
+        """One uniform index below each n of draws, in turn: the same
+        indices and final state as one randrange(n) after another.  With
+        no rejection in the run, its k states are scrambled in one pass
+        over the lanes: each xorshift is masked back to the lanes' low 64
+        bits before its multiply, and the product masked after it."""
         z = self._state
-        out = []
-        for n, limit, _ in bounds:
-            while True:
-                z = (z + _GOLDEN) & MASK64
-                r = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-                r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & MASK64
-                r ^= r >> 31
-                if r < limit:
-                    break
-            out.append(r % n)
-        self._state = z
-        return out
+        if z in draws.bad:
+            self._state, out = _steps(z, draws.bounds)
+            return out
+        self._state = (z + draws.step) & MASK64
+        m = draws.mask
+        x = (z * draws.lanes + draws.offsets) & m
+        x = (((x ^ (x >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
+        x = (((x ^ (x >> 27)) & m) * 0x94D049BB133111EB) & m
+        x ^= x >> 31
+        return list(map(mod, draws.unpack(x.to_bytes(draws.size, "little")), draws.ns))
 
-    def skip(self, bounds) -> None:
-        """Leave the state where randranges(bounds) would: one golden step
-        per bound, and one more for each state it reaches that the bound
-        rejects."""
+    def skip(self, draws: Draws) -> None:
+        """Leave the state where randranges(draws) would: k golden steps
+        for a run with no rejection, else the draws made and discarded."""
         z = self._state
-        for _, _, rejected in bounds:
-            z = (z + _GOLDEN) & MASK64
-            while z in rejected:
-                z = (z + _GOLDEN) & MASK64
-        self._state = z
+        if z in draws.bad:
+            self._state = _steps(z, draws.bounds)[0]
+        else:
+            self._state = (z + draws.step) & MASK64
 
     def fork(self, i: int) -> "SeedStream":
         """Child stream i; children are disjoint from each other and the parent."""

@@ -425,6 +425,84 @@ def test_identity_group():
     G = PermGroup(4, [identity(4)])
     assert G.order == 1
     assert G.conjugacy_classes()[0].size == 1
+    # no levels, so a run of no draws: the stream stays where it was
+    assert G._draws()[1].ns == ()
+    s = SeedStream(5)
+    before = s._state
+    assert G.random_element(s) == identity(4)
+    G.skip_element(s)
+    assert s._state == before
+
+
+def recomputed_chain_order(self):
+    # the order as read before levels kept orbit sets: every dirty level
+    # recomputed, then the orbit lists' lengths multiplied
+    order = 1
+    for i in range(len(self._levels)):
+        order *= len(self._level(i).orbit_list)
+    return order
+
+
+def install_oracle_pairs():
+    """(group, pair, generates): seeded pairs of A7, A9, A12, L2(13) and
+    SL2(17) on 288 points (the tuple codec), three that generate and three
+    that do not for each group."""
+    from fixspace.ff import make_field
+    from fixspace.matrep import embed_matrix_group
+    sl2_17, _ = embed_matrix_group(make_field(17), 2,
+                                   [[[1, 1], [0, 1]], [[0, 1], [16, 0]]])
+    groups = [builtin_group(n) for n in ('A7', 'A9', 'A12', 'L2_13')] + [sl2_17]
+    assert sl2_17.degree == 288
+    out = []
+    for G in groups:
+        s = SeedStream(41)
+        kept = {True: 0, False: 0}
+        for _ in range(400):
+            pair = [G.random_element(s), G.random_element(s)]
+            generates = G.generated_by(pair)
+            if kept[generates] < 3:
+                kept[generates] += 1
+                out.append((G, pair, generates))
+        assert kept == {True: 3, False: 3}, G
+    return out
+
+
+def test_known_order_builds_install_what_recomputing_every_level_did(monkeypatch):
+    # orbit sets spare the stop checks of a known-order build from reading
+    # transversals; the strong generators, their order and the group order
+    # must be those of recomputing every dirty level at each check
+    cases = install_oracle_pairs()
+    installs = []
+    add = PermGroup._add_generator
+
+    def logged(self, g, level):
+        installs.append((tuple(g), level))
+        add(self, g, level)
+
+    def builds(check_levels):
+        out = []
+        for G, pair, generates in cases:
+            installs.clear()
+            H = PermGroup(G.degree, pair, _stop_at=G.order)
+            assert (H.order == G.order) == generates
+            out.append((list(installs), H.order))
+            for i in range(len(H._levels)) if check_levels else ():
+                lvl = H._level(i)
+                assert lvl.orbit == set(lvl.transversal)
+        return out
+
+    monkeypatch.setattr(PermGroup, "_add_generator", logged)
+    got = builds(True)
+    monkeypatch.setattr(PermGroup, "_chain_order", recomputed_chain_order)
+    assert builds(False) == got
+
+
+def test_orbit_sets_are_the_transversal_points():
+    for name in builtin_group_names():
+        G = builtin_group(name)
+        for i in range(len(G._levels)):
+            lvl = G._level(i)
+            assert lvl.orbit == set(lvl.transversal), (name, i)
 
 
 # the tuple codec as an oracle for the bytes codec ---------------------------

@@ -2,7 +2,9 @@ import signal
 
 import pytest
 
-from fixspace.rng import MASK64, SeedStream, bound, mix64
+from fixspace.rng import MASK64, Draws, SeedStream, bound, mix64
+
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix_reference(z):
@@ -178,8 +180,9 @@ def _three_ways(state, n, count):
     """The state after count draws below n, made by skip, by randranges and
     by randrange in turn."""
     a, b, c = _stream_at(state), _stream_at(state), _stream_at(state)
-    a.skip([bound(n)] * count)
-    b.randranges([bound(n)] * count)
+    draws = Draws([n] * count)
+    a.skip(draws)
+    b.randranges(draws)
     for _ in range(count):
         c.randrange(n)
     return a._state, b._state, c._state
@@ -208,3 +211,50 @@ def test_rejected_states_are_exactly_those_past_the_limit(n):
     assert len(rejected) == 2**64 % n < n
     assert all(mix64(z) >= limit for z in rejected)
     assert rejected == frozenset(_rejected_states(n))
+
+
+# every bound of SKIP_BOUNDS, 256 (which divides 2^64 and rejects nothing)
+# and its neighbours
+BLOCK_BOUNDS = SKIP_BOUNDS[:-1] + [255, 256, 257, 364]
+
+
+def _reference_run(state, ns):
+    ref = ReferenceStream(state)
+    return [ref.randrange(n) for n in ns], ref._state
+
+
+def _check_block(state, ns):
+    """randranges and skip over Draws(ns) from state, held to the reference
+    stream; returns whether the run met a rejection."""
+    draws = Draws(ns)
+    want = _reference_run(state, ns)
+    a, b = _stream_at(state), _stream_at(state)
+    assert (a.randranges(draws), a._state) == want
+    b.skip(draws)
+    assert b._state == want[1]
+    rejected = want[1] != (state + len(ns) * GOLDEN) & MASK64
+    assert (state in draws.bad) == rejected
+    return rejected
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_block_draws_match_reference_stream(seed):
+    # runs of k = 0..12 draws over every rotation of BLOCK_BOUNDS, each
+    # from the state the last one left
+    s = SeedStream(seed, stream=3)
+    for k in range(13):
+        for first in range(len(BLOCK_BOUNDS)):
+            ns = [BLOCK_BOUNDS[(first + j) % len(BLOCK_BOUNDS)] for j in range(k)]
+            _check_block(s._state, ns)
+            s.randranges(Draws(ns))
+
+
+@pytest.mark.parametrize("n", [n for n in BLOCK_BOUNDS if 2**64 % n])
+def test_block_draws_fall_back_at_every_lane(n):
+    # a start moved back by (j + 1) golden steps from a rejected state meets
+    # that rejection in lane j: the step loop takes over at every position
+    ns = [n] + [BLOCK_BOUNDS[j % len(BLOCK_BOUNDS)] for j in range(11)]
+    for j in range(len(ns)):
+        run = ns[:j] + [n] + ns[j + 1:]
+        for z in _rejected_states(n):
+            assert _check_block((z - (j + 1) * GOLDEN) & MASK64, run)
