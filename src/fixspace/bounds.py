@@ -48,16 +48,15 @@ def semisimple_classes(group, p: int):
             yield cls
 
 
-def min_semisimple_fixdim(rep: MatRep, p: int = None):
-    """Minimum fixed-space dimension over nontrivial p'-classes.
+def min_semisimple_fixdim(rep: MatRep):
+    """Minimum fixed-space dimension over nontrivial p'-classes, p the
+    characteristic of the module's field.
 
     Returns (class, dim); ties go to the smaller element order, then to
     the earlier class in the canonical ordering.
     """
-    if p is None:
-        p = rep.field.p
     best = None
-    for cls in semisimple_classes(rep.group, p):
+    for cls in semisimple_classes(rep.group, rep.field.p):
         d = fixed_space_dim(rep, cls.rep)
         if best is None or d < best[1]:
             best = (cls, d)
@@ -72,7 +71,6 @@ class ClauseResult(NamedTuple):
     threshold: Fraction
     strict: bool
     satisfied: bool          # vacuously True when not applicable
-    witness_order: int = 0
     witness_dim: int = -1
 
 
@@ -91,7 +89,8 @@ class BoundReport(NamedTuple):
 
 
 def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
-    """Evaluate every applicable fixed-space bound clause on one module.
+    """Evaluate every applicable fixed-space bound clause on one module, p
+    the characteristic of its field: any other p given is a ValueError.
 
     Clauses, with their gates:
       half-strict                always: some semisimple class has
@@ -105,8 +104,10 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
                                  semisimple class has every eigenspace
                                  of dimension <= 1
     """
-    if p is None:
-        p = rep.field.p
+    if p not in (None, rep.field.p):
+        raise ValueError(f"p = {p} is not the characteristic {rep.field.p} "
+                         "of the module's field")
+    p = rep.field.p
     verdict = is_irreducible(rep, SeedStream(1))
     if not verdict.irreducible:
         raise NotIrreducible(f"module of dimension {rep.dim} is reducible")
@@ -115,11 +116,10 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     if all(M == identity for M in rep.images):
         raise TrivialAction(f"the group acts trivially on the module of dimension {n}")
     group = rep.group
-    cls, mindim = min_semisimple_fixdim(rep, p)
+    cls, mindim = min_semisimple_fixdim(rep)
     if fixed_space_dim(rep, cls.rep) != mindim:
         raise AssertionError("witness fixed dimension failed recomputation")
     cls_index = group.conjugacy_classes().index(cls)
-    mo = cls.element_order
     odd_prime = n % 2 == 1 and is_prime(n)
 
     rows = (
@@ -132,7 +132,7 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     )
     clauses = [
         ClauseResult(name, True, t, strict, mindim < t if strict else mindim <= t,
-                     mo, mindim)
+                     mindim)
         if gate else ClauseResult(name, False, t, strict, True)
         for name, gate, t, strict in rows
     ]
@@ -141,14 +141,15 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
     line_gate = odd_prime and p > 2 * n - 3
     line = line_gate and next(
         (c for c in semisimple_classes(group, p)
-         if eigenspace_profile(rep, c.rep, p).max_eigenspace_dim <= 1), None)
+         if eigenspace_profile(rep, c.rep).max_eigenspace_dim <= 1), None)
     clauses.append(
-        ClauseResult("prime-dim-line-eigenspaces", True, Fraction(1), False, True,
-                     line.element_order, 1) if line else
+        ClauseResult("prime-dim-line-eigenspaces", True, Fraction(1), False, True, 1)
+        if line else
         ClauseResult("prime-dim-line-eigenspaces", line_gate, Fraction(1), False,
                      not line_gate))
 
-    return BoundReport(n, p, group.order, mindim, mo, cls_index, tuple(clauses))
+    return BoundReport(n, p, group.order, mindim, cls.element_order, cls_index,
+                       tuple(clauses))
 
 
 # two-generator fixed-space inequality ------------------------------------
@@ -253,10 +254,10 @@ def sl_p_adjoint_check() -> AdjointSectionReport:
     elements are centralized by a maximal torus there, and passing to the
     section costs at most the two trivial composition factors.
     """
-    p = 3
     rep = sl3_adjoint_heart()
+    p = rep.field.p
     bound = p - 2
-    cls, mind = min_semisimple_fixdim(rep, p)
+    cls, mind = min_semisimple_fixdim(rep)
     checked = sum(1 for _ in semisimple_classes(rep.group, p))
     return AdjointSectionReport(
         p, 9, rep.dim, bound, mind, cls.element_order, checked, mind >= bound

@@ -227,33 +227,22 @@ def eval_pairs(group: str, p: int, seed: int, budget: int, order: int,
     return Result(human, records, 0 if found else 1)
 
 
-def _characteristic(rep, p: int) -> int:
-    """The characteristic of the module's field, which p (None: unset) must
-    equal: at any other p the module has no semisimple classes to check."""
-    if p not in (None, rep.field.p):
-        raise ValueError(f"p = {p} is not the characteristic {rep.field.p} "
-                         "of the module's field")
-    return rep.field.p
-
-
-def eval_bounds(module: str, p: int, matgroup: str, base: str) -> Result:
+def eval_bounds(module: str, matgroup: str, base: str) -> Result:
     """Raises bounds.NotIrreducible on a reducible module and
     bounds.TrivialAction on one where the group acts as the identity (both
-    ValueErrors), and ValueError when p is not the characteristic of the
-    module's field."""
+    ValueErrors). p is the characteristic of the module's field."""
     rep = _load_module(module, base, matgroup)
-    p = _characteristic(rep, p)
-    report = bnd.check_bound_theorems(rep, p)
+    report = bnd.check_bound_theorems(rep)
     human = [
         f"module of dimension {report.dim} over GF({rep.field.q}), "
-        f"group order {report.group_order}, p = {p}",
+        f"group order {report.group_order}, p = {report.p}",
         f"minimum semisimple fixed dimension: {report.min_fixed_dim} "
         f"(class of element order {report.min_class_order})",
     ]
     records = [
         ("module", module),
         ("dim", report.dim),
-        ("p", p),
+        ("p", report.p),
         ("group_order", report.group_order),
         ("min_semisimple_fixdim", report.min_fixed_dim),
         ("min_class_order", report.min_class_order),
@@ -317,9 +306,9 @@ def _report(rep) -> Result:
     return Result([], list(rep._asdict().items()))
 
 
-def eval_semisimple_fixdims(module: str, p: int, base: str) -> Result:
+def eval_semisimple_fixdims(module: str, base: str) -> Result:
     rep = _load_module(module, base)
-    classes = bnd.semisimple_classes(rep.group, _characteristic(rep, p))
+    classes = bnd.semisimple_classes(rep.group, rep.field.p)
     dims = sorted({matrep.fixed_space_dim(rep, cls.rep) for cls in classes})
     return Result([], [("fixed_dims", dims)])
 
@@ -369,7 +358,7 @@ EVALUATORS = {
     "pairs": (eval_pairs, "conjugate generating pair", (
         _GROUP, _P, _SEED, _BUDGET, ("order", int, None, None), _BASE)),
     "bounds": (eval_bounds, "fixed-space bound clauses on a module", (
-        _MODULE, ("p", int, None, None), _MATGROUP, _BASE)),
+        _MODULE, _MATGROUP, _BASE)),
     "scott": (eval_scott, "random-pair fixed-dimension inequality sweep", (
         _MODULE, _SEED, ("pairs", int, 1000, None), _MATGROUP, _BASE)),
     "weights": (eval_weights, "weight multiset of a highest-weight module", (
@@ -380,7 +369,7 @@ EVALUATORS = {
     "extraspecial-free": (lambda: _report(bnd.extraspecial_free_check()), None, ()),
     "eigen-separation": (lambda q, s: _report(wt.sl2_distinct_eigenvalues(q, s)), None,
                          (("q", int, _REQUIRED, None), ("s", int, _REQUIRED, None))),
-    "mersenne-sharp": (eval_semisimple_fixdims, None, (_MODULE, _P, _BASE)),
+    "mersenne-sharp": (eval_semisimple_fixdims, None, (_MODULE, _BASE)),
     "twist-divisibility": (eval_twist_divisibility, None, (
         _TYPE, ("weight0", str, _REQUIRED, None), ("weight1", str, _REQUIRED, None), _P)),
     "sym-divisibility": (eval_sym_divisibility, None, (

@@ -19,6 +19,7 @@ reducible; the dimension n - 2 heart is then reached via section().
 
 import json
 from functools import cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import ff, linalg
@@ -340,18 +341,16 @@ class EigenProfile(NamedTuple):
     fixed_dim: int          # multiplicity of the eigenvalue 1
 
 
-def eigenspace_profile(rep: MatRep, g: tuple, p: int = None) -> EigenProfile:
+def eigenspace_profile(rep: MatRep, g: tuple) -> EigenProfile:
     """Eigenspace dimensions over the algebraic closure of a semisimple element.
 
-    For p'-elements geometric and algebraic multiplicities agree, so the
-    multiplicities of the squarefree decomposition of the characteristic
-    polynomial are exactly the eigenspace dimensions.
+    For p'-elements, p the field's characteristic, geometric and algebraic
+    multiplicities agree, so the multiplicities of the squarefree
+    decomposition of the characteristic polynomial are the eigenspace dimensions.
     """
-    if p is None:
-        p = rep.field.p
-    if element_order(g) % p == 0:
-        raise NotSemisimple(f"element order {element_order(g)} is divisible by {p}")
     F = rep.field
+    if element_order(g) % F.p == 0:
+        raise NotSemisimple(f"element order {element_order(g)} is divisible by {F.p}")
     ch = char_poly(rep, g)
     parts = ff.squarefree_decomposition(F, ch)
     return EigenProfile(
@@ -594,7 +593,8 @@ def parse_matgroup_text(text: str):
     ``ext K``, and no other key; a gen line is a JSON matrix of
     field-element encodings. A missing or repeated header, a missing name,
     field or dim, an unknown or repeated key, a non-integer header value
-    or matrix entry, and a dim below 1 raise IllTyped.
+    or matrix entry, a dim below 1 and a gen line nested deeper than a
+    matrix raise IllTyped.
     """
     name = None
     F = None
@@ -611,6 +611,9 @@ def parse_matgroup_text(text: str):
         elif line.startswith("gen"):
             if F is None:
                 raise IllTyped("gen line before matgroup header")
+            # a matrix nests two deep: refuse more before the recursive decoder
+            if max(accumulate((c in "[{") - (c in "]}") for c in line), default=0) > 2:
+                raise IllTyped("gen line nests deeper than a matrix")
             try:
                 gen = json.loads(line[3:].strip())
             except json.JSONDecodeError as exc:
@@ -666,7 +669,11 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_forms(tokens: list, pos: int):
+# deeper recipes are refused at parse, far below the recursion limit
+MAX_RECIPE_DEPTH = 100
+
+
+def _parse_forms(tokens: list, pos: int, depth: int = 0):
     tok = tokens[pos]
     if tok == ")":
         raise IllTyped("unbalanced ')' in module recipe")
@@ -675,10 +682,12 @@ def _parse_forms(tokens: list, pos: int):
             return int(tok), pos + 1
         except ValueError:
             return tok, pos + 1
+    if depth == MAX_RECIPE_DEPTH:
+        raise IllTyped(f"module recipe nests forms deeper than {MAX_RECIPE_DEPTH}")
     pos += 1
     form = []
     while pos < len(tokens) and tokens[pos] != ")":
-        node, pos = _parse_forms(tokens, pos)
+        node, pos = _parse_forms(tokens, pos, depth + 1)
         form.append(node)
     if pos == len(tokens):
         raise IllTyped("unbalanced '(' in module recipe")
@@ -692,8 +701,9 @@ def parse_module_text(text: str, matgroups=None) -> ModuleSpec:
     (gf p k) on any form fixes the coefficient field, and :mode sub or
     quotient on a section selects its kind. A perm name is a builtin group;
     an explicit name resolves through matgroups, with the builtin matrix
-    groups as fallback. An empty, unbalanced or malformed recipe, or any
-    other keyword, raises IllTyped.
+    groups as fallback. An empty, unbalanced or malformed recipe, one
+    nested deeper than MAX_RECIPE_DEPTH forms, or any other keyword,
+    raises IllTyped.
     """
     tokens = _tokenize(text)
     if not tokens:

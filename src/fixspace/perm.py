@@ -113,12 +113,10 @@ def ppow(g: tuple, e: int) -> tuple:
 class Codec(NamedTuple):
     """How a group of one degree stores permutations; see bulk_codec."""
 
-    encode: Callable   # image tuple -> element
-    decode: Callable   # element -> image tuple
-    mul: Callable      # (a, b) -> a then b
+    encode: Callable   # image tuple -> element; tuple() decodes
     inv: Callable
     right: Callable    # b -> the right operand form of b taken by apply
-    apply: Callable    # (a, right(b)) -> mul(a, b)
+    apply: Callable    # (a, right(b)) -> a then b
 
 
 def bulk_codec(degree: int) -> Codec:
@@ -130,11 +128,10 @@ def bulk_codec(degree: int) -> Codec:
     256 an element is its image tuple and the tuple helpers do the work."""
     if degree > 256:
         # tuple() of a tuple is that tuple: no copies
-        return Codec(tuple, tuple, pmul, pinv, tuple, pmul)
+        return Codec(tuple, pinv, tuple, pmul)
     pad = bytes(range(degree, 256))
     ident = bytes(range(degree))
-    return Codec(bytes, tuple, lambda a, b: a.translate(b + pad),
-                 lambda g: bytes.maketrans(g, ident)[:degree],
+    return Codec(bytes, lambda g: bytes.maketrans(g, ident)[:degree],
                  lambda b: b + pad, bytes.translate)
 
 
@@ -220,21 +217,20 @@ class ConjClass:
     tuples; it is sorted and decoded on first read, so a caller that only
     needs reps and sizes never decodes a member."""
 
-    __slots__ = ("rep", "size", "element_order", "encoded", "_decode", "_members")
+    __slots__ = ("rep", "size", "element_order", "encoded", "_members")
 
-    def __init__(self, encoded: list, decode):
+    def __init__(self, encoded: list):
         # encodings sort like the tuples: the least is the minimal member
-        self.rep = decode(min(encoded))
+        self.rep = tuple(min(encoded))
         self.size = len(encoded)
         self.element_order = element_order(self.rep)
         self.encoded = encoded
-        self._decode = decode
         self._members = None
 
     @property
     def members(self) -> tuple:
         if self._members is None:
-            self._members = tuple(map(self._decode, sorted(self.encoded)))
+            self._members = tuple(map(tuple, sorted(self.encoded)))
         return self._members
 
     def __repr__(self):
@@ -270,7 +266,8 @@ class _Level:
         self.orbit_list = []
         self.dirty = True
 
-    def recompute(self, ident, mul, gens):
+    def recompute(self, ident, apply, gens):
+        """The transversal from the strong generators gens, as right operands."""
         b = self.point
         transversal = {b: ident}
         queue = [b]
@@ -279,7 +276,7 @@ class _Level:
             for s in gens:
                 y = s[x]
                 if y not in transversal:
-                    transversal[y] = mul(t_x, s)
+                    transversal[y] = apply(t_x, s)
                     queue.append(y)
         self.transversal = transversal
         self.inverse = {}
@@ -318,7 +315,8 @@ class PermGroup:
         """Level i, recomputed from its strong generators if it is dirty."""
         lvl = self._levels[i]
         if lvl.dirty:
-            lvl.recompute(self._ident, self.codec.mul, self._level_gens(i))
+            lvl.recompute(self._ident, self.codec.apply,
+                          list(map(self.codec.right, self._level_gens(i))))
         return lvl
 
     def _chain_order(self) -> int:
@@ -455,7 +453,7 @@ class PermGroup:
         g = self._ident
         for level, i in zip(ops, stream.randranges(draws)):
             g = apply(g, level[i])
-        return self.codec.decode(g)
+        return tuple(g)
 
     def skip_element(self, stream: SeedStream) -> None:
         """Advance stream exactly as random_element would, building nothing."""
@@ -504,19 +502,20 @@ class PermGroup:
         one sweep over a shrinking set of G; see the module docstring."""
         if self._classes is not None:
             return self._classes
-        encode, decode, mul, inv, right, apply = self.codec
+        encode, inv, right, apply = self.codec
         conjugators = [(inv(s), right(s)) for s in map(encode, self.gens)]
         remaining = set(self._all_elements())
         classes = []
         while remaining:
             members = [remaining.pop()]
-            for x in members:
+            for m in members:
+                x = right(m)
                 for s_inv, s in conjugators:
-                    y = apply(mul(s_inv, x), s)
+                    y = apply(apply(s_inv, x), s)
                     if y in remaining:
                         remaining.remove(y)
                         members.append(y)
-            classes.append(ConjClass(members, decode))
+            classes.append(ConjClass(members))
         classes.sort(key=lambda c: (c.element_order, c.size, c.rep))
         self._classes = tuple(classes)
         return self._classes

@@ -229,7 +229,7 @@ def test_acceptance_09_adjoint():
     rep = sl3_adjoint_heart()
     assert rep.dim == 7
     assert is_irreducible(rep, SeedStream(1)).irreducible
-    _, mindim = min_semisimple_fixdim(rep, 3)
+    _, mindim = min_semisimple_fixdim(rep)
     assert mindim >= 1
     assert mindim == 3 - 2
 

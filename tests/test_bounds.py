@@ -48,12 +48,25 @@ def test_min_fixdim_deleted_a5():
 
 
 def test_min_fixdim_rejects_trivial_prime_pool():
-    # the order-2 group has no nontrivial 2'-elements at all
+    # the order-2 group has no nontrivial 2'-elements at all, and p = 2 is
+    # the characteristic of the module's field
     from fixspace.perm import parse_group_text
     G = parse_group_text("group C2\ndegree 2\ngen (1,2)\n")
-    rep = build_rep(deleted(perm_module(G)), make_field(3))
-    with pytest.raises(ValueError):
-        min_semisimple_fixdim(rep, p=2)
+    rep = build_rep(deleted(perm_module(G)), make_field(2))
+    with pytest.raises(ValueError, match="no nontrivial semisimple classes"):
+        min_semisimple_fixdim(rep)
+
+
+def test_bound_report_refuses_p_other_than_the_field_characteristic():
+    # at p = 2 the gate p | n of coprime-dim-three-eighths would read false
+    # on this dimension-5 module over GF(5), and the clause would apply
+    rep = deleted_rep('A6', 5)
+    with pytest.raises(ValueError, match="p = 2 is not the characteristic 5"):
+        check_bound_theorems(rep, 2)
+    report = check_bound_theorems(rep, 5)
+    assert report == check_bound_theorems(rep) and report.p == 5
+    by_name = {c.clause: c for c in report.clauses}
+    assert not by_name["coprime-dim-three-eighths"].applicable
 
 
 def test_bound_report_structure():

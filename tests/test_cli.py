@@ -67,7 +67,7 @@ SURFACE = {
               "--seed": (None, False, None), "--budget": (100000, False, None),
               "--p": (None, True, None), "--order": (None, False, None)},
     "bounds": {"--format": ("plain", False, None), "--module": (None, True, None),
-               "--matgroup": (None, False, None), "--p": (None, False, None)},
+               "--matgroup": (None, False, None)},
     "scott": {"--format": ("plain", False, None), "--module": (None, True, None),
               "--matgroup": (None, False, None), "--seed": (None, False, None),
               "--pairs": (1000, False, None)},
@@ -181,11 +181,12 @@ def test_pairs_order_filter(capsys):
 
 def test_bounds_mersenne(capsys):
     code, out, _ = run(capsys, "bounds", "--module", f"{DATA}/mersenne7.mod",
-                       "--p", "7", "--format", "records")
+                       "--format", "records")
     assert code == 0
     rec = records(out)
     assert rec["min_semisimple_fixdim"] == "3"
     assert rec["dim"] == "7"
+    assert rec["p"] == "7"
     assert rec["holds"] == "yes"
     assert rec["clause_half_strict"] == "pass"
     assert rec["clause_coprime_order_third"] == "skip"
@@ -220,6 +221,22 @@ def test_bounds_malformed_module_exits_cleanly(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["scott", "--seed", "1"]])
+def test_deep_nesting_is_a_load_error(tmp_path, capsys, argv):
+    # 1,500 nested forms and a gen line 100,000 brackets deep once
+    # overflowed the recursive parsers with a traceback
+    depth = 1500
+    (tmp_path / "deep.mod").write_text(
+        "(dual " * depth + "(deleted (perm A5) :field (gf 7))" + ")" * depth + "\n")
+    (tmp_path / "deep.mat").write_text(
+        "matgroup T field 5 dim 2\ngen " + "[" * 10 ** 5 + "]" * 10 ** 5 + "\n")
+    err = rejected(capsys, *argv, "--module", str(tmp_path / "deep.mod"))
+    assert err == "error: module recipe nests forms deeper than 100\n"
+    err = rejected(capsys, *argv, "--module", f"{DATA}/sym2_sl2_5.mod",
+                   "--matgroup", str(tmp_path / "deep.mat"))
+    assert err == "error: gen line nests deeper than a matrix\n"
 
 
 def test_bounds_malformed_matgroup_exits_cleanly(tmp_path, capsys):
@@ -272,10 +289,14 @@ def test_scott_rejects_pairs_below_one(capsys, pairs):
     assert f"pairs must be at least 1, got {pairs}" in err
 
 
-@pytest.mark.parametrize("p", ["2", "3", "5", "11"])
+@pytest.mark.parametrize("p", ["2", "3", "5", "7", "11"])
 def test_bounds_rejects_p_other_than_field_characteristic(capsys, p):
-    err = rejected(capsys, "bounds", "--module", f"{DATA}/mersenne7.mod", "--p", p)
-    assert "characteristic 7" in err
+    # p is the characteristic of the module's field: `bounds` takes no --p,
+    # not even the right one
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", "--module", f"{DATA}/mersenne7.mod", "--p", p])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --p {p}" in capsys.readouterr().err
 
 
 def test_bounds_rejects_module_it_cannot_decide(tmp_path, capsys):
@@ -430,13 +451,6 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         expect = zero-violations
         provenance = derived
 
-        [bound]
-        kind = bound
-        module = {os.path.abspath(DATA)}/mersenne7.mod
-        p = 5
-        expect = 3
-        provenance = derived
-
         [triple]
         kind = triple
         group = A5
@@ -478,40 +492,19 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         p = 9
         expect = holds
         provenance = derived
-
-        [sharp-p4]
-        kind = example
-        check = mersenne-sharp
-        module = {os.path.abspath(DATA)}/mersenne7.mod
-        p = 4
-        expect = 3
-        provenance = derived
-
-        [sharp-p5]
-        kind = example
-        check = mersenne-sharp
-        module = {os.path.abspath(DATA)}/mersenne7.mod
-        p = 5
-        expect = 3
-        provenance = derived
     """)
     code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == ("FAIL       scott: error: pairs must be at least 1, "
                         "got -5")
-    assert lines[1].startswith("FAIL       bound: error: p = 5 is not")
-    assert lines[2] == "FAIL       triple: error: p must be a prime, got 4"
-    assert lines[3] == ("FAIL       pair: error: an element order must be at "
+    assert lines[1] == "FAIL       triple: error: p must be a prime, got 4"
+    assert lines[2] == ("FAIL       pair: error: an element order must be at "
                         "least 1 and prime to p = 2, got 4")
-    assert lines[4] == ("FAIL       pair-order-7: error: no element has order 7, "
+    assert lines[3] == ("FAIL       pair-order-7: error: no element has order 7, "
                         "which does not divide |G| = 60")
-    assert lines[5] == "FAIL       twist-p4: error: p must be a prime, got 4"
-    assert lines[6] == "FAIL       sym-p9: error: p must be a prime, got 9"
-    assert lines[7] == ("FAIL       sharp-p4: error: p = 4 is not the characteristic "
-                        "7 of the module's field")
-    assert lines[8] == ("FAIL       sharp-p5: error: p = 5 is not the characteristic "
-                        "7 of the module's field")
+    assert lines[4] == "FAIL       twist-p4: error: p must be a prime, got 4"
+    assert lines[5] == "FAIL       sym-p9: error: p must be a prime, got 9"
 
 
 def test_weights_g2(capsys):
@@ -588,6 +581,10 @@ A5_EXCEPTION = ("[typo]\nkind = exception\ngroup = A5\np = 5\n{}\n"
                 "expect = proved_none\nprovenance = derived\n")
 A1_TWIST = ("[typo]\nkind = example\ncheck = twist-divisibility\ntype = A1\n"
             "weight0 = 2\nweight1 = 1\np = 5\n{}\nexpect = holds\nprovenance = derived\n")
+# a module claim reads p off the module's field: a `p` key is unknown
+F56_BOUND = "[typo]\nkind = bound\nmodule = m.mod\n{}\nexpect = 3\nprovenance = derived\n"
+F56_SHARP = ("[typo]\nkind = example\ncheck = mersenne-sharp\nmodule = m.mod\n{}\n"
+             "expect = 3\nprovenance = derived\n")
 
 
 # fixed ids keep recorded test names valid
@@ -600,9 +597,11 @@ A1_TWIST = ("[typo]\nkind = example\ncheck = twist-divisibility\ntype = A1\n"
     (A5_EXCEPTION, "exception", "budget = 5", "budget"),
     (A5_EXCEPTION, "exception", "orders = 3,3,5", "orders"),
     (A5_EXCEPTION, "exception", "exhaustive = no", "exhaustive"),
+    (F56_BOUND, "bound", "p = 7", "p"),
+    (F56_SHARP, "example", "p = 7", "p"),
 ], ids=["oders = 4,4,4-oders", "id = other-id", "ext = 2-ext", "triple-seed",
         "triple-exhaustive", "exception-budget", "exception-orders",
-        "exception-exhaustive"])
+        "exception-exhaustive", "bound-p", "mersenne-sharp-p"])
 def test_parse_manifest_misspelled_key(template, kind, line, key):
     # `oders` in place of `orders` once ran an unrestricted search and passed
     text = template.format(line)
@@ -778,7 +777,6 @@ def test_verify_bound_claim_relative_module(tmp_path, capsys):
         [sharp]
         kind = bound
         module = m.mod
-        p = 7
         expect = 3
         provenance = derived
     """)
@@ -794,7 +792,6 @@ def test_verify_wrong_bound_expectation_details(tmp_path, capsys):
         [sharp]
         kind = bound
         module = m.mod
-        p = 7
         expect = 2
         provenance = derived
     """)
@@ -888,8 +885,8 @@ AGREEMENT = {
                   ["triples", "--group", "A5", "--p", "5", "--exhaustive"],
                   lambda rec, expect: rec["verdict"] == expect,
                   ("proved_none", "exists_with_witness")),
-    "bound": ({"module": MERSENNE3, "p": "3"},
-              ["bounds", "--module", MERSENNE3, "--p", "3"],
+    "bound": ({"module": MERSENNE3},
+              ["bounds", "--module", MERSENNE3],
               lambda rec, expect: (rec["min_semisimple_fixdim"] == expect
                                    and rec["holds"] == "yes"),
               ("1", "2")),

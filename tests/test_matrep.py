@@ -8,8 +8,8 @@ import pytest
 from fixspace.bounds import sl3_adjoint_heart
 from fixspace.ff import make_field
 from fixspace.linalg import eye, mat_mul, transpose
-from fixspace.matrep import (FieldMismatch, IllTyped, Inconclusive, MatRep, NotInGroup,
-                             NotInvertible,
+from fixspace.matrep import (MAX_RECIPE_DEPTH, FieldMismatch, IllTyped, Inconclusive,
+                             MatRep, NotInGroup, NotInvertible, NotSemisimple,
                              _random_algebra_element, build_rep,
                              builtin_matgroup, char_poly, deleted, dual,
                              eigenspace_profile, embed_matrix_group,
@@ -190,6 +190,18 @@ def test_eigenspace_profile():
     assert prof.max_eigenspace_dim >= 3
     total = sum(d for _, d in prof.parts)
     assert total <= rep.dim
+
+
+def test_eigenspace_profile_refuses_elements_of_order_divisible_by_the_characteristic():
+    # p is read off the module's field: an element of order 5 is unipotent
+    # on a GF(5) module, whatever else a caller has in mind
+    G = builtin_group('A6')
+    rep = build_rep(deleted(perm_module(G)), make_field(5))
+    x = next(c.rep for c in G.conjugacy_classes() if c.element_order == 5)
+    with pytest.raises(NotSemisimple, match="divisible by 5"):
+        eigenspace_profile(rep, x)
+    with pytest.raises(TypeError):   # no p beside the module to claim otherwise
+        eigenspace_profile(rep, x, 3)
 
 
 def test_module_fixed_dims_whole_group():
@@ -431,6 +443,20 @@ def test_malformed_module_recipe_is_ill_typed(text, message):
         parse_module_text(text)
 
 
+def test_recipe_nesting_is_capped():
+    def nested(depth):   # depth forms, each inside the one before
+        return "(dual " * (depth - 2) + "(deleted (perm A5))" + ")" * (depth - 2)
+
+    spec = parse_module_text(nested(MAX_RECIPE_DEPTH))
+    for _ in range(MAX_RECIPE_DEPTH - 2):
+        assert spec.kind == "dual"
+        spec = spec.children[0]
+    assert spec.kind == "deleted"
+    for depth in (MAX_RECIPE_DEPTH + 1, 1500):
+        with pytest.raises(IllTyped, match="nests forms deeper than 100"):
+            parse_module_text(nested(depth))
+
+
 @pytest.mark.parametrize("text, message", [
     ("matgroup T field 5\ngen [[1,1],[0,1]]\n", "has no dim"),
     ("matgroup T dim 2\ngen [[1,1],[0,1]]\n", "has no field"),
@@ -447,6 +473,8 @@ def test_malformed_module_recipe_is_ill_typed(text, message):
     ("matgroup X field 3 dim 2 field 5\ngen [[1,1],[0,1]]\n", "repeats key 'field'"),
     ("matgroup Z field 5 dim 0\ngen []\n", "has dim 0, below 1"),
     ("matgroup Z field 5 dim -2\ngen []\n", "has dim -2, below 1"),
+    ("matgroup T field 5 dim 2\ngen [[1,1],[[0],1]]\n", "nests deeper than a matrix"),
+    ("matgroup T field 5 dim 2\ngen [{\"a\": {}}]\n", "nests deeper than a matrix"),
 ])
 def test_malformed_matgroup_header_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):
