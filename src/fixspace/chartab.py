@@ -81,13 +81,9 @@ def cyclotomic_cofactor(n: int) -> tuple:
 # class algebra ----------------------------------------------------------------
 
 
-class ClassAlgebra(NamedTuple):
-    group: PermGroup
-    classes: tuple
-    constants: tuple   # constants[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}
-
-
-def class_algebra(group: PermGroup) -> ClassAlgebra:
+def class_algebra(group: PermGroup) -> tuple:
+    """The class multiplication constants over the group's classes:
+    constants[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}."""
     classes = group.conjugacy_classes()
     where = group.class_map()
     r = len(classes)
@@ -102,7 +98,7 @@ def class_algebra(group: PermGroup) -> ClassAlgebra:
         for k, z in enumerate(reps):
             for w in inverses:
                 row[where[apply(w, z)]][k] += 1
-    return ClassAlgebra(group, classes, tuple(tuple(tuple(v) for v in m) for m in a))
+    return tuple(tuple(tuple(v) for v in m) for m in a)
 
 
 # table construction ------------------------------------------------------------
@@ -134,12 +130,12 @@ def character_table(group: PermGroup) -> CharTable:
     r = len(classes)
     if r > MAX_CLASSES:
         raise GroupTooLarge(f"{r} classes exceed {MAX_CLASSES}")
-    algebra = class_algebra(group)
+    constants = class_algebra(group)
     e = math.lcm(*(c.element_order for c in classes))
     l = _dixon_prime(group.order, e)
     F = ff.make_field(l)
 
-    omegas = _central_characters(F, algebra)
+    omegas = _central_characters(F, constants)
     inverse_class = tuple(group.class_of(pinv(c.rep)) for c in classes)
 
     inv_size = [pow(classes[j].size, -1, l) for j in range(r)]
@@ -204,13 +200,12 @@ def character_table(group: PermGroup) -> CharTable:
     )
 
 
-def _central_characters(F, algebra: ClassAlgebra) -> list:
+def _central_characters(F, constants: tuple) -> list:
     """Joint eigenvectors of the class matrices, normalized at the identity."""
-    classes = algebra.classes
-    r = len(classes)
+    r = len(constants)
     l = F.p
     mats = [
-        [[algebra.constants[i][j][k] % l for k in range(r)] for j in range(r)]
+        [[constants[i][j][k] % l for k in range(r)] for j in range(r)]
         for i in range(r)
     ]
     spaces = [linalg.rref(F, linalg.eye(F, r))]

@@ -163,27 +163,30 @@ def _witness_records(cert) -> list:
     ]
 
 
+def eval_exhaustive(group: str, p: int, base: str) -> Result:
+    G = _load_group(group, base)
+    _check(p, group=G)
+    name = G.name or "group"
+    res = gensearch.exhaustive_triple_search(G, p)
+    verdict = {"ProvedNone": "proved_none",
+               "ExistsWithWitness": "exists_with_witness"}[res.verdict]
+    human = [f"exhaustive class-triple search in {name} at p = {p}"]
+    records = [("group", name), ("p", p), ("mode", "exhaustive"),
+               ("verdict", verdict),
+               ("generation_tests", res.generation_tests)]
+    if res.certificate is not None:
+        human.append(f"witness triple of orders {res.certificate.orders}")
+        records += _witness_records(res.certificate)
+    else:
+        human.append("no generating triple of coprime-order elements exists")
+    return Result(human, records)
+
+
 def eval_triples(group: str, p: int, seed: int, budget: int, orders: tuple,
-                 exhaustive: bool, base: str) -> Result:
-    """The exhaustive sweep reads no seed, budget or orders: `main` and an
-    `exception` claim pass it the None values of _EXHAUSTIVE."""
+                 base: str) -> Result:
     G = _load_group(group, base)
     _check(p, orders, group=G, budget=budget)
     name = G.name or "group"
-    if exhaustive:
-        res = gensearch.exhaustive_triple_search(G, p)
-        verdict = {"ProvedNone": "proved_none",
-                   "ExistsWithWitness": "exists_with_witness"}[res.verdict]
-        human = [f"exhaustive class-triple search in {name} at p = {p}"]
-        records = [("group", name), ("p", p), ("mode", "exhaustive"),
-                   ("verdict", verdict),
-                   ("generation_tests", res.generation_tests)]
-        if res.certificate is not None:
-            human.append(f"witness triple of orders {res.certificate.orders}")
-            records += _witness_records(res.certificate)
-        else:
-            human.append("no generating triple of coprime-order elements exists")
-        return Result(human, records)
     if seed is None:
         raise ValueError("--seed is required for the randomized search")
     cert = gensearch.find_triple(G, p, budget=budget, seed=seed, orders=orders)
@@ -298,7 +301,7 @@ def eval_phi(n: int, q: int) -> Result:
     return Result(human, [("n", n), ("q", q), ("phi_star", value)])
 
 
-# worked-example evaluators (manifest kind `example`) --------------------------
+# evaluators with no subcommand, run only as manifest claim kinds ------------
 
 
 def _report(rep) -> Result:
@@ -340,21 +343,18 @@ _BUDGET = ("budget", int, 10 ** 5, None)
 # the working directory ("") for a subcommand
 _BASE = ("base", None, "", None)
 
-# the exhaustive sweep draws nothing: it reads no seed, budget or orders. An
-# `exception` claim fixes these, and `triples --exhaustive` refuses them.
-_EXHAUSTIVE = {"exhaustive": True, "seed": None, "budget": None, "orders": None}
-
-# evaluator name -> (evaluator, subcommand help or None for an `example`
-# check, parameters as (name, conversion, default, help)), each parameter
-# passed by name. A subcommand takes each as an option (a flag where the
-# conversion is bool); a claim sets each as a key but `seed`, which the
-# runner forks from the run's seed, those its kind fixes, and `base`.
+# evaluator name -> (evaluator, subcommand help or None for an evaluator run
+# only as a claim kind, parameters as (name, conversion, default, help)),
+# each parameter passed by name. A subcommand takes each as an option; a
+# claim sets each as a key but `seed`, which the runner forks from the run's
+# seed, and `base`.
 EVALUATORS = {
     "table": (eval_table, "character table of a group", (_GROUP,)),
     "triples": (eval_triples, "generating triple of coprime-order elements", (
         _GROUP, _P, _SEED, _BUDGET, ("orders", _ints, None, "comma list like 4,4,4"),
-        ("exhaustive", bool, False,
-         "complete class-triple sweep (proof when none exists)"), _BASE)),
+        _BASE)),
+    "exhaustive": (eval_exhaustive, "complete class-triple sweep (proof when "
+                   "none exists)", (_GROUP, _P, _BASE)),
     "pairs": (eval_pairs, "conjugate generating pair", (
         _GROUP, _P, _SEED, _BUDGET, ("order", int, None, None), _BASE)),
     "bounds": (eval_bounds, "fixed-space bound clauses on a module", (
@@ -393,70 +393,70 @@ def _verdict(res: Result, expect: str) -> bool:
     return res.rec["verdict"] == expect
 
 
-# keys every claim may carry; an `example` claim also carries its `check`
+# keys every claim may carry
 _COMMON_KEYS = ("kind", "expect", "provenance", "anchor", "scale")
 
-# claim kind, or check name of an `example` claim ->
-#   (evaluator name, the parameters the kind fixes, which no key may set,
+# claim kind ->
+#   (evaluator name,
 #    PASS test: result, expect -> bool,
 #    detail line: result -> str)
 _CLAIMS = {
     "triple": (
-        "triples", {"exhaustive": False}, _verdict,
+        "triples", _verdict,
         lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
                      f"attempts {res.rec['attempts']}")),
     "pair": (
-        "pairs", {}, _verdict,
+        "pairs", _verdict,
         lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
     "exception": (
-        "triples", _EXHAUSTIVE, _verdict,
+        "exhaustive", _verdict,
         lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
                      "generation tests")),
     "bound": (
-        "bounds", {},
+        "bounds",
         lambda res, expect: (res.rec["holds"] == "yes"
                              and str(res.rec["min_semisimple_fixdim"]) == expect),
         lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
                      + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
     "scott": (
-        "scott", {},
+        "scott",
         lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
         lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
     "weights": (
-        "weights", {},
+        "weights",
         lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
         lambda res: (f"dimension {res.rec['weyl_dim']}, "
                      f"multiset total {_multiset_total(res)}")),
     "phi": (
-        "phi", {}, lambda res, expect: res.rec["phi_star"] == int(expect),
+        "phi", lambda res, expect: res.rec["phi_star"] == int(expect),
         lambda res: f"phi_star = {res.rec['phi_star']}"),
     "adjoint-section": (
-        "adjoint-section", {},
+        "adjoint-section",
         lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
         lambda res: (f"min fixed dim {res.rec['min_fixed']} "
                      f"on the dim-{res.rec['section_dim']} section")),
     "extraspecial-free": (
-        "extraspecial-free", {}, lambda res, expect: res.rec["holds"] and expect == "free",
+        "extraspecial-free", lambda res, expect: res.rec["holds"] and expect == "free",
         lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
     "eigen-separation": (
-        "eigen-separation", {}, lambda res, expect: _separation(res) == expect,
+        "eigen-separation", lambda res, expect: _separation(res) == expect,
         lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
     "mersenne-sharp": (
-        "mersenne-sharp", {},
+        "mersenne-sharp",
         lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
         lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
     "twist-divisibility": (
-        "twist-divisibility", {}, _verdict, lambda res: f"verdict {res.rec['verdict']}"),
+        "twist-divisibility", _verdict, lambda res: f"verdict {res.rec['verdict']}"),
     "sym-divisibility": (
-        "sym-divisibility", {}, _verdict, lambda res: f"verdict {res.rec['verdict']}"),
+        "sym-divisibility", _verdict, lambda res: f"verdict {res.rec['verdict']}"),
 }
 
 
 def parse_manifest(text: str) -> list:
     """Claims as dicts of their keys plus `id`, `_line` (the header's line)
     and `_args` (the evaluator's arguments, converted). A key the claim's
-    kind does not read, a repeated key, a value that does not convert and an
-    unknown `check` raise ManifestParse at the line that carries them, a
+    kind does not read, a repeated key and a value that does not convert
+    raise ManifestParse at the line that carries them, an unknown kind and a
     missing key at the claim's header."""
     claims = []
     sections = []   # per claim: header id, header line, key -> the line that sets it
@@ -488,19 +488,12 @@ def parse_manifest(text: str) -> list:
             raise ManifestParse(lineno, f"unparseable line {line!r}")
     for claim, (ident, lineno, lines) in zip(claims, sections):
         kind = claim.get("kind")
-        example = kind == "example"
-        row = _CLAIMS.get(claim.get("check") if example else kind)
-        # a kind runs a subcommand's evaluator, an `example` check one of its own
-        if row is None or (EVALUATORS[row[0]][1] is None) != example:
-            if example:
-                raise ManifestParse(lines.get("check", lineno), f"claim {ident!r} "
-                                    f"has unknown check {claim.get('check')!r}")
+        if kind not in _CLAIMS:
             raise ManifestParse(lineno, f"claim {ident!r} has bad kind {kind!r}")
-        name, fixed, _, _ = row
-        params = EVALUATORS[name][2]
-        keys = {p[0]: p for p in params if p[1] and p[0] != "seed" and p[0] not in fixed}
+        params = EVALUATORS[_CLAIMS[kind][0]][2]
+        keys = {p[0]: p for p in params if p[1] and p[0] != "seed"}
         for key, at in lines.items():
-            if key not in _COMMON_KEYS + ("check",) * example and key not in keys:
+            if key not in _COMMON_KEYS and key not in keys:
                 raise ManifestParse(at, f"claim {ident!r} of kind {kind} "
                                         f"has unknown key {key!r}")
         if "expect" not in claim:
@@ -512,7 +505,7 @@ def parse_manifest(text: str) -> list:
         if prov == "paper" and not claim.get("anchor"):
             raise ManifestParse(
                 lineno, f"claim {ident!r} needs an anchor line")
-        args = {**{p[0]: p[2] for p in params}, **fixed}
+        args = {p[0]: p[2] for p in params}
         for key, convert, default, _ in keys.values():
             if key in claim:
                 try:
@@ -534,10 +527,9 @@ def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
     """Returns (status, detail) with status PASS, FAIL, or UNVERIFIED."""
     if claim.get("scale") == "beyond-desk":
         return "UNVERIFIED", "beyond desk scale; recorded, not executed"
-    kind = claim["kind"]
-    name, fixed, passes, detail = _CLAIMS[claim["check"] if kind == "example" else kind]
+    name, passes, detail = _CLAIMS[claim["kind"]]
     kwargs = claim["_args"]
-    if "seed" in kwargs and "seed" not in fixed:
+    if "seed" in kwargs:
         kwargs["seed"] = _claim_seed(args.seed, index)
     if "base" in kwargs:
         kwargs["base"] = base
@@ -574,27 +566,14 @@ def cmd_verify(args) -> Result:
 # argument wiring -------------------------------------------------------------
 
 
-class _Given(argparse.Action):
-    """Stores an option's value, and adds the option to the namespace's
-    `given`: a mode can refuse an option it does not read even when the
-    option has a default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
-
-
 def _add_options(sub, params) -> None:
     sub.add_argument("--format", choices=("plain", "records"), default="plain")
     for name, convert, default, text in params:
-        if convert is bool:
-            sub.add_argument(f"--{name}", action="store_true", help=text)
-        elif default is _POSITIONAL:
+        if default is _POSITIONAL:
             sub.add_argument(name, type=convert, help=text)
         elif convert is not None:
             required = default is _REQUIRED
-            sub.add_argument(f"--{name}", action=_Given, type=convert,
-                             required=required,
+            sub.add_argument(f"--{name}", type=convert, required=required,
                              default=None if required else default, help=text)
 
 
@@ -622,15 +601,7 @@ def main(argv=None) -> int:
             res = cmd_verify(args)
         else:  # `base`, no option, keeps its default
             evaluate, _, params = EVALUATORS[args.command]
-            kwargs = {p[0]: getattr(args, p[0], p[2]) for p in params}
-            if kwargs.get("exhaustive"):
-                given = getattr(args, "given", ())
-                for name in _EXHAUSTIVE:
-                    if name in given:
-                        raise ValueError(f"--{name} does not apply to the "
-                                         "exhaustive search")
-                kwargs.update(_EXHAUSTIVE)
-            res = evaluate(**kwargs)
+            res = evaluate(**{p[0]: getattr(args, p[0], p[2]) for p in params})
         _emit(res, args.format)
         return res.status
     except (OSError, KeyError, ValueError, matrep.Inconclusive) as exc:

@@ -18,13 +18,15 @@ reducible; the dimension n - 2 heart is then reached via section().
 """
 
 import json
+import math
 from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
 
 from . import ff, linalg
 from .ff import FieldCtx
-from .perm import PermGroup, NotInGroup, pinv, pmul, element_order, builtin_group
+from .perm import (DEGREE_CAP, PermGroup, NotInGroup, pinv, pmul, element_order,
+                   builtin_group)
 from .rng import SeedStream
 
 
@@ -130,6 +132,14 @@ def _module_field(F: FieldCtx) -> FieldCtx:
 
 # representation ------------------------------------------------------------
 
+MAX_DIM = 1000   # largest module dimension a recipe may build
+
+
+def _capped(dim: int) -> int:
+    if dim > MAX_DIM:
+        raise IllTyped(f"module dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
+    return dim
+
 
 def _compile(node: ModuleSpec, F: FieldCtx):
     """(group, dim, g -> image(g)) of a recipe node, in one walk of the recipe.
@@ -138,7 +148,9 @@ def _compile(node: ModuleSpec, F: FieldCtx):
     factors over one group, a section basis of the parent's length that is
     proper) and every per-node datum (a section's reduced basis, a
     symmetric power's monomials) is done once, here; the image function
-    only computes matrices.
+    only computes matrices. A sym or tensor node, the two that grow the
+    dimension, raises IllTyped above MAX_DIM before anything of its size is
+    built.
     """
     k = node.kind
     if k == "perm":
@@ -181,7 +193,7 @@ def _compile(node: ModuleSpec, F: FieldCtx):
         right_group, r, right = _compile(node.children[1], F)
         if right_group is not group:
             raise IllTyped("recipe mixes modules of different groups")
-        return group, m * r, lambda g: linalg.kron(F, child(g), right(g))
+        return group, _capped(m * r), lambda g: linalg.kron(F, child(g), right(g))
     if k == "dual":
         return group, m, lambda g: linalg.transpose(child(pinv(g)))
     if k == "twist":
@@ -191,6 +203,7 @@ def _compile(node: ModuleSpec, F: FieldCtx):
         frob = [F.frobenius(x, node.power) for x in range(F.q)]
         return group, m, lambda g: [[frob[x] for x in row] for row in child(g)]
     if k == "sym":
+        _capped(math.comb(m + node.power - 1, node.power))
         return _compile_sym(group, m, child, node.power, F)
     if node.basis is None:
         raise IllTyped("section basis unresolved; use build_rep")
@@ -495,13 +508,12 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
 
 # matrix groups as permutation groups ----------------------------------------
 
-ORBIT_CAP = 10**6   # most vectors embed_matrix_group lists
-
-
 def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None):
     """Permutation action on the orbit of the standard basis vectors.
 
     The orbit contains a basis, so the action is faithful by construction.
+    It becomes the degree of a PermGroup, so it lists at most DEGREE_CAP
+    vectors.
     Returns (PermGroup, MatRep); the representation is the tautological one.
     """
     _module_field(F)
@@ -515,8 +527,8 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None):
     def visit(v):
         index[v] = len(orbit)
         orbit.append(v)
-        if len(orbit) > ORBIT_CAP:
-            raise OrbitTooLarge(f"orbit exceeds {ORBIT_CAP} vectors")
+        if len(orbit) > DEGREE_CAP:
+            raise OrbitTooLarge(f"orbit exceeds {DEGREE_CAP} vectors")
 
     basis = [tuple(row) for row in linalg.eye(F, dim)]
     for e in basis:

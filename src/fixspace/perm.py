@@ -51,6 +51,7 @@ from . import ff
 from .rng import Draws, SeedStream
 
 CLASS_CAP = 10**6
+DEGREE_CAP = 10**6   # largest degree a group file may declare
 
 
 class NotBijection(ValueError):
@@ -643,6 +644,8 @@ def parse_group_text(text: str) -> PermGroup:
                 degree = int(rest)
                 if degree < 1:
                     raise ValueError("degree must be positive")
+                if degree > DEGREE_CAP:
+                    raise ValueError(f"degree exceeds cap {DEGREE_CAP}")
             elif key == "gen":
                 if degree is None:
                     raise ValueError("gen line before degree line")

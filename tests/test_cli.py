@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from fixspace import linalg, matrep, perm
 from fixspace.cli import ManifestParse, _claim_seed, build_parser, main, parse_manifest
 from fixspace.perm import builtin_group_names
 
@@ -56,13 +57,14 @@ def test_table_records(capsys):
 
 
 # every subcommand's options as (default, required, nargs), positionals
-# included by name; nargs 0 is a flag
+# included by name
 SURFACE = {
     "table": {"--format": ("plain", False, None), "--group": (None, True, None)},
     "triples": {"--format": ("plain", False, None), "--group": (None, True, None),
                 "--seed": (None, False, None), "--budget": (100000, False, None),
-                "--p": (None, True, None), "--orders": (None, False, None),
-                "--exhaustive": (False, False, 0)},
+                "--p": (None, True, None), "--orders": (None, False, None)},
+    "exhaustive": {"--format": ("plain", False, None), "--group": (None, True, None),
+                   "--p": (None, True, None)},
     "pairs": {"--format": ("plain", False, None), "--group": (None, True, None),
               "--seed": (None, False, None), "--budget": (100000, False, None),
               "--p": (None, True, None), "--order": (None, False, None)},
@@ -98,9 +100,10 @@ def test_subcommand_surface_is_pinned():
 
 @pytest.mark.parametrize("argv", [
     ["table", "--group", "A5"],
-    ["triples", "--group", "A5", "--p", "5", "--exhaustive"],
+    ["triples", "--group", "A5", "--p", "2", "--seed", "1"],
+    ["exhaustive", "--group", "A5", "--p", "5"],
     ["verify", "--manifest", f"{DATA}/claims.manifest", "--seed", "1"],
-], ids=["table", "triples", "verify"])
+], ids=["table", "triples", "exhaustive", "verify"])
 def test_no_cache_dir_option(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--help"])
@@ -113,8 +116,8 @@ def test_no_cache_dir_option(capsys, argv):
 
 
 def test_triples_exhaustive_proved_none(capsys):
-    code, out, _ = run(capsys, "triples", "--group", f"{DATA}/A5.grp",
-                       "--p", "5", "--exhaustive", "--format", "records")
+    code, out, _ = run(capsys, "exhaustive", "--group", f"{DATA}/A5.grp",
+                       "--p", "5", "--format", "records")
     assert code == 0
     rec = records(out)
     assert rec["mode"] == "exhaustive"
@@ -123,8 +126,8 @@ def test_triples_exhaustive_proved_none(capsys):
 
 
 def test_triples_exhaustive_witness(capsys):
-    code, out, _ = run(capsys, "triples", "--group", "A5", "--p", "2",
-                       "--exhaustive", "--format", "records")
+    code, out, _ = run(capsys, "exhaustive", "--group", "A5", "--p", "2",
+                       "--format", "records")
     assert code == 0
     rec = records(out)
     assert rec["verdict"] == "exists_with_witness"
@@ -239,6 +242,36 @@ def test_deep_nesting_is_a_load_error(tmp_path, capsys, argv):
     assert err == "error: gen line nests deeper than a matrix\n"
 
 
+def refuse_to_build(*args):
+    raise AssertionError("built an object past its size cap")
+
+
+def test_group_file_degree_above_the_cap_is_a_load_error(tmp_path, capsys, monkeypatch):
+    # a degree of 10^11 once ended in a MemoryError from perm_from_cycles
+    monkeypatch.setattr(perm, "perm_from_cycles", refuse_to_build)
+    (tmp_path / "big.grp").write_text("group big\ndegree 100000000000\ngen (1,2)\n")
+    err = rejected(capsys, "table", "--group", str(tmp_path / "big.grp"))
+    assert err == ("error: group file line 2 'degree 100000000000': "
+                   "degree exceeds cap 1000000\n")
+
+
+# Sym^30 of the 7-dimensional A8 module lists 1.9M monomials; the cube of
+# the 11-dimensional A12 module once ran for minutes in `bounds`
+@pytest.mark.parametrize("recipe, dim", [
+    ("(sym 30 (deleted (perm A8)) :field (gf 11))", 1947792),
+    ("(tensor (tensor (deleted (perm A12)) (deleted (perm A12))) "
+     "(deleted (perm A12)) :field (gf 13))", 1331),
+], ids=["sym", "tensor"])
+@pytest.mark.parametrize("argv", [["bounds"], ["scott", "--seed", "1"]])
+def test_module_dimension_above_the_cap_is_a_load_error(tmp_path, capsys, monkeypatch,
+                                                        argv, recipe, dim):
+    monkeypatch.setattr(matrep, "_compile_sym", refuse_to_build)
+    monkeypatch.setattr(linalg, "kron", refuse_to_build)
+    (tmp_path / "big.mod").write_text(recipe + "\n")
+    err = rejected(capsys, *argv, "--module", str(tmp_path / "big.mod"))
+    assert err == f"error: module dimension {dim} exceeds MAX_DIM = 1000\n"
+
+
 def test_bounds_malformed_matgroup_exits_cleanly(tmp_path, capsys):
     mat = tmp_path / "bad.mat"
     mat.write_text("matgroup T field 5\ngen [[1,1],[0,1]]\ngen [[0,1],[4,0]]\n")
@@ -333,7 +366,7 @@ def test_unknown_names_print_without_quotes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["triples", "--group", "A5", "--p", "4", "--seed", "1"],
-    ["triples", "--group", "A5", "--p", "4", "--exhaustive"],
+    ["exhaustive", "--group", "A5", "--p", "4"],
     ["triples", "--group", "A5", "--p", "1", "--seed", "1"],
     ["pairs", "--group", "A5", "--p", "1", "--seed", "1"],
     ["pairs", "--group", "A5", "--p", "6", "--seed", "1"],
@@ -349,21 +382,29 @@ def test_triples_reject_orders_without_three_entries(capsys, no_search, orders):
     assert "orders needs exactly 3 entries" in err
 
 
+def unrecognized(capsys, *argv):
+    """The usage error argparse gives an option the subcommand lacks."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+# the exhaustive sweep is a subcommand of its own: it has no orders filter
 def test_triples_reject_orders_with_exhaustive(capsys, no_search):
-    err = rejected(capsys, "triples", "--group", "A5", "--p", "2", "--exhaustive",
-                   "--orders", "3,5,5")
-    assert "--orders does not apply to the exhaustive search" in err
+    err = unrecognized(capsys, "exhaustive", "--group", "A5", "--p", "2",
+                       "--orders", "3,5,5")
+    assert err.endswith("error: unrecognized arguments: --orders 3,5,5")
 
 
-# the sweep draws nothing: a seed or budget it would ignore is refused, the
-# default budget included when it is given
+# the sweep draws nothing: it has no seed or budget, the default budget's
+# value included
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "1"), ("--seed", "7"), ("--budget", "100000"), ("--budget", "5"),
 ])
 def test_triples_reject_seed_and_budget_with_exhaustive(capsys, no_search, flag, value):
-    err = rejected(capsys, "triples", "--group", "A5", "--p", "5", "--exhaustive",
-                   flag, value)
-    assert f"{flag} does not apply to the exhaustive search" in err
+    err = unrecognized(capsys, "exhaustive", "--group", "A5", "--p", "5", flag, value)
+    assert err.endswith(f"error: unrecognized arguments: {flag} {value}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,8 +516,7 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         provenance = derived
 
         [twist-p4]
-        kind = example
-        check = twist-divisibility
+        kind = twist-divisibility
         type = A1
         weight0 = 2
         weight1 = 1
@@ -485,8 +525,7 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         provenance = derived
 
         [sym-p9]
-        kind = example
-        check = sym-divisibility
+        kind = sym-divisibility
         n = 3
         s = 2
         p = 9
@@ -579,11 +618,11 @@ A6_TRIPLE = ("[typo]\nkind = triple\ngroup = A6\np = 3\n{}\nexpect = found\n"
              "provenance = derived\n")
 A5_EXCEPTION = ("[typo]\nkind = exception\ngroup = A5\np = 5\n{}\n"
                 "expect = proved_none\nprovenance = derived\n")
-A1_TWIST = ("[typo]\nkind = example\ncheck = twist-divisibility\ntype = A1\n"
+A1_TWIST = ("[typo]\nkind = twist-divisibility\ntype = A1\n"
             "weight0 = 2\nweight1 = 1\np = 5\n{}\nexpect = holds\nprovenance = derived\n")
 # a module claim reads p off the module's field: a `p` key is unknown
 F56_BOUND = "[typo]\nkind = bound\nmodule = m.mod\n{}\nexpect = 3\nprovenance = derived\n"
-F56_SHARP = ("[typo]\nkind = example\ncheck = mersenne-sharp\nmodule = m.mod\n{}\n"
+F56_SHARP = ("[typo]\nkind = mersenne-sharp\nmodule = m.mod\n{}\n"
              "expect = 3\nprovenance = derived\n")
 
 
@@ -591,14 +630,14 @@ F56_SHARP = ("[typo]\nkind = example\ncheck = mersenne-sharp\nmodule = m.mod\n{}
 @pytest.mark.parametrize("template, kind, line, key", [
     (A6_TRIPLE, "triple", "oders = 4,4,4", "oders"),
     (A6_TRIPLE, "triple", "id = other", "id"),
-    (A1_TWIST, "example", "ext = 2", "ext"),
+    (A1_TWIST, "twist-divisibility", "ext = 2", "ext"),
     (A6_TRIPLE, "triple", "seed = 3", "seed"),
     (A6_TRIPLE, "triple", "exhaustive = yes", "exhaustive"),
     (A5_EXCEPTION, "exception", "budget = 5", "budget"),
     (A5_EXCEPTION, "exception", "orders = 3,3,5", "orders"),
     (A5_EXCEPTION, "exception", "exhaustive = no", "exhaustive"),
     (F56_BOUND, "bound", "p = 7", "p"),
-    (F56_SHARP, "example", "p = 7", "p"),
+    (F56_SHARP, "mersenne-sharp", "p = 7", "p"),
 ], ids=["oders = 4,4,4-oders", "id = other-id", "ext = 2-ext", "triple-seed",
         "triple-exhaustive", "exception-budget", "exception-orders",
         "exception-exhaustive", "bound-p", "mersenne-sharp-p"])
@@ -662,19 +701,21 @@ def test_parse_manifest_repeated_key():
 
 
 def test_parse_manifest_check_on_a_non_example_kind():
+    # a claim's kind names its evaluator: `check` is no key of any kind
     with pytest.raises(ManifestParse) as info:
         parse_manifest(A6_TRIPLE.format("check = adjoint-section"))
     assert info.value.lineno == 5
     assert "unknown key 'check'" in str(info.value)
 
 
-@pytest.mark.parametrize("check", ["adjoint-sectoin", "triple", None])
-def test_parse_manifest_unknown_check(check):
-    line = f"check = {check}\n" if check else ""
+# an unknown or missing kind is refused at the claim's header
+@pytest.mark.parametrize("kind", ["adjoint-sectoin", "example", None])
+def test_parse_manifest_unknown_kind(kind):
+    line = f"kind = {kind}\n" if kind else ""
     with pytest.raises(ManifestParse) as info:
-        parse_manifest(f"[x]\nkind = example\n{line}expect = 1\nprovenance = derived\n")
-    assert info.value.lineno == (3 if check else 1)
-    assert f"claim 'x' has unknown check {check!r}" in str(info.value)
+        parse_manifest(f"\n[x]\n{line}expect = 1\nprovenance = derived\n")
+    assert info.value.lineno == 2
+    assert f"claim 'x' has bad kind {kind!r}" in str(info.value)
 
 
 def test_parse_manifest_missing_expect():
@@ -853,8 +894,7 @@ def test_verify_byte_identical(tmp_path, capsys):
         provenance = derived
 
         [eigen]
-        kind = example
-        check = eigen-separation
+        kind = eigen-separation
         q = 9
         s = 2
         expect = distinct
@@ -882,7 +922,7 @@ AGREEMENT = {
              lambda rec, expect: rec["verdict"] == expect,
              ("found", "not_found")),
     "exception": ({"group": "A5", "p": "5"},
-                  ["triples", "--group", "A5", "--p", "5", "--exhaustive"],
+                  ["exhaustive", "--group", "A5", "--p", "5"],
                   lambda rec, expect: rec["verdict"] == expect,
                   ("proved_none", "exists_with_witness")),
     "bound": ({"module": MERSENNE3},
