@@ -1,17 +1,17 @@
 """Command line surface.
 
-Each subcommand is an evaluator: a function of plain parameters that
-returns a Result, that is its human-readable lines, its machine-readable
-`key = value` records and its exit status. One runner prints what an
-evaluator returns; `--format records` drops the human section. `verify`
-runs the same evaluators on the keys of each manifest claim and compares
-their records against the claim's `expect`. Machine output is
+Every job is an evaluator: a function of plain parameters that returns a
+Result, that is its human-readable lines, its machine-readable `key =
+value` records and its exit status. One runner prints what an evaluator
+returns; `--format records` drops the human section. Machine output is
 byte-identical across runs for fixed seed and inputs, and nothing is kept
 between runs: each evaluator builds what it needs from its inputs.
 
-One table, EVALUATORS, declares each evaluator's parameters once: the
-parser builds the subcommands from it, and the manifest loader checks and
-converts each claim's keys against it before any claim runs.
+One table, EVALUATORS, declares each evaluator once: its subcommand, its
+parameters and, for a claim kind, its PASS test. The parser builds the
+subcommands from it. `verify`, one of its rows, checks and converts each
+manifest claim's keys against the row its kind names before any claim
+runs, then runs that evaluator and compares its records with `expect`.
 """
 
 import argparse
@@ -187,8 +187,6 @@ def eval_triples(group: str, p: int, seed: int, budget: int, orders: tuple,
     G = _load_group(group, base)
     _check(p, orders, group=G, budget=budget)
     name = G.name or "group"
-    if seed is None:
-        raise ValueError("--seed is required for the randomized search")
     cert = gensearch.find_triple(G, p, budget=budget, seed=seed, orders=orders)
     found = cert.verdict == "Generates"
     human = [f"random triple search in {name} at p = {p}: "
@@ -208,8 +206,6 @@ def eval_pairs(group: str, p: int, seed: int, budget: int, order: int,
     G = _load_group(group, base)
     _check(p, order=order, group=G, budget=budget)
     name = G.name or "group"
-    if seed is None:
-        raise ValueError("--seed is required for the randomized search")
     cert = gensearch.find_conjugate_pair(G, p, budget=budget, seed=seed,
                                          order=order)
     found = cert.verdict == "Generates"
@@ -262,8 +258,6 @@ def eval_bounds(module: str, matgroup: str, base: str) -> Result:
 
 def eval_scott(module: str, seed: int, pairs: int, matgroup: str,
                base: str) -> Result:
-    if seed is None:
-        raise ValueError("--seed is required for the randomized pair sweep")
     _check(pairs=pairs)
     rep = _load_module(module, base, matgroup)
     suite = bnd.scott_suite(rep, pairs=pairs, seed=seed)
@@ -327,129 +321,10 @@ def eval_sym_divisibility(n: int, s: int, p: int) -> Result:
     return _report(wt.check_sym_divisibility(n, s, p))
 
 
-# the evaluator table ---------------------------------------------------------
-
-# defaults of the parameters that must be given: as options, or positionally
-_REQUIRED, _POSITIONAL = object(), object()
-
-_GROUP = ("group", str, _REQUIRED, "path to a .grp file, or a builtin group name")
-_MODULE = ("module", str, _REQUIRED, "path to a .mod recipe")
-_MATGROUP = ("matgroup", str, None, "optional .mat file registering a matrix group")
-_TYPE = ("type", str, _REQUIRED, "root system name like A2 or G2")
-_P = ("p", int, _REQUIRED, None)
-_SEED = ("seed", int, None, None)
-_BUDGET = ("budget", int, 10 ** 5, None)
-# the directory relative paths resolve against: the manifest's for a claim,
-# the working directory ("") for a subcommand
-_BASE = ("base", None, "", None)
-
-# evaluator name -> (evaluator, subcommand help or None for an evaluator run
-# only as a claim kind, parameters as (name, conversion, default, help)),
-# each parameter passed by name. A subcommand takes each as an option; a
-# claim sets each as a key but `seed`, which the runner forks from the run's
-# seed, and `base`.
-EVALUATORS = {
-    "table": (eval_table, "character table of a group", (_GROUP,)),
-    "triples": (eval_triples, "generating triple of coprime-order elements", (
-        _GROUP, _P, _SEED, _BUDGET, ("orders", _ints, None, "comma list like 4,4,4"),
-        _BASE)),
-    "exhaustive": (eval_exhaustive, "complete class-triple sweep (proof when "
-                   "none exists)", (_GROUP, _P, _BASE)),
-    "pairs": (eval_pairs, "conjugate generating pair", (
-        _GROUP, _P, _SEED, _BUDGET, ("order", int, None, None), _BASE)),
-    "bounds": (eval_bounds, "fixed-space bound clauses on a module", (
-        _MODULE, _MATGROUP, _BASE)),
-    "scott": (eval_scott, "random-pair fixed-dimension inequality sweep", (
-        _MODULE, _SEED, ("pairs", int, 1000, None), _MATGROUP, _BASE)),
-    "weights": (eval_weights, "weight multiset of a highest-weight module", (
-        _TYPE, ("weight", str, _REQUIRED, "fundamental coordinates like 1,1"))),
-    "phi": (eval_phi, "largest primitive divisor of q^n - 1", (
-        ("n", int, _POSITIONAL, None), ("q", int, _POSITIONAL, None))),
-    "adjoint-section": (lambda: _report(bnd.sl_p_adjoint_check()), None, ()),
-    "extraspecial-free": (lambda: _report(bnd.extraspecial_free_check()), None, ()),
-    "eigen-separation": (lambda q, s: _report(wt.sl2_distinct_eigenvalues(q, s)), None,
-                         (("q", int, _REQUIRED, None), ("s", int, _REQUIRED, None))),
-    "mersenne-sharp": (eval_semisimple_fixdims, None, (_MODULE, _BASE)),
-    "twist-divisibility": (eval_twist_divisibility, None, (
-        _TYPE, ("weight0", str, _REQUIRED, None), ("weight1", str, _REQUIRED, None), _P)),
-    "sym-divisibility": (eval_sym_divisibility, None, (
-        ("n", int, _REQUIRED, None), ("s", int, _REQUIRED, None), _P)),
-}
-
-
-# the claim regression runner ------------------------------------------------
-
-
-def _multiset_total(res: Result) -> int:
-    return sum(int(v.rsplit(":", 1)[1]) for k, v in res.records
-               if k.startswith("weight_"))
-
-
-def _separation(res: Result) -> str:
-    return "distinct" if res.rec["distinct"] else "coincidence"
-
-
-def _verdict(res: Result, expect: str) -> bool:
-    return res.rec["verdict"] == expect
-
+# the claim runner ------------------------------------------------------------
 
 # keys every claim may carry
 _COMMON_KEYS = ("kind", "expect", "provenance", "anchor", "scale")
-
-# claim kind ->
-#   (evaluator name,
-#    PASS test: result, expect -> bool,
-#    detail line: result -> str)
-_CLAIMS = {
-    "triple": (
-        "triples", _verdict,
-        lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
-                     f"attempts {res.rec['attempts']}")),
-    "pair": (
-        "pairs", _verdict,
-        lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
-    "exception": (
-        "exhaustive", _verdict,
-        lambda res: (f"{res.rec['verdict']} after {res.rec['generation_tests']} "
-                     "generation tests")),
-    "bound": (
-        "bounds",
-        lambda res, expect: (res.rec["holds"] == "yes"
-                             and str(res.rec["min_semisimple_fixdim"]) == expect),
-        lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
-                     + ("hold" if res.rec["holds"] == "yes" else "VIOLATED"))),
-    "scott": (
-        "scott",
-        lambda res, expect: res.rec["holds"] == "yes" and expect == "zero-violations",
-        lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
-    "weights": (
-        "weights",
-        lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
-        lambda res: (f"dimension {res.rec['weyl_dim']}, "
-                     f"multiset total {_multiset_total(res)}")),
-    "phi": (
-        "phi", lambda res, expect: res.rec["phi_star"] == int(expect),
-        lambda res: f"phi_star = {res.rec['phi_star']}"),
-    "adjoint-section": (
-        "adjoint-section",
-        lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
-        lambda res: (f"min fixed dim {res.rec['min_fixed']} "
-                     f"on the dim-{res.rec['section_dim']} section")),
-    "extraspecial-free": (
-        "extraspecial-free", lambda res, expect: res.rec["holds"] and expect == "free",
-        lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
-    "eigen-separation": (
-        "eigen-separation", lambda res, expect: _separation(res) == expect,
-        lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
-    "mersenne-sharp": (
-        "mersenne-sharp",
-        lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
-        lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
-    "twist-divisibility": (
-        "twist-divisibility", _verdict, lambda res: f"verdict {res.rec['verdict']}"),
-    "sym-divisibility": (
-        "sym-divisibility", _verdict, lambda res: f"verdict {res.rec['verdict']}"),
-}
 
 
 def parse_manifest(text: str) -> list:
@@ -488,9 +363,10 @@ def parse_manifest(text: str) -> list:
             raise ManifestParse(lineno, f"unparseable line {line!r}")
     for claim, (ident, lineno, lines) in zip(claims, sections):
         kind = claim.get("kind")
-        if kind not in _CLAIMS:
-            raise ManifestParse(lineno, f"claim {ident!r} has bad kind {kind!r}")
-        params = EVALUATORS[_CLAIMS[kind][0]][2]
+        if kind not in CLAIM_KINDS:
+            raise ManifestParse(lineno, f"claim {ident!r} has bad kind {kind!r}; "
+                                        f"known: {', '.join(CLAIM_KINDS)}")
+        params = EVALUATORS[kind][2]
         keys = {p[0]: p for p in params if p[1] and p[0] != "seed"}
         for key, at in lines.items():
             if key not in _COMMON_KEYS and key not in keys:
@@ -523,44 +399,143 @@ def _claim_seed(master_seed: int, index: int) -> int:
     return SeedStream(master_seed).fork(index).randrange(2 ** 62) + 1
 
 
-def _run_claim(claim: dict, index: int, args, base: str) -> tuple:
+def _run_claim(claim: dict, index: int, seed: int, base: str) -> tuple:
     """Returns (status, detail) with status PASS, FAIL, or UNVERIFIED."""
     if claim.get("scale") == "beyond-desk":
         return "UNVERIFIED", "beyond desk scale; recorded, not executed"
-    name, passes, detail = _CLAIMS[claim["kind"]]
+    evaluate, _, _, passes, detail = EVALUATORS[claim["kind"]]
     kwargs = claim["_args"]
     if "seed" in kwargs:
-        kwargs["seed"] = _claim_seed(args.seed, index)
+        kwargs["seed"] = _claim_seed(seed, index)
     if "base" in kwargs:
         kwargs["base"] = base
     try:
-        res = EVALUATORS[name][0](**kwargs)
+        res = evaluate(**kwargs)
         return ("PASS" if passes(res, claim["expect"]) else "FAIL"), detail(res)
     except Exception as exc:  # a crashed claim is a failed claim
         return "FAIL", f"error: {_message(exc)}"
 
 
-def cmd_verify(args) -> Result:
-    if args.seed is None:
-        raise ValueError("--seed is required for the claim runner")
-    with open(args.manifest) as fh:
+def eval_verify(seed: int, manifest: str) -> Result:
+    with open(manifest) as fh:
         claims = parse_manifest(fh.read())
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    human = []
-    records = []
+    base = os.path.dirname(os.path.abspath(manifest))
+    human, records = [], []
     counts = {"PASS": 0, "FAIL": 0, "UNVERIFIED": 0}
     for index, claim in enumerate(claims):
         # what earlier claims left (group caches) lives as long as the process:
         # freeze it, so a claim's collections follow from its own allocations
         gc.freeze()
-        status, detail = _run_claim(claim, index, args, base)
+        status, detail = _run_claim(claim, index, seed, base)
         counts[status] += 1
         human.append(f"{status:10} {claim['id']}: {detail}")
         records.append((f"claim_{claim['id']}", status))
     records += [("total", len(claims)), ("passed", counts["PASS"]),
-                ("failed", counts["FAIL"]),
-                ("unverified", counts["UNVERIFIED"])]
+                ("failed", counts["FAIL"]), ("unverified", counts["UNVERIFIED"])]
     return Result(human, records, 0 if counts["FAIL"] == 0 else 1)
+
+
+# the evaluator table ---------------------------------------------------------
+
+# defaults of the parameters that must be given: as options, or positionally
+_REQUIRED, _POSITIONAL = object(), object()
+
+_GROUP = ("group", str, _REQUIRED, "path to a .grp file, or a builtin group name")
+_MODULE = ("module", str, _REQUIRED, "path to a .mod recipe")
+_MATGROUP = ("matgroup", str, None, "optional .mat file registering a matrix group")
+_TYPE = ("type", str, _REQUIRED, "root system name like A2 or G2")
+_P = ("p", int, _REQUIRED, None)
+_SEED = ("seed", int, _REQUIRED, None)
+_BUDGET = ("budget", int, 10 ** 5, None)
+# the directory relative paths resolve against: the manifest's for a claim,
+# the working directory ("") for a subcommand
+_BASE = ("base", None, "", None)
+
+
+def _verdict(res: Result, expect: str) -> bool:
+    return res.rec["verdict"] == expect
+
+
+def _holds(res: Result) -> bool:
+    return res.rec["holds"] == "yes"
+
+
+def _multiset_total(res: Result) -> int:
+    return sum(int(v.rsplit(":", 1)[1]) for k, v in res.records
+               if k.startswith("weight_"))
+
+
+def _separation(res: Result) -> str:
+    return "distinct" if res.rec["distinct"] else "coincidence"
+
+
+# evaluator name -> (evaluator, subcommand help or None for an evaluator run
+# only as a claim kind, parameters as (name, conversion, default, help), PASS
+# test as result, expect -> bool or None, a claim's detail line as result ->
+# str or None), each parameter passed by name. A subcommand takes each as an
+# option. A claim kind is the name of a row with a PASS test; a claim sets
+# each parameter as a key but `seed`, which the runner forks from the run's
+# seed, and `base`.
+EVALUATORS = {
+    "table": (eval_table, "character table of a group", (_GROUP,), None, None),
+    "triples": (eval_triples, "generating triple of coprime-order elements", (
+        _GROUP, _P, _SEED, _BUDGET, ("orders", _ints, None, "comma list like 4,4,4"),
+        _BASE), _verdict,
+        lambda res: (f"{res.rec['verdict']}, orders {res.rec.get('orders', '-')}, "
+                     f"attempts {res.rec['attempts']}")),
+    "exhaustive": (eval_exhaustive, "complete class-triple sweep (proof when "
+                   "none exists)", (_GROUP, _P, _BASE), _verdict,
+                   lambda res: (f"{res.rec['verdict']} after "
+                                f"{res.rec['generation_tests']} generation tests")),
+    "pairs": (eval_pairs, "conjugate generating pair", (
+        _GROUP, _P, _SEED, _BUDGET, ("order", int, None, None), _BASE), _verdict,
+        lambda res: f"{res.rec['verdict']}, attempts {res.rec['attempts']}"),
+    "bounds": (eval_bounds, "fixed-space bound clauses on a module", (
+        _MODULE, _MATGROUP, _BASE),
+        lambda res, expect: _holds(res) and str(res.rec["min_semisimple_fixdim"]) == expect,
+        lambda res: (f"min fixed dim {res.rec['min_semisimple_fixdim']}, clauses "
+                     + ("hold" if _holds(res) else "VIOLATED"))),
+    "scott": (eval_scott, "random-pair fixed-dimension inequality sweep", (
+        _MODULE, _SEED, ("pairs", int, 1000, None), _MATGROUP, _BASE),
+        lambda res, expect: _holds(res) and expect == "zero-violations",
+        lambda res: f"{res.rec['violations']} violations in {res.rec['pairs']} pairs"),
+    "weights": (eval_weights, "weight multiset of a highest-weight module", (
+        _TYPE, ("weight", str, _REQUIRED, "fundamental coordinates like 1,1")),
+        lambda res, expect: res.status == 0 and res.rec["weyl_dim"] == int(expect),
+        lambda res: (f"dimension {res.rec['weyl_dim']}, "
+                     f"multiset total {_multiset_total(res)}")),
+    "phi": (eval_phi, "largest primitive divisor of q^n - 1", (
+        ("n", int, _POSITIONAL, None), ("q", int, _POSITIONAL, None)),
+        lambda res, expect: res.rec["phi_star"] == int(expect),
+        lambda res: f"phi_star = {res.rec['phi_star']}"),
+    "verify": (eval_verify, "run a claims manifest", (
+        _SEED, ("manifest", str, _REQUIRED, None)), None, None),
+    "adjoint-section": (
+        lambda: _report(bnd.sl_p_adjoint_check()), None, (),
+        lambda res, expect: res.rec["holds"] and str(res.rec["min_fixed"]) == expect,
+        lambda res: (f"min fixed dim {res.rec['min_fixed']} "
+                     f"on the dim-{res.rec['section_dim']} section")),
+    "extraspecial-free": (
+        lambda: _report(bnd.extraspecial_free_check()), None, (),
+        lambda res, expect: res.rec["holds"] and expect == "free",
+        lambda res: f"max eigenspace dimension {res.rec['max_eigenspace_dim']}"),
+    "eigen-separation": (
+        lambda q, s: _report(wt.sl2_distinct_eigenvalues(q, s)), None,
+        (("q", int, _REQUIRED, None), ("s", int, _REQUIRED, None)),
+        lambda res, expect: _separation(res) == expect,
+        lambda res: f"q={res.rec['q']} s={res.rec['s']}: {_separation(res)}"),
+    "mersenne-sharp": (
+        eval_semisimple_fixdims, None, (_MODULE, _BASE),
+        lambda res, expect: res.rec["fixed_dims"] == [int(expect)],
+        lambda res: f"semisimple fixed dims {res.rec['fixed_dims']}"),
+    "twist-divisibility": (eval_twist_divisibility, None, (
+        _TYPE, ("weight0", str, _REQUIRED, None), ("weight1", str, _REQUIRED, None), _P),
+        _verdict, lambda res: f"verdict {res.rec['verdict']}"),
+    "sym-divisibility": (eval_sym_divisibility, None, (
+        ("n", int, _REQUIRED, None), ("s", int, _REQUIRED, None), _P),
+        _verdict, lambda res: f"verdict {res.rec['verdict']}"),
+}
+CLAIM_KINDS = tuple(sorted(name for name, row in EVALUATORS.items() if row[3]))
 
 
 # argument wiring -------------------------------------------------------------
@@ -583,11 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="group and representation computations with exact "
                     "fixed-space bound checks")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, params) in EVALUATORS.items():
+    for name, (_, text, params, _, _) in EVALUATORS.items():
         if text is not None:
             _add_options(subs.add_parser(name, help=text), params)
-    _add_options(subs.add_parser("verify", help="run a claims manifest"),
-                 (_SEED, ("manifest", str, _REQUIRED, None)))
     return parser
 
 
@@ -596,12 +569,9 @@ def main(argv=None) -> int:
     # collector from traversing it again in a young collection (about 1 ms)
     gc.freeze()
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "verify":
-            res = cmd_verify(args)
-        else:  # `base`, no option, keeps its default
-            evaluate, _, params = EVALUATORS[args.command]
-            res = evaluate(**{p[0]: getattr(args, p[0], p[2]) for p in params})
+    evaluate, _, params, _, _ = EVALUATORS[args.command]
+    try:  # `base`, no option, keeps its default
+        res = evaluate(**{p[0]: getattr(args, p[0], p[2]) for p in params})
         _emit(res, args.format)
         return res.status
     except (OSError, KeyError, ValueError, matrep.Inconclusive) as exc:

@@ -149,8 +149,8 @@ def _compile(node: ModuleSpec, F: FieldCtx):
     proper) and every per-node datum (a section's reduced basis, a
     symmetric power's monomials) is done once, here; the image function
     only computes matrices. A sym or tensor node, the two that grow the
-    dimension, raises IllTyped above MAX_DIM before anything of its size is
-    built.
+    dimension, raises IllTyped above MAX_DIM, in dimension or in a sym
+    node's power, before anything of its size is built.
     """
     k = node.kind
     if k == "perm":
@@ -203,6 +203,9 @@ def _compile(node: ModuleSpec, F: FieldCtx):
         frob = [F.frobenius(x, node.power) for x in range(F.q)]
         return group, m, lambda g: [[frob[x] for x in row] for row in child(g)]
     if k == "sym":
+        # a 1-dimensional module keeps C(s, s) = 1, but its image takes s steps
+        if node.power > MAX_DIM:
+            raise IllTyped(f"symmetric power {node.power} exceeds MAX_DIM = {MAX_DIM}")
         _capped(math.comb(m + node.power - 1, node.power))
         return _compile_sym(group, m, child, node.power, F)
     if node.basis is None:

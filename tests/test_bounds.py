@@ -277,6 +277,13 @@ def suite_reports(monkeypatch, rep, pairs, seed):
     return suite, seen, images[0]
 
 
+def drawn_pairs(rep, pairs, seed):
+    """The pairs scott_suite draws, drawn again from its seed."""
+    stream = SeedStream(seed)
+    return [(rep.group.random_element(stream), rep.group.random_element(stream))
+            for _ in range(pairs)]
+
+
 def memo_cases():
     """name -> (rep, pairs): three suites that draw most of G, and deleted
     A6 over GF(5) with |G| = 360 > 3 * 50, where repeats are rare."""
@@ -293,12 +300,18 @@ def memo_cases():
 def test_scott_suite_memo_matches_scott_check(monkeypatch, name):
     rep, pairs = memo_cases()[name]
     suite, seen, images = suite_reports(monkeypatch, rep, pairs, seed=5)
-    assert len(seen) == pairs and suite.checked == pairs
+    drawn = drawn_pairs(rep, pairs, seed=5)
+    full = {(x, y): scott_check(rep, x, y) for x, y in drawn}
+    assert suite.checked == pairs
+    assert suite.violations == tuple((x, y) for x, y in drawn if not full[x, y].holds)
+    # the suite takes the stacked ranks of exactly the pairs with
+    # dx + dy + dz > n: a pair it skips holds whatever its invariants
+    assert [(x, y) for x, y, _ in seen] == [(x, y) for x, y in drawn
+                                            if full[x, y].lhs > rep.dim]
     for x, y, report in seen:
-        assert report == old_scott(rep, x, y) == scott_check(rep, x, y), (x, y)
-    assert suite.violations == tuple((x, y) for x, y, r in seen if not r.holds)
+        assert report == old_scott(rep, x, y) == full[x, y], (x, y)
     # one image per distinct element, however often the suite draws it
-    distinct = {g for x, y, _ in seen for g in (x, y, pinv(pmul(x, y)))}
+    distinct = {g for x, y in drawn for g in (x, y, pinv(pmul(x, y)))}
     assert images == len(distinct) < 3 * pairs
 
 

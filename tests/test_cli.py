@@ -6,7 +6,8 @@ import textwrap
 import pytest
 
 from fixspace import linalg, matrep, perm
-from fixspace.cli import ManifestParse, _claim_seed, build_parser, main, parse_manifest
+from fixspace.cli import (EVALUATORS, ManifestParse, _claim_seed, build_parser, main,
+                          parse_manifest)
 from fixspace.perm import builtin_group_names
 
 DATA = "data"
@@ -61,23 +62,23 @@ def test_table_records(capsys):
 SURFACE = {
     "table": {"--format": ("plain", False, None), "--group": (None, True, None)},
     "triples": {"--format": ("plain", False, None), "--group": (None, True, None),
-                "--seed": (None, False, None), "--budget": (100000, False, None),
+                "--seed": (None, True, None), "--budget": (100000, False, None),
                 "--p": (None, True, None), "--orders": (None, False, None)},
     "exhaustive": {"--format": ("plain", False, None), "--group": (None, True, None),
                    "--p": (None, True, None)},
     "pairs": {"--format": ("plain", False, None), "--group": (None, True, None),
-              "--seed": (None, False, None), "--budget": (100000, False, None),
+              "--seed": (None, True, None), "--budget": (100000, False, None),
               "--p": (None, True, None), "--order": (None, False, None)},
     "bounds": {"--format": ("plain", False, None), "--module": (None, True, None),
                "--matgroup": (None, False, None)},
     "scott": {"--format": ("plain", False, None), "--module": (None, True, None),
-              "--matgroup": (None, False, None), "--seed": (None, False, None),
+              "--matgroup": (None, False, None), "--seed": (None, True, None),
               "--pairs": (1000, False, None)},
     "weights": {"--format": ("plain", False, None), "--type": (None, True, None),
                 "--weight": (None, True, None)},
     "phi": {"--format": ("plain", False, None), "n": (None, True, None),
             "q": (None, True, None)},
-    "verify": {"--format": ("plain", False, None), "--seed": (None, False, None),
+    "verify": {"--format": ("plain", False, None), "--seed": (None, True, None),
                "--manifest": (None, True, None)},
 }
 
@@ -135,9 +136,8 @@ def test_triples_exhaustive_witness(capsys):
 
 
 def test_triples_random_needs_seed(capsys):
-    code, _, err = run(capsys, "triples", "--group", "A5", "--p", "2")
-    assert code == 2
-    assert "--seed" in err
+    err = unrecognized(capsys, "triples", "--group", "A5", "--p", "2")
+    assert err.endswith("error: the following arguments are required: --seed")
 
 
 def test_triples_random_found(capsys):
@@ -272,6 +272,17 @@ def test_module_dimension_above_the_cap_is_a_load_error(tmp_path, capsys, monkey
     assert err == f"error: module dimension {dim} exceeds MAX_DIM = 1000\n"
 
 
+# a 1-dimensional module keeps dimension C(s, s) = 1 at any power s, but its
+# image takes s steps: this one once ran without end
+@pytest.mark.parametrize("argv", [["bounds"], ["scott", "--seed", "1"]])
+def test_symmetric_power_above_the_cap_is_a_load_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(matrep, "_compile_sym", refuse_to_build)
+    (tmp_path / "big.mod").write_text(
+        "(sym 100000000 (section (perm A5) :mode quotient :field (gf 7)))\n")
+    err = rejected(capsys, *argv, "--module", str(tmp_path / "big.mod"))
+    assert err == "error: symmetric power 100000000 exceeds MAX_DIM = 1000\n"
+
+
 def test_bounds_malformed_matgroup_exits_cleanly(tmp_path, capsys):
     mat = tmp_path / "bad.mat"
     mat.write_text("matgroup T field 5\ngen [[1,1],[0,1]]\ngen [[0,1],[4,0]]\n")
@@ -383,7 +394,8 @@ def test_triples_reject_orders_without_three_entries(capsys, no_search, orders):
 
 
 def unrecognized(capsys, *argv):
-    """The usage error argparse gives an option the subcommand lacks."""
+    """The usage error argparse gives an option the subcommand lacks, or a
+    required one that is missing."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -450,7 +462,7 @@ def test_searches_reject_composite_orders_no_class_has(capsys, no_search, argv):
 def test_manifest_claims_reject_composite_orders_no_class_has(tmp_path, capsys):
     path = write_manifest(tmp_path, """\
         [pair-order-4]
-        kind = pair
+        kind = pairs
         group = A5
         p = 3
         order = 4
@@ -458,7 +470,7 @@ def test_manifest_claims_reject_composite_orders_no_class_has(tmp_path, capsys):
         provenance = derived
 
         [triple-orders-6-6-6]
-        kind = triple
+        kind = triples
         group = A6
         p = 5
         orders = 6,6,6
@@ -493,14 +505,14 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         provenance = derived
 
         [triple]
-        kind = triple
+        kind = triples
         group = A5
         p = 4
         expect = found
         provenance = derived
 
         [pair]
-        kind = pair
+        kind = pairs
         group = A5
         p = 2
         order = 4
@@ -508,7 +520,7 @@ def test_manifest_claims_get_the_parameter_checks(tmp_path, capsys):
         provenance = derived
 
         [pair-order-7]
-        kind = pair
+        kind = pairs
         group = A5
         p = 2
         order = 7
@@ -582,7 +594,7 @@ def test_parse_manifest_happy():
         provenance = derived
 
         [second]
-        kind = exception
+        kind = exhaustive
         group = A5
         p = 5
         expect = proved_none
@@ -614,29 +626,29 @@ def test_parse_manifest_bad_kind():
     assert "bad kind" in str(info.value)
 
 
-A6_TRIPLE = ("[typo]\nkind = triple\ngroup = A6\np = 3\n{}\nexpect = found\n"
+A6_TRIPLE = ("[typo]\nkind = triples\ngroup = A6\np = 3\n{}\nexpect = found\n"
              "provenance = derived\n")
-A5_EXCEPTION = ("[typo]\nkind = exception\ngroup = A5\np = 5\n{}\n"
+A5_EXCEPTION = ("[typo]\nkind = exhaustive\ngroup = A5\np = 5\n{}\n"
                 "expect = proved_none\nprovenance = derived\n")
 A1_TWIST = ("[typo]\nkind = twist-divisibility\ntype = A1\n"
             "weight0 = 2\nweight1 = 1\np = 5\n{}\nexpect = holds\nprovenance = derived\n")
 # a module claim reads p off the module's field: a `p` key is unknown
-F56_BOUND = "[typo]\nkind = bound\nmodule = m.mod\n{}\nexpect = 3\nprovenance = derived\n"
+F56_BOUND = "[typo]\nkind = bounds\nmodule = m.mod\n{}\nexpect = 3\nprovenance = derived\n"
 F56_SHARP = ("[typo]\nkind = mersenne-sharp\nmodule = m.mod\n{}\n"
              "expect = 3\nprovenance = derived\n")
 
 
 # fixed ids keep recorded test names valid
 @pytest.mark.parametrize("template, kind, line, key", [
-    (A6_TRIPLE, "triple", "oders = 4,4,4", "oders"),
-    (A6_TRIPLE, "triple", "id = other", "id"),
+    (A6_TRIPLE, "triples", "oders = 4,4,4", "oders"),
+    (A6_TRIPLE, "triples", "id = other", "id"),
     (A1_TWIST, "twist-divisibility", "ext = 2", "ext"),
-    (A6_TRIPLE, "triple", "seed = 3", "seed"),
-    (A6_TRIPLE, "triple", "exhaustive = yes", "exhaustive"),
-    (A5_EXCEPTION, "exception", "budget = 5", "budget"),
-    (A5_EXCEPTION, "exception", "orders = 3,3,5", "orders"),
-    (A5_EXCEPTION, "exception", "exhaustive = no", "exhaustive"),
-    (F56_BOUND, "bound", "p = 7", "p"),
+    (A6_TRIPLE, "triples", "seed = 3", "seed"),
+    (A6_TRIPLE, "triples", "exhaustive = yes", "exhaustive"),
+    (A5_EXCEPTION, "exhaustive", "budget = 5", "budget"),
+    (A5_EXCEPTION, "exhaustive", "orders = 3,3,5", "orders"),
+    (A5_EXCEPTION, "exhaustive", "exhaustive = no", "exhaustive"),
+    (F56_BOUND, "bounds", "p = 7", "p"),
     (F56_SHARP, "mersenne-sharp", "p = 7", "p"),
 ], ids=["oders = 4,4,4-oders", "id = other-id", "ext = 2-ext", "triple-seed",
         "triple-exhaustive", "exception-budget", "exception-orders",
@@ -708,14 +720,19 @@ def test_parse_manifest_check_on_a_non_example_kind():
     assert "unknown key 'check'" in str(info.value)
 
 
-# an unknown or missing kind is refused at the claim's header
-@pytest.mark.parametrize("kind", ["adjoint-sectoin", "example", None])
+# an unknown or missing kind is refused at the claim's header, and so are a
+# row with no PASS test (`verify`, `table`) and the names the kinds had
+# before they took their evaluators' names
+@pytest.mark.parametrize("kind", ["adjoint-sectoin", "example", None, "verify", "table",
+                                  "triple", "pair", "exception", "bound"])
 def test_parse_manifest_unknown_kind(kind):
     line = f"kind = {kind}\n" if kind else ""
     with pytest.raises(ManifestParse) as info:
         parse_manifest(f"\n[x]\n{line}expect = 1\nprovenance = derived\n")
     assert info.value.lineno == 2
-    assert f"claim 'x' has bad kind {kind!r}" in str(info.value)
+    known = sorted(name for name, row in EVALUATORS.items() if row[3] is not None)
+    assert str(info.value).endswith(f"claim 'x' has bad kind {kind!r}; "
+                                    f"known: {', '.join(known)}")
 
 
 def test_parse_manifest_missing_expect():
@@ -763,9 +780,8 @@ def test_verify_empty_manifest(tmp_path, capsys):
 
 def test_verify_needs_seed(tmp_path, capsys):
     path = write_manifest(tmp_path, "")
-    code, _, err = run(capsys, "verify", "--manifest", path)
-    assert code == 2
-    assert "--seed" in err
+    err = unrecognized(capsys, "verify", "--manifest", path)
+    assert err.endswith("error: the following arguments are required: --seed")
 
 
 def test_verify_missing_manifest(capsys):
@@ -791,7 +807,7 @@ def test_verify_pass_fail_unverified(tmp_path, capsys):
         provenance = derived
 
         [too-big]
-        kind = triple
+        kind = triples
         group = O7(3)
         p = 5
         expect = found
@@ -816,7 +832,7 @@ def test_verify_bound_claim_relative_module(tmp_path, capsys):
     (tmp_path / "m.mod").write_text("(deleted (perm F56) :field (gf 7))\n")
     path = write_manifest(tmp_path, """\
         [sharp]
-        kind = bound
+        kind = bounds
         module = m.mod
         expect = 3
         provenance = derived
@@ -831,7 +847,7 @@ def test_verify_wrong_bound_expectation_details(tmp_path, capsys):
     (tmp_path / "m.mod").write_text("(deleted (perm F56) :field (gf 7))\n")
     path = write_manifest(tmp_path, """\
         [sharp]
-        kind = bound
+        kind = bounds
         module = m.mod
         expect = 2
         provenance = derived
@@ -844,7 +860,7 @@ def test_verify_wrong_bound_expectation_details(tmp_path, capsys):
 def test_verify_crashing_claim_fails(tmp_path, capsys):
     path = write_manifest(tmp_path, """\
         [broken]
-        kind = bound
+        kind = bounds
         module = missing.mod
         expect = 1
         provenance = derived
@@ -859,13 +875,13 @@ def test_verify_claim_errors_print_without_quotes(tmp_path, capsys):
     (tmp_path / "foo.mod").write_text("(explicit FOO)\n")
     path = write_manifest(tmp_path, """\
         [trivial]
-        kind = bound
+        kind = bounds
         module = triv.mod
         expect = 1
         provenance = derived
 
         [unknown]
-        kind = bound
+        kind = bounds
         module = foo.mod
         expect = 1
         provenance = derived
@@ -880,14 +896,14 @@ def test_verify_claim_errors_print_without_quotes(tmp_path, capsys):
 def test_verify_byte_identical(tmp_path, capsys):
     path = write_manifest(tmp_path, """\
         [triple]
-        kind = triple
+        kind = triples
         group = A5
         p = 2
         expect = found
         provenance = derived
 
         [pair]
-        kind = pair
+        kind = pairs
         group = A5
         p = 5
         expect = found
@@ -913,23 +929,23 @@ def test_verify_byte_identical(tmp_path, capsys):
 # verdicts depend on the seed: found for some master seeds, not for others.
 MERSENNE3 = os.path.abspath(f"{DATA}/mersenne3.mod")
 AGREEMENT = {
-    "triple": ({"group": "A5", "p": "2", "budget": "3"},
-               ["triples", "--group", "A5", "--p", "2", "--budget", "3"],
-               lambda rec, expect: rec["verdict"] == expect,
-               ("found", "not_found")),
-    "pair": ({"group": "A5", "p": "5", "order": "3", "budget": "2"},
-             ["pairs", "--group", "A5", "--p", "5", "--order", "3", "--budget", "2"],
-             lambda rec, expect: rec["verdict"] == expect,
-             ("found", "not_found")),
-    "exception": ({"group": "A5", "p": "5"},
-                  ["exhaustive", "--group", "A5", "--p", "5"],
-                  lambda rec, expect: rec["verdict"] == expect,
-                  ("proved_none", "exists_with_witness")),
-    "bound": ({"module": MERSENNE3},
-              ["bounds", "--module", MERSENNE3],
-              lambda rec, expect: (rec["min_semisimple_fixdim"] == expect
-                                   and rec["holds"] == "yes"),
-              ("1", "2")),
+    "triples": ({"group": "A5", "p": "2", "budget": "3"},
+                ["triples", "--group", "A5", "--p", "2", "--budget", "3"],
+                lambda rec, expect: rec["verdict"] == expect,
+                ("found", "not_found")),
+    "pairs": ({"group": "A5", "p": "5", "order": "3", "budget": "2"},
+              ["pairs", "--group", "A5", "--p", "5", "--order", "3", "--budget", "2"],
+              lambda rec, expect: rec["verdict"] == expect,
+              ("found", "not_found")),
+    "exhaustive": ({"group": "A5", "p": "5"},
+                   ["exhaustive", "--group", "A5", "--p", "5"],
+                   lambda rec, expect: rec["verdict"] == expect,
+                   ("proved_none", "exists_with_witness")),
+    "bounds": ({"module": MERSENNE3},
+               ["bounds", "--module", MERSENNE3],
+               lambda rec, expect: (rec["min_semisimple_fixdim"] == expect
+                                    and rec["holds"] == "yes"),
+               ("1", "2")),
     "scott": ({"module": MERSENNE3, "pairs": "20"},
               ["scott", "--module", MERSENNE3, "--pairs", "20"],
               lambda rec, expect: rec["holds"] == "yes" and expect == "zero-violations",
@@ -944,11 +960,28 @@ AGREEMENT = {
             lambda rec, expect: rec["phi_star"] == expect,
             ("7", "13")),
 }
-SEEDED = ("triple", "pair", "scott")
+SEEDED = ("triples", "pairs", "scott")
+# the ids these tests were recorded under, before the kinds took their
+# evaluators' names
+RECORDED_IDS = {"triples": "triple", "pairs": "pair", "exhaustive": "exception",
+                "bounds": "bound"}
+
+
+def test_agreement_covers_every_kind_with_a_subcommand():
+    assert set(AGREEMENT) == {name for name, (_, text, _, passes, _) in EVALUATORS.items()
+                              if text is not None and passes is not None}
+
+
+def test_data_manifest_kinds_are_rows_with_a_pass_test():
+    with open(f"{DATA}/claims.manifest") as fh:
+        kinds = {claim["kind"] for claim in parse_manifest(fh.read())}
+    assert kinds <= {name for name, row in EVALUATORS.items() if row[3] is not None}
+    assert {"triples", "pairs", "exhaustive", "bounds"} <= kinds
 
 
 @pytest.mark.parametrize("master_seed", [1, 2, 3])
-@pytest.mark.parametrize("kind", sorted(AGREEMENT))
+@pytest.mark.parametrize("kind", sorted(AGREEMENT),
+                         ids=[RECORDED_IDS.get(k, k) for k in sorted(AGREEMENT)])
 def test_verify_claim_agrees_with_subcommand(tmp_path, capsys, kind, master_seed):
     keys, argv, rule, expects = AGREEMENT[kind]
     if kind in SEEDED:

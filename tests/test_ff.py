@@ -318,6 +318,23 @@ def test_poly_roots_of_distinct_linear_factors(p):
         assert poly_roots(F, f) == sorted(roots)
 
 
+# over GF(2^k) the roots are split by traces, not by (q - 1)/2-th powers;
+# evaluation at every element is the reference
+@pytest.mark.parametrize("q", [4, 8, 16, 256])
+def test_poly_roots_of_distinct_linear_factors_in_characteristic_two(monkeypatch, q):
+    F = make_field(2, q.bit_length() - 1)
+    splits, even_splitter = [], ff._even_splitter
+    monkeypatch.setattr(ff, "_even_splitter",
+                        lambda *args: splits.append(args) or even_splitter(*args))
+    rng = random.Random(q)
+    for _ in range(35):
+        f = (rng.randrange(1, q),)
+        for r in rng.sample(range(q), rng.randrange(1, min(q, 9) + 1)):
+            f = poly_mul(F, f, (F.neg(r), F.one))
+        assert poly_roots(F, f) == [a for a in range(q) if poly_eval(F, f, a) == 0]
+    assert splits
+
+
 # GF(p^k) elements are ints; the tuple field in fieldoracle is the reference
 # for the digit arithmetic and for the tables filled from it
 
