@@ -11,7 +11,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .ff import is_prime, make_field, multiplicative_order
-from .linalg import eye, rank
+from .linalg import eye, rank, shift
 from .matrep import (
     MatRep,
     build_rep,
@@ -21,7 +21,6 @@ from .matrep import (
     eigenspace_profile,
     fixed_space_dim,
     is_irreducible,
-    minus_one,
     perm_module,
     section,
     sym_power,
@@ -180,7 +179,7 @@ def scott_check(rep: MatRep, x, y) -> ScottReport:
 
 def _shifted(rep: MatRep, g) -> tuple:
     """image(g) - 1 and its nullity, the fixed dimension of g."""
-    M = minus_one(rep.field, rep.image(g))
+    M = shift(rep.field, rep.image(g), rep.field.one)
     return M, rep.dim - rank(rep.field, M)
 
 

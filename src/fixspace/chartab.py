@@ -234,7 +234,6 @@ def _central_characters(F, constants: tuple) -> list:
 def _split_space(F, mat, rows, pivots):
     """Split an invariant subspace into eigenspaces of one class matrix."""
     m = len(rows)
-    l = F.p
     R = linalg.restrict(F, mat, rows, pivots)
     if R is None:
         raise LiftFailure("class matrix does not preserve a split space")
@@ -244,10 +243,7 @@ def _split_space(F, mat, rows, pivots):
     pieces = []
     total = 0
     for lam in ff.poly_roots(F, chp):
-        shifted = [row[:] for row in R]
-        for t in range(m):
-            shifted[t][t] = (shifted[t][t] - lam) % l
-        kernel = linalg.nullspace(F, shifted)
+        kernel = linalg.nullspace(F, linalg.shift(F, [row[:] for row in R], lam))
         piece = linalg.rref(F, [linalg.mat_vec(F, span, cv) for cv in kernel])
         total += len(piece[0])
         pieces.append(piece)

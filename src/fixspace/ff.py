@@ -8,10 +8,11 @@ coefficients (constant term first) read as the smallest base-p integer,
 so fields built twice agree element for element. Polynomials are tuples
 of elements, lowest degree first, trailing zeros stripped; zero is ().
 
-The FieldCtx methods multiply digits as polynomials reduced by the
-modulus, with no size cap. For k > 1 and q <= TABLE_CAP, tables() fills
-the add, sub, mul and inverse tables that linalg's loops read: add and
-sub digit by digit, mul from exp/log lists, with O(q) method calls.
+For k > 1 and q <= TABLE_CAP, tables() fills the add, sub, mul and
+inverse tables that linalg's loops read: add and sub digit by digit, mul
+from exp/log lists, with O(q) digit products. FieldCtx.mul and inv read
+those tables there; above the cap they multiply digits as polynomials
+reduced by the modulus.
 
 Over a prime field, poly_mul and poly_divmod run on plain ints, with one
 reduction mod p per output coefficient (the _*_mod helpers), and so does
@@ -105,9 +106,10 @@ TABLE_CAP = 256   # largest GF(p^k), k > 1, with linear-algebra tables
 class FieldCtx:
     """Arithmetic context for GF(p^k); an element is an int in [0, q).
 
-    add/sub/neg/mul/inv/pow/frobenius follow the definition in the module
-    docstring and build nothing. tables() gives the linear-algebra loops
-    their table rows, built on the first call.
+    add/sub/neg/pow/frobenius follow the definition in the module
+    docstring and build nothing; so do mul and inv, except over GF(p^k),
+    k > 1, q <= TABLE_CAP, where they read tables(). tables() gives the
+    linear-algebra loops their table rows, built on the first call.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_red", "_places", "_tables")
@@ -158,6 +160,8 @@ class FieldCtx:
     def mul(self, a, b):
         if self.k == 1:
             return a * b % self.p
+        if self.q <= TABLE_CAP:
+            return self.tables()[2][a][b]
         return self._pack(self._mul_digits(self._digits(a), self._digits(b)))
 
     def inv(self, a):
@@ -165,6 +169,8 @@ class FieldCtx:
             raise ZeroDivisionError("field inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
+        if self.q <= TABLE_CAP:
+            return self.tables()[3][a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a, e: int):
@@ -230,7 +236,7 @@ class FieldCtx:
         element is x + d p^j with x below p^j, and (x + d p^j) ± (y + e p^j)
         is (x ± y) + ((d ± e) mod p) p^j, so a row is p rows of the smaller
         table, each shifted by one translate.  MUL reads the exp and log
-        lists of multiplicative_generator, found with q - 2 products."""
+        lists of multiplicative_generator, found with q - 2 digit products."""
         if self._tables is None:
             if self.k == 1 or self.q > TABLE_CAP:
                 raise ValueError(f"{self!r} has no tables: they cover GF(p^k), "
@@ -243,10 +249,10 @@ class FieldCtx:
                 add, sub = ([b"".join(row.translate(shift[op(d, e) % p]) for e in range(p))
                              for d in range(p) for row in table]
                             for table, op in ((add, _iadd), (sub, _isub)))
-            g = multiplicative_generator(self)
+            g = self._digits(multiplicative_generator(self))
             exp = [1]
             for _ in range(q - 2):
-                exp.append(self.mul(exp[-1], g))
+                exp.append(self._pack(self._mul_digits(self._digits(exp[-1]), g)))
             log = [0] * q
             for i, x in enumerate(exp):
                 log[x] = i

@@ -5,8 +5,8 @@ Sizes stay small throughout the package, so schoolbook methods are used
 everywhere and every routine is deterministic.
 
 Field elements are ints (see ff). The hot routines (rref, mat_vec,
-reduce_vec, scale_vec and add_scaled, and through them rref_coords, kron
-and mat_mul) have two loops each, chosen by ``F.k == 1``: over a prime
+reduce_vec, scale_vec, add_scaled and shift, and through them rref_coords,
+kron and mat_mul) have two loops each, chosen by ``F.k == 1``: over a prime
 field an integer loop with ``% p`` inline, over GF(p^k) a loop that
 indexes the field's tables (``F.tables()``, so q <= 256), a row operation
 reading ``SUB[x][MUL[f][y]]``. char_poly and nullspace call the FieldCtx
@@ -191,6 +191,19 @@ def add_scaled(F: FieldCtx, v, c, w) -> list:
     ADD, _, MUL, _ = F.tables()
     m = MUL[c]
     return [ADD[x][m[y]] for x, y in zip(v, w)]
+
+
+def shift(F: FieldCtx, M: list, c) -> list:
+    """M - c I, computed in place on the square matrix M, which is returned."""
+    if F.k == 1:
+        p = F.p
+        for i, row in enumerate(M):
+            row[i] = (row[i] - c) % p
+        return M
+    SUB = F.tables()[1]
+    for i, row in enumerate(M):
+        row[i] = SUB[row[i]][c]
+    return M
 
 
 def rank(F: FieldCtx, A: list) -> int:

@@ -430,7 +430,7 @@ def sl2_distinct_eigenvalues(q: int, s: int) -> EigenvalueReport:
     gen = multiplicative_generator(F)
     zeta = F.pow(gen, (F.q - 1) // (q + 1))
     weights = list(range(s, -s - 1, -2))
-    values = [F.pow(zeta, w) for w in weights]
+    values = [F.pow(zeta, w % (q + 1)) for w in weights]   # zeta^(q+1) = 1: no inverse
     first_at: dict = {}
     pair = None
     for w, v in zip(weights, values):

@@ -7,7 +7,7 @@ import pytest
 
 from fixspace.bounds import sl3_adjoint_heart
 from fixspace.ff import make_field
-from fixspace.linalg import eye, mat_mul, transpose
+from fixspace.linalg import eye, mat_mul, rank, transpose
 from fixspace.matrep import (MAX_RECIPE_DEPTH, FieldMismatch, IllTyped, Inconclusive,
                              MatRep, NotInGroup, NotInvertible, NotSemisimple,
                              _random_algebra_element, build_rep,
@@ -264,6 +264,23 @@ def test_not_absolutely_irreducible_is_inconclusive():
         is_irreducible(rep, SeedStream(1), budget=20)
 
 
+def test_reducible_module_over_a_large_field_is_never_called_irreducible():
+    # the cube of the all-ones line is a fixed line of Sym^3, but over
+    # GF(256) a random group-algebra element is rarely singular, so a
+    # reducible module can end Inconclusive too
+    rep = build_rep(parse_module_text("(sym 3 (perm S3) :field (gf 2 8))"))
+    inconclusive = 0
+    for seed in (1, 2, 3):
+        try:
+            res = is_irreducible(rep, SeedStream(seed))
+        except Inconclusive:
+            inconclusive += 1
+            continue
+        assert res.irreducible is False, seed
+        assert_proper_submodule(rep, res.submodule)
+    assert inconclusive
+
+
 def test_norton_verdicts_match_spin_oracle():
     recipes = [form.format(g=g, p=p)
                for g in ("S3", "A4", "S4", "A5", "S5", "A6", "S6")
@@ -337,6 +354,79 @@ def test_section_sub_and_quotient():
     assert sub.dim == len(cert.submodule)
     assert quo.dim == red.dim - sub.dim
     assert hom_check(sub) and hom_check(quo)
+
+
+@pytest.mark.parametrize("mode", ["sub", "quotient"])
+def test_section_basis_that_is_not_invariant_is_ill_typed(mode):
+    # the span of (4,6,6,6,0) is no A5-submodule of GF(7)^5; its quotient
+    # once built as a 4-dimensional non-homomorphism
+    spec = section(perm_module(builtin_group('A5'), make_field(7)), mode,
+                   basis=[(4, 6, 6, 6, 0)])
+    with pytest.raises(IllTyped, match="section basis is not invariant"):
+        build_rep(spec)
+
+
+def spans_invariant(F, gens, basis):
+    """Oracle: each generator permutation, moving entry j of a vector to
+    place g[j], keeps the span of basis."""
+    rows = [list(v) for v in basis]
+    for g in gens:
+        moved = []
+        for v in basis:
+            w = [F.zero] * len(v)
+            for j, x in enumerate(v):
+                w[g[j]] = x
+            moved.append(w)
+        if rank(F, rows + moved) != rank(F, rows):
+            return False
+    return True
+
+
+def test_random_section_bases_build_exactly_when_invariant():
+    # a vector is random or, one time in four, a multiple of the all-ones
+    # vector, so some bases span the one invariant line they can reach
+    G, F = builtin_group('A5'), make_field(7)
+    s = SeedStream(5)
+    built = 0
+    for _ in range(300):
+        basis = [(s.randrange(7),) * 5 if s.randrange(4) == 0
+                 else tuple(s.randrange(7) for _ in range(5))
+                 for _ in range(1 + s.randrange(3))]
+        ok = 0 < rank(F, [list(v) for v in basis]) < 5 and spans_invariant(F, G.gens, basis)
+        for mode in ("sub", "quotient"):
+            try:
+                rep = build_rep(section(perm_module(G, F), mode, basis=basis))
+            except IllTyped:
+                assert not ok, (mode, basis)
+                continue
+            assert ok, (mode, basis)
+            built += 1
+            x, y = G.gens
+            assert rep.image(pmul(x, y)) == mat_mul(F, rep.image(y), rep.image(x))
+    assert 0 < built < 600
+
+
+def test_invariant_sections_still_build():
+    _, nat = builtin_matgroup('SL3_3')
+    scalars = build_rep(section(tensor(nat.spec, dual(nat.spec)), "quotient",
+                                basis=[(1, 0, 0, 0, 1, 0, 0, 0, 1)]))
+    assert scalars.dim == 8 and hom_check(scalars, trials=10)
+    assert sl3_adjoint_heart().dim == 7
+    A5, F7 = builtin_group('A5'), make_field(7)
+    for mode, dim in (("sub", 1), ("quotient", 4)):
+        ones = build_rep(section(perm_module(A5, F7), mode, basis=[(1,) * 5]))
+        assert ones.dim == dim and hom_check(ones, trials=10)
+
+
+@pytest.mark.parametrize("recipe", [
+    f"(section {module} :mode {mode} :field (gf {p}))"
+    for module, p in (("(perm A5)", 7), ("(perm S4)", 3), ("(perm A6)", 2),
+                      ("(deleted (perm A5))", 5), ("(deleted (perm A6))", 3),
+                      ("(tensor (deleted (perm S3)) (deleted (perm S3)))", 5))
+    for mode in ("sub", "quotient")])
+def test_automatic_sections_build(recipe):
+    rep = build_rep(parse_module_text(recipe))
+    assert 0 < rep.dim and hom_check(rep, trials=10)
 
 
 def test_field_mismatch_raises():

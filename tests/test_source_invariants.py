@@ -1,10 +1,11 @@
-"""Guards for six package-wide invariants: exact arithmetic only (no
+"""Guards for seven package-wide invariants: exact arithmetic only (no
 float literal, no float() call, no true division), no dependency outside
 the standard library (every absolute import is a stdlib module), no code
 in the package that only the tests reach, memoization through
 functools.cache only (no module-level container that functions fill), no
-state keyed by object identity (no id() call), and a cold import of the
-command line that loads neither dataclasses nor inspect."""
+state keyed by object identity (no id() call), a cold import of the
+command line that loads neither dataclasses nor inspect, and field tables
+read by ff and linalg only."""
 
 import ast
 import subprocess
@@ -227,3 +228,13 @@ def test_no_dataclasses_import():
              and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
              or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert found == []
+
+
+def test_only_ff_and_linalg_read_the_field_tables():
+    """The table layout is ff's; linalg's loops are its one other reader.
+    Any other module does arithmetic through FieldCtx methods or linalg."""
+    readers = {path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "tables"}
+    assert readers == {"ff.py", "linalg.py"}
