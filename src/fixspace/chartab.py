@@ -13,16 +13,12 @@ look up the class of each product in the group's encoded class map
 (PermGroup.class_map); no member is decoded. The lift reads every power
 of z from one table of z^i mod l.
 
-Frobenius-style triple counting over conjugacy classes lives here too,
-driven entirely by the lifted table. It packs each vector into one
-Python int, multiplies mod z^e - 1, and tests whether a sum v is the
-rational integer c by one more product: v = c (mod Phi_e) exactly when
-v Psi_e = c Psi_e (mod z^e - 1), where Psi_e = (z^e - 1) / Phi_e.
+The table keeps the class multiplication constants, and class-triple
+counts are read from them: no character value is multiplied.
 """
 
 import math
 import operator
-from functools import cache
 from typing import NamedTuple
 
 from . import ff, linalg
@@ -33,57 +29,13 @@ class LiftFailure(RuntimeError):
     """Internal consistency check failed during table construction."""
 
 
-class NonIntegerResult(RuntimeError):
-    """A count that must be a rational integer failed to reduce to one."""
-
-
-# integer cyclotomic polynomials -------------------------------------------------
-
-
-def _zpoly_divmod_exact_leading(a, b):
-    # b monic; integer polynomial division
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    q = [0] * max(da - db + 1, 0)
-    for i in range(da - db, -1, -1):
-        c = a[i + db]
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(q), tuple(a)
-
-
-@cache
-def cyclotomic_poly(n: int) -> tuple:
-    """Integer coefficients of the n-th cyclotomic polynomial, low first."""
-    f = tuple([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _zpoly_divmod_exact_leading(f, cyclotomic_poly(d))
-            if r:
-                raise AssertionError("cyclotomic division left a remainder")
-            f = q
-    return f
-
-
-@cache
-def cyclotomic_cofactor(n: int) -> tuple:
-    """Psi_n = (z^n - 1) / Phi_n, low first: the product of Phi_d over d | n, d < n."""
-    q, r = _zpoly_divmod_exact_leading((-1,) + (0,) * (n - 1) + (1,), cyclotomic_poly(n))
-    if r:
-        raise AssertionError("cyclotomic division left a remainder")
-    return q
-
-
 # class algebra ----------------------------------------------------------------
 
 
 def class_algebra(group: PermGroup) -> tuple:
     """The class multiplication constants over the group's classes:
-    constants[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}."""
+    constants[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}, the number of
+    (x, y) in C_i x C_j with xy = z_k."""
     classes = group.conjugacy_classes()
     where = group.class_map()
     r = len(classes)
@@ -114,6 +66,7 @@ class CharTable(NamedTuple):
     degrees: tuple
     values: tuple             # rows of length-e integer vectors over powers of zeta
     inverse_class: tuple      # position of the inverse class
+    constants: tuple          # class_algebra(group)
 
 
 def _dixon_prime(order: int, exponent: int) -> int:
@@ -197,6 +150,7 @@ def character_table(group: PermGroup) -> CharTable:
         degrees=tuple(degrees[i] for i in order),
         values=tuple(rows_cyc[i] for i in order),
         inverse_class=inverse_class,
+        constants=constants,
     )
 
 
@@ -257,74 +211,10 @@ def _split_space(F, mat, rows, pivots):
 
 def triple_count(table: CharTable, c1: int, c2: int, c3: int,
                  _pair_cache: dict = None) -> int:
-    """Number of (x, y, z) in C1 x C2 x C3 with xyz = 1, by the column formula.
+    """Number of (x, y, z) in C1 x C2 x C3 with xyz = 1.
 
-    _pair_cache is a dict the caller keeps for one table; across calls it
-    holds the packed table (key None) and packed pair products."""
-    cache = {} if _pair_cache is None else _pair_cache
-    if None not in cache:
-        cache[None] = _Packed(table)
-    pk = cache[None]
-    if (c1, c2) not in cache:
-        cache[(c1, c2)] = [pk.fold(x * y) for x, y in zip(pk.column(c1), pk.column(c2))]
-    total = 0
-    for w, x, y in zip(pk.weights, cache[(c1, c2)], pk.column(c3)):
-        total += w * (x * y)
-    # total = c (mod Phi_e) exactly when total Psi = c Psi (mod z^e - 1)
-    c, rest = divmod(pk.fold(pk.fold(total) * pk.psi_lifted) - pk.lift, pk.psi)
-    if rest or abs(c) > pk.bound:
-        raise NonIntegerResult("character sum is not a rational integer")
-    sizes = table.classes[c1].size * table.classes[c2].size * table.classes[c3].size
-    num = sizes * c
-    den = table.group.order * pk.lcm
-    if num % den:
-        raise NonIntegerResult(f"count {num}/{den} is not an integer")
-    n = num // den
-    if n < 0:
-        raise NonIntegerResult(f"negative count {n}")
-    return n
-
-
-class _Packed:
-    """One table's cyclotomic integers packed into Python ints.
-
-    A vector (n_0, ..., n_{e-1}) over the powers of z is the int
-    sum n_m 2^(b m); a product is one int multiplication and a fold mod
-    z^e - 1. Slot width: a lifted value counts eigenvalues, so its entries
-    are >= 0 and sum to the degree d. So every product and sum has entries
-    >= 0, and those of the total sum (L/d) chi(C1) chi(C2) chi(C3) sum to
-    L sum d^2 = L|G|. With M = max |Psi_e| and J = 1 + z + ... + z^{e-1},
-    Psi + M J has entries in [0, 2M], so the total times it has entries in
-    [0, 2M L|G|]; so has c Psi + M L|G| J when |c| <= L|G|, as for any
-    rational value c of the total. As 2^b > 2M L|G|, no entry carries into
-    the next at any stage, and these two products are equal as ints
-    exactly when they are equal as vectors."""
-
-    def __init__(self, table: CharTable):
-        self.values = table.values
-        self.columns = {}
-        self.lcm = math.lcm(*table.degrees)
-        self.weights = [self.lcm // d for d in table.degrees]
-        self.bound = self.lcm * table.group.order
-        e = table.exponent
-        psi = cyclotomic_cofactor(e)
-        top = max(map(abs, psi))
-        self.b = b = (2 * top * self.bound).bit_length()
-        self.shift = b * e
-        self.mask = (1 << self.shift) - 1
-        ones = self.mask // ((1 << b) - 1)
-        self.psi = sum(x << (b * m) for m, x in enumerate(psi))
-        self.psi_lifted = self.psi + top * ones
-        self.lift = top * self.bound * ones
-
-    def fold(self, x: int) -> int:
-        """x mod z^e - 1, for x of fewer than 2e entries."""
-        return (x & self.mask) + (x >> self.shift)
-
-    def column(self, cls: int) -> list:
-        """The packed values of every character at one class."""
-        if cls not in self.columns:
-            b = self.b
-            self.columns[cls] = [sum(x << (b * m) for m, x in enumerate(row[cls]) if x)
-                                 for row in self.values]
-        return self.columns[cls]
+    z runs over C3 exactly when xy runs over the inverse class, and every
+    member w of that class is xy for as many pairs (x, y) in C1 x C2 as
+    its representative, so the count is |C3| constants[c1][c2][c3 bar].
+    _pair_cache is not read; it stays for callers that pass one."""
+    return table.classes[c3].size * table.constants[c1][c2][table.inverse_class[c3]]

@@ -159,18 +159,21 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
 
     Fixing x to one representative of C1 is complete: conjugating a
     generating triple moves its first entry onto the class representative
-    and preserves generation. Class triples whose Frobenius count is zero
-    contain no triples with product 1 at all and are skipped. A
-    precomputed character table for the group may be passed in.
+    and preserves generation. Class triples whose class-triple count is
+    zero contain no triples with product 1 at all and are skipped. A
+    precomputed character table for the group may be passed in; one built
+    from other generators is a ValueError, since its counts would skip
+    this group's live class pairs.
     """
     if group.order > EXHAUSTIVE_CAP:
         raise GroupTooLarge(f"order {group.order} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     if table is None:
         table = chartab.character_table(group)
+    elif (table.group.degree, table.group.gens) != (group.degree, group.gens):
+        raise ValueError("character table is not built from this group's generators")
     classes = group.conjugacy_classes()
     r = len(classes)
     prime_to_p = [i for i in range(r) if classes[i].element_order % p != 0]
-    pair_cache = {}
     tests = 0
     for i in prime_to_p:
         x = classes[i].rep
@@ -178,7 +181,7 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
         for j in prime_to_p:
             live = set()
             for k in prime_to_p:
-                if chartab.triple_count(table, i, j, k, pair_cache) > 0:
+                if chartab.triple_count(table, i, j, k) > 0:
                     live.add(k)
             if not live:
                 continue

@@ -1,15 +1,48 @@
 """Cyclotomic integers as plain tuples over 1, z, ..., z^{e-1}, and the
 class-triple column formula computed with them.
 
-This is the straightforward arithmetic that `chartab.triple_count` once
-used; the tests keep it as an independent oracle for the packed-integer
-path.
+`chartab.triple_count` reads a count from the class multiplication
+constants; Frobenius's character sum here computes it from the lifted
+table instead, so the tests hold the table's values and its constants
+against each other. The exact inner products of the orthogonality tests
+use the same arithmetic.
 """
 
 import math
+from functools import cache
 
-from fixspace.chartab import (NonIntegerResult, _zpoly_divmod_exact_leading,
-                              cyclotomic_poly)
+
+class NonIntegerResult(RuntimeError):
+    """A count that must be a rational integer failed to reduce to one."""
+
+
+def _zpoly_divmod_exact_leading(a, b):
+    # b monic; integer polynomial division
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    q = [0] * max(da - db + 1, 0)
+    for i in range(da - db, -1, -1):
+        c = a[i + db]
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                a[i + j] -= c * y
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(q), tuple(a)
+
+
+@cache
+def cyclotomic_poly(n: int) -> tuple:
+    """Integer coefficients of the n-th cyclotomic polynomial, low first."""
+    f = tuple([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _zpoly_divmod_exact_leading(f, cyclotomic_poly(d))
+            if r:
+                raise AssertionError("cyclotomic division left a remainder")
+            f = q
+    return f
 
 
 def cyc_mul(a: tuple, b: tuple, e: int) -> tuple:
@@ -46,7 +79,7 @@ def cyc_as_integer(a: tuple, e: int):
 
 def tuple_triple_count(table, c1: int, c2: int, c3: int, pair_cache: dict = None) -> int:
     """Number of (x, y, z) in C1 x C2 x C3 with xyz = 1, by the column formula
-    on tuples; raises NonIntegerResult where `triple_count` must."""
+    on tuples; raises NonIntegerResult when the table's values give no count."""
     e = table.exponent
     L = math.lcm(*table.degrees)
     if pair_cache is not None and (c1, c2) in pair_cache:

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from fixspace import chartab, perm
-from fixspace.chartab import (NonIntegerResult, character_table, class_algebra,
-                              cyclotomic_cofactor, cyclotomic_poly, triple_count)
+from fixspace.chartab import character_table, class_algebra, triple_count
 from fixspace.perm import (GroupTooLarge, builtin_group, builtin_group_names,
                            pinv, pmul)
 
-from cyclo import cyc_add, cyc_as_integer, cyc_mul, tuple_triple_count
+from cyclo import (NonIntegerResult, cyc_add, cyc_as_integer, cyc_mul,
+                   cyclotomic_poly, tuple_triple_count)
 
 # complex character degrees, standard small-group data
 KNOWN_DEGREES = {
@@ -111,18 +111,6 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
-def test_cyclotomic_cofactor():
-    # Psi_n * Phi_n = z^n - 1
-    for n in range(1, 61):
-        psi, phi = cyclotomic_cofactor(n), cyclotomic_poly(n)
-        prod = [0] * (len(psi) + len(phi) - 1)
-        for i, x in enumerate(psi):
-            for j, y in enumerate(phi):
-                prod[i + j] += x * y
-        assert prod == [-1] + [0] * (n - 1) + [1], n
-    assert cyclotomic_cofactor(6) == (-1, -1, 0, 1, 1)
-
-
 def test_cyc_arithmetic_root_of_unity():
     e = 6
     zeta = (0, 1, 0, 0, 0, 0)
@@ -207,36 +195,33 @@ def test_triple_count_matches_brute_force_small():
         G = builtin_group(name)
         table = character_table(G)
         counts, k = brute_triple_counts(G)
-        cache = {}
         for i in range(k):
             for j in range(k):
                 for m in range(k):
-                    assert triple_count(table, i, j, m, _pair_cache=cache) == \
+                    assert triple_count(table, i, j, m) == \
                         counts.get((i, j, m), 0), (name, i, j, m)
 
 
 @pytest.mark.parametrize("name", ['A5', 'S5', 'A6', 'S6', 'L2_7', 'L2_8'])
 def test_triple_count_matches_tuple_oracle_tensor(name):
+    # the constants against Frobenius's character sum over the lifted values
     table = character_table(builtin_group(name))
     k = len(table.classes)
     triples = [(i, j, m) for i in range(k) for j in range(k) for m in range(k)]
     oracle_cache = {}
     want = [tuple_triple_count(table, *t, oracle_cache) for t in triples]
-    cache = {}
-    assert [triple_count(table, *t, _pair_cache=cache) for t in triples] == want
     assert [triple_count(table, *t) for t in triples] == want
 
 
 @pytest.mark.parametrize("name", ['A7', 'L2_11', 'A8'])
 def test_triple_count_matches_tuple_oracle_sampled(name):
-    # the exponent-330 and exponent-420 tables, where the packed ints are longest
+    # the exponent-330 and exponent-420 tables, the longest lifted values
     table = character_table(builtin_group(name))
     k = len(table.classes)
     rng = random.Random(name)
     triples = [tuple(rng.randrange(k) for _ in range(3)) for _ in range(40)]
-    cache = {}
     for t in triples:
-        assert triple_count(table, *t, _pair_cache=cache) == tuple_triple_count(table, *t), t
+        assert triple_count(table, *t) == tuple_triple_count(table, *t), t
 
 
 @pytest.mark.parametrize("power", ["z", "z^(e/o)"])
@@ -256,18 +241,15 @@ def test_triple_count_rejects_rotated_value(power):
     triple = (0, cls, table.inverse_class[cls])
     with pytest.raises(NonIntegerResult, match="rational integer"):
         tuple_triple_count(bad, *triple)
-    with pytest.raises(NonIntegerResult, match="rational integer"):
-        triple_count(bad, *triple)
-    with pytest.raises(NonIntegerResult, match="rational integer"):
-        triple_count(bad, *triple, _pair_cache={})
+    # the count is read from the constants, never from the values
+    assert triple_count(table._replace(values=None), *triple) == table.classes[cls].size
 
 
 def test_triple_count_total_is_group_order_squared():
     G = builtin_group('A6')
     table = character_table(G)
     k = len(table.classes)
-    cache = {}
-    total = sum(triple_count(table, i, j, m, _pair_cache=cache)
+    total = sum(triple_count(table, i, j, m)
                 for i in range(k) for j in range(k) for m in range(k))
     assert total == G.order ** 2
 

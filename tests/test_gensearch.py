@@ -174,6 +174,53 @@ def test_exhaustive_accepts_precomputed_table():
     assert res.verdict == "ProvedNone"
 
 
+def test_exhaustive_refuses_a_table_from_other_generators():
+    # S5's counts skip class pairs of A6 at p = 5 that hold a witness, so
+    # the sweep would prove a false "none"
+    from fixspace.chartab import character_table
+    A6 = builtin_group('A6')
+    with pytest.raises(ValueError, match="generators"):
+        exhaustive_triple_search(A6, 5, table=character_table(builtin_group('S5')))
+    # class data is a function of the generator list, so a table of
+    # another group object on the same generators serves
+    table = character_table(PermGroup(A6.degree, A6.gens))
+    assert exhaustive_triple_search(A6, 5, table=table) == exhaustive_triple_search(A6, 5)
+
+
+def unpruned_sweep(group, p):
+    """The exhaustive sweep's loops with no class-triple count: every
+    p'-class is live for every class pair."""
+    classes = group.conjugacy_classes()
+    live = [i for i, c in enumerate(classes) if c.element_order % p]
+    tests = 0
+    for i in live:
+        x = classes[i].rep
+        for j in live:
+            for y in classes[j].members:
+                if group.class_of(pinv(pmul(x, y))) not in live:
+                    continue
+                tests += 1
+                if group.subgroup_order([x, y]) == group.order:
+                    return "ExistsWithWitness", tests, x, y
+    return "ProvedNone", tests, None, None
+
+
+# the benchmark search workload's exhaustive sweeps
+SWEEPS = [('A5', 5), ('S5', 2), ('A5', 2), ('A5', 3), ('S5', 3), ('S5', 5),
+          ('A6', 3), ('A6', 5), ('L2_7', 7), ('L2_8', 3)]
+
+
+@pytest.mark.parametrize("name, p", SWEEPS)
+def test_pruning_never_changes_the_sweep(name, p):
+    # a class pair with no live class holds no y whose z is a p'-element,
+    # so skipping it changes no verdict, test count or witness
+    G = builtin_group(name)
+    res = exhaustive_triple_search(G, p)
+    cert = res.certificate
+    got = (res.verdict, res.generation_tests) + ((cert.x, cert.y) if cert else (None, None))
+    assert got == unpruned_sweep(G, p)
+
+
 def test_phi_star_matches_brute_force():
     for q in [2, 3, 4, 5, 7, 8, 9]:
         for n in range(2, 13):
