@@ -177,19 +177,16 @@ def scott_check(rep: MatRep, x, y) -> ScottReport:
     return _scott(rep, x, y, {})
 
 
-def _shifted(rep: MatRep, g) -> tuple:
-    """image(g) - 1 and its nullity, the fixed dimension of g."""
-    M = shift(rep.field, rep.image(g), rep.field.one)
-    return M, rep.dim - rank(rep.field, M)
-
-
 def _shifts(rep: MatRep, x, y, memo: dict) -> tuple:
-    """The _shifted pairs of x, y and (xy)^-1 from a memo that maps each
-    element to its pair and fills as it goes."""
+    """For each of x, y and (xy)^-1, image(g) - 1 and its nullity, the
+    fixed dimension of g, from a memo that maps each element to its pair
+    and fills as it goes."""
+    F, n = rep.field, rep.dim
     elems = (x, y, pinv(pmul(x, y)))
     for g in elems:
         if g not in memo:
-            memo[g] = _shifted(rep, g)
+            M = shift(F, rep.image(g), F.one)
+            memo[g] = M, n - rank(F, M)
     return tuple(memo[g] for g in elems)
 
 

@@ -306,8 +306,11 @@ def canonical_modulus(p: int, k: int) -> tuple:
 # Coefficients live in a FieldCtx F; tuples, lowest degree first.
 
 
-def poly_norm(F: FieldCtx, coeffs) -> tuple:
-    return _strip(list(coeffs))
+def _strip(coeffs: list) -> tuple:
+    """Elements without their trailing zeros, as a polynomial."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def poly_deg(f) -> int:
@@ -325,20 +328,20 @@ def poly_add(F: FieldCtx, a, b) -> tuple:
     out = list(a)
     for i, c in enumerate(b):
         out[i] = F.add(out[i], c)
-    return poly_norm(F, out)
+    return _strip(out)
 
 
 def poly_sub(F: FieldCtx, a, b) -> tuple:
     out = list(a) + [F.zero] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = F.sub(out[i], c)
-    return poly_norm(F, out)
+    return _strip(out)
 
 
 def poly_scale(F: FieldCtx, f, s) -> tuple:
     if not s:
         return ()
-    return poly_norm(F, [F.mul(c, s) for c in f])
+    return _strip([F.mul(c, s) for c in f])
 
 
 def poly_mul(F: FieldCtx, a, b) -> tuple:
@@ -366,7 +369,7 @@ def _poly_mul_field(F: FieldCtx, a, b) -> tuple:
             continue
         for j, y in enumerate(b):
             out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_norm(F, out)
+    return _strip(out)
 
 
 def poly_divmod(F: FieldCtx, a, b) -> tuple:
@@ -409,14 +412,7 @@ def _poly_divmod_field(F: FieldCtx, a, b) -> tuple:
         quo[i - db] = q
         for j in range(db + 1):
             rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, b[j]))
-    return poly_norm(F, quo), poly_norm(F, rem)
-
-
-def _strip(coeffs: list) -> tuple:
-    """Elements without their trailing zeros, as a polynomial."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+    return _strip(quo), _strip(rem)
 
 
 def poly_mod(F: FieldCtx, a, b) -> tuple:
@@ -471,7 +467,7 @@ def poly_deriv(F: FieldCtx, f) -> tuple:
             out.append(f[i])
         else:
             out.append(F.mul(m, f[i]))
-    return poly_norm(F, out)
+    return _strip(out)
 
 
 def poly_divides(F: FieldCtx, d, f) -> bool:
@@ -553,7 +549,7 @@ def _pth_root_poly(F: FieldCtx, f) -> tuple:
         c = f[i]
         # coefficient p-th root: inverse Frobenius
         out.append(c if F.k == 1 else F.pow(c, F.q // p))
-    return poly_norm(F, out)
+    return _strip(out)
 
 
 def root_multiplicity(F: FieldCtx, f, a) -> int:
@@ -583,7 +579,7 @@ def poly_roots(F: FieldCtx, f) -> list:
         i += 1
     if i > 0:
         roots.append(F.zero)
-        f = poly_norm(F, f[i:])
+        f = _strip(list(f[i:]))
     if poly_deg(f) >= 1:
         f = poly_monic(F, f)
         xq = poly_pow_mod(F, poly_x(F), F.q, f)

@@ -16,7 +16,6 @@ is handed back.
 import math
 from typing import NamedTuple
 
-from . import chartab
 from .ff import prime_power
 from .perm import GroupTooLarge, PermGroup, element_order, pconj, pinv, pmul
 from .rng import SeedStream
@@ -159,32 +158,20 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
 
     Fixing x to one representative of C1 is complete: conjugating a
     generating triple moves its first entry onto the class representative
-    and preserves generation. Class triples whose class-triple count is
-    zero contain no triples with product 1 at all and are skipped. A
-    precomputed character table for the group may be passed in; one built
-    from other generators is a ValueError, since its counts would skip
-    this group's live class pairs.
+    and preserves generation. Each y of each p'-class is tested when
+    (xy)^{-1} is a p'-element too. table is not read; it stays because
+    the perfbench search workload passes one.
     """
     if group.order > EXHAUSTIVE_CAP:
         raise GroupTooLarge(f"order {group.order} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    if table is None:
-        table = chartab.character_table(group)
-    elif (table.group.degree, table.group.gens) != (group.degree, group.gens):
-        raise ValueError("character table is not built from this group's generators")
     classes = group.conjugacy_classes()
-    r = len(classes)
-    prime_to_p = [i for i in range(r) if classes[i].element_order % p != 0]
+    prime_to_p = [i for i, c in enumerate(classes) if c.element_order % p != 0]
+    live = set(prime_to_p)
     tests = 0
     for i in prime_to_p:
         x = classes[i].rep
         ox = classes[i].element_order
         for j in prime_to_p:
-            live = set()
-            for k in prime_to_p:
-                if chartab.triple_count(table, i, j, k) > 0:
-                    live.add(k)
-            if not live:
-                continue
             for y in classes[j].members:
                 z = pinv(pmul(x, y))
                 if group.class_of(z) not in live:

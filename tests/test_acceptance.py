@@ -14,13 +14,14 @@ from fixspace.bounds import (catalog, check_bound_theorems,
                              min_semisimple_fixdim, scott_suite,
                              sl3_adjoint_heart)
 from fixspace.chartab import character_table, triple_count
-from fixspace.ff import make_field
+from fixspace.ff import make_field, prime_factors
 from fixspace.gensearch import (exhaustive_triple_search, find_conjugate_pair,
                                 find_triple, phi_star, verify_pair,
                                 verify_triple)
 from fixspace.matrep import (build_rep, deleted, fixed_space_dim,
                              is_irreducible, perm_module)
-from fixspace.perm import builtin_group, pinv, pmul
+from fixspace.perm import (PermGroup, builtin_group, perm_from_cycles, pinv,
+                           pmul, psl2)
 from fixspace.rng import SeedStream
 from fixspace.weights import (check_sym_divisibility, check_twist_divisibility,
                               root_system, sl2_distinct_eigenvalues,
@@ -75,12 +76,33 @@ def criterion(num, label):
 
 @criterion(1, "exception-a5-p5")
 def test_acceptance_01_exception():
+    # every simple group of order below 10^4 that builds here, at every
+    # prime dividing its order: only A5 = L2(4) at p = 5 has no triple
+    m11 = PermGroup(11, (perm_from_cycles(11, [tuple(range(1, 12))]),
+                         perm_from_cycles(11, [(3, 7, 11, 8), (4, 10, 5, 6)])))
+    assert m11.order == 7920
+    groups = [('A5', builtin_group('A5')), ('L2(4)', psl2(4)), ('L2(7)', psl2(7)),
+              ('A6', builtin_group('A6')), ('L2(8)', psl2(8)), ('L2(11)', psl2(11)),
+              ('L2(13)', psl2(13)), ('L2(17)', psl2(17)), ('A7', builtin_group('A7')),
+              ('L2(19)', psl2(19)), ('L2(16)', psl2(16)), ('L2(23)', psl2(23)),
+              ('L2(25)', psl2(25)), ('M11', m11), ('L2(27)', psl2(27))]
     start = time.monotonic()
-    res = exhaustive_triple_search(builtin_group('A5'), 5)
+    proved_none = []
+    witnesses = 0
+    for name, G in groups:
+        assert G.order < 10 ** 4, name
+        for p in prime_factors(G.order):
+            res = exhaustive_triple_search(G, p)
+            if res.verdict == "ProvedNone":
+                assert res.certificate is None
+                proved_none.append((name, p))
+            else:
+                assert verify_triple(G, res.certificate), (name, p)
+                witnesses += 1
     elapsed = time.monotonic() - start
-    assert res.verdict == "ProvedNone"
-    assert res.certificate is None
-    assert elapsed < 10
+    assert proved_none == [('A5', 5), ('L2(4)', 5)]
+    assert witnesses == 52
+    assert elapsed < 60
 
 
 @criterion(2, "triple-catalog")

@@ -154,42 +154,35 @@ def test_exhaustive_matches_random_outcome():
 
 
 def test_exhaustive_refuses_groups_past_its_cap(monkeypatch):
-    # |A8| = 20,160 > 10^4: refused before a character table is built
-    from fixspace import chartab
+    # |A8| = 20,160 > 10^4: refused before any class is computed
     from fixspace.perm import GroupTooLarge
 
     def refuse(group):
-        raise AssertionError("character table built past the exhaustive cap")
+        raise AssertionError("conjugacy classes computed past the exhaustive cap")
 
-    monkeypatch.setattr(chartab, "character_table", refuse)
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", refuse)
     with pytest.raises(GroupTooLarge, match="order 20160 exceeds exhaustive cap 10000"):
         exhaustive_triple_search(builtin_group('A8'), 5)
 
 
-def test_exhaustive_accepts_precomputed_table():
+def test_exhaustive_reads_no_passed_table():
+    # the sweep reads no character table: S5's, whose class-triple counts
+    # once skipped A6's class pairs that hold a witness, gives the witness
+    # and not a false "none", and A5's own leaves the exception standing
     from fixspace.chartab import character_table
-    G = builtin_group('A5')
-    table = character_table(G)
-    res = exhaustive_triple_search(G, 5, table=table)
+    A6 = builtin_group('A6')
+    res = exhaustive_triple_search(A6, 5, table=character_table(builtin_group('S5')))
+    assert res == exhaustive_triple_search(A6, 5)
+    assert res.verdict == "ExistsWithWitness" and verify_triple(A6, res.certificate)
+    A5 = builtin_group('A5')
+    res = exhaustive_triple_search(A5, 5, table=character_table(A5))
+    assert res == exhaustive_triple_search(A5, 5)
     assert res.verdict == "ProvedNone"
 
 
-def test_exhaustive_refuses_a_table_from_other_generators():
-    # S5's counts skip class pairs of A6 at p = 5 that hold a witness, so
-    # the sweep would prove a false "none"
-    from fixspace.chartab import character_table
-    A6 = builtin_group('A6')
-    with pytest.raises(ValueError, match="generators"):
-        exhaustive_triple_search(A6, 5, table=character_table(builtin_group('S5')))
-    # class data is a function of the generator list, so a table of
-    # another group object on the same generators serves
-    table = character_table(PermGroup(A6.degree, A6.gens))
-    assert exhaustive_triple_search(A6, 5, table=table) == exhaustive_triple_search(A6, 5)
-
-
-def unpruned_sweep(group, p):
-    """The exhaustive sweep's loops with no class-triple count: every
-    p'-class is live for every class pair."""
+def reference_sweep(group, p):
+    """The exhaustive sweep's loops written out again, with generation
+    decided by the full subgroup_order instead of generated_by."""
     classes = group.conjugacy_classes()
     live = [i for i, c in enumerate(classes) if c.element_order % p]
     tests = 0
@@ -212,13 +205,13 @@ SWEEPS = [('A5', 5), ('S5', 2), ('A5', 2), ('A5', 3), ('S5', 3), ('S5', 5),
 
 @pytest.mark.parametrize("name, p", SWEEPS)
 def test_pruning_never_changes_the_sweep(name, p):
-    # a class pair with no live class holds no y whose z is a p'-element,
-    # so skipping it changes no verdict, test count or witness
+    # the name is older than the tableless sweep, which prunes nothing:
+    # its verdict, test count and witness (x, y) equal the reference's
     G = builtin_group(name)
     res = exhaustive_triple_search(G, p)
     cert = res.certificate
     got = (res.verdict, res.generation_tests) + ((cert.x, cert.y) if cert else (None, None))
-    assert got == unpruned_sweep(G, p)
+    assert got == reference_sweep(G, p)
 
 
 def test_phi_star_matches_brute_force():
