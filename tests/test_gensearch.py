@@ -165,19 +165,25 @@ def test_exhaustive_refuses_groups_past_its_cap(monkeypatch):
         exhaustive_triple_search(builtin_group('A8'), 5)
 
 
-def test_exhaustive_reads_no_passed_table():
-    # the sweep reads no character table: S5's, whose class-triple counts
-    # once skipped A6's class pairs that hold a witness, gives the witness
-    # and not a false "none", and A5's own leaves the exception standing
+def test_exhaustive_accepts_precomputed_table():
+    # a passed table is not read: A5's own leaves the exception standing
+    from fixspace.chartab import character_table
+    A5 = builtin_group('A5')
+    res = exhaustive_triple_search(A5, 5, table=character_table(A5))
+    assert res == exhaustive_triple_search(A5, 5)
+    assert res.verdict == "ProvedNone"
+
+
+def test_exhaustive_refuses_a_table_from_other_generators():
+    # the sweep reads no character table, so a table of another group
+    # cannot mislead it: S5's, whose class-triple counts once skipped A6's
+    # class pairs that hold a witness, gives the witness and not a false
+    # "none"
     from fixspace.chartab import character_table
     A6 = builtin_group('A6')
     res = exhaustive_triple_search(A6, 5, table=character_table(builtin_group('S5')))
     assert res == exhaustive_triple_search(A6, 5)
     assert res.verdict == "ExistsWithWitness" and verify_triple(A6, res.certificate)
-    A5 = builtin_group('A5')
-    res = exhaustive_triple_search(A5, 5, table=character_table(A5))
-    assert res == exhaustive_triple_search(A5, 5)
-    assert res.verdict == "ProvedNone"
 
 
 def reference_sweep(group, p):
