@@ -116,8 +116,6 @@ def check_bound_theorems(rep: MatRep, p: int = None) -> BoundReport:
         raise TrivialAction(f"the group acts trivially on the module of dimension {n}")
     group = rep.group
     cls, mindim = min_semisimple_fixdim(rep)
-    if fixed_space_dim(rep, cls.rep) != mindim:
-        raise AssertionError("witness fixed dimension failed recomputation")
     cls_index = group.conjugacy_classes().index(cls)
     odd_prime = n % 2 == 1 and is_prime(n)
 

@@ -112,7 +112,7 @@ class FieldCtx:
     linear-algebra loops their table rows, built on the first call.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_red", "_places", "_tables")
+    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_places", "_tables")
 
     def __init__(self, p: int, k: int, modulus: tuple):
         self.p = p
@@ -121,16 +121,9 @@ class FieldCtx:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
-        self._red = self._places = self._tables = None
+        self._places = self._tables = None
         if k > 1:
             self._places = [p**i for i in range(k)]
-            # digits of x^d mod modulus for d = k .. 2k-2, used by mul: x^k is
-            # minus the lower terms of the modulus, and each further x shifts
-            row = [(-c) % p for c in modulus[:k]]
-            self._red = [row]
-            for _ in range(k - 2):
-                row = [(a + row[-1] * b) % p for a, b in zip([0] + row[:-1], self._red[0])]
-                self._red.append(row)
 
     def __repr__(self):
         if self.k == 1:
@@ -207,23 +200,21 @@ class FieldCtx:
         return sum(map(_imul, digits, self._places))
 
     def _mul_digits(self, a: list, b: list) -> list:
-        """Product of two digit lists: the polynomial product reduced by the modulus."""
-        p, k = self.p, self.k
+        """Product of two digit lists: the polynomial product reduced by the
+        monic modulus, c x^d taking off c x^(d-k) modulus from the top down."""
+        p, k, modulus = self.p, self.k, self.modulus
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     if y:
                         prod[j] += x * y
-        out = prod[:k]
-        red = self._red
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % p
             if c:
-                row = red[d - k]
                 for i in range(k):
-                    out[i] += c * row[i]
-        return [o % p for o in out]
+                    prod[d - k + i] -= c * modulus[i]
+        return [x % p for x in prod[:k]]
 
     # linear-algebra tables ----------------------------------------------
 

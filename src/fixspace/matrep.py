@@ -9,7 +9,10 @@ Frobenius twist, symmetric power, explicit matrix generators, and
 sub/quotient sections.
 
 Building a MatRep compiles its recipe in one walk into the group, the
-dimension and the image function; the built representation keeps no cache.
+dimension and the image function. The walk refuses a node over another
+field, and finds an automatic section's basis (a section with none in the
+recipe) by Norton's test on the parent it builds; the built
+representation keeps no cache, and its spec is the recipe as given.
 
 The deleted module is the span of e_i - e_0 inside the permutation
 module, which is the sum-zero hyperplane in every characteristic.
@@ -20,7 +23,7 @@ reducible; the dimension n - 2 heart is then reached via section().
 import json
 import math
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import NamedTuple
 
 from . import ff, linalg
@@ -111,13 +114,6 @@ def section(spec: ModuleSpec, mode: str, basis=None) -> ModuleSpec:
     return ModuleSpec(kind="section", children=(spec,), mode=mode, basis=basis)
 
 
-def _fields_of(spec: ModuleSpec, out: list):
-    if spec.field is not None:
-        out.append(spec.field)
-    for c in spec.children:
-        _fields_of(c, out)
-
-
 def _same_field(a: FieldCtx, b: FieldCtx) -> bool:
     return a.p == b.p and a.k == b.k and a.modulus == b.modulus
 
@@ -144,17 +140,20 @@ def _capped(dim: int) -> int:
 def _compile(node: ModuleSpec, F: FieldCtx):
     """(group, dim, g -> image(g)) of a recipe node, in one walk of the recipe.
 
-    Each node kind's rules sit in one place. Every check (both tensor
-    factors over one group, a section basis of the parent's length that is
-    proper and kept by the parent's generator images, so by the group) and
-    every per-node datum (a section's reduced basis, a symmetric power's
-    monomials) is done once, here; the image function only computes
-    matrices. Column j of a perm or explicit leaf's image(g) is
-    orbit[g[seed_j]], a permutation module's orbit being the unit vectors.
-    A sym or tensor node, the two that grow the dimension, raises IllTyped
-    above MAX_DIM, in dimension or in a sym node's power, before anything
-    of its size is built.
+    Each node kind's rules sit in one place. Every check (a node's field
+    equal to F, both tensor factors over one group, a section basis of the
+    parent's length that is proper and kept by the parent's generator
+    images, so by the group) and every per-node datum (a section's reduced
+    basis, found by Norton's test on the parent when the recipe gives none;
+    a symmetric power's monomials) is done once, here; the image function
+    only computes matrices. Column j of a perm or explicit leaf's image(g)
+    is orbit[g[seed_j]], a permutation module's orbit being the unit
+    vectors. A sym or tensor node, the two that grow the dimension, raises
+    IllTyped above MAX_DIM, in dimension or in a sym node's power, before
+    anything of its size is built.
     """
+    if node.field is not None and not _same_field(F, node.field):
+        raise FieldMismatch(f"GF({F.q}) vs GF({node.field.q})")
     k = node.kind
     if k in ("perm", "explicit"):
         if k == "perm":
@@ -165,7 +164,12 @@ def _compile(node: ModuleSpec, F: FieldCtx):
         return node.group, len(seeds), lambda g: linalg.transpose([orbit[g[j]] for j in seeds])
     if k not in ("deleted", "tensor", "dual", "twist", "sym", "section"):
         raise IllTyped(f"unknown recipe node {k!r}")
-    group, m, child = _compile(node.children[0], F)
+    if k == "section":
+        # built whole: Norton's test and the invariance check read its images
+        parent = MatRep(node.children[0], F)
+        group, m, child = parent.group, parent.dim, parent.image
+    else:
+        group, m, child = _compile(node.children[0], F)
     if k == "deleted":
         def image(g):
             # basis b_j = e_j - e_0; g.b_j = e_{g[j]} - e_{g[0]} = b_{g[j]} - b_{g[0]},
@@ -197,14 +201,18 @@ def _compile(node: ModuleSpec, F: FieldCtx):
             raise IllTyped(f"symmetric power {node.power} exceeds MAX_DIM = {MAX_DIM}")
         _capped(math.comb(m + node.power - 1, node.power))
         return _compile_sym(group, m, child, node.power, F)
-    if node.basis is None:
-        raise IllTyped("section basis unresolved; use build_rep")
-    if any(len(v) != m for v in node.basis):
+    basis = node.basis
+    if basis is None:
+        verdict = is_irreducible(parent, SeedStream(1))
+        if verdict.irreducible:
+            raise IllTyped("section of an irreducible module")
+        basis = verdict.submodule
+    if any(len(v) != m for v in basis):
         raise IllTyped("section basis length differs from parent dimension")
-    rows, pivots = linalg.rref(F, [list(v) for v in node.basis])
+    rows, pivots = linalg.rref(F, [list(v) for v in basis])
     if not rows or len(rows) == m:
         raise IllTyped("section basis spans zero or everything")
-    if any(linalg.restrict(F, child(g), rows, pivots) is None for g in group.gens):
+    if any(linalg.restrict(F, M, rows, pivots) is None for M in parent.images):
         raise IllTyped("section basis is not invariant")
     if node.mode == "sub":
         return group, len(rows), lambda g: linalg.restrict(F, child(g), rows, pivots)
@@ -219,37 +227,30 @@ def _compile(node: ModuleSpec, F: FieldCtx):
 
 def _compile_sym(group, m: int, child, s: int, F: FieldCtx):
     """Sym^s of an m-dimensional module: column j of the image expands the
-    j-th monomial of degree s in the images of the m basis vectors."""
-    monos = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            monos.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), s, m)
+    j-th monomial of degree s, a product of s of the m basis vectors, in
+    their images. The monomials are sorted index tuples, one linear form
+    per index, keyed by their exponent vectors; those come in descending
+    lexicographic order, (s, 0, ..., 0) first."""
+    monos = list(combinations_with_replacement(range(m), s))
+    expos = [tuple(mono.count(r) for r in range(m)) for mono in monos]
 
     def image(g):
         A = child(g)
         cols = []
-        for expo in monos:
+        for mono in monos:
             poly = {(0,) * m: F.one}
-            for i, a in enumerate(expo):
-                for _ in range(a):
-                    nxt = {}
-                    for t, c in poly.items():
-                        for r in range(m):
-                            coef = A[r][i]
-                            if coef == F.zero:
-                                continue
-                            t2 = t[:r] + (t[r] + 1,) + t[r + 1:]
-                            prev = nxt.get(t2, F.zero)
-                            nxt[t2] = F.add(prev, F.mul(c, coef))
-                    poly = nxt
-                # a = 0 contributes nothing
-            cols.append([poly.get(mo, F.zero) for mo in monos])
+            for i in mono:
+                nxt = {}
+                for t, c in poly.items():
+                    for r in range(m):
+                        coef = A[r][i]
+                        if coef == F.zero:
+                            continue
+                        t2 = t[:r] + (t[r] + 1,) + t[r + 1:]
+                        prev = nxt.get(t2, F.zero)
+                        nxt[t2] = F.add(prev, F.mul(c, coef))
+                poly = nxt
+            cols.append([poly.get(e, F.zero) for e in expos])
         return linalg.transpose(cols)
     return group, len(monos), image
 
@@ -277,32 +278,16 @@ class MatRep:
 
 
 def build_rep(spec: ModuleSpec, field: FieldCtx = None) -> MatRep:
-    """Resolve the coefficient field and any automatic sections, then build."""
-    found = []
-    _fields_of(spec, found)
-    if field is not None:
-        found.insert(0, field)
-    if not found:
+    """MatRep(spec, F), F being field or else the first field a node carries,
+    depth first from the root; MatRep checks every node against it."""
+    F, todo = field, [spec]
+    while F is None and todo:
+        node = todo.pop()
+        F = node.field
+        todo.extend(reversed(node.children))
+    if F is None:
         raise IllTyped("recipe carries no coefficient field")
-    for other in found[1:]:
-        if not _same_field(found[0], other):
-            raise FieldMismatch(f"GF({found[0].q}) vs GF({other.q})")
-    F = _module_field(found[0])
-    spec = _resolve_sections(spec, F)
-    return MatRep(spec, F)
-
-
-def _resolve_sections(node: ModuleSpec, F: FieldCtx) -> ModuleSpec:
-    children = tuple(_resolve_sections(c, F) for c in node.children)
-    if children != node.children:
-        node = node._replace(children=children)
-    if node.kind == "section" and node.basis is None:
-        parent = MatRep(node.children[0], F)
-        verdict = is_irreducible(parent, SeedStream(1))
-        if verdict.irreducible:
-            raise IllTyped("section of an irreducible module")
-        node = node._replace(basis=verdict.submodule)
-    return node
+    return MatRep(spec, _module_field(F))
 
 
 # pointwise quantities -------------------------------------------------------

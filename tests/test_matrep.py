@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import json
 import re
+from collections import Counter
 
 import pytest
 
+from fixspace import matrep
 from fixspace.bounds import sl3_adjoint_heart
 from fixspace.ff import make_field
 from fixspace.linalg import eye, mat_mul, rank, transpose
@@ -437,6 +439,36 @@ def test_field_mismatch_raises():
         build_rep(tensor(a, b))
 
 
+def test_matrep_refuses_a_node_over_another_field():
+    spec = perm_module(builtin_group('A5'), make_field(7))
+    with pytest.raises(FieldMismatch, match=r"GF\(5\) vs GF\(7\)"):
+        MatRep(spec, make_field(5))
+
+
+def test_matrep_builds_an_automatic_section():
+    spec = section(perm_module(builtin_group('A5'), make_field(7)), "sub")
+    rep, built = MatRep(spec, make_field(7)), build_rep(spec)
+    assert rep.images == built.images and image_digest(rep) == image_digest(built)
+    assert rep.spec.basis is None
+
+
+def test_sl3_heart_compiles_each_node_once(monkeypatch):
+    builtin_matgroup('SL3_3')
+    kinds = Counter()
+    compile_node = matrep._compile
+
+    def counted(node, F):
+        kinds[node.kind] += 1
+        return compile_node(node, F)
+
+    monkeypatch.setattr(matrep, "_compile", counted)
+    # past the cache, which an earlier test may have filled
+    assert sl3_adjoint_heart.__wrapped__().dim == 7
+    # the automatic sub section, the quotient by the scalars, the tensor,
+    # the dual and the natural module's explicit leaf under each of the two
+    assert kinds == {"section": 2, "tensor": 1, "dual": 1, "explicit": 2}
+
+
 def test_module_file_roundtrip(tmp_path):
     p = tmp_path / "m.mod"
     p.write_text("; comment line\n(deleted (perm A5) :field (gf 7))\n")
@@ -618,6 +650,7 @@ def pinned_modules():
         F9, 2, [[[1, 1], [0, 1]], [[1, 3], [0, 1]], [[0, 1], [2, 0]]], name="SL2_9")
     _, sl2_5 = builtin_matgroup('SL2_5')
     _, e27 = builtin_matgroup('E27')
+    _, sl3_3 = builtin_matgroup('SL3_3')
     return [
         ("perm-a5-gf7", build_rep(perm_module(A5, F7))),
         ("deleted-a5-gf4", build_rep(deleted(perm_module(A5)), make_field(2, 2))),
@@ -626,6 +659,8 @@ def pinned_modules():
         ("dual-deleted-a6-gf5",
          build_rep(dual(deleted(perm_module(builtin_group('A6'), make_field(5)))))),
         ("sym3-sl2_5", build_rep(sym_power(sl2_5.spec, 3))),
+        # three basis vectors, so a wrong monomial order shows
+        ("sym2-sl3_3", build_rep(sym_power(sl3_3.spec, 2))),
         ("explicit-e27", e27),
         ("sub-perm-a5-gf7", build_rep(section(perm_module(A5, F7), "sub", basis=sub))),
         ("quotient-perm-a5-gf7",
@@ -655,6 +690,8 @@ PINNED_IMAGE_DIGESTS = {
         "5cdfe763ec1fc62fd599a84bd87c49253c1fd7f876b518c039b92aaefb6cbc37",
     "sym3-sl2_5":
         "b4d3da086b831f26d2f088c21d2fd41ad3fed4adfe0503834eba9b6c6c49bcfa",
+    "sym2-sl3_3":
+        "927777f9c4276745fd66016fff485a12bf04d49a0e729ed7a43fdbded98468e8",
     "explicit-e27":
         "87ce3dc3447cb72c32b1845773ce74daebdd805b367d58e15e1b7aa39f96a672",
     "sub-perm-a5-gf7":
