@@ -82,7 +82,10 @@ def _check(p: int = None, orders: tuple = None, order: int = None,
     No p'-element has an order below 1 or divisible by p, and no element
     of G has an order that does not divide |G|.  Every prime dividing |G|
     is an element order (Cauchy); a composite one is looked up in the
-    classes when |G| is within perm.CLASS_CAP, and left open above it."""
+    classes when |G| is within perm.CLASS_CAP, and left open above it.
+    p is bounded before it is trial-divided."""
+    if p is not None and p >= 2**31:
+        raise ValueError(f"p must be below 2**31, got {p}")
     if p is not None and not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if orders is not None and len(orders) != 3:

@@ -10,9 +10,11 @@ of elements, lowest degree first, trailing zeros stripped; zero is ().
 
 For k > 1 and q <= TABLE_CAP, tables() fills the add, sub, mul and
 inverse tables that linalg's loops read: add and sub digit by digit, mul
-from exp/log lists, with O(q) digit products. FieldCtx.mul and inv read
-those tables there; above the cap they multiply digits as polynomials
-reduced by the modulus.
+from exp/log lists. FieldCtx.mul and inv read those tables there. Every
+other product of GF(p^k), k > 1, is this module's own polynomial layer
+over the prime field: the exp list, mul above the cap and pow are
+poly_mul, poly_mod and poly_pow_mod of the digit polynomials modulo the
+canonical modulus.
 
 Over a prime field, poly_mul and poly_divmod run on plain ints, with one
 reduction mod p per output coefficient (the _*_mod helpers), and so does
@@ -110,9 +112,11 @@ class FieldCtx:
     docstring and build nothing; so do mul and inv, except over GF(p^k),
     k > 1, q <= TABLE_CAP, where they read tables(). tables() gives the
     linear-algebra loops their table rows, built on the first call.
+    Over GF(p^k), k > 1, it keeps its prime field GF(p): every product it
+    does not read from a table is a product of digit polynomials over GF(p).
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_places", "_tables")
+    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_places", "_base", "_tables")
 
     def __init__(self, p: int, k: int, modulus: tuple):
         self.p = p
@@ -121,9 +125,10 @@ class FieldCtx:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
-        self._places = self._tables = None
+        self._places = self._base = self._tables = None
         if k > 1:
             self._places = [p**i for i in range(k)]
+            self._base = FieldCtx(p, 1, (0, 1))
 
     def __repr__(self):
         if self.k == 1:
@@ -155,7 +160,9 @@ class FieldCtx:
             return a * b % self.p
         if self.q <= TABLE_CAP:
             return self.tables()[2][a][b]
-        return self._pack(self._mul_digits(self._digits(a), self._digits(b)))
+        B = self._base
+        return self._pack(poly_mod(B, poly_mul(B, self._digits(a), self._digits(b)),
+                                   self.modulus))
 
     def inv(self, a):
         if a == 0:
@@ -171,14 +178,7 @@ class FieldCtx:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        acc = [1] + [0] * (self.k - 1)
-        base = self._digits(a)
-        while e:
-            if e & 1:
-                acc = self._mul_digits(acc, base)
-            base = self._mul_digits(base, base)
-            e >>= 1
-        return self._pack(acc)
+        return self._pack(poly_pow_mod(self._base, self._digits(a), e, self.modulus))
 
     def frobenius(self, a, i: int = 1):
         """a -> a^(p^i)."""
@@ -197,24 +197,8 @@ class FieldCtx:
         return [n // e % p for e in self._places]
 
     def _pack(self, digits) -> int:
+        # a polynomial of degree below k, trailing zeros stripped or not
         return sum(map(_imul, digits, self._places))
-
-    def _mul_digits(self, a: list, b: list) -> list:
-        """Product of two digit lists: the polynomial product reduced by the
-        monic modulus, c x^d taking off c x^(d-k) modulus from the top down."""
-        p, k, modulus = self.p, self.k, self.modulus
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        prod[j] += x * y
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for i in range(k):
-                    prod[d - k + i] -= c * modulus[i]
-        return [x % p for x in prod[:k]]
 
     # linear-algebra tables ----------------------------------------------
 
@@ -227,7 +211,8 @@ class FieldCtx:
         element is x + d p^j with x below p^j, and (x + d p^j) ± (y + e p^j)
         is (x ± y) + ((d ± e) mod p) p^j, so a row is p rows of the smaller
         table, each shifted by one translate.  MUL reads the exp and log
-        lists of multiplicative_generator, found with q - 2 digit products."""
+        lists of multiplicative_generator g: exp holds the q - 1 powers of
+        g's digit polynomial modulo the modulus."""
         if self._tables is None:
             if self.k == 1 or self.q > TABLE_CAP:
                 raise ValueError(f"{self!r} has no tables: they cover GF(p^k), "
@@ -240,10 +225,11 @@ class FieldCtx:
                 add, sub = ([b"".join(row.translate(shift[op(d, e) % p]) for e in range(p))
                              for d in range(p) for row in table]
                             for table, op in ((add, _iadd), (sub, _isub)))
-            g = self._digits(multiplicative_generator(self))
-            exp = [1]
+            B, g = self._base, self._digits(multiplicative_generator(self))
+            exp, t = [1], (1,)
             for _ in range(q - 2):
-                exp.append(self._pack(self._mul_digits(self._digits(exp[-1]), g)))
+                t = poly_mod(B, poly_mul(B, t, g), self.modulus)
+                exp.append(self._pack(t))
             log = [0] * q
             for i, x in enumerate(exp):
                 log[x] = i
@@ -261,7 +247,7 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     The degree-1 modulus is x itself, so prime fields carry a uniform
     (p, k, modulus) shape.
     """
-    if not isinstance(p, int) or not is_prime(p) or p >= 2**31:
+    if not isinstance(p, int) or p >= 2**31 or not is_prime(p):
         raise NotPrime(f"characteristic must be a prime below 2**31, got {p!r}")
     if not isinstance(k, int) or not 1 <= k <= 16:
         raise DegreeOutOfRange(f"extension degree must be in 1..16, got {k!r}")

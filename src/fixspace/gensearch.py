@@ -192,15 +192,16 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
 
 
 def phi_star(n: int, q: int) -> int:
-    """Largest divisor of q^n - 1 coprime to every q^m - 1 with m < n."""
+    """Largest divisor of q^n - 1 coprime to every q^m - 1 with m < n.
+    q^n is bounded before q is factored by trial division."""
     if n < 2 or n > 40:
         raise ValueError(f"n = {n} outside supported range 2..40")
+    if q**n >= 2**62:
+        raise Overflow(f"q^n = {q}^{n} exceeds 2^62")
     try:
         prime_power(q)
     except ValueError as exc:
         raise NotPrimePower(str(exc)) from None
-    if q**n >= 2**62:
-        raise Overflow(f"q^n = {q}^{n} exceeds 2^62")
     v = q**n - 1
     for m in range(1, n):
         g = math.gcd(v, q**m - 1)

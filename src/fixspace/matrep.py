@@ -54,11 +54,8 @@ class OrbitTooLarge(ValueError):
 
 
 class Inconclusive(RuntimeError):
-    """Irreducibility search exhausted its random-element budget."""
-
-    def __init__(self, budget: int):
-        super().__init__(f"no verdict after {budget} random group-algebra elements")
-        self.budget = budget
+    """Irreducibility search exhausted its random-element budget: in
+    practice, a module that is irreducible but not absolutely irreducible."""
 
 
 # recipe AST ----------------------------------------------------------------
@@ -419,17 +416,20 @@ def _random_algebra_element(rep: MatRep, stream: SeedStream) -> list:
 
 
 def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) -> IrredResult:
-    """Norton-style test: seeded singular group-algebra elements, spun kernels.
+    """Norton-style test: seeded group-algebra elements, spun kernels.
 
-    Reducible verdicts return a proper invariant subspace. Norton's
-    criterion needs every nonzero kernel vector to spin to V, so only a
-    singular element of nullity 1 proves irreducibility; larger kernels can
-    still prove reducibility. Raises Inconclusive when budget draws produce
-    no verdict. An irreducible module that is not absolutely irreducible
-    always ends so (C3 on GF(2)^2 by [[0,1],[1,1]]: its only singular
-    group-algebra element is 0), but so can a reducible one over a large
-    field, where a random element is rarely singular ((sym 3 (perm S3))
-    over GF(256) fixes a line, yet seeds 1 and 3 find no verdict).
+    A draw theta is tested as itself when it is singular, and otherwise as
+    theta - lam 1 for each root lam of its characteristic polynomial in F,
+    ascending; theta - lam 1 lies in the group algebra too. Reducible
+    verdicts return a proper invariant subspace, reduced rows from
+    spin_span. Norton's criterion needs every nonzero kernel vector to spin
+    to V, so only a singular element of nullity 1, whose kernel and dual
+    kernel both spin to V, proves (absolute) irreducibility; larger kernels
+    can still prove reducibility. Raises Inconclusive when budget draws
+    produce no verdict, which in practice means a module that is
+    irreducible but not absolutely irreducible: C3 on GF(2)^2 by
+    [[0,1],[1,1]] always ends so, as its group algebra is GF(4), whose only
+    singular element is 0.
     """
     if stream is None:
         stream = SeedStream(1)
@@ -446,23 +446,25 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
     for _ in range(budget):
         theta = _random_algebra_element(rep, stream)
         kernel = linalg.nullspace(F, theta)
-        if not kernel:
-            continue
-        for v in kernel:
-            span = spin_span(F, rep.images, [v])
-            if len(span) < n:
-                return IrredResult(irreducible=False, submodule=span)
-        if len(kernel) > 1:
-            continue
-        w = linalg.nullspace(F, linalg.transpose(theta))[0]
-        dual_span = spin_span(F, transposed, [w])
-        if len(dual_span) < n:
-            # perp of a proper dual-invariant space is proper and invariant
-            sub = linalg.nullspace(F, [list(r) for r in dual_span])
-            rows, _ = linalg.rref(F, [list(v) for v in sub])
-            return IrredResult(irreducible=False, submodule=tuple(tuple(r) for r in rows))
-        return IrredResult(irreducible=True)
-    raise Inconclusive(budget)
+        # a nonsingular draw is shifted by each of its eigenvalues in F
+        for lam in [F.zero] if kernel else ff.poly_roots(F, linalg.char_poly(F, theta)):
+            a = linalg.shift(F, [list(r) for r in theta], lam)
+            if lam:
+                kernel = linalg.nullspace(F, a)
+            for v in kernel:
+                span = spin_span(F, rep.images, [v])
+                if len(span) < n:
+                    return IrredResult(irreducible=False, submodule=span)
+            if len(kernel) > 1:
+                continue
+            w = linalg.nullspace(F, linalg.transpose(a))[0]
+            dual_span = spin_span(F, transposed, [w])
+            if len(dual_span) < n:
+                # perp of a proper dual-invariant space is proper and invariant
+                sub = linalg.nullspace(F, [list(r) for r in dual_span])
+                return IrredResult(irreducible=False, submodule=spin_span(F, (), sub))
+            return IrredResult(irreducible=True)
+    raise Inconclusive(f"no verdict after {budget} random group-algebra elements")
 
 
 # matrix groups as permutation groups ----------------------------------------

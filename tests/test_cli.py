@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -360,6 +362,20 @@ def test_bounds_rejects_trivial_action(tmp_path, capsys):
     assert err == "error: the group acts trivially on the module of dimension 1\n"
 
 
+@pytest.mark.parametrize("recipe, err", [
+    ("(sym 3 (perm S3) :field (gf 2 8))", "error: module of dimension 10 is reducible\n"),
+    ("(section (sym 3 (perm S3)) :field (gf 2 8))",
+     "error: the group acts trivially on the module of dimension 1\n"),
+    ("(section (sym 3 (perm S3)) :field (gf 2 8) :mode quotient)",
+     "error: module of dimension 9 is reducible\n"),
+])
+def test_bounds_decides_reducible_modules_over_gf256(tmp_path, capsys, recipe, err):
+    # over GF(256) a random group-algebra element is rarely singular: the
+    # irreducibility test finds its verdict on draws shifted by an eigenvalue
+    (tmp_path / "m.mod").write_text(recipe + "\n")
+    assert rejected(capsys, "bounds", "--module", str(tmp_path / "m.mod")) == err
+
+
 def test_bounds_rejects_extension_field_above_table_cap(tmp_path, capsys):
     # GF(3^6) has 729 elements; linalg's tables stop at 256
     (tmp_path / "big.mod").write_text("(deleted (perm A5) :field (gf 3 6))\n")
@@ -384,6 +400,60 @@ def test_unknown_names_print_without_quotes(tmp_path, capsys):
 ])
 def test_searches_reject_non_prime_p(capsys, no_search, argv):
     assert "p must be a prime" in rejected(capsys, *argv)
+
+
+# a prime near 2^61: trial division would take about 10^9 steps, so each
+# entry point must refuse it on its range check first
+BIG_P = 2305843009213693951
+
+
+def run_child(tmp_path, *argv):
+    """`python -m fixspace.cli argv` in a child process that must end."""
+    return subprocess.run([sys.executable, "-m", "fixspace.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=20)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["triples", "--group", "A5", "--p", str(BIG_P), "--seed", "1"],
+     f"error: p must be below 2**31, got {BIG_P}\n"),
+    (["pairs", "--group", "A5", "--p", str(BIG_P), "--seed", "1"],
+     f"error: p must be below 2**31, got {BIG_P}\n"),
+    (["exhaustive", "--group", "A5", "--p", str(BIG_P)],
+     f"error: p must be below 2**31, got {BIG_P}\n"),
+    (["phi", "2", str(BIG_P)], f"error: q^n = {BIG_P}^2 exceeds 2^62\n"),
+    (["bounds", "--module", "big.mod"],
+     f"error: characteristic must be a prime below 2**31, got {BIG_P}\n"),
+    (["bounds", "--module", "x.mod", "--matgroup", "big.mat"],
+     f"error: characteristic must be a prime below 2**31, got {BIG_P}\n"),
+])
+def test_oversized_characteristic_is_refused_before_trial_division(tmp_path, argv, err):
+    (tmp_path / "big.mod").write_text(f"(deleted (perm A5) :field (gf {BIG_P}))\n")
+    (tmp_path / "big.mat").write_text(f"matgroup X field {BIG_P} dim 1\ngen [[1]]\n")
+    (tmp_path / "x.mod").write_text("(explicit X)\n")
+    done = run_child(tmp_path, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+
+def test_oversized_characteristic_in_a_claim_fails_it(tmp_path):
+    path = write_manifest(tmp_path, f"""\
+        [triple]
+        kind = triples
+        group = A5
+        p = {BIG_P}
+        orders = 2,3,5
+        expect = found
+        provenance = derived
+    """)
+    done = run_child(tmp_path, "verify", "--manifest", path, "--seed", "1")
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[0] == (
+        f"FAIL       triple: error: p must be below 2**31, got {BIG_P}")
+
+
+def test_largest_supported_prime_still_runs(capsys):
+    code, out, _ = run(capsys, "pairs", "--group", "A5", "--p", str(2**31 - 1),
+                       "--seed", "1", "--format", "records")
+    assert code == 0 and records(out)["p"] == str(2**31 - 1)
 
 
 @pytest.mark.parametrize("orders", ["3,5", "3,5,5,5"])

@@ -7,9 +7,9 @@ from collections import Counter
 import pytest
 
 from fixspace import matrep
-from fixspace.bounds import sl3_adjoint_heart
+from fixspace.bounds import catalog, sl3_adjoint_heart
 from fixspace.ff import make_field
-from fixspace.linalg import eye, mat_mul, rank, transpose
+from fixspace.linalg import eye, mat_mul, rank, reduce_vec, scale_vec, transpose
 from fixspace.matrep import (MAX_RECIPE_DEPTH, FieldMismatch, IllTyped, Inconclusive,
                              MatRep, NotInGroup, NotInvertible, NotSemisimple,
                              _random_algebra_element, build_rep,
@@ -266,21 +266,81 @@ def test_not_absolutely_irreducible_is_inconclusive():
         is_irreducible(rep, SeedStream(1), budget=20)
 
 
+def test_not_absolutely_irreducible_over_gf5_is_inconclusive():
+    # C3 on GF(5)^2 by the companion matrix of x^2 + x + 1, irreducible
+    # over GF(5): its group algebra is GF(25), so every nonzero element is
+    # invertible with no eigenvalue in GF(5)
+    F = make_field(5)
+    _, rep = embed_matrix_group(F, 2, [[[0, 4], [1, 4]]])
+    assert spin_oracle_irreducible(rep)
+    with pytest.raises(Inconclusive, match="no verdict after 20 "):
+        is_irreducible(rep, SeedStream(1), budget=20)
+
+
 def test_reducible_module_over_a_large_field_is_never_called_irreducible():
-    # the cube of the all-ones line is a fixed line of Sym^3, but over
-    # GF(256) a random group-algebra element is rarely singular, so a
-    # reducible module can end Inconclusive too
+    # the cube of the all-ones line is a fixed line of Sym^3; over GF(256)
+    # a random group-algebra element is rarely singular, so the verdict
+    # comes from a draw shifted by one of its eigenvalues
     rep = build_rep(parse_module_text("(sym 3 (perm S3) :field (gf 2 8))"))
-    inconclusive = 0
-    for seed in (1, 2, 3):
-        try:
-            res = is_irreducible(rep, SeedStream(seed))
-        except Inconclusive:
-            inconclusive += 1
-            continue
+    for seed in range(1, 21):
+        res = is_irreducible(rep, SeedStream(seed))
         assert res.irreducible is False, seed
         assert_proper_submodule(rep, res.submodule)
-    assert inconclusive
+
+
+def burnside_span_dim(rep):
+    """dim of the span of the images: the algebra the generator images
+    generate, closed under right products by them from the identity.
+    By Burnside's theorem it is n^2 exactly when the module is absolutely
+    irreducible."""
+    F, n = rep.field, rep.dim
+    rows, pivots, queue = [], [], [eye(F, n)]
+    for X in queue:
+        v = reduce_vec(F, rows, pivots, [x for row in X for x in row])
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is not None:
+            rows.append(scale_vec(F, F.inv(v[piv]), v))
+            pivots.append(piv)
+            if len(rows) == n * n:
+                break
+            queue.extend(mat_mul(F, X, M) for M in rep.images)
+    return len(rows)
+
+
+def assert_burnside_agrees(rep, seeds):
+    absolutely_irreducible = burnside_span_dim(rep) == rep.dim ** 2
+    for seed in seeds:
+        res = is_irreducible(rep, SeedStream(seed))
+        assert res.irreducible == absolutely_irreducible, seed
+        if not res.irreducible:
+            assert_proper_submodule(rep, res.submodule)
+
+
+def test_norton_verdicts_match_burnside_on_the_catalog():
+    entries = [e for e in catalog() if e.rep.dim <= 12]
+    assert len(entries) >= 40
+    for e in entries:
+        assert burnside_span_dim(e.rep) == e.rep.dim ** 2, e.ident
+        assert_burnside_agrees(e.rep, range(1, 4))
+
+
+@pytest.mark.parametrize("recipe", [
+    "(perm A5 :field (gf 2 2))",
+    "(sym 2 (deleted (perm S4)) :field (gf 2 2))",
+    "(deleted (perm S4) :field (gf 2 2))",
+    "(tensor (deleted (perm S4)) (deleted (perm S4)) :field (gf 5 2))",
+    "(sym 2 (perm S3) :field (gf 5 2))",
+    "(dual (deleted (perm A5)) :field (gf 5 2))",
+    "(sym 3 (perm S3) :field (gf 2 8))",
+    "(section (sym 3 (perm S3)) :field (gf 2 8) :mode quotient)",
+    "(dual (deleted (perm S4)) :field (gf 2 8))",
+])
+def test_norton_verdicts_match_burnside_over_extension_fields(recipe):
+    # the deleted modules and their duals are uniserial: a kernel vector
+    # outside the submodule spins to V, and only the dual spin finds it
+    rep = build_rep(parse_module_text(recipe))
+    assert burnside_span_dim(rep) < rep.dim ** 2
+    assert_burnside_agrees(rep, range(1, 11))
 
 
 def test_norton_verdicts_match_spin_oracle():
