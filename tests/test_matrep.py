@@ -318,7 +318,7 @@ def assert_burnside_agrees(rep, seeds):
 
 def test_norton_verdicts_match_burnside_on_the_catalog():
     entries = [e for e in catalog() if e.rep.dim <= 12]
-    assert len(entries) >= 40
+    assert len(entries) >= 61   # the whole catalog today
     for e in entries:
         assert burnside_span_dim(e.rep) == e.rep.dim ** 2, e.ident
         assert_burnside_agrees(e.rep, range(1, 4))
