@@ -8,9 +8,10 @@ stream past the second element without drawing it (one set lookup and
 one addition to the state, unless that element's draws meet a
 rejection), so every stream, witness and attempt count is that of
 drawing both. Candidates are tested
-by PermGroup.generated_by (an orbit test, then a chain build); every
-returned certificate is rechecked with the full subgroup_order before it
-is handed back.
+by PermGroup.generated_by (an orbit test, then a known-order chain build,
+which a product-replacement walk usually ends); every returned
+certificate is rechecked before it is handed back, with subgroup_order
+and, for a conjugate pair, a membership test of the conjugator h in G.
 """
 
 import math
@@ -76,9 +77,11 @@ def verify_triple(group: PermGroup, cert: TripleCertificate) -> bool:
 
 
 def verify_pair(group: PermGroup, cert: PairCertificate) -> bool:
+    """Recheck a Generates certificate from scratch, h's membership in G
+    included; used before returning."""
     if cert.verdict != "Generates":
         return False
-    if pconj(cert.x, cert.h) != cert.y:
+    if not group.contains(cert.h) or pconj(cert.x, cert.h) != cert.y:
         return False
     if element_order(cert.x) != cert.order or cert.order % cert.p == 0:
         return False

@@ -36,9 +36,17 @@ operands (`Codec.right`), so a sift step is one `Codec.apply`.  A random
 element takes one index per level from a single `SeedStream.randranges`
 call over the group's `rng.Draws` (`_draws`, listed once beside the
 transversal operands); `skip_element` advances a stream by exactly
-those draws (`SeedStream.skip`) and builds nothing.  `subgroup_order`
-stops building as soon as the chain's orbit lengths multiply to |G|;
-`generated_by` builds none when the first base point's orbit is short.
+those draws (`SeedStream.skip`) and builds nothing.
+
+`subgroup_order` knows |G|, so its build proves generation as soon as
+the chain's orbit lengths multiply to |G| (see `_build_chain`).  Before
+the deterministic Schreier loop it runs a product-replacement walk over
+the inputs, whose residues it sifts against the transversals as they
+stand; only when the walk stalls does the loop run, and it gives a proper
+subgroup its exact order.  The walk is a fixed function of the inputs,
+and a full build (every group a caller holds) never walks, so its chain
+and random streams are those of the loop alone.  `generated_by` builds
+no chain when the first base point's orbit is short.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from .rng import Draws, SeedStream
 
 CLASS_CAP = 10**6
 DEGREE_CAP = 10**6   # largest degree a group file may declare
+WALK_SLOTS = 5   # fewest product-replacement slots of a known-order build
+WALK_IDLE = 4    # trivial sifts in a row after which its walk gives up
 
 
 class NotBijection(ValueError):
@@ -120,13 +130,15 @@ class Codec(NamedTuple):
     apply: Callable    # (a, right(b)) -> a then b
 
 
+@cache
 def bulk_codec(degree: int) -> Codec:
     """The one permutation encoding of the chain, the draws and the classes.
 
     Up to degree 256 an element is its length-n image `bytes`: translate
     composes, maketrans inverts, and encodings sort like the tuples.  A
     right operand is padded to the 256-byte table translate takes.  Above
-    256 an element is its image tuple and the tuple helpers do the work."""
+    256 an element is its image tuple and the tuple helpers do the work.
+    Cached: every group of one degree shares one codec."""
     if degree > 256:
         # tuple() of a tuple is that tuple: no copies
         return Codec(tuple, pinv, tuple, pmul)
@@ -331,20 +343,24 @@ class PermGroup:
             t = lvl.inverse[y] = self.codec.right(self.codec.inv(lvl.transversal[y]))
         return t
 
-    def _sift(self, g, start: int = 0):
+    def _sift(self, g, start: int = 0, lazy: bool = False):
         """Reduce the encoded g through levels from start; return
-        (residue, stuck_level)."""
+        (residue, stuck_level).  A lazy sift reads a dirty level's
+        transversal as it stands and recomputes it only on a miss: the
+        point is in the level's orbit set but not in its transversal."""
         lv = self._levels
         apply = self.codec.apply
         for i in range(start, len(lv)):
             lvl = lv[i]
-            if lvl.dirty:
+            if lvl.dirty and not lazy:
                 lvl = self._level(i)
             x = g[lvl.point]
             if x == lvl.point:
                 continue
             if x not in lvl.transversal:
-                return g, i
+                if x not in lvl.orbit:
+                    return g, i
+                self._level(i)
             g = apply(g, self._inverse(lvl, x))
         return g, len(lv)
 
@@ -369,14 +385,27 @@ class PermGroup:
             lvl = lv[m]
             lvl.dirty = True
             orbit = lvl.orbit
+            if len(orbit) == self.degree - m:
+                continue   # every point but the m base points above
             new = [y for y in map(g.__getitem__, orbit) if y not in orbit]
             if new:
                 orbit.update(new)
                 _orbit_closure(orbit, new, self._level_gens(m))
 
     def _build_chain(self, stop_at: int = 0) -> None:
-        """Schreier-Sims; with stop_at, return as soon as the orbit lengths
-        multiply to stop_at (a lower bound on the order; see subgroup_order)."""
+        """Schreier-Sims.  With stop_at (|G| for elements of G; see
+        subgroup_order) the build returns as soon as the orbit sets'
+        lengths multiply to stop_at, and a walk (_walk) runs between
+        sifting the inputs and the deterministic Schreier loop.
+
+        Why stopping is sound: every strong generator installed at level
+        m, by the input sift, the walk or the loop, is a word in the
+        inputs that fixes the base points of levels 0..m-1.  So each orbit
+        set is an orbit of a subgroup of the true point stabilizer of
+        H = <inputs>, and the product of the orbit lengths is at most |H|.
+        Reaching |G| >= |H| proves H = G.  When the walk stalls, the
+        unchanged loop completes the chain, so a proper subgroup still
+        gets its exact order.  Full builds (stop_at = 0) never walk."""
         ident = self._ident
         for g in map(self.codec.encode, self.gens):
             if g == ident:
@@ -384,7 +413,7 @@ class PermGroup:
             res, at = self._sift(g)
             if res != ident:
                 self._add_generator(res, at)
-        if stop_at and self._chain_order() == stop_at:
+        if stop_at and (self._chain_order() == stop_at or self._walk(stop_at)):
             return
         i = len(self._levels) - 1
         while i >= 0:
@@ -395,6 +424,42 @@ class PermGroup:
                 return
             else:
                 i = stuck
+
+    def _walk(self, stop_at: int) -> bool:
+        """A product-replacement walk over the inputs (Celler et al. 1995):
+        WALK_SLOTS or more slots hold the inputs, repeated; each step
+        replaces one slot by its product with another and multiplies the
+        running word by it.  The word is sifted lazily (stale transversals
+        are as good as fresh ones for a residue) and a nontrivial residue
+        is installed where it stuck.  True once the orbit lengths multiply
+        to stop_at; False after WALK_IDLE trivial sifts in a row.  A fixed
+        linear congruential sequence picks the slots: the walk draws from
+        no SeedStream, so it is a function of the inputs alone."""
+        right, apply = self.codec.right, self.codec.apply
+        # slots and word are right operands: translate keeps the padding
+        one = right(self._ident)
+        slots = [s for s in map(right, map(self.codec.encode, self.gens)) if s != one]
+        if not slots:
+            return False
+        slots = (slots * WALK_SLOTS)[:max(WALK_SLOTS, len(slots))]
+        k = len(slots)
+        word = one
+        state = idle = 0
+        while idle < WALK_IDLE:
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            i = state % k
+            j = (i + 1 + (state >> 16) % (k - 1)) % k
+            slots[i] = s = apply(slots[i], slots[j])
+            word = apply(word, s)
+            res, at = self._sift(word, lazy=True)
+            if res == one:
+                idle += 1
+                continue
+            idle = 0
+            self._add_generator(res[:self.degree], at)   # unpadded
+            if self._chain_order() == stop_at:
+                return True
+        return False
 
     def _check_level(self, i: int):
         """Sift all Schreier generators of level i through the deeper chain.
@@ -463,12 +528,13 @@ class PermGroup:
     def subgroup_order(self, elems) -> int:
         """Order of the subgroup generated by elems, via a fresh chain.
 
-        The build stops as soon as the product of the partial chain's orbit
-        lengths reaches |G|: each orbit is an orbit of a subgroup of the
-        true point stabilizer, so the product is a lower bound on the
-        subgroup order, and reaching |G| proves that elems generate.  A
-        proper subgroup gets its full chain.  The partial chain is
-        discarded here."""
+        The build knows |G|: a product-replacement walk installs residues
+        until the product of the partial chain's orbit lengths reaches
+        |G|.  Each orbit is an orbit of a subgroup of the true point
+        stabilizer, so the product is a lower bound on the subgroup order,
+        and reaching |G| proves that elems generate.  When the walk stalls
+        the deterministic Schreier loop takes over, and a proper subgroup
+        gets its full chain.  The partial chain is discarded here."""
         elems = [perm_from_images(e) for e in elems]
         for e in elems:
             if not self.contains(e):

@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from fixspace.gensearch import (NotPrimePower, exhaustive_triple_search,
+from fixspace.gensearch import (NotPrimePower, PairCertificate,
+                                exhaustive_triple_search,
                                 find_conjugate_pair, find_triple, phi_star,
                                 verify_pair, verify_triple)
 from fixspace.perm import (PermGroup, builtin_group, element_order,
@@ -83,6 +84,21 @@ def test_find_pair_certificate():
     assert verify_pair(G, cert)
     # y really is a conjugate of x
     assert element_order(cert.x) == element_order(cert.y)
+
+
+def test_verify_pair_rejects_a_conjugator_outside_the_group():
+    # h = (1,2) is odd, so y = x^h lies in the other class of 5-cycles of
+    # A5: x and y are not conjugate in A5, though they generate it
+    G = builtin_group('A5')
+    x, h = (1, 2, 3, 4, 0), (1, 0, 2, 3, 4)
+    y = pconj(x, h)
+    assert G.class_of(x) != G.class_of(y)
+    assert G.subgroup_order([x, y]) == G.order
+    cert = PairCertificate(x=x, h=h, y=y, order=5, p=2, subgroup_order_of_xy=60,
+                           verdict="Generates", attempts=1)
+    assert not verify_pair(G, cert)
+    h_in_g = pmul(h, (0, 1, 2, 4, 3))   # (1,2)(4,5)
+    assert verify_pair(G, cert._replace(h=h_in_g, y=pconj(x, h_in_g)))
 
 
 def test_find_pair_with_order():

@@ -467,11 +467,15 @@ def install_oracle_pairs():
     return out
 
 
-def test_known_order_builds_install_what_recomputing_every_level_did(monkeypatch):
-    # orbit sets spare the stop checks of a known-order build from reading
-    # transversals; the strong generators, their order and the group order
-    # must be those of recomputing every dirty level at each check
+def test_known_order_builds_install_words_that_fix_the_base_above(monkeypatch):
+    # a known-order build's walk sifts against stale transversals, so its
+    # installs are not those of recomputing every dirty level at each stop
+    # check; what the walk's proof reads is that each install lies in
+    # <pair> and fixes the base points above its level, and that each
+    # orbit set is the points of its level's transversal once recomputed.
+    # The order and verdict must not depend on when levels are recomputed
     cases = install_oracle_pairs()
+    spans = [PermGroup(G.degree, pair) for G, pair, _ in cases]
     installs = []
     add = PermGroup._add_generator
 
@@ -479,22 +483,72 @@ def test_known_order_builds_install_what_recomputing_every_level_did(monkeypatch
         installs.append((tuple(g), level))
         add(self, g, level)
 
-    def builds(check_levels):
+    def builds():
         out = []
-        for G, pair, generates in cases:
+        for (G, pair, generates), span in zip(cases, spans):
             installs.clear()
             H = PermGroup(G.degree, pair, _stop_at=G.order)
             assert (H.order == G.order) == generates
-            out.append((list(installs), H.order))
-            for i in range(len(H._levels)) if check_levels else ():
+            out.append(H.order)
+            base = [lvl.point for lvl in H._levels]
+            assert installs
+            for g, level in installs:
+                assert span.contains(g)
+                assert all(g[b] == b for b in base[:level])
+            for i in range(len(H._levels)):
                 lvl = H._level(i)
                 assert lvl.orbit == set(lvl.transversal)
         return out
 
     monkeypatch.setattr(PermGroup, "_add_generator", logged)
-    got = builds(True)
+    got = builds()
+    assert got == [span.order for span in spans]
     monkeypatch.setattr(PermGroup, "_chain_order", recomputed_chain_order)
-    assert builds(False) == got
+    assert builds() == got
+
+
+def known_order_oracle_cases():
+    """(group, elems): for every builtin and SL2(17) on 288 points (the
+    tuple codec), its own generators, seeded pairs, conjugate pairs and
+    pairs of powers of one element, a single generator, the identity and
+    no elements at all."""
+    from fixspace.ff import make_field
+    from fixspace.matrep import embed_matrix_group
+    sl2_17, _ = embed_matrix_group(make_field(17), 2,
+                                   [[[1, 1], [0, 1]], [[0, 1], [16, 0]]])
+    for G in [builtin_group(n) for n in builtin_group_names()] + [sl2_17]:
+        s = SeedStream(43)
+        yield G, list(G.gens)
+        for _ in range(4):
+            x, y, h = (G.random_element(s) for _ in range(3))
+            yield from ((G, e) for e in ([x, y], [x, pconj(x, h)],
+                                         [ppow(x, 2), ppow(x, 3)], [x]))
+        yield from ((G, e) for e in ([identity(G.degree)], []))
+
+
+def test_known_order_builds_agree_with_full_builds(monkeypatch):
+    # a full build (no walk) is the oracle: a known-order build gives |G|
+    # exactly when the elements generate, and a proper subgroup its exact
+    # order; the walk must both finish builds and stall into the
+    # deterministic loop
+    walks = []
+    walk = PermGroup._walk
+
+    def logged(self, stop_at):
+        done = walk(self, stop_at)
+        walks.append((bool(self._levels), done))   # inputs left a chain to walk on
+        return done
+
+    monkeypatch.setattr(PermGroup, "_walk", logged)
+    verdicts = {}
+    for G, elems in known_order_oracle_cases():
+        want = PermGroup(G.degree, elems).order
+        assert PermGroup(G.degree, elems, _stop_at=G.order).order == want
+        assert G.subgroup_order(elems) == want
+        verdicts.setdefault(G, set()).add(want == G.order)
+    assert len(verdicts) == len(builtin_group_names()) + 1
+    assert all(v == {True, False} for v in verdicts.values())
+    assert {(True, True), (True, False)} <= set(walks)
 
 
 def test_orbit_sets_are_the_transversal_points():
@@ -528,6 +582,24 @@ def codec_oracle_groups():
             gens = (G.random_element(s), G.random_element(s))
             builders.append(lambda d=G.degree, gens=gens: PermGroup(d, gens))
     return builders + [lambda: affine_frobenius_2a(8), lambda: psl2(256)]
+
+
+# SHA-256 of chain_view and of 50 random elements at each of seeds 1-3 for
+# every builtin, recorded before known-order builds walked: full builds,
+# whose transversals drive every random stream, must not move
+FULL_BUILD_DIGEST = "544f52d4965372b4f22b092bd3279ce934efc361f69e9e981d104672148481ed"
+
+
+def test_full_builds_are_pinned():
+    digest = hashlib.sha256()
+    for name in builtin_group_names():
+        G = builtin_group(name)
+        draws = []
+        for seed in (1, 2, 3):
+            s = SeedStream(seed)
+            draws.append([G.random_element(s) for _ in range(50)])
+        digest.update(repr((name, chain_view(G), draws)).encode())
+    assert digest.hexdigest() == FULL_BUILD_DIGEST
 
 
 def test_bytes_chain_agrees_with_tuple_codec(monkeypatch):

@@ -1,11 +1,11 @@
-"""Guards for seven package-wide invariants: exact arithmetic only (no
+"""Guards for eight package-wide invariants: exact arithmetic only (no
 float literal, no float() call, no true division), no dependency outside
 the standard library (every absolute import is a stdlib module), no code
 in the package that only the tests reach, memoization through
 functools.cache only (no module-level container that functions fill), no
 state keyed by object identity (no id() call), a cold import of the
-command line that loads neither dataclasses nor inspect, and field tables
-read by ff and linalg only."""
+command line that loads neither dataclasses nor inspect, field tables
+read by ff and linalg only, and no read of the environment."""
 
 import ast
 import subprocess
@@ -239,3 +239,21 @@ def test_only_ff_and_linalg_read_the_field_tables():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "tables"}
     assert readers == {"ff.py", "linalg.py"}
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path):
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ENVIRONMENT_READS for a in node.names)]
+
+
+def test_no_environment_reads():
+    """No package code reads os.environ or os.getenv: a tuning constant
+    such as perm.WALK_IDLE stays a constant, and a run depends on its
+    arguments and files alone."""
+    assert [r for path in SOURCES for r in environment_reads(path)] == []
