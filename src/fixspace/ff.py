@@ -8,13 +8,12 @@ coefficients (constant term first) read as the smallest base-p integer,
 so fields built twice agree element for element. Polynomials are tuples
 of elements, lowest degree first, trailing zeros stripped; zero is ().
 
-For k > 1 and q <= TABLE_CAP, tables() fills the add, sub, mul and
-inverse tables that linalg's loops read: add and sub digit by digit, mul
-from exp/log lists. FieldCtx.mul and inv read those tables there. Every
-other product of GF(p^k), k > 1, is this module's own polynomial layer
-over the prime field: the exp list, mul above the cap and pow are
-poly_mul, poly_mod and poly_pow_mod of the digit polynomials modulo the
-canonical modulus.
+Over a prime field the element operations are int arithmetic mod p. Over
+GF(p^k), k > 1, add, sub, neg, mul and inv read the tables of tables(),
+which exist up to q = TABLE_CAP and raise ValueError above it. pow (so
+frobenius) is poly_pow_mod of the digit polynomial modulo the canonical
+modulus over the prime field, at every q: tables() needs it to find the
+multiplicative generator whose exp list fills MUL.
 
 Over a prime field, poly_mul and poly_divmod run on plain ints, with one
 reduction mod p per output coefficient (the _*_mod helpers), and so does
@@ -102,18 +101,18 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
-TABLE_CAP = 256   # largest GF(p^k), k > 1, with linear-algebra tables
+TABLE_CAP = 256   # largest GF(p^k), k > 1, with tables, so with add, sub, neg, mul, inv
 
 
 class FieldCtx:
     """Arithmetic context for GF(p^k); an element is an int in [0, q).
 
-    add/sub/neg/pow/frobenius follow the definition in the module
-    docstring and build nothing; so do mul and inv, except over GF(p^k),
-    k > 1, q <= TABLE_CAP, where they read tables(). tables() gives the
-    linear-algebra loops their table rows, built on the first call.
-    Over GF(p^k), k > 1, it keeps its prime field GF(p): every product it
-    does not read from a table is a product of digit polynomials over GF(p).
+    Over GF(p), every operation is int arithmetic mod p. Over GF(p^k),
+    k > 1, add, sub, neg, mul and inv read tables(), built on the first
+    call, so they serve q <= TABLE_CAP only and raise ValueError above;
+    pow, frobenius and element serve every q; over GF(p^k), k > 1, pow
+    takes the power of the digit polynomial over the context's prime
+    field GF(p).
     """
 
     __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_places", "_base", "_tables")
@@ -140,49 +139,40 @@ class FieldCtx:
     def add(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        return self._pack([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
+        return self.tables()[0][a][b]
 
     def sub(self, a, b):
         if self.k == 1:
             return (a - b) % self.p
-        p = self.p
-        return self._pack([(x - y) % p for x, y in zip(self._digits(a), self._digits(b))])
+        return self.tables()[1][a][b]
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        return self._pack([(-x) % p for x in self._digits(a)])
+        return self.sub(0, a)
 
     def mul(self, a, b):
         if self.k == 1:
             return a * b % self.p
-        if self.q <= TABLE_CAP:
-            return self.tables()[2][a][b]
-        B = self._base
-        return self._pack(poly_mod(B, poly_mul(B, self._digits(a), self._digits(b)),
-                                   self.modulus))
+        return self.tables()[2][a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
-        if self.q <= TABLE_CAP:
-            return self.tables()[3][a]
-        return self.pow(a, self.q - 2)
+        return self.tables()[3][a]
 
     def pow(self, a, e: int):
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            if a == 0:
+                raise ZeroDivisionError("field inverse of zero")
+            e %= self.q - 1
         if self.k == 1:
             return pow(a, e, self.p)
         return self._pack(poly_pow_mod(self._base, self._digits(a), e, self.modulus))
 
     def frobenius(self, a, i: int = 1):
         """a -> a^(p^i)."""
-        return self.pow(a, self.p ** (i % self.k if self.k > 1 else 1))
+        return self.pow(a, self.p ** (i % self.k))
 
     def element(self, n: int) -> int:
         """n itself when it is an element, an int in [0, q); ValueError otherwise."""
@@ -434,17 +424,8 @@ def poly_eval(F: FieldCtx, f, x):
 
 
 def poly_deriv(F: FieldCtx, f) -> tuple:
-    p = F.p
-    out = []
-    for i in range(1, len(f)):
-        m = i % p
-        if m == 0:
-            out.append(F.zero)
-        elif m == 1:
-            out.append(f[i])
-        else:
-            out.append(F.mul(m, f[i]))
-    return _strip(out)
+    # i mod p < p is the constant i in every field
+    return _strip([F.mul(i % F.p, f[i]) for i in range(1, len(f))])
 
 
 def poly_divides(F: FieldCtx, d, f) -> bool:
@@ -520,13 +501,8 @@ def _sqfree_into(F: FieldCtx, f, mult: int, out: dict) -> None:
 
 def _pth_root_poly(F: FieldCtx, f) -> tuple:
     """For f with zero derivative, the g with g(x)^p = f(x)."""
-    p = F.p
-    out = []
-    for i in range(0, len(f), p):
-        c = f[i]
-        # coefficient p-th root: inverse Frobenius
-        out.append(c if F.k == 1 else F.pow(c, F.q // p))
-    return _strip(out)
+    # coefficient p-th root: inverse Frobenius, c^(q/p)
+    return _strip([F.pow(c, F.q // F.p) for c in f[::F.p]])
 
 
 def root_multiplicity(F: FieldCtx, f, a) -> int:

@@ -10,7 +10,7 @@ kron and mat_mul) have two loops each, chosen by ``F.k == 1``: over a prime
 field an integer loop with ``% p`` inline, over GF(p^k) a loop that
 indexes the field's tables (``F.tables()``, so q <= 256), a row operation
 reading ``SUB[x][MUL[f][y]]``. char_poly and nullspace call the FieldCtx
-methods, which serve every field.
+methods, which over GF(p^k) read the same tables.
 """
 
 from operator import mul as _imul

@@ -491,26 +491,26 @@ def embed_matrix_group(F: FieldCtx, dim: int, matrices, name: str = None):
         if len(orbit) > DEGREE_CAP:
             raise OrbitTooLarge(f"orbit exceeds {DEGREE_CAP} vectors")
 
+    # the walk takes each orbit vector once, in orbit order, and records
+    # the index of its image under each generator: images[j][k] is where
+    # mats[j] sends orbit[k]
+    images = [[] for _ in mats]
     basis = [tuple(row) for row in linalg.eye(F, dim)]
+    k = 0
     for e in basis:
         if e in index:
             continue
-        start = len(orbit)
         visit(e)
-        k = start
         while k < len(orbit):
             v = orbit[k]
-            for M in mats:
+            for M, row in zip(mats, images):
                 w = linalg.mat_vec(F, M, v)
                 if w not in index:
                     visit(w)
+                row.append(index[w])
             k += 1
     seed_index = tuple(index[e] for e in basis)
-    perms = [
-        tuple(index[linalg.mat_vec(F, M, v)] for v in orbit)
-        for M in mats
-    ]
-    group = PermGroup(len(orbit), perms, name=name)
+    group = PermGroup(len(orbit), list(map(tuple, images)), name=name)
     spec = ModuleSpec(
         kind="explicit",
         group=group,

@@ -51,6 +51,7 @@ no chain when the first base point's orbit is short.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from math import gcd, lcm, prod
 from typing import Callable, NamedTuple
@@ -137,11 +138,16 @@ def bulk_codec(degree: int) -> Codec:
     Up to degree 256 an element is its length-n image `bytes`: translate
     composes, maketrans inverts, and encodings sort like the tuples.  A
     right operand is padded to the 256-byte table translate takes.  Above
-    256 an element is its image tuple and the tuple helpers do the work.
-    Cached: every group of one degree shares one codec."""
+    256 an element is its image tuple and the tuple helpers do the work;
+    its encode, like bytes(), raises ValueError on an entry that is no
+    point.  Cached: every group of one degree shares one codec."""
     if degree > 256:
-        # tuple() of a tuple is that tuple: no copies
-        return Codec(tuple, pinv, tuple, pmul)
+        def encode(images) -> tuple:
+            g = tuple(images)   # tuple() of a tuple is that tuple: no copy
+            if min(g) < 0 or max(g) >= degree:
+                raise ValueError(f"image tuple has an entry outside 0..{degree - 1}")
+            return g
+        return Codec(encode, pinv, tuple, pmul)
     pad = bytes(range(degree, 256))
     ident = bytes(range(degree))
     return Codec(bytes, lambda g: bytes.maketrans(g, ident)[:degree],
@@ -493,7 +499,7 @@ class PermGroup:
         try:
             g = self.codec.encode(g)
         except ValueError:
-            return False   # an entry outside 0..255 is no point of the group
+            return False   # an entry the codec refuses is no point of the group
         res, _ = self._sift(g)
         return res == self._ident
 
@@ -534,11 +540,13 @@ class PermGroup:
         stabilizer, so the product is a lower bound on the subgroup order,
         and reaching |G| proves that elems generate.  When the walk stalls
         the deterministic Schreier loop takes over, and a proper subgroup
-        gets its full chain.  The partial chain is discarded here."""
-        elems = [perm_from_images(e) for e in elems]
+        gets its full chain.  The partial chain is discarded here.  A
+        member of G is a permutation, so the bijection check here runs
+        only on a non-member, to name it; PermGroup checks the rest."""
+        elems = list(elems)
         for e in elems:
             if not self.contains(e):
-                raise NotInGroup(f"{format_cycles(e)} is not in the group")
+                raise NotInGroup(f"{format_cycles(perm_from_images(e))} is not in the group")
         return PermGroup(self.degree, elems, _stop_at=self.order).order
 
     def generated_by(self, elems) -> bool:
@@ -725,22 +733,20 @@ def parse_group_text(text: str) -> PermGroup:
     return PermGroup(degree, gens, name=name)
 
 
+# one cycle: ASCII decimal entries, spaces allowed around commas and parentheses
+_CYCLE = re.compile(r"\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*\)\s*")
+
+
 def _parse_cycles(text: str) -> list:
-    text = text.replace(" ", "")
-    if text == "()":
-        return []
     cycles = []
     i = 0
     while i < len(text):
-        if text[i] != "(":
-            raise ValueError(f"expected '(' in cycle notation: {text!r}")
-        j = text.find(")", i)
-        if j < 0:
-            raise ValueError(f"unclosed cycle in {text!r}")
-        body = text[i + 1 : j]
-        if body:
-            cycles.append(tuple(int(tok) for tok in body.split(",")))
-        i = j + 1
+        m = _CYCLE.match(text, i)
+        if m is None:
+            raise ValueError(f"expected a cycle '(a,b,...)' of decimal entries at {text[i:]!r}")
+        if m[1]:
+            cycles.append(tuple(map(int, m[1].split(","))))
+        i = m.end()
     return cycles
 
 

@@ -336,7 +336,17 @@ def test_poly_roots_of_distinct_linear_factors_in_characteristic_two(monkeypatch
 
 
 # GF(p^k) elements are ints; the tuple field in fieldoracle is the reference
-# for the digit arithmetic and for the tables filled from it
+# for the tables and for the FieldCtx operations that read them
+
+def assert_ops_match(F, T, x, y):
+    a, b = T.element(x), T.element(y)
+    assert F.add(x, y) == T.encode(T.add(a, b))
+    assert F.sub(x, y) == T.encode(T.sub(a, b))
+    assert F.neg(x) == T.encode(T.neg(a))
+    assert F.mul(x, y) == T.encode(T.mul(a, b))
+    if x:
+        assert F.inv(x) == T.encode(T.inv(a))
+
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
 def test_tables_match_tuple_oracle_on_every_pair(q):
@@ -349,6 +359,8 @@ def test_tables_match_tuple_oracle_on_every_pair(q):
         assert list(MUL[x]) == [T.encode(T.mul(el[x], b)) for b in el]
         if x:
             assert INV[x] == T.encode(T.inv(el[x]))
+        for y in range(q):
+            assert_ops_match(F, T, x, y)
     assert F.tables() is F.tables()
 
 
@@ -365,24 +377,37 @@ def test_tables_match_tuple_oracle_on_samples(q):
         assert MUL[x][y] == T.encode(T.mul(a, b))
         if x:
             assert INV[x] == T.encode(T.inv(a))
+        assert_ops_match(F, T, x, y)
 
 
+# above the cap a GF(p^k), k > 1, has pow (digit polynomials over GF(p)),
+# frobenius and element; every other operation names the cap
 @pytest.mark.parametrize("p, k", [(2, 9), (3, 6), (5, 4), (7, 3), (101, 2), (2, 16)])
 def test_digit_arithmetic_above_the_table_cap_matches_tuple_oracle(p, k):
     F, T = make_field(p, k), TupleField(p, k)
     rng = random.Random(p * 100 + k)
     for _ in range(200):
-        x, y = rng.randrange(F.q), rng.randrange(F.q)
-        a, b = T.element(x), T.element(y)
-        assert F.add(x, y) == T.encode(T.add(a, b))
-        assert F.sub(x, y) == T.encode(T.sub(a, b))
-        assert F.neg(x) == T.encode(T.neg(a))
-        assert F.mul(x, y) == T.encode(T.mul(a, b))
-        e = rng.randrange(40)
+        x, e = rng.randrange(1, F.q), rng.randrange(40)
+        a = T.element(x)
         assert F.pow(x, e) == T.encode(T.pow(a, e))
-        if x:
-            assert F.inv(x) == T.encode(T.inv(a))
-    with pytest.raises(ValueError, match="no tables"):
-        F.tables()
+        assert F.pow(x, -e) == T.encode(T.pow(T.inv(a), e))
+        assert F.frobenius(x) == T.encode(T.pow(a, p))
+    assert F.pow(0, 0) == 1 and F.pow(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+    for op, args in (("add", (1, 2)), ("sub", (1, 2)), ("neg", (1,)),
+                     ("mul", (2, 3)), ("inv", (2,)), ("tables", ())):
+        with pytest.raises(ValueError, match=f"no tables.* {ff.TABLE_CAP}"):
+            getattr(F, op)(*args)
     with pytest.raises(ValueError, match="no tables"):
         make_field(p).tables()
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_poly_deriv_of_monomials_reads_the_exponent_mod_p(q):
+    F = make_field(*ff.prime_power(q))
+    for i in range(1, 3 * F.p + 2):
+        monomial = (0,) * i + (F.one,)
+        # d/dx x^i = (i mod p) x^(i-1): the constant i mod p, an int below p
+        expected = (0,) * (i - 1) + (i % F.p,) if i % F.p else ()
+        assert poly_deriv(F, monomial) == expected, (q, i)

@@ -416,6 +416,19 @@ def test_group_file_errors_name_the_line(text, line):
         parse_group_text(text)
 
 
+@pytest.mark.parametrize("cycle", ["(1 2)", "(1_0,2)", "(+1,2)", "(1,,2)", "(1,2)x"])
+def test_group_file_cycle_entries_are_decimal_digits(cycle):
+    # with its space dropped, "(1 2)" would read as the 1-cycle (12), the identity
+    text = f"group T\ndegree 20\ngen {cycle}\ngen (1,2,3)\n"
+    with pytest.raises(ValueError, match=re.escape(f"line 3 'gen {cycle}'")):
+        parse_group_text(text)
+
+
+def test_group_file_cycles_allow_spaces_around_commas_and_parentheses():
+    spaced = parse_group_text("degree 4\ngen (1, 2)( 3 ,4)\n").gens[0]
+    assert spaced == parse_group_text("degree 4\ngen (1,2)(3,4)\n").gens[0] == (1, 0, 3, 2)
+
+
 def test_group_from_generators_rejects_non_bijections():
     with pytest.raises(NotBijection):
         PermGroup(3, [(0, 0, 1)])
@@ -649,12 +662,33 @@ def test_contains_rejects_entries_past_the_byte_range():
     assert H.contains(tuple(range(256)))
 
 
+def test_contains_rejects_entries_outside_the_points_above_degree_256():
+    # the tuple codec: as an index, -1 would alias the last point and 300 raise IndexError
+    c = tuple(range(1, 300)) + (0,)
+    G = PermGroup(300, [c])
+    assert G.contains(c) and G.contains(identity(300))
+    aliased = list(c)
+    aliased[aliased.index(299)] = -1
+    assert not G.contains(tuple(aliased))
+    assert not G.contains(c[:-1] + (300,))
+
+
 def test_subgroup_order_rejects_non_permutations_by_name():
     G = builtin_group('A5')
     with pytest.raises(NotBijection, match=re.escape("(0, 0, 1, 2, 3)")):
         G.subgroup_order([(0, 0, 1, 2, 3)])
     with pytest.raises(NotBijection):
         G.subgroup_order([(0, 1, 2, 3, 300)])
+
+
+def test_subgroup_order_checks_each_element_once(monkeypatch):
+    G = builtin_group('A7')
+    elems = [perm_from_cycles(7, [(1, 2, 3)]), perm_from_cycles(7, [(3, 4, 5, 6, 7)]),
+             perm_from_cycles(7, [(1, 2), (3, 4)])]
+    calls, check = [], perm.perm_from_images
+    monkeypatch.setattr(perm, "perm_from_images", lambda g: calls.append(g) or check(g))
+    assert G.subgroup_order(elems) == G.order
+    assert len(calls) == len(elems)
 
 
 def test_classes_refuse_groups_past_the_cap():
