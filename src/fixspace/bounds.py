@@ -11,7 +11,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .ff import is_prime, make_field, multiplicative_order
-from .linalg import eye, rank, shift
+from .linalg import extend_basis, eye, shift
 from .matrep import (
     MatRep,
     build_rep,
@@ -168,36 +168,46 @@ def scott_check(rep: MatRep, x, y) -> ScottReport:
     """Fixed dims of x, y, (xy)^-1 against dim V plus the invariants of
     <x, y> on V and on its dual.  The inequality is a theorem; a failure
     means a computation bug, so callers treat holds=False as fatal.
-    Raises NotInGroup when x or y lies outside the represented group.
+    Raises NotInGroup when x or y lies outside the represented group; x and
+    y may be lists, as for fixed_space_dim.
     """
     if not (rep.group.contains(x) and rep.group.contains(y)):
         raise NotInGroup("element is outside the represented group")
-    return _scott(rep, x, y, {})
+    return _scott(rep, tuple(x), tuple(y), {})
 
 
 def _shifts(rep: MatRep, x, y, memo: dict) -> tuple:
-    """For each of x, y and (xy)^-1, image(g) - 1 and its nullity, the
-    fixed dimension of g, from a memo that maps each element to its pair
-    and fills as it goes."""
+    """For each of x, y and (xy)^-1, image(g) - 1, a basis of its row space
+    as extend_basis keeps it (rows, pivots), and n minus the basis length,
+    the fixed dimension of g; from a memo that maps each element to those
+    four and fills as it goes."""
     F, n = rep.field, rep.dim
     elems = (x, y, pinv(pmul(x, y)))
     for g in elems:
         if g not in memo:
             M = shift(F, rep.image(g), F.one)
-            memo[g] = M, n - rank(F, M)
+            rows, pivots = [], []
+            memo[g] = M, rows, pivots, n - extend_basis(F, rows, pivots, M, n)
     return tuple(memo[g] for g in elems)
 
 
 def _scott(rep: MatRep, x, y, memo: dict) -> ScottReport:
     """scott_check on known group elements, with a _shifts memo. With X, Y,
     Z the images of x, y, (xy)^-1 minus 1, each number is n minus a rank:
-    of X, Y, Z; of X stacked on Y, whose kernel <x, y> fixes; of X beside
-    Y, whose left kernel <x, y> fixes on the dual, as (X^-1)^T v = v iff
-    (X - 1)^T v = 0."""
+    of X, Y, Z, read off their memoized row bases; of X stacked on Y,
+    whose kernel <x, y> fixes, by growing a copy of X's basis with Y's
+    basis rows; of X beside Y, whose left kernel <x, y> fixes on the dual,
+    as (X^-1)^T v = v iff (X - 1)^T v = 0, by growing a basis with its
+    rows. Whatever <x, y> fixes, on V or on the dual, each of x, y and
+    (xy)^-1 fixes, and g fixes as much of the dual as of V; so when one of
+    dx, dy, dz is 0, both joint numbers are 0 and no further rank is
+    taken."""
     F, n = rep.field, rep.dim
-    (X, dx), (Y, dy), (_, dz) = _shifts(rep, x, y, memo)
-    inv = n - rank(F, X + Y)
-    dinv = n - rank(F, [a + b for a, b in zip(X, Y)])
+    (X, xrows, xpivots, dx), (Y, yrows, _, dy), (*_, dz) = _shifts(rep, x, y, memo)
+    inv = dinv = 0
+    if min(dx, dy, dz):
+        inv = n - extend_basis(F, list(xrows), list(xpivots), yrows, n)
+        dinv = n - extend_basis(F, [], [], [a + b for a, b in zip(X, Y)], n)
     lhs, rhs = dx + dy + dz, n + inv + dinv
     return ScottReport(lhs, rhs, dx, dy, dz, n, inv, dinv, lhs <= rhs)
 
@@ -218,7 +228,7 @@ def scott_suite(rep: MatRep, pairs: int = 1000, seed: int = 1) -> ScottSuiteRepo
     for _ in range(pairs):
         x = rep.group.random_element(stream)
         y = rep.group.random_element(stream)
-        if (sum(d for _, d in _shifts(rep, x, y, memo)) > rep.dim
+        if (sum(d for *_, d in _shifts(rep, x, y, memo)) > rep.dim
                 and not _scott(rep, x, y, memo).holds):
             violations.append((x, y))
     return ScottSuiteReport(pairs, tuple(violations))

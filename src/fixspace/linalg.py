@@ -4,13 +4,18 @@ Matrices are lists of row lists of field elements; vectors are tuples.
 Sizes stay small throughout the package, so schoolbook methods are used
 everywhere and every routine is deterministic.
 
-Field elements are ints (see ff). The hot routines (rref, mat_vec,
-reduce_vec, scale_vec, add_scaled and shift, and through them rref_coords,
-kron and mat_mul) have two loops each, chosen by ``F.k == 1``: over a prime
-field an integer loop with ``% p`` inline, over GF(p^k) a loop that
-indexes the field's tables (``F.tables()``, so q <= 256), a row operation
-reading ``SUB[x][MUL[f][y]]``. char_poly and nullspace call the FieldCtx
-methods, which over GF(p^k) read the same tables.
+Field elements are ints (see ff). One row-reduction kernel,
+extend_basis, grows a basis a vector at a time: rank counts its rows (so
+fixed spaces), rref sorts them by pivot and clears each at the pivots of
+the rows below it, and Scott's ranks in bounds and the spin closures of
+matrep.spin_span grow their own bases with it. The hot routines
+(extend_basis, mat_vec, reduce_vec, scale_vec, add_scaled and shift, and
+through them rank, rref, rref_coords, kron and mat_mul) have two loops
+each, chosen by ``F.k == 1``: over a prime field an integer loop with
+``% p`` inline, over GF(p^k) a loop that indexes the field's tables
+(``F.tables()``, so q <= 256), a row operation reading
+``SUB[x][MUL[f][y]]``. char_poly and nullspace call the FieldCtx methods,
+which over GF(p^k) read the same tables.
 """
 
 from operator import mul as _imul
@@ -60,68 +65,17 @@ def kron(F: FieldCtx, A: list, B: list) -> list:
 
 
 def rref(F: FieldCtx, rows: list):
-    """Reduced row echelon form (copy) and its pivot column list."""
-    if F.k == 1:
-        return _rref_mod(F.p, rows)
-    return _rref_tab(F.tables(), rows)
-
-
-def _rref_mod(p: int, rows: list, _echelon: bool = False):
-    M = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(M[0]) if M else 0
-    for c in range(ncols):
-        for pr in range(r, len(M)):
-            if M[pr][c]:
-                break
-        else:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        row = M[r]
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            row = M[r] = [inv * x % p for x in row]
-        for i in range(r + 1 if _echelon else 0, len(M)):
-            f = M[i][c]
-            if f and i != r:
-                f = p - f
-                M[i] = [(x + f * y) % p for x, y in zip(M[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return M[:r], pivots
-
-
-def _rref_tab(tables: tuple, rows: list, _echelon: bool = False):
-    _, SUB, MUL, INV = tables
-    M = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(M[0]) if M else 0
-    for c in range(ncols):
-        for pr in range(r, len(M)):
-            if M[pr][c]:
-                break
-        else:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        row = M[r]
-        inv = INV[row[c]]
-        if inv != 1:
-            m = MUL[inv]
-            row = M[r] = [m[x] for x in row]
-        for i in range(r + 1 if _echelon else 0, len(M)):
-            f = M[i][c]
-            if f and i != r:
-                m = MUL[f]
-                M[i] = [SUB[x][m[y]] for x, y in zip(M[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return M[:r], pivots
+    """Reduced row echelon form (copy) and its pivot column list: the rows
+    extend_basis keeps, in pivot order, each then reduced against the rows
+    below it, which clears it at their pivots."""
+    basis, pivots = [], []
+    extend_basis(F, basis, pivots, rows, len(rows[0]) if rows else 0)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    R = [basis[i] for i in order]
+    pivots = [pivots[i] for i in order]
+    for i in range(len(R) - 2, -1, -1):
+        R[i] = reduce_vec(F, R[i + 1:], pivots[i + 1:], R[i])
+    return R, pivots
 
 
 def rref_coords(F: FieldCtx, rows: list, pivots: list, w) -> list:
@@ -174,6 +128,82 @@ def _reduce_vec_tab(tables: tuple, rows: list, pivots: list, v) -> list:
     return v
 
 
+def extend_basis(F: FieldCtx, rows: list, pivots: list, vectors, limit: int) -> int:
+    """Grow the basis rows, with pivot columns pivots, by the vectors in
+    turn, and return len(rows).
+
+    Each vector is reduced against the rows as in reduce_vec; a nonzero
+    result joins them scaled to a leading one, its first nonzero column
+    joining pivots. So each row is 1 at its pivot and 0 at the pivots of
+    the rows before it, and reduce_vec leaves zero exactly on their span.
+    Growth stops once there are limit rows, and no vector is read after
+    that. rows and pivots are extended in place; the vectors are not
+    changed, and no row is one of them.
+    """
+    if F.k == 1:
+        return _extend_mod(F.p, rows, pivots, vectors, limit)
+    return _extend_tab(F.tables(), rows, pivots, vectors, limit)
+
+
+def _extend_mod(p: int, rows: list, pivots: list, vectors, limit: int) -> int:
+    r = len(rows)
+    if r >= limit:
+        return r
+    for v in vectors:
+        w = v
+        for row, piv in zip(rows, pivots):
+            c = w[piv]
+            if c:
+                c = p - c
+                w = [(x + c * y) % p for x, y in zip(w, row)]
+        for piv, c in enumerate(w):
+            if c:
+                break
+        else:
+            continue
+        if c != 1:
+            c = pow(c, -1, p)
+            w = [c * x % p for x in w]
+        elif w is v:
+            w = list(v)
+        rows.append(w)
+        pivots.append(piv)
+        r += 1
+        if r == limit:
+            break
+    return r
+
+
+def _extend_tab(tables: tuple, rows: list, pivots: list, vectors, limit: int) -> int:
+    _, SUB, MUL, INV = tables
+    r = len(rows)
+    if r >= limit:
+        return r
+    for v in vectors:
+        w = v
+        for row, piv in zip(rows, pivots):
+            c = w[piv]
+            if c:
+                m = MUL[c]
+                w = [SUB[x][m[y]] for x, y in zip(w, row)]
+        for piv, c in enumerate(w):
+            if c:
+                break
+        else:
+            continue
+        if c != 1:
+            m = MUL[INV[c]]
+            w = [m[x] for x in w]
+        elif w is v:
+            w = list(v)
+        rows.append(w)
+        pivots.append(piv)
+        r += 1
+        if r == limit:
+            break
+    return r
+
+
 def scale_vec(F: FieldCtx, c, v) -> list:
     """c * v."""
     if F.k == 1:
@@ -207,10 +237,9 @@ def shift(F: FieldCtx, M: list, c) -> list:
 
 
 def rank(F: FieldCtx, A: list) -> int:
-    """Rank by forward elimination: only rows below a pivot are cleared."""
-    if F.k == 1:
-        return len(_rref_mod(F.p, A, _echelon=True)[1])
-    return len(_rref_tab(F.tables(), A, _echelon=True)[1])
+    """The number of rows extend_basis keeps from A, stopping once they
+    fill every column."""
+    return extend_basis(F, [], [], A, len(A[0]) if A else 0)
 
 
 def nullity(F: FieldCtx, A: list) -> int:

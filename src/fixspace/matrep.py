@@ -361,33 +361,17 @@ class IrredResult(NamedTuple):
 def spin_span(F: FieldCtx, mats, seeds) -> tuple:
     """Row-reduced basis of the smallest mats-invariant space containing seeds.
 
-    A vector joins the rows when reduce_vec leaves it nonzero, scaled to a
-    leading one; so each row is zero at the pivots of the rows before it,
-    and reduce_vec against them leaves zero exactly on their span. The
-    reduced echelon basis of a span is unique: one rref at the end gives it.
-    Spinning stops once the rows span the whole space.
+    One basis grows through linalg.extend_basis: by the seeds, then by the
+    images under mats of each row, rows that join included, so the rows
+    end spanning the closure. The reduced echelon basis of a span is
+    unique: one rref at the end gives it. extend_basis reads no image once
+    the rows span the whole space, so no product is taken then.
     """
-    rows, pivots, queue = [], [], []
-
-    def grew(v) -> bool:
-        v = linalg.reduce_vec(F, rows, pivots, v)
-        piv = next((j for j, x in enumerate(v) if x != F.zero), None)
-        if piv is None:
-            return False
-        rows.append(linalg.scale_vec(F, F.inv(v[piv]), v))
-        pivots.append(piv)
-        return True
-
-    for v in seeds:
-        if grew(v):
-            queue.append(tuple(v))
-    for v in queue:
-        for M in mats:
-            if len(rows) == len(M):
-                break
-            w = linalg.mat_vec(F, M, v)
-            if grew(w):
-                queue.append(w)
+    rows, pivots = [], []
+    n = len(seeds[0]) if seeds else 0
+    linalg.extend_basis(F, rows, pivots, seeds, n)
+    for v in rows:
+        linalg.extend_basis(F, rows, pivots, (linalg.mat_vec(F, M, v) for M in mats), n)
     return tuple(tuple(r) for r in linalg.rref(F, rows)[0])
 
 

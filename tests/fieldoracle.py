@@ -106,7 +106,7 @@ class TupleField:
 # linalg loops --------------------------------------------------------------
 
 
-def rref_field(F: TupleField, rows: list, echelon: bool = False):
+def rref_field(F: TupleField, rows: list):
     M = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -123,7 +123,7 @@ def rref_field(F: TupleField, rows: list, echelon: bool = False):
         inv = F.inv(M[r][c])
         if inv != F.one:
             M[r] = [F.mul(inv, x) for x in M[r]]
-        for i in range(r + 1 if echelon else 0, len(M)):
+        for i in range(len(M)):
             if i != r and M[i][c] != F.zero:
                 f = M[i][c]
                 M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
@@ -153,9 +153,9 @@ def mat_vec_field(F: TupleField, A: list, v) -> tuple:
     return tuple(out)
 
 
-def rref_ints(F: TupleField, rows: list, echelon: bool = False):
+def rref_ints(F: TupleField, rows: list):
     """rref_field on a matrix of ints, with its rows as ints."""
-    M, pivots = rref_field(F, F.lift(rows), echelon)
+    M, pivots = rref_field(F, F.lift(rows))
     return F.drop(M), pivots
 
 

@@ -223,6 +223,40 @@ def test_scott_check_matches_old_composition(seed):
     assert joint
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scott_check_branches_match_old_composition(seed, monkeypatch):
+    # on the pairs of test_scott_check_matches_old_composition: a pair with
+    # min(dx, dy, dz) = 0 grows no basis beyond its elements' own, one per
+    # distinct element, and a pair with min > 0 grows two more (X's copy by
+    # Y's rows, and the rows of X beside Y); over prime and extension fields
+    # both kinds occur, and every report is old_scott's
+    reps = [(e.ident, e.rep) for e in catalog()]
+    reps += [(repr(rep), rep) for rep in extension_field_modules()]
+    assert len(reps) == 64
+    grown = [0]
+    extend = bounds.extend_basis
+
+    def counted(*args):
+        grown[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(bounds, "extend_basis", counted)
+    kinds = set()
+    for ident, rep in reps:
+        stream = SeedStream(seed)
+        pairs = [(rep.group.random_element(stream), rep.group.random_element(stream))
+                 for _ in range(20)]
+        pairs.append((pairs[0][0], ppow(pairs[0][0], 2)))
+        for x, y in pairs:
+            grown[0] = 0
+            got = scott_check(rep, x, y)
+            joint = min(got.fixed_x, got.fixed_y, got.fixed_product_inv) > 0
+            assert grown[0] == len({x, y, pinv(pmul(x, y))}) + 2 * joint, (ident, x, y)
+            assert got == old_scott(rep, x, y), (ident, x, y)
+            kinds.add((rep.field.k > 1, joint))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_scott_check_tells_the_dual_from_the_module():
     # x = 1 + E12 and y = 1 + E13 on the natural SL3(3) module fix the line
     # of e1, while on the dual they fix the plane e1* = 0
@@ -249,6 +283,17 @@ def test_scott_check_rejects_elements_outside_the_group():
         scott_check(rep, odd, inside)
     with pytest.raises(NotInGroup):
         scott_check(rep, inside, odd)
+
+
+def test_scott_check_takes_a_list_pair_as_the_same_tuples():
+    # fixed_space_dim takes a list; so does scott_check, whose memo keys
+    # on the elements
+    rep = deleted_rep("A5", 3)
+    stream = SeedStream(4)
+    for _ in range(5):
+        x, y = rep.group.random_element(stream), rep.group.random_element(stream)
+        assert scott_check(rep, list(x), list(y)) == scott_check(rep, x, y)
+        assert fixed_space_dim(rep, list(x)) == fixed_space_dim(rep, x)
 
 
 # scott_suite's per-call memo against checks that image every element ----

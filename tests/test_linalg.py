@@ -178,6 +178,54 @@ def test_rank_by_forward_elimination_matches_rref(p, k, monkeypatch):
 
 
 @pytest.mark.parametrize("q", PRIMES + TABLE_FIELDS)
+def test_extend_basis_keeps_a_semi_reduced_basis_of_the_row_space(q):
+    # the row count is the rref's; every input row reduces to zero on the
+    # kept rows, each 1 at its pivot (its first nonzero entry) and 0 at the
+    # pivots before it; growth stops at the limit, reading no further
+    # vector; a basis grows in two calls as in one, and not at all once it
+    # has limit rows; the input stays as it was
+    F = make_field(*prime_power(q))
+    mats = shaped_matrices(F, SeedStream(600 + q))
+    cut = 0
+    for A in mats:
+        before = [list(r) for r in A]
+        n = len(A[0])
+        rows, pivots = [], []
+        r = linalg.extend_basis(F, rows, pivots, A, n)
+        assert r == len(rows) == len(pivots) == len(rref(F, A)[1])
+        for v in A:
+            assert not any(linalg.reduce_vec(F, rows, pivots, v))
+        for i, (row, piv) in enumerate(zip(rows, pivots)):
+            assert row[piv] == F.one and not any(row[:piv])
+            assert all(row[c] == F.zero for c in pivots[:i])
+            assert all(row is not v for v in A)
+        for limit in range(r):
+            read = []
+            counted = (read.append(v) or v for v in A)
+            got_rows, got_pivots = [], []
+            assert linalg.extend_basis(F, got_rows, got_pivots, counted, limit) == limit
+            assert (got_rows, got_pivots) == (rows[:limit], pivots[:limit])
+            # the last vector read is the one that made the limit-th row
+            assert read == A[:len(read)]
+            assert len(rref(F, read)[1]) == limit
+            assert not read or len(rref(F, read[:-1])[1]) == limit - 1
+            cut += limit > 0
+        half = len(A) // 2
+        two_rows, two_pivots = [], []
+        linalg.extend_basis(F, two_rows, two_pivots, A[:half], n)
+        assert linalg.extend_basis(F, two_rows, two_pivots, A[half:], n) == r
+        assert (two_rows, two_pivots) == (rows, pivots)
+        assert linalg.extend_basis(F, list(rows), list(pivots), unread(), r) == r
+        assert A == before
+    assert cut
+
+
+def unread():
+    raise AssertionError("a vector was read past the limit")
+    yield
+
+
+@pytest.mark.parametrize("q", PRIMES + TABLE_FIELDS)
 def test_int_vector_ops_match_field_loop(q):
     F, T = make_field(*prime_power(q)), TupleField(*prime_power(q))
     s = SeedStream(200 + q)

@@ -370,23 +370,29 @@ def test_norton_verdicts_match_spin_oracle():
 ])
 def test_spin_span_stops_once_the_span_is_full(recipe, monkeypatch):
     # on an irreducible module every nonzero seed spins to the whole space;
-    # no matrix-vector product may come after the rows span it
+    # no matrix-vector product may come after the rows span it, so each
+    # product records the length of the rows spin_span grows at that moment
     from fixspace import linalg
     rep = build_rep(parse_module_text(recipe))
     F, n = rep.field, rep.dim
-    events = []
-    for name, tag in (("mat_vec", "product"), ("scale_vec", "row")):
-        def traced(*args, _fn=getattr(linalg, name), _tag=tag):
-            events.append(_tag)
-            return _fn(*args)
-        monkeypatch.setattr(linalg, name, traced)
+    grown, sizes = [], []
+
+    def basis(F, rows, *args, _fn=linalg.extend_basis):
+        grown[:] = [rows]
+        return _fn(F, rows, *args)
+
+    def product(*args, _fn=linalg.mat_vec):
+        sizes.append(len(grown[0]))
+        return _fn(*args)
+
+    monkeypatch.setattr(linalg, "extend_basis", basis)
+    monkeypatch.setattr(linalg, "mat_vec", product)
     for j in range(n):
         seed = [F.zero] * n
         seed[j] = F.one
-        events.clear()
+        sizes.clear()
         assert spin_span(F, rep.images, [seed]) == tuple(map(tuple, eye(F, n)))
-        full = [i for i, e in enumerate(events) if e == "row"][n - 1]
-        assert "product" not in events[full:], (recipe, j)
+        assert sizes and max(sizes) < n, (recipe, j)
 
 
 def test_embed_matrix_group_builtins():
