@@ -7,20 +7,20 @@ everywhere and every routine is deterministic.
 Field elements are ints (see ff). One row-reduction kernel,
 extend_basis, grows a basis a vector at a time: rank counts its rows (so
 fixed spaces), rref sorts them by pivot and clears each at the pivots of
-the rows below it, and Scott's ranks in bounds and the spin closures of
-matrep.spin_span grow their own bases with it. The hot routines
+the rows below it, nullspace and char_poly grow bases of vectors tagged
+by their coefficients, and Scott's ranks in bounds and the spin closures
+of matrep.spin_span grow their own bases with it. The hot routines
 (extend_basis, mat_vec, reduce_vec, scale_vec, add_scaled and shift, and
-through them rank, rref, rref_coords, kron and mat_mul) have two loops
-each, chosen by ``F.k == 1``: over a prime field an integer loop with
-``% p`` inline, over GF(p^k) a loop that indexes the field's tables
-(``F.tables()``, so q <= 256), a row operation reading
-``SUB[x][MUL[f][y]]``. char_poly and nullspace call the FieldCtx methods,
-which over GF(p^k) read the same tables.
+through them everything else) have two loops each, chosen by
+``F.k == 1``: over a prime field an integer loop with ``% p`` inline,
+over GF(p^k) a loop that indexes the field's tables (``F.tables()``, so
+q <= 256), a row operation reading ``SUB[x][MUL[f][y]]``. No FieldCtx
+element method is called here.
 """
 
 from operator import mul as _imul
 
-from .ff import FieldCtx
+from .ff import FieldCtx, poly_mul
 
 
 def eye(F: FieldCtx, n: int) -> list:
@@ -249,68 +249,47 @@ def nullity(F: FieldCtx, A: list) -> int:
 
 
 def nullspace(F: FieldCtx, A: list) -> list:
-    """Basis of the right kernel {v : A v = 0}, one vector per free column."""
+    """Basis of the right kernel {v : A v = 0}, one vector per free column
+    j, 1 at j and 0 at the other free columns: A's columns grow a basis,
+    column j tagged by e_j with the tags reversed, and a column that
+    depends on those before it leaves a row that is zero but for its
+    tags, led by e_j, whose pivot is past A's rows; its tags are v."""
     if not A:
         return []
-    n = len(A[0])
-    R, pivots = rref(F, A)
-    piv_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in piv_set:
-            continue
-        v = [F.zero] * n
-        v[free] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(R[r][free])
-        basis.append(tuple(v))
-    return basis
+    m, n = len(A), len(A[0])
+    vectors = [list(col) + [F.zero] * (n - 1 - j) + [F.one] + [F.zero] * j
+               for j, col in enumerate(zip(*A))]
+    rows, pivots = [], []
+    extend_basis(F, rows, pivots, vectors, n)
+    return [tuple(reversed(row[m:])) for row, piv in zip(rows, pivots) if piv >= m]
 
 
 def char_poly(F: FieldCtx, A: list) -> tuple:
-    """det(xI - A) as a monic Poly, via exact Hessenberg reduction."""
+    """det(xI - A) as a monic Poly, from Krylov blocks (Keller-Gehrig): for
+    each e_j outside the span W of the blocks so far, A^d e_j tagged by
+    x^d, the tags reversed, grows the basis until one leaves a row that is
+    zero but for its tags, the block's monic relation modulo W. The
+    block's tags are then zeroed, and det(xI - A) is the product of the
+    relations."""
     n = len(A)
-    H = [list(r) for r in A]
-    for c in range(n - 2):
-        pr = None
-        for i in range(c + 1, n):
-            if H[i][c] != F.zero:
-                pr = i
+    out, rows, pivots = (F.one,), [], []
+    zeros = [F.zero] * (n + 1)
+    for j in range(n):
+        if len(rows) == n:
+            break
+        start, v = len(rows), [F.zero] * n
+        v[j] = F.one
+        for d in range(n + 1):
+            w = list(v) + zeros
+            w[2 * n - d] = F.one
+            extend_basis(F, rows, pivots, (w,), len(rows) + 1)
+            if pivots[-1] >= n:
                 break
-        if pr is None:
-            continue
-        if pr != c + 1:
-            H[pr], H[c + 1] = H[c + 1], H[pr]
-            for row in H:
-                row[pr], row[c + 1] = row[c + 1], row[pr]
-        inv = F.inv(H[c + 1][c])
-        for i in range(c + 2, n):
-            if H[i][c] != F.zero:
-                f = F.mul(H[i][c], inv)
-                Hi, Hc = H[i], H[c + 1]
-                for j in range(n):
-                    Hi[j] = F.sub(Hi[j], F.mul(f, Hc[j]))
-                # inverse similarity: column c+1 absorbs column i
-                for row in H:
-                    row[c + 1] = F.add(row[c + 1], F.mul(f, row[i]))
-    # p_m = (x - H[m][m]) p_{m-1} - sum_i H[i][m] (prod subdiag) p_{i-1}
-    polys = [(F.one,)]
-    for m in range(n):
-        prev = polys[m]
-        cur = [F.zero] + list(prev)
-        hm = H[m][m]
-        for j in range(len(prev)):
-            cur[j] = F.sub(cur[j], F.mul(hm, prev[j]))
-        sub = F.one
-        for i in range(m - 1, -1, -1):
-            sub = F.mul(sub, H[i + 1][i])
-            if sub == F.zero:
-                break
-            coeff = F.mul(H[i][m], sub)
-            if coeff != F.zero:
-                pi = polys[i]
-                for j in range(len(pi)):
-                    cur[j] = F.sub(cur[j], F.mul(coeff, pi[j]))
-        polys.append(tuple(cur))
-    return polys[n]
-
+            v = mat_vec(F, A, v)
+        relation = rows.pop()[2 * n - d:]
+        pivots.pop()
+        if d:
+            out = poly_mul(F, out, tuple(reversed(relation)))
+        for row in rows[start:]:
+            row[n:] = zeros
+    return out

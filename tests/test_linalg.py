@@ -75,6 +75,68 @@ def test_char_poly_matches_cofactor_oracle():
             assert cp == char_poly_oracle(F, A)
 
 
+def multi_block_matrices(F, n, stream):
+    """Zero, scalar, diagonal with two repeated entries, two equal random
+    blocks, nilpotent Jordan blocks of size 2 and a permutation with equal
+    cycle lengths (a fixed point left over when n is odd), each as it is
+    and conjugated by random elementary matrices."""
+    def rand():
+        return F.element(stream.randrange(F.q))
+
+    c, a, b = rand(), rand(), rand()
+    h = max(n // 2, 1)
+    block = [[rand() for _ in range(h)] for _ in range(h)]
+    mats = [
+        [[F.zero] * n for _ in range(n)],
+        [[c if i == j else F.zero for j in range(n)] for i in range(n)],
+        [[(a, b)[i % 2] if i == j else F.zero for j in range(n)] for i in range(n)],
+        [[block[i % h][j % h] if i // h == j // h < 2 else F.zero
+          for j in range(n)] for i in range(n)],
+        [[F.one if j == i + 1 and i % 2 == 0 else F.zero for j in range(n)]
+         for i in range(n)],
+        [[F.one if i < 2 * h and j == i - i % h + (i + 1) % h
+          or i == j >= 2 * h else F.zero for j in range(n)] for i in range(n)],
+    ]
+    for M in list(mats):
+        M = [row[:] for row in M]
+        for _ in range(2 * (n - 1)):
+            i, j = stream.randrange(n), stream.randrange(n - 1)
+            j += j >= i
+            f = F.element(1 + stream.randrange(F.q - 1))
+            # E M E^-1 for E = I + f e_ij: row i gains f row j, then
+            # column j loses f column i
+            M[i] = [F.add(x, F.mul(f, y)) for x, y in zip(M[i], M[j])]
+            for row in M:
+                row[j] = F.sub(row[j], F.mul(f, row[i]))
+        mats.append(M)
+    return mats
+
+
+def krylov_dim(F, A):
+    """The dimension of the span of e_0, A e_0, A^2 e_0, ..."""
+    v = tuple(F.one if i == 0 else F.zero for i in range(len(A)))
+    vectors = [v]
+    for _ in range(len(A) - 1):
+        vectors.append(mat_vec(F, A, vectors[-1]))
+    return rank(F, vectors)
+
+
+@pytest.mark.parametrize("q", (2, 3, 7, 4, 9))
+def test_char_poly_matches_cofactor_oracle_across_krylov_blocks(q):
+    # a random matrix is almost always cyclic, so e_0 alone spans the
+    # space; these need two or more blocks, whose relations multiply
+    F = make_field(*prime_power(q))
+    stream = SeedStream(700 + q)
+    several = 0
+    for n in range(1, 7):
+        for A in multi_block_matrices(F, n, stream):
+            before = [row[:] for row in A]
+            assert char_poly(F, A) == char_poly_oracle(F, A)
+            assert A == before
+            several += krylov_dim(F, A) < n
+    assert several >= 40
+
+
 def test_char_poly_vanishes_on_eigenvalues():
     F = make_field(7)
     A = [[2, 1, 0], [0, 2, 0], [0, 0, 5]]
@@ -144,22 +206,38 @@ def generic_rref(F, rows):
     return rref_ints(TupleField(*prime_power(F.q)), rows)
 
 
+def kernel_oracle(F, A):
+    """The canonical kernel basis from the field loop's rref R: for each
+    free column f, v[f] = 1, 0 at the other free columns, and -R[r][f] at
+    the pivot column of row r."""
+    T = TupleField(*prime_power(F.q))
+    R, pivots = rref_ints(T, A)
+    basis = []
+    for free in range(len(A[0])):
+        if free in pivots:
+            continue
+        v = [F.zero] * len(A[0])
+        v[free] = F.one
+        for row, c in zip(R, pivots):
+            v[c] = T.encode(T.neg(T.element(row[free])))
+        basis.append(tuple(v))
+    return basis
+
+
 @pytest.mark.parametrize("q", PRIMES + TABLE_FIELDS)
-def test_int_rref_rank_nullspace_match_field_loop(q, monkeypatch):
+def test_int_rref_rank_nullspace_match_field_loop(q):
     F = make_field(*prime_power(q))
     mats = shaped_matrices(F, SeedStream(100 + q))
     fast = [(rref(F, A), rank(F, A), nullspace(F, A)) for A in mats]
-    # nullspace reaches the row reduction through rref only; rank runs the
-    # int loop itself, so it is held against the field loop's pivot count
-    monkeypatch.setattr(linalg, "rref", generic_rref)
-    slow = [(generic_rref(F, A), len(generic_rref(F, A)[1]), nullspace(F, A)) for A in mats]
+    slow = [(generic_rref(F, A), len(generic_rref(F, A)[1]), kernel_oracle(F, A))
+            for A in mats]
     assert fast == slow
     assert any(r == 0 for _, r, _ in fast)
     assert any(0 < r < min(len(A), len(A[0])) for A, (_, r, _) in zip(mats, fast))
 
 
 @pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2)])
-def test_rank_by_forward_elimination_matches_rref(p, k, monkeypatch):
+def test_rank_counts_the_rows_extend_basis_keeps(p, k, monkeypatch):
     F = make_field(p, k)
     mats = shaped_matrices(F, SeedStream(500 + F.q))
     want = [len(rref(F, A)[0]) for A in mats]

@@ -1,11 +1,12 @@
-"""Guards for eight package-wide invariants: exact arithmetic only (no
+"""Guards for nine package-wide invariants: exact arithmetic only (no
 float literal, no float() call, no true division), no dependency outside
 the standard library (every absolute import is a stdlib module), no code
 in the package that only the tests reach, memoization through
 functools.cache only (no module-level container that functions fill), no
 state keyed by object identity (no id() call), a cold import of the
 command line that loads neither dataclasses nor inspect, field tables
-read by ff and linalg only, and no read of the environment."""
+read by ff and linalg only, no FieldCtx element method called in linalg,
+and no read of the environment."""
 
 import ast
 import subprocess
@@ -239,6 +240,18 @@ def test_only_ff_and_linalg_read_the_field_tables():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "tables"}
     assert readers == {"ff.py", "linalg.py"}
+
+
+def test_linalg_calls_no_field_element_method():
+    """linalg's arithmetic is its own row loops, each reading F.p or the
+    tables; a FieldCtx element method per entry is what they replace."""
+    path = ROOT / "src" / "fixspace" / "linalg.py"
+    calls = [f"{path.name}:{node.lineno} F.{node.func.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in {"add", "sub", "neg", "mul", "inv", "pow",
+                                    "frobenius"}]
+    assert calls == []
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
