@@ -5,13 +5,14 @@ l = 1 (mod exponent) and l^2 > 4|G|^3, then lifted to dense integer
 vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity: the
 entry at z^m of a value is the multiplicity of the eigenvalue z^m.
 Every table is built from its group on each call; nothing is stored
-between runs. Up to A7, two thirds or more of a build is the split into
-eigenspaces of the class matrices over GF(l). At A8 (20,160 elements)
-about two thirds is the class multiplication constants, which compose
-the encoded members of one class at a time with the group's codec and
-look up the class of each product in the group's encoded class map
-(PermGroup.class_map); no member is decoded. The lift reads every power
-of z from one table of z^i mod l.
+between runs. Up to A7, 55 to 90 percent of a build is the central
+characters, mostly the roots in GF(l) of one class-algebra element's
+characteristic polynomial. At A8 (20,160 elements) about 70 percent is
+the class multiplication constants, which compose the encoded members
+of one class at a time with the group's codec and look up the class of
+each product in the group's encoded class map (PermGroup.class_map); no
+member is decoded. The lift reads every power of z from one table of
+z^i mod l.
 
 The table keeps the class multiplication constants, and class-triple
 counts are read from them: no character value is multiplied.
@@ -155,55 +156,32 @@ def character_table(group: PermGroup) -> CharTable:
 
 
 def _central_characters(F, constants: tuple) -> list:
-    """Joint eigenvectors of the class matrices, normalized at the identity."""
+    """The eigenlines, normalized at the identity, of M_t = sum_i t^i A_i
+    for the first t = 2, 3, ... whose characteristic polynomial has r
+    distinct roots in GF(l) (Schneider). M_t commutes with every class
+    matrix A_i, so each eigenline is a joint eigenvector. Two distinct
+    central characters agree on M_t only at the roots of a nonzero
+    polynomial in t of degree < r: at most r(r - 1)^2 / 2 values of t fail."""
     r = len(constants)
     l = F.p
-    mats = [
-        [[constants[i][j][k] % l for k in range(r)] for j in range(r)]
-        for i in range(r)
-    ]
-    spaces = [linalg.rref(F, linalg.eye(F, r))]
-    for i in range(r):
-        if all(len(rows) == 1 for rows, _ in spaces):
+    # entry (j, k) of M_t is sum_i t^i constants[i][j][k]
+    coefficients = [list(zip(*(a[j] for a in constants))) for j in range(r)]
+    for t in range(2, min(l, r * (r - 1) ** 2 // 2 + 3)):
+        powers = [pow(t, i, l) for i in range(r)]
+        mat = [[sum(map(operator.mul, powers, c)) % l for c in row] for row in coefficients]
+        roots = ff.poly_roots(F, linalg.char_poly(F, mat))
+        if len(roots) == r:
             break
-        nxt = []
-        for rows, pivots in spaces:
-            if len(rows) == 1:
-                nxt.append((rows, pivots))
-                continue
-            nxt.extend(_split_space(F, mats[i], rows, pivots))
-        spaces = nxt
-    if any(len(rows) != 1 for rows, _ in spaces):
-        raise LiftFailure("class matrices failed to separate the characters")
+    else:
+        raise LiftFailure("no class-algebra element separates the characters")
     out = []
-    for rows, _ in spaces:
-        v = rows[0]
+    for lam in roots:
+        v = linalg.nullspace(F, linalg.shift(F, [row[:] for row in mat], lam))[0]
         if v[0] == 0:
             raise LiftFailure("central character vanishes at the identity")
         inv = pow(v[0], -1, l)
         out.append(tuple(x * inv % l for x in v))
     return sorted(out)
-
-
-def _split_space(F, mat, rows, pivots):
-    """Split an invariant subspace into eigenspaces of one class matrix."""
-    m = len(rows)
-    R = linalg.restrict(F, mat, rows, pivots)
-    if R is None:
-        raise LiftFailure("class matrix does not preserve a split space")
-    chp = linalg.char_poly(F, R)
-    # column i of the transpose is b_i: a kernel vector's combination of the b_i
-    span = linalg.transpose(rows)
-    pieces = []
-    total = 0
-    for lam in ff.poly_roots(F, chp):
-        kernel = linalg.nullspace(F, linalg.shift(F, [row[:] for row in R], lam))
-        piece = linalg.rref(F, [linalg.mat_vec(F, span, cv) for cv in kernel])
-        total += len(piece[0])
-        pieces.append(piece)
-    if total != m:
-        raise LiftFailure("eigenspaces do not fill an invariant subspace")
-    return pieces
 
 
 # triple counting ---------------------------------------------------------------

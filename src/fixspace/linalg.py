@@ -9,7 +9,9 @@ extend_basis, grows a basis a vector at a time: rank counts its rows (so
 fixed spaces), rref sorts them by pivot and clears each at the pivots of
 the rows below it, nullspace and char_poly grow bases of vectors tagged
 by their coefficients, and Scott's ranks in bounds and the spin closures
-of matrep.spin_span grow their own bases with it. The hot routines
+of matrep.spin_span grow their own bases with it. reduce_vec against
+rref rows is zero exactly on their span, where a vector's pivot entries
+are its coordinates; matrep's sub sections read both. The hot routines
 (extend_basis, mat_vec, reduce_vec, scale_vec, add_scaled and shift, and
 through them everything else) have two loops each, chosen by
 ``F.k == 1``: over a prime field an integer loop with ``% p`` inline,
@@ -76,26 +78,6 @@ def rref(F: FieldCtx, rows: list):
     for i in range(len(R) - 2, -1, -1):
         R[i] = reduce_vec(F, R[i + 1:], pivots[i + 1:], R[i])
     return R, pivots
-
-
-def rref_coords(F: FieldCtx, rows: list, pivots: list, w) -> list:
-    """Coordinates of w in the rref basis rows with pivot columns pivots,
-    or None when w is not in their span."""
-    rest = reduce_vec(F, rows, pivots, w)
-    return [w[c] for c in pivots] if all(x == F.zero for x in rest) else None
-
-
-def restrict(F: FieldCtx, M: list, rows: list, pivots: list):
-    """The matrix R of M on the span of the rref basis rows b_i (pivot
-    columns pivots), M b_j = sum_i R[i][j] b_i; None when M does not keep
-    that span."""
-    cols = []
-    for b in rows:
-        coords = rref_coords(F, rows, pivots, mat_vec(F, M, b))
-        if coords is None:
-            return None
-        cols.append(coords)
-    return transpose(cols)
 
 
 def reduce_vec(F: FieldCtx, rows: list, pivots: list, v) -> list:

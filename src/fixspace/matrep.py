@@ -54,8 +54,8 @@ class OrbitTooLarge(ValueError):
 
 
 class Inconclusive(RuntimeError):
-    """Irreducibility search exhausted its random-element budget: in
-    practice, a module that is irreducible but not absolutely irreducible."""
+    """Irreducibility search drew MAX_DRAWS random elements with no verdict:
+    in practice, a module that is irreducible but not absolutely irreducible."""
 
 
 # recipe AST ----------------------------------------------------------------
@@ -209,10 +209,15 @@ def _compile(node: ModuleSpec, F: FieldCtx):
     rows, pivots = linalg.rref(F, [list(v) for v in basis])
     if not rows or len(rows) == m:
         raise IllTyped("section basis spans zero or everything")
-    if any(linalg.restrict(F, M, rows, pivots) is None for M in parent.images):
+    if any(any(linalg.reduce_vec(F, rows, pivots, linalg.mat_vec(F, M, b)))
+           for M in parent.images for b in rows):
         raise IllTyped("section basis is not invariant")
     if node.mode == "sub":
-        return group, len(rows), lambda g: linalg.restrict(F, child(g), rows, pivots)
+        def image(g):
+            # g keeps the span, so g b_j's coordinates are its pivot entries
+            at_pivots = list(map(child(g).__getitem__, pivots))
+            return linalg.transpose([linalg.mat_vec(F, at_pivots, b) for b in rows])
+        return group, len(rows), image
     nonpivots = [j for j in range(m) if j not in set(pivots)]
 
     def image(g):
@@ -399,7 +404,10 @@ def _random_algebra_element(rep: MatRep, stream: SeedStream) -> list:
     return theta
 
 
-def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) -> IrredResult:
+MAX_DRAWS = 200   # random group-algebra elements is_irreducible tries
+
+
+def is_irreducible(rep: MatRep, stream: SeedStream = None) -> IrredResult:
     """Norton-style test: seeded group-algebra elements, spun kernels.
 
     A draw theta is tested as itself when it is singular, and otherwise as
@@ -409,7 +417,7 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
     spin_span. Norton's criterion needs every nonzero kernel vector to spin
     to V, so only a singular element of nullity 1, whose kernel and dual
     kernel both spin to V, proves (absolute) irreducibility; larger kernels
-    can still prove reducibility. Raises Inconclusive when budget draws
+    can still prove reducibility. Raises Inconclusive when MAX_DRAWS draws
     produce no verdict, which in practice means a module that is
     irreducible but not absolutely irreducible: C3 on GF(2)^2 by
     [[0,1],[1,1]] always ends so, as its group algebra is GF(4), whose only
@@ -427,7 +435,7 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
         line[0] = F.one
         return IrredResult(irreducible=False, submodule=(tuple(line),))
     transposed = [linalg.transpose(M) for M in rep.images]
-    for _ in range(budget):
+    for _ in range(MAX_DRAWS):
         theta = _random_algebra_element(rep, stream)
         kernel = linalg.nullspace(F, theta)
         # a nonsingular draw is shifted by each of its eigenvalues in F
@@ -448,7 +456,7 @@ def is_irreducible(rep: MatRep, stream: SeedStream = None, budget: int = 200) ->
                 sub = linalg.nullspace(F, [list(r) for r in dual_span])
                 return IrredResult(irreducible=False, submodule=spin_span(F, (), sub))
             return IrredResult(irreducible=True)
-    raise Inconclusive(f"no verdict after {budget} random group-algebra elements")
+    raise Inconclusive(f"no verdict after {MAX_DRAWS} random group-algebra elements")
 
 
 # matrix groups as permutation groups ----------------------------------------

@@ -1,9 +1,10 @@
 import hashlib
+import math
 import random
 
 import pytest
 
-from fixspace import chartab, perm
+from fixspace import chartab, ff, perm
 from fixspace.chartab import character_table, class_algebra, triple_count
 from fixspace.perm import (GroupTooLarge, builtin_group, builtin_group_names,
                            pinv, pmul)
@@ -85,22 +86,78 @@ def test_class_algebra_matches_tuple_loop_past_byte_encoding(monkeypatch):
 
 
 # SHA-256 of repr((exponent, modulus, degrees, values)): a faster build
-# must reproduce every table exactly, row order and Dixon prime included
+# must reproduce every table exactly, row order and Dixon prime included;
+# the trivial group and C2, C3 are the one-class and abelian edge cases of
+# the central characters
 TABLE_DIGESTS = {
+    'A4': '02066f9138eced869abc92f355119a7e354e4a6733d403290abcb3aa1ead15f1',
     'A5': 'dd150ed70ae91dc324bb5e29584f3c437c5b6b37e015692fc54d15bdc068c578',
-    'S5': 'a78ef7b9f2fa53d0509e966fd94247115513794af071bac5366a3cfeb7384c33',
     'A6': '3203e325cf843d4e79b8ed3629c2529049cf8a3d7f73478e6bab376dfae80a47',
+    'A7': 'afb1f0b6ec889a1fde75ec9dc1271a6da1358484d1674e1eb1c727a2144ea88a',
+    'A8': 'ea636f25c4887d0a2e9adb0c8eb9938a4e0a709f8d782f2aac630530f47fb96e',
+    'A9': '624b2ccca5ce09d69f58315f496ab066c52b7152dd6316cbcc023535c16402cd',
+    'F12': '02066f9138eced869abc92f355119a7e354e4a6733d403290abcb3aa1ead15f1',
+    'F56': '6ff9e0cb3e2462fad0a6c0bb00d38082c8fe8bc991d5569c189bba07b5cdf6b4',
     'L2_7': '1078541806d0a61f4028c98926a810618231d95b5db18957b7553d863897f654',
     'L2_8': 'f3e087fdaf686cb03c879f58cd6fdbc54f9c485a541e1b20f4bc1b40f6ab720b',
-    'A7': 'afb1f0b6ec889a1fde75ec9dc1271a6da1358484d1674e1eb1c727a2144ea88a',
+    'L2_11': 'bf0e73b413bdd5478551dad20479a061635966c76b0aa95de97ba4de9f2554b6',
+    'L2_13': '827256f89250099b79521ab539006ae40bbb73b784479fd53ff48fbc4d027396',
+    'S3': '96ab6bedd30c6ac04665789279d24883dd716241ff90a3ec5263f0cb0f479796',
+    'S4': '5fd1a6a5463614f8224249cebeb8dfff2586917d142e00e8be44f4a276af8917',
+    'S5': 'a78ef7b9f2fa53d0509e966fd94247115513794af071bac5366a3cfeb7384c33',
+    'S6': '4204059e9b610347ea126f54513f8472a28e66a28d4e35268378fa0c1de4a16b',
+    'trivial': 'acee99049a2b1251625ab115dfdba05ca231d7e9dc854712577cfc8f6d1c6adb',
+    'C2': '0d884ff9979d8438ca96b3dcbd07a042907ddef90dc24b8bafbd073ca882329c',
+    'C3': 'd350b4290f18e4f7477be8b2bbe5220c1d188c56e05bc045f7143f84f6b39ee5',
 }
+
+SMALL_GROUPS = {
+    'trivial': (1, []),
+    'C2': (2, [(1, 0)]),
+    'C3': (3, [(1, 2, 0)]),
+}
+
+
+def digest_group(name):
+    if name in SMALL_GROUPS:
+        return perm.PermGroup(*SMALL_GROUPS[name])
+    return builtin_group(name)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
 def test_character_table_digest(name):
-    t = character_table(builtin_group(name))
+    t = character_table(digest_group(name))
     blob = repr((t.exponent, t.modulus, t.degrees, t.values)).encode()
     assert hashlib.sha256(blob).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_group_names()
+                                  if builtin_group(n).order <= 20160])
+def test_central_characters_are_joint_eigenvectors(name):
+    # however they are found: r distinct vectors, each 1 at the identity
+    # class and with A_i w = w_i w mod l for every class matrix A_i
+    G = builtin_group(name)
+    constants = class_algebra(G)
+    r = len(constants)
+    e = math.lcm(*(c.element_order for c in G.conjugacy_classes()))
+    l = chartab._dixon_prime(G.order, e)
+    omegas = chartab._central_characters(ff.make_field(l), constants)
+    assert len(set(omegas)) == len(omegas) == r
+    for w in omegas:
+        assert w[0] == 1
+        for i in range(r):
+            assert [sum(a * x for a, x in zip(row, w)) % l for row in constants[i]] == \
+                [w[i] * x % l for x in w]
+
+
+@pytest.mark.parametrize("name", ['trivial', 'C3', 'S4', 'A5'])
+def test_character_table_refuses_a_missing_eigenvalue(monkeypatch, name):
+    # with one root of each characteristic polynomial dropped, no element
+    # of the class algebra separates the characters
+    roots = ff.poly_roots
+    monkeypatch.setattr(chartab.ff, "poly_roots", lambda F, f: roots(F, f)[1:])
+    with pytest.raises(chartab.LiftFailure):
+        character_table(digest_group(name))
 
 
 def test_cyclotomic_polys():

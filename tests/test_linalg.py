@@ -4,9 +4,10 @@ import pytest
 from fieldoracle import TupleField, mat_vec_field, reduce_vec_field, rref_ints
 from fixspace import linalg
 from fixspace.linalg import (char_poly, kron, mat_mul,
-                             mat_vec, nullspace, rank, rref, rref_coords,
+                             mat_vec, nullspace, rank, rref,
                              transpose)
-from fixspace.matrep import spin_span
+from fixspace.matrep import IllTyped, build_rep, perm_module, section, spin_span
+from fixspace.perm import PermGroup, perm_from_cycles, pmul
 from fixspace.rng import SeedStream
 
 
@@ -330,6 +331,8 @@ def rref_coords_oracle(F, rows, pivots, w):
 
 @pytest.mark.parametrize("p, k", [(p, 1) for p in PRIMES] + [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
+    # reduce_vec is zero exactly on the span of rref rows, where the pivot
+    # entries of w are its coordinates (what a sub section's image reads)
     F, T = make_field(p, k), TupleField(p, k)
     s = SeedStream(300 + F.q)
     outside = inside = 0
@@ -344,13 +347,12 @@ def test_rref_coords_and_reduce_vec_match_field_loop(p, k):
             w_in = tuple(F.add(x, F.mul(c, y)) for x, y in zip(w_in, row))
         w_any = tuple(rand_rows(F, 1, n, s, 100)[0])
         for w in (w_in, w_any):
-            got = rref_coords(F, rows, pivots, w)
-            assert got == rref_coords_oracle(F, rows, pivots, w)
-            assert linalg.reduce_vec(F, rows, pivots, w) == \
-                T.drop([reduce_vec_field(T, T.lift(rows), pivots, T.lift([w])[0])])[0]
-            outside += got is None
-            inside += got is not None
-        assert rref_coords(F, rows, pivots, w_in) == combo
+            got = linalg.reduce_vec(F, rows, pivots, w)
+            assert got == T.drop([reduce_vec_field(T, T.lift(rows), pivots, T.lift([w])[0])])[0]
+            assert any(got) == (rref_coords_oracle(F, rows, pivots, w) is None)
+            outside += any(got)
+            inside += not any(got)
+        assert rref_coords_oracle(F, rows, pivots, w_in) == combo
     assert outside and inside
 
 
@@ -390,44 +392,37 @@ def test_spin_span_matches_closure_oracle(p, k):
     assert full and grown
 
 
-def block_triangular(F, sizes, stream):
-    """A random matrix that keeps the span of the first sizes[0],
-    sizes[0] + sizes[1], ... standard basis vectors."""
-    n = sum(sizes)
-    ends = [sum(sizes[:i + 1]) for i in range(len(sizes))]
-    M = rand_mat(F, n, stream)
-    for j in range(n):
-        end = next(e for e in ends if j < e)
-        for i in range(end, n):
-            M[i][j] = F.zero
-    return M
-
-
 @pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (13, 1), (2, 2), (3, 2)])
 def test_restrict_matches_combination_oracle(p, k):
-    # M b_j = sum_i R[i][j] b_i on every spun-up (so invariant) span, and
-    # None on the line of a seed whose spin-up is larger
+    # a sub section's image R of g satisfies M b_j = sum_i R[i][j] b_i on
+    # every spun-up (so invariant) span, M the parent's image of g; the
+    # line of a seed whose spin-up is larger is refused at build time. The
+    # group is S4 x C3 on 8 points, so most spins are proper
     F = make_field(p, k)
+    G = PermGroup(8, [perm_from_cycles(8, cycles)
+                      for cycles in ([(1, 2, 3, 4)], [(1, 2)], [(5, 6, 7)])])
+    parent = build_rep(perm_module(G, F))
     s = SeedStream(500 + F.q)
-    proper = moved = 0
-    for sizes in ((1, 3), (2, 2, 1), (3, 3)):
-        n = sum(sizes)
-        M = block_triangular(F, sizes, s)
-        for seed in rand_rows(F, 6, n, s, 100) + [[F.one] + [F.zero] * (n - 1)]:
-            rows = [list(b) for b in spin_span(F, [M], [seed])]
-            if not rows:
-                continue
-            pivots = [next(c for c, x in enumerate(b) if x != F.zero) for b in rows]
-            R = linalg.restrict(F, M, rows, pivots)
-            assert len(R) == len(rows) and all(len(r) == len(rows) for r in R)
-            for j, b in enumerate(rows):
-                combo = [F.zero] * n
-                for i, bi in enumerate(rows):
-                    combo = [F.add(x, F.mul(R[i][j], y)) for x, y in zip(combo, bi)]
-                assert list(mat_vec(F, M, b)) == combo
-            proper += len(rows) < n
-            if len(rows) > 1:
-                line, line_pivots = rref(F, [seed])
-                assert linalg.restrict(F, M, line, line_pivots) is None
-                moved += 1
-    assert proper and moved
+    proper = refused = 0
+    for seed in rand_rows(F, 6, 8, s, 60) + [[F.one] + [F.zero] * 7]:
+        rows = spin_span(F, parent.images, [seed])
+        if len(rows) < 8:
+            sub = build_rep(section(parent.spec, "sub", basis=rows))
+            assert sub.dim == len(rows)
+            for _ in range(4):
+                g = G.gens[s.randrange(3)]
+                for _ in range(s.randrange(5)):
+                    g = pmul(G.gens[s.randrange(3)], g)
+                M, R = parent.image(g), sub.image(g)
+                assert len(R) == len(rows) and all(len(r) == len(rows) for r in R)
+                for j, b in enumerate(rows):
+                    combo = [F.zero] * 8
+                    for i, bi in enumerate(rows):
+                        combo = [F.add(x, F.mul(R[i][j], y)) for x, y in zip(combo, bi)]
+                    assert mat_vec(F, M, b) == tuple(combo)
+            proper += 1
+        if len(rows) > 1:
+            with pytest.raises(IllTyped, match="section basis is not invariant"):
+                build_rep(section(parent.spec, "sub", basis=[seed]))
+            refused += 1
+    assert proper and refused
