@@ -5,14 +5,14 @@ l = 1 (mod exponent) and l^2 > 4|G|^3, then lifted to dense integer
 vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity: the
 entry at z^m of a value is the multiplicity of the eigenvalue z^m.
 Every table is built from its group on each call; nothing is stored
-between runs. Up to A7, 55 to 90 percent of a build is the central
-characters, mostly the roots in GF(l) of one class-algebra element's
-characteristic polynomial. At A8 (20,160 elements) about 70 percent is
-the class multiplication constants, which compose the encoded members
-of one class at a time with the group's codec and look up the class of
-each product in the group's encoded class map (PermGroup.class_map); no
-member is decoded. The lift reads every power of z from one table of
-z^i mod l.
+between runs. Below A7, 40 to 85 percent of a build is the central
+characters, and 15 to 60 percent the roots in GF(l) of one class-algebra
+element's characteristic polynomial. At A7 about 55 percent, and at A8
+(20,160 elements) about 80, is the class multiplication constants, which
+compose the encoded members of one class at a time with the group's
+codec and look up the class of each product in the group's encoded class
+map (PermGroup.class_map); no member is decoded. The lift reads every
+power of z from one table of z^i mod l.
 
 The table keeps the class multiplication constants, and class-triple
 counts are read from them: no character value is multiplied.

@@ -16,17 +16,21 @@ modulus over the prime field, at every q: tables() needs it to find the
 multiplicative generator whose exp list fills MUL.
 
 Over a prime field, poly_mul and poly_divmod run on plain ints, with one
-reduction mod p per output coefficient (the _*_mod helpers), and so does
-everything built on them (poly_mod, poly_gcd, poly_pow_mod, poly_roots,
-squarefree decomposition); for k > 1 they loop over FieldCtx operations
-(the _*_field helpers). Squarefree decomposition plus root extraction
-cover every factorization this package needs.
+reduction mod p per output coefficient (the _*_mod helpers), and so do
+poly_mod, poly_gcd and squarefree decomposition. poly_pow_mod modulo a
+degree d >= 2 packs each residue into one int (Kronecker substitution):
+a product is one int multiply and its reduction O(d) steps. For k > 1
+they all loop over FieldCtx operations (the _*_field helpers). poly_roots
+takes one splitter per round, modulo the product of the pieces still
+unsplit. Squarefree decomposition plus root extraction cover every
+factorization this package needs.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from math import gcd
-from operator import add as _iadd, itemgetter, mul as _imul, sub as _isub
+from operator import add as _iadd, itemgetter, lshift as _lshift, mul as _imul, sub as _isub
 
 
 class NotPrime(ValueError):
@@ -407,6 +411,8 @@ def poly_pow_mod(F: FieldCtx, a, e: int, m) -> tuple:
     if e < 0:
         raise ValueError(f"negative exponent {e}")
     base = poly_mod(F, a, m)
+    if F.k == 1 and poly_deg(m) >= 2:
+        return _pow_mod_packed(F.p, base, e, m)
     acc = (F.one,) if poly_deg(m) > 0 else ()
     while e:
         if e & 1:
@@ -414,6 +420,32 @@ def poly_pow_mod(F: FieldCtx, a, e: int, m) -> tuple:
         base = poly_mod(F, poly_mul(F, base, base), m)
         e >>= 1
     return acc
+
+
+def _pow_mod_packed(p: int, a, e: int, m) -> tuple:
+    # Kronecker substitution: the residue c_0 + ... + c_(d-1) x^(d-1) is the
+    # int sum c_i 2^(w i), so one int product is the polynomial product, its
+    # slots below d p^2. Reduction adds (c mod p)(x^(d+i) mod m) for each
+    # high slot c, so a slot stays below 2 d p^2 < 2^w.
+    d = len(m) - 1
+    w = (2 * d * p * p).bit_length()
+    mask, low = (1 << w) - 1, (1 << d * w) - 1
+    lo, hi = range(0, d * w, w), range(d * w, (2 * d - 1) * w, w)
+    lead_inv = pow(m[-1], -1, p)
+    top = [-c * lead_inv % p for c in m[:-1]]   # x^d mod m
+    row, rows = top, []                         # rows[i]: x^(d+i) mod m, packed
+    for _ in hi:
+        rows.append(sum(map(_lshift, row, lo)))
+        row = [(row[-1] * c + prev) % p for c, prev in zip(top, [0] + row[:-1])]
+    b, acc = sum(map(_lshift, a, lo)), 1
+    for bit in bin(e)[2:]:
+        for v in (acc, b) if bit == "1" else (acc,):   # square; on a 1 bit, times b
+            n = acc * v
+            r = n & low
+            for s, x in zip(hi, rows):
+                r += (n >> s & mask) % p * x
+            acc = sum((r >> s & mask) % p << s for s in lo)
+    return _strip([acc >> s & mask for s in lo])
 
 
 def poly_eval(F: FieldCtx, f, x):
@@ -522,59 +554,45 @@ def root_multiplicity(F: FieldCtx, f, a) -> int:
 
 
 def poly_roots(F: FieldCtx, f) -> list:
-    """Distinct roots of f in the field, in increasing order."""
+    """Distinct roots of f in the field, in increasing order.
+
+    gcd(x^q - x, f) is the product of f's distinct linear factors. Round
+    s = 0, 1, ... splits each piece of it still unsplit by its gcd with one
+    splitter, taken modulo the product of those pieces; two distinct roots
+    fall apart in some round s < q."""
     if not f:
         raise ValueError("zero polynomial")
-    roots = []
-    # split off x-power
-    i = 0
-    while i < len(f) and not f[i]:
-        i += 1
-    if i > 0:
-        roots.append(F.zero)
-        f = _strip(list(f[i:]))
-    if poly_deg(f) >= 1:
-        f = poly_monic(F, f)
-        xq = poly_pow_mod(F, poly_x(F), F.q, f)
-        g = poly_gcd(F, poly_sub(F, xq, poly_x(F)), f)
-        _collect_linear_roots(F, g, roots)
-    return sorted(roots)
-
-
-def _collect_linear_roots(F: FieldCtx, g, roots: list) -> None:
-    """Roots of a monic product of distinct linear factors, recursively."""
-    d = poly_deg(g)
-    if d <= 0:
-        return
-    if d == 1:
-        roots.append(F.neg(g[0]))
-        return
-    if F.p == 2:
-        splitter = _even_splitter
-    else:
-        splitter = _odd_splitter
-    for s in range(F.q):
-        h = splitter(F, g, s)
-        dh = poly_deg(h)
-        if 0 < dh < d:
-            _collect_linear_roots(F, h, roots)
-            _collect_linear_roots(F, poly_divmod(F, g, h)[0], roots)
-            return
-    raise AssertionError("linear factor splitting failed; unreachable")
+    i = next(i for i, c in enumerate(f) if c)   # split off x^i
+    roots, f = [F.zero] if i else [], poly_monic(F, tuple(f[i:]))
+    if len(f) < 2:
+        return roots
+    pieces = [poly_gcd(F, poly_sub(F, poly_pow_mod(F, poly_x(F), F.q, f), poly_x(F)), f)]
+    splitter = _even_splitter if F.p == 2 else _odd_splitter
+    for s in range(F.q + 1):
+        unsplit = []
+        for h in pieces:
+            if len(h) == 2:
+                roots.append(F.neg(h[0]))
+            elif len(h) > 2:
+                unsplit.append(h)
+        if not unsplit:
+            return sorted(roots)
+        if s == F.q:
+            raise AssertionError("linear factor splitting failed; unreachable")
+        t, pieces = splitter(F, reduce(partial(poly_mul, F), unsplit), s), []
+        for h in unsplit:
+            g = poly_gcd(F, poly_mod(F, t, h), h)
+            pieces += (g, poly_divmod(F, h, g)[0]) if 1 < len(g) < len(h) else (h,)
 
 
 def _odd_splitter(F: FieldCtx, g, s) -> tuple:
-    shifted = (s, F.one)
-    t = poly_pow_mod(F, shifted, (F.q - 1) // 2, g)
-    return poly_gcd(F, poly_sub(F, t, (F.one,)), g)
+    return poly_sub(F, poly_pow_mod(F, (s, F.one), (F.q - 1) // 2, g), (F.one,))
 
 
 def _even_splitter(F: FieldCtx, g, s) -> tuple:
     # trace map of s*x splits roots over GF(2^k)
-    term = poly_mod(F, poly_scale(F, poly_x(F), s), g)
-    acc = term
-    e = F.q.bit_length() - 1
-    for _ in range(e - 1):
+    acc = term = poly_mod(F, poly_scale(F, poly_x(F), s), g)
+    for _ in range(F.k - 1):
         term = poly_mod(F, poly_mul(F, term, term), g)
         acc = poly_add(F, acc, term)
-    return poly_gcd(F, acc, g)
+    return acc

@@ -60,19 +60,22 @@ class TupleField:
             acc = self.mul(acc, a)
         return acc
 
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("field inverse of zero")
-        if self.k == 1:
-            return pow(a, -1, self.p)
-        # a^(q-2) by square and multiply; pow above is the slow reference
-        acc, base, e = self.one, a, self.q - 2
+    def power(self, a, e: int):
+        """a^e by square and multiply; pow above is the slow reference."""
+        acc, base = self.one, a
         while e:
             if e & 1:
                 acc = self.mul(acc, base)
             base = self.mul(base, base)
             e >>= 1
         return acc
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("field inverse of zero")
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        return self.power(a, self.q - 2)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -195,3 +198,16 @@ def poly_divmod_field(F: TupleField, a, b) -> tuple:
         for j in range(db + 1):
             rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, b[j]))
     return poly_norm(F, quo), poly_norm(F, rem)
+
+
+def poly_pow_mod_field(F: TupleField, a, e: int, m) -> tuple:
+    """a^e mod m by square and multiply on the loops above; 1 mod m is ()
+    when m is a constant."""
+    base = poly_divmod_field(F, poly_norm(F, a), m)[1]
+    acc = (F.one,) if len(m) > 1 else ()
+    while e:
+        if e & 1:
+            acc = poly_divmod_field(F, poly_mul_field(F, acc, base), m)[1]
+        base = poly_divmod_field(F, poly_mul_field(F, base, base), m)[1]
+        e >>= 1
+    return acc

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,7 +11,7 @@ from fixspace.ff import (DegreeOutOfRange, DivisorZero, NotPrime, make_field,
                          poly_pow_mod, poly_roots, poly_x, root_multiplicity,
                          squarefree_decomposition)
 
-from fieldoracle import TupleField, poly_divmod_field, poly_mul_field
+from fieldoracle import TupleField, poly_divmod_field, poly_mul_field, poly_pow_mod_field
 
 
 def all_elements(F):
@@ -286,7 +287,6 @@ def test_prime_field_int_path_matches_field_loop(p, monkeypatch):
     if p > 2:
         assert any(len(b) > 1 and b[-1] != 1 for b in polys)
     pairs = [(a, b) for a in polys for b in polys[::3]]
-    exponents = [0, 1, 2, p, p * p + 3, rng.randrange(2, 2 * p)]
 
     def results():
         out = []
@@ -295,7 +295,6 @@ def test_prime_field_int_path_matches_field_loop(p, monkeypatch):
             out.append(poly_gcd(F, a, b))
             if b:
                 out.append(poly_divmod(F, a, b))
-                out += [poly_pow_mod(F, a, e, b) for e in exponents]
         return out
 
     ints = results()
@@ -304,6 +303,31 @@ def test_prime_field_int_path_matches_field_loop(p, monkeypatch):
     monkeypatch.setattr(ff, "_poly_mul_mod", lambda _, a, b: poly_mul_field(T, a, b))
     monkeypatch.setattr(ff, "_poly_divmod_mod", lambda _, a, b: poly_divmod_field(T, a, b))
     assert results() == ints
+
+
+# poly_pow_mod packs residues modulo a prime-field modulus of degree >= 2
+# into ints; square and multiply on the tuple field's loops is the
+# reference. The primes: the smallest, the Dixon primes of A7 and A8, and
+# 2^31 - 1, whose slots are the widest.
+POW_PRIMES = [2, 3, 7, chartab._dixon_prime(2520, 420), chartab._dixon_prime(20160, 420),
+              2**31 - 1]
+
+
+@pytest.mark.parametrize("p", POW_PRIMES)
+def test_packed_pow_mod_matches_field_loop(p):
+    F, T = make_field(p), TupleField(p)
+    rng = random.Random(p)
+    exponents = [0, 1, 2, p, p * p + 3, rng.randrange(2, 2 * p)]
+    lead = 0
+    for d in range(2, 17):
+        m = tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p) if d % 2 else 1,)
+        lead |= m[-1] != 1
+        # a base shorter than the modulus and one longer
+        for n in (rng.randrange(1, d + 1), rng.randrange(d + 2, 2 * d + 3)):
+            a = tuple(rng.randrange(p) for _ in range(n - 1)) + (rng.randrange(1, p),)
+            for e in exponents:
+                assert poly_pow_mod(F, a, e, m) == poly_pow_mod_field(T, a, e, m), (p, d, n, e)
+    assert lead or p == 2
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -333,6 +357,74 @@ def test_poly_roots_of_distinct_linear_factors_in_characteristic_two(monkeypatch
             f = poly_mul(F, f, (F.neg(r), F.one))
         assert poly_roots(F, f) == [a for a in range(q) if poly_eval(F, f, a) == 0]
     assert splits
+
+
+# poly_roots splits in rounds; evaluation at every element is the reference.
+# Every monic polynomial of degree <= 3 includes the products of a linear
+# factor and an irreducible quadratic, and those with repeated roots.
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
+def test_poly_roots_of_every_small_monic_polynomial_match_evaluation(q):
+    F = make_field(*ff.prime_power(q))
+    shapes = set()
+    for n in range(4):
+        for low in itertools.product(range(q), repeat=n):
+            f = low + (F.one,)
+            found = [a for a in range(q) if poly_eval(F, f, a) == 0]
+            assert poly_roots(F, f) == found, f
+            shapes.add((n, len(found)))
+    # a cubic with one root times an irreducible quadratic or a double root
+    assert (3, 1) in shapes and (3, 2) in shapes and (2, 0) in shapes
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_poly_roots_of_seeded_factored_polynomials_match_evaluation(q):
+    F = make_field(q)
+    rng = random.Random(q)
+    for _ in range(150):
+        # monic factors of degree 1 and 2, repeats allowed, up to degree 6
+        f, n = (rng.randrange(1, q),), rng.randrange(1, 7)
+        while len(f) <= n:
+            k = rng.randrange(1, min(2, n + 1 - len(f)) + 1)
+            f = poly_mul(F, f, tuple(rng.randrange(q) for _ in range(k)) + (1,))
+        assert poly_roots(F, f) == [a for a in range(q) if poly_eval(F, f, a) == 0], f
+
+
+# split products of degree 14 to 20 at the Dixon primes of A8 and L2(13),
+# with repeated roots and an irreducible quadratic x^2 - n, n a non-residue
+@pytest.mark.parametrize("l", [chartab._dixon_prime(20160, 420), chartab._dixon_prime(1092, 546)])
+def test_poly_roots_of_seeded_split_products_at_dixon_primes(l):
+    F = make_field(l)
+    rng = random.Random(l)
+    n = next(n for n in range(2, l) if pow(n, (l - 1) // 2, l) == l - 1)
+    for deg in range(14, 21):
+        roots = rng.sample(range(l), deg - 6) + [0] * (deg % 2)
+        roots += rng.choices(roots, k=deg - 2 - len(roots))
+        f = ((-n) % l, 0, 1)
+        for r in roots:
+            f = poly_mul(F, f, ((-r) % l, 1))
+        assert len(f) == deg + 1
+        assert poly_roots(F, poly_mul(F, f, (rng.randrange(1, l),))) == sorted(set(roots))
+
+
+# brute-force factor search is the reference for irreducibility
+@pytest.mark.parametrize("q, top", [(2, 4), (3, 4), (9, 2), (25, 2)])
+def test_poly_is_irreducible_matches_factor_search(q, top):
+    F, T = make_field(*ff.prime_power(q)), TupleField(*ff.prime_power(q))
+
+    def lift(f):
+        return tuple(T.element(c) for c in f)
+
+    divisors = [lift(low + (1,)) for n in range(1, top // 2 + 1)
+                for low in itertools.product(range(q), repeat=n)]
+    verdicts = set()
+    for n in range(1, top + 1):
+        for low in itertools.product(range(q), repeat=n):
+            f = low + (F.one,)
+            brute = not any(poly_divmod_field(T, lift(f), g)[1] == ()
+                            for g in divisors if 2 * (len(g) - 1) <= n)
+            assert poly_is_irreducible(F, f) == brute, f
+            verdicts.add((n, brute))
+    assert (top, True) in verdicts and (top, False) in verdicts
 
 
 # GF(p^k) elements are ints; the tuple field in fieldoracle is the reference
@@ -401,6 +493,22 @@ def test_digit_arithmetic_above_the_table_cap_matches_tuple_oracle(p, k):
             getattr(F, op)(*args)
     with pytest.raises(ValueError, match="no tables"):
         make_field(p).tables()
+
+
+# pow over GF(p^k) runs poly_pow_mod's packed kernel at degree k; square and
+# multiply on the tuple field, checked against its repeated product, is the
+# reference at exponents up to q^2
+@pytest.mark.parametrize("p, k", [(3, 6), (10007, 2), (2, 16)])
+def test_pow_above_the_table_cap_matches_tuple_oracle_at_large_exponents(p, k):
+    F, T = make_field(p, k), TupleField(p, k)
+    rng = random.Random(p * 100 + k)
+    for _ in range(60):
+        x = rng.randrange(1, F.q)
+        a = T.element(x)
+        e = rng.randrange(40)
+        assert T.power(a, e) == T.pow(a, e)
+        for e in (F.q - 2, F.q - 1, rng.randrange(F.q, F.q * F.q)):
+            assert F.pow(x, e) == T.encode(T.power(a, e)), (x, e)
 
 
 @pytest.mark.parametrize("q", [7, 9])
