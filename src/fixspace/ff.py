@@ -15,15 +15,17 @@ frobenius) is poly_pow_mod of the digit polynomial modulo the canonical
 modulus over the prime field, at every q: tables() needs it to find the
 multiplicative generator whose exp list fills MUL.
 
-Over a prime field, poly_mul and poly_divmod run on plain ints, with one
-reduction mod p per output coefficient (the _*_mod helpers), and so do
-poly_mod, poly_gcd and squarefree decomposition. poly_pow_mod modulo a
-degree d >= 2 packs each residue into one int (Kronecker substitution):
-a product is one int multiply and its reduction O(d) steps. For k > 1
-they all loop over FieldCtx operations (the _*_field helpers). poly_roots
-takes one splitter per round, modulo the product of the pieces still
-unsplit. Squarefree decomposition plus root extraction cover every
-factorization this package needs.
+scale_vec and add_scaled, c v and v + c w, are the one copy of the row
+operation: a ``% p`` comprehension over GF(p), one that indexes tables()
+over GF(p^k). linalg, matrep, poly_scale and, over GF(p^k), poly_mul and
+poly_divmod run on them. Over a prime field poly_mul and poly_divmod run
+on plain ints instead, one reduction mod p per output coefficient (the
+_*_mod helpers), and poly_pow_mod modulo a degree d >= 2 packs each
+residue into one int (Kronecker substitution): a product is one int
+multiply and its reduction O(d) steps. poly_is_irreducible is Ben-Or's
+test. poly_roots takes one splitter per round, modulo the product of the
+pieces still unsplit. Squarefree decomposition plus root extraction
+cover every factorization this package needs.
 """
 
 from __future__ import annotations
@@ -273,6 +275,25 @@ def canonical_modulus(p: int, k: int) -> tuple:
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 
+def scale_vec(F: FieldCtx, c, v) -> list:
+    """c * v."""
+    if F.k == 1:
+        p = F.p
+        return [c * x % p for x in v]
+    m = F.tables()[2][c]
+    return [m[x] for x in v]
+
+
+def add_scaled(F: FieldCtx, v, c, w) -> list:
+    """v + c * w, as long as the shorter of v and w."""
+    if F.k == 1:
+        p = F.p
+        return [(x + c * y) % p for x, y in zip(v, w)]
+    ADD, _, MUL, _ = F.tables()
+    m = MUL[c]
+    return [ADD[x][m[y]] for x, y in zip(v, w)]
+
+
 # polynomial layer -------------------------------------------------------
 # Coefficients live in a FieldCtx F; tuples, lowest degree first.
 
@@ -312,7 +333,7 @@ def poly_sub(F: FieldCtx, a, b) -> tuple:
 def poly_scale(F: FieldCtx, f, s) -> tuple:
     if not s:
         return ()
-    return _strip([F.mul(c, s) for c in f])
+    return _strip(scale_vec(F, s, f))
 
 
 def poly_mul(F: FieldCtx, a, b) -> tuple:
@@ -320,7 +341,11 @@ def poly_mul(F: FieldCtx, a, b) -> tuple:
         return ()
     if F.k == 1:
         return _poly_mul_mod(F.p, a, b)
-    return _poly_mul_field(F, a, b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = add_scaled(F, out[i:i + len(b)], x, b)
+    return _strip(out)
 
 
 def _poly_mul_mod(p: int, a, b) -> tuple:
@@ -333,16 +358,6 @@ def _poly_mul_mod(p: int, a, b) -> tuple:
     return _strip([c % p for c in out])
 
 
-def _poly_mul_field(F: FieldCtx, a, b) -> tuple:
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _strip(out)
-
-
 def poly_divmod(F: FieldCtx, a, b) -> tuple:
     if not b:
         raise DivisorZero("polynomial division by zero")
@@ -350,7 +365,18 @@ def poly_divmod(F: FieldCtx, a, b) -> tuple:
         return (), a
     if F.k == 1:
         return _poly_divmod_mod(F.p, a, b)
-    return _poly_divmod_field(F, a, b)
+    # adding c x^(i-db) (-b / lead) clears the remainder's coefficient c
+    # at i; the quotient collects each c and is divided by lead once
+    db = len(b) - 1
+    lead_inv = F.inv(b[-1])
+    nb = scale_vec(F, F.neg(lead_inv), b)
+    rem, quo = list(a), [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            quo[i - db] = c
+            rem[i - db:i] = add_scaled(F, rem[i - db:i], c, nb)
+    return _strip(scale_vec(F, lead_inv, quo)), _strip(rem[:db])
 
 
 def _poly_divmod_mod(p: int, a, b) -> tuple:
@@ -368,22 +394,6 @@ def _poly_divmod_mod(p: int, a, b) -> tuple:
             for j in range(db):
                 rem[lo + j] -= q * b[j]
     return _strip(quo), _strip([c % p for c in rem[:db]])
-
-
-def _poly_divmod_field(F: FieldCtx, a, b) -> tuple:
-    rem = list(a)
-    db = len(b) - 1
-    lead_inv = F.inv(b[-1])
-    quo = [F.zero] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        q = F.mul(c, lead_inv)
-        quo[i - db] = q
-        for j in range(db + 1):
-            rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, b[j]))
-    return _strip(quo), _strip(rem)
 
 
 def poly_mod(F: FieldCtx, a, b) -> tuple:
@@ -468,28 +478,19 @@ def poly_divides(F: FieldCtx, d, f) -> bool:
 
 
 def poly_is_irreducible(F: FieldCtx, f) -> bool:
-    """Irreducibility of monic f: x^(q^deg) fixes x and no proper-divisor
-    Frobenius power shares a factor with f."""
+    """Irreducibility of monic f of degree n (Ben-Or): f is reducible
+    exactly when it has a factor of some degree d <= n/2, that is when
+    gcd(x^(q^d) - x, f) != 1."""
     n = poly_deg(f)
     if n < 1:
         return False
     if f[-1] != F.one:
         raise NotMonic("irreducibility test expects a monic polynomial")
-    if n == 1:
-        return True
-    x = poly_x(F)
-    t = x
-    powers = {}
-    for d in range(1, n + 1):
+    x = t = poly_x(F)
+    for _ in range(n // 2):
         t = poly_pow_mod(F, t, F.q, f)
-        powers[d] = t
-    if powers[n] != poly_mod(F, x, f):
-        return False
-    for d in range(1, n):
-        if n % d == 0:
-            g = poly_gcd(F, poly_sub(F, powers[d], x), f)
-            if poly_deg(g) != 0:
-                return False
+        if poly_deg(poly_gcd(F, poly_sub(F, t, x), f)) > 0:
+            return False
     return True
 
 
@@ -511,11 +512,8 @@ def squarefree_decomposition(F: FieldCtx, f) -> list:
 
 
 def _sqfree_into(F: FieldCtx, f, mult: int, out: dict) -> None:
-    df = poly_deriv(F, f)
-    if not df:
-        _sqfree_into(F, _pth_root_poly(F, f), mult * F.p, out)
-        return
-    c = poly_gcd(F, f, df)
+    # f' = 0 makes c = f and w = 1: all of f is a p-th power
+    c = poly_gcd(F, f, poly_deriv(F, f))
     w = poly_divmod(F, f, c)[0]
     i = 1
     while poly_deg(w) > 0:
@@ -528,13 +526,10 @@ def _sqfree_into(F: FieldCtx, f, mult: int, out: dict) -> None:
         c = poly_divmod(F, c, y)[0]
         i += 1
     if poly_deg(c) > 0:
-        _sqfree_into(F, _pth_root_poly(F, c), mult * F.p, out)
-
-
-def _pth_root_poly(F: FieldCtx, f) -> tuple:
-    """For f with zero derivative, the g with g(x)^p = f(x)."""
-    # coefficient p-th root: inverse Frobenius, c^(q/p)
-    return _strip([F.pow(c, F.q // F.p) for c in f[::F.p]])
+        # c' = 0, so c(x) = h(x)^p, h's coefficient at x^i the p-th root
+        # of c's at x^(ip), its (q/p)-th power
+        h = _strip([F.pow(e, F.q // F.p) for e in c[::F.p]])
+        _sqfree_into(F, h, mult * F.p, out)
 
 
 def root_multiplicity(F: FieldCtx, f, a) -> int:
@@ -544,13 +539,10 @@ def root_multiplicity(F: FieldCtx, f, a) -> int:
     lin = (F.neg(a), F.one)
     m = 0
     while True:
-        q, r = poly_divmod(F, f, lin)
+        f, r = poly_divmod(F, f, lin)
         if r:
             return m
         m += 1
-        f = q
-        if not f:
-            return m
 
 
 def poly_roots(F: FieldCtx, f) -> list:

@@ -12,17 +12,18 @@ by their coefficients, and Scott's ranks in bounds and the spin closures
 of matrep.spin_span grow their own bases with it. reduce_vec against
 rref rows is zero exactly on their span, where a vector's pivot entries
 are its coordinates; matrep's sub sections read both. The hot routines
-(extend_basis, mat_vec, reduce_vec, scale_vec, add_scaled and shift, and
-through them everything else) have two loops each, chosen by
-``F.k == 1``: over a prime field an integer loop with ``% p`` inline,
-over GF(p^k) a loop that indexes the field's tables (``F.tables()``, so
-q <= 256), a row operation reading ``SUB[x][MUL[f][y]]``. No FieldCtx
-element method is called here.
+(extend_basis, mat_vec, reduce_vec and shift, and through them
+everything else) have two loops each, chosen by ``F.k == 1``: over a
+prime field an integer loop with ``% p`` inline, over GF(p^k) a loop
+that indexes the field's tables (``F.tables()``, so q <= 256), a row
+operation reading ``SUB[x][MUL[f][y]]``. kron scales rows with
+ff.scale_vec, which has the same two loops. No FieldCtx element method
+is called here.
 """
 
 from operator import mul as _imul
 
-from .ff import FieldCtx, poly_mul
+from .ff import FieldCtx, poly_mul, scale_vec
 
 
 def eye(F: FieldCtx, n: int) -> list:
@@ -184,25 +185,6 @@ def _extend_tab(tables: tuple, rows: list, pivots: list, vectors, limit: int) ->
         if r == limit:
             break
     return r
-
-
-def scale_vec(F: FieldCtx, c, v) -> list:
-    """c * v."""
-    if F.k == 1:
-        p = F.p
-        return [c * x % p for x in v]
-    m = F.tables()[2][c]
-    return [m[x] for x in v]
-
-
-def add_scaled(F: FieldCtx, v, c, w) -> list:
-    """v + c * w."""
-    if F.k == 1:
-        p = F.p
-        return [(x + c * y) % p for x, y in zip(v, w)]
-    ADD, _, MUL, _ = F.tables()
-    m = MUL[c]
-    return [ADD[x][m[y]] for x, y in zip(v, w)]
 
 
 def shift(F: FieldCtx, M: list, c) -> list:

@@ -399,7 +399,7 @@ def _random_algebra_element(rep: MatRep, stream: SeedStream) -> list:
             g = pmul(gens[stream.randrange(len(gens))], g)
         word = rep.image(g)
         coeff = 1 + stream.randrange(F.q - 1)
-        theta = [linalg.add_scaled(F, trow, coeff, wrow)
+        theta = [ff.add_scaled(F, trow, coeff, wrow)
                  for trow, wrow in zip(theta, word)]
     return theta
 

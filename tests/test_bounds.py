@@ -7,10 +7,10 @@ from fixspace.bounds import (NotIrreducible, ScottReport, TrivialAction, catalog
                              check_bound_theorems, extraspecial_free_check,
                              min_semisimple_fixdim, scott_check, scott_suite,
                              sl3_adjoint_heart, sl_p_adjoint_check)
-from fixspace.ff import make_field
-from fixspace.linalg import mat_vec
-from fixspace.matrep import (MatRep, build_rep, builtin_matgroup, deleted,
-                             embed_matrix_group, fixed_space_dim, section,
+from fixspace.ff import make_field, poly_roots, prime_power
+from fixspace.linalg import mat_vec, nullity, shift
+from fixspace.matrep import (MatRep, build_rep, builtin_matgroup, char_poly, deleted,
+                             eigenspace_profile, embed_matrix_group, fixed_space_dim, section,
                              frobenius_twist, is_irreducible, module_dual_fixed_dim,
                              module_fixed_dim, perm_module, sym_power, tensor)
 from fixspace.perm import NotInGroup, builtin_group, pinv, pmul, ppow
@@ -394,3 +394,36 @@ def test_extraspecial_free_action():
     assert report.subgroup_order == 3
     assert report.element_orders == (3, 3)
     assert report.max_eigenspace_dim == 1
+
+
+def characteristic_polynomial_modules():
+    """The catalog, plus deleted modules of A5 over GF(4) and A6 over GF(25)
+    and the SL2(9) natural tensor its Frobenius twist over GF(9)."""
+    modules = [e.rep for e in catalog()]
+    for gname, q in (("A5", 4), ("A6", 25)):
+        F = make_field(*prime_power(q))
+        modules.append(build_rep(deleted(perm_module(builtin_group(gname))), F))
+    F9 = make_field(3, 2)
+    _, nat = embed_matrix_group(
+        F9, 2, [[[1, 1], [0, 1]], [[1, 3], [0, 1]], [[0, 1], [2, 0]]], name="SL2_9")
+    modules.append(build_rep(tensor(nat.spec, frobenius_twist(nat.spec, 1)), F9))
+    return modules
+
+
+# eigenspace_profile reads the characteristic polynomial; the fixed space
+# and, where it splits over F, each eigenspace are the independent reference
+def test_eigenspace_profile_matches_eigenspaces_on_every_catalog_class():
+    classes = split = 0
+    for rep in characteristic_polynomial_modules():
+        F = rep.field
+        for cls in bounds.semisimple_classes(rep.group, F.p):
+            prof = eigenspace_profile(rep, cls.rep)
+            assert sum(d * m for d, m in prof.parts) == rep.dim
+            assert prof.fixed_dim == fixed_space_dim(rep, cls.rep)
+            classes += 1
+            if (F.q - 1) % cls.element_order == 0:
+                roots = poly_roots(F, char_poly(rep, cls.rep))
+                assert prof.max_eigenspace_dim == max(
+                    nullity(F, shift(F, rep.image(cls.rep), r)) for r in roots)
+                split += 1
+    assert 0 < split < classes

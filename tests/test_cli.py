@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from fixspace import linalg, matrep, perm
+from fixspace import bounds, linalg, matrep, perm
 from fixspace.cli import (EVALUATORS, ManifestParse, _claim_seed, build_parser, main,
                           parse_manifest)
 from fixspace.perm import builtin_group_names
@@ -295,6 +295,18 @@ def test_bounds_malformed_matgroup_exits_cleanly(tmp_path, capsys):
     assert err == "error: matgroup header 'matgroup T field 5' has no dim\n"
 
 
+def test_scott_sweep_reports_a_violation(capsys, monkeypatch):
+    # seed 2 draws one pair whose fixed dimensions exceed n, so _scott runs
+    # once; made to fail, the sweep counts it and exits 1
+    calls, scott = [], bounds._scott
+    monkeypatch.setattr(bounds, "_scott", lambda *args: calls.append(args) or
+                        scott(*args)._replace(holds=False))
+    code, out, _ = run(capsys, "scott", "--module", f"{DATA}/mersenne3.mod",
+                       "--seed", "2", "--pairs", "1", "--format", "records")
+    rec = records(out)
+    assert (code, len(calls), rec["violations"], rec["holds"]) == (1, 1, "1", "no")
+
+
 def test_scott_sweep(capsys):
     code, out, _ = run(capsys, "scott", "--module", f"{DATA}/mersenne3.mod",
                        "--seed", "4", "--pairs", "50", "--format", "records")
@@ -432,6 +444,12 @@ def test_oversized_characteristic_is_refused_before_trial_division(tmp_path, arg
     (tmp_path / "x.mod").write_text("(explicit X)\n")
     done = run_child(tmp_path, *argv)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+
+def test_oversized_characteristic_is_refused_in_process(capsys):
+    # the child-process test above does not show in this process's coverage
+    code, out, err = run(capsys, "pairs", "--group", "A5", "--p", str(BIG_P), "--seed", "1")
+    assert (code, out, err) == (2, "", f"error: p must be below 2**31, got {BIG_P}\n")
 
 
 def test_oversized_characteristic_in_a_claim_fails_it(tmp_path):
@@ -682,6 +700,12 @@ def test_parse_manifest_duplicate_id():
         parse_manifest(text)
     assert info.value.lineno == 7
     assert "duplicate" in str(info.value)
+
+
+def test_parse_manifest_empty_id():
+    with pytest.raises(ManifestParse, match="empty claim id") as info:
+        parse_manifest("[ ]\nkind = phi\n")
+    assert info.value.lineno == 1
 
 
 def test_parse_manifest_key_outside_section():

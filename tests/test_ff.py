@@ -8,10 +8,11 @@ from fixspace import chartab, ff
 from fixspace.ff import (DegreeOutOfRange, DivisorZero, NotPrime, make_field,
                          poly_add, poly_deriv, poly_divides, poly_divmod,
                          poly_eval, poly_gcd, poly_is_irreducible, poly_mul,
-                         poly_pow_mod, poly_roots, poly_x, root_multiplicity,
-                         squarefree_decomposition)
+                         poly_pow_mod, poly_roots, poly_scale, poly_x,
+                         root_multiplicity, squarefree_decomposition)
 
-from fieldoracle import TupleField, poly_divmod_field, poly_mul_field, poly_pow_mod_field
+from fieldoracle import (TupleField, poly_divmod_field, poly_mul_field, poly_norm,
+                         poly_pow_mod_field)
 
 
 def all_elements(F):
@@ -27,6 +28,8 @@ def test_make_field_validation():
         make_field(2, 0)
     with pytest.raises(DegreeOutOfRange):
         make_field(2, 63)
+    with pytest.raises(DegreeOutOfRange, match=r"field size 2147483647\^3 is at least 2\*\*62"):
+        make_field(2**31 - 1, 3)
 
 
 def test_gf8_canonical_modulus():
@@ -191,6 +194,28 @@ def test_poly_divides():
     f = poly_mul(F, (1, 1), (2, 1))
     assert poly_divides(F, (1, 1), f)
     assert not poly_divides(F, (3, 1), f)
+    with pytest.raises(DivisorZero, match="zero polynomial divides nothing"):
+        poly_divides(F, (), f)
+
+
+@pytest.mark.parametrize("q", [5, 4])
+def test_inverse_of_zero_raises(q):
+    with pytest.raises(ZeroDivisionError, match="field inverse of zero"):
+        make_field(*ff.prime_power(q)).inv(0)
+
+
+def test_polynomial_entry_points_refuse_zero_and_non_monic_input():
+    F = make_field(5)
+    assert not poly_is_irreducible(F, ()) and not poly_is_irreducible(F, (3,))
+    assert squarefree_decomposition(F, (1,)) == []
+    for call, message in (
+            (lambda: poly_is_irreducible(F, (1, 2)), "irreducibility test expects a monic"),
+            (lambda: squarefree_decomposition(F, (1, 2)), "squarefree decomposition expects a monic"),
+            (lambda: squarefree_decomposition(F, ()), "zero polynomial has no squarefree"),
+            (lambda: root_multiplicity(F, (), 1), "zero polynomial"),
+            (lambda: poly_roots(F, ()), "zero polynomial")):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_prime_power_matches_brute_force():
@@ -357,6 +382,102 @@ def test_poly_roots_of_distinct_linear_factors_in_characteristic_two(monkeypatch
             f = poly_mul(F, f, (F.neg(r), F.one))
         assert poly_roots(F, f) == [a for a in range(q) if poly_eval(F, f, a) == 0]
     assert splits
+
+
+# scale_vec and add_scaled are the row operations of linalg, matrep and the
+# GF(p^k) polynomial loops; the tuple field's method loops are the reference
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 4, 8, 9, 16, 25, 49])
+def test_row_operations_match_field_loop(q):
+    F, T = make_field(*ff.prime_power(q)), TupleField(*ff.prime_power(q))
+    rng = random.Random(200 + q)
+    for n in (1, 3, 4, 8):
+        for density in (100, 30, 0):
+            v, w = ([rng.randrange(1, q) if rng.randrange(100) < density else 0
+                     for _ in range(n)] for _ in range(2))
+            c = rng.randrange(q)
+            (tv, tw), tc = T.lift([v, w]), T.element(c)
+            assert ff.scale_vec(F, c, v) == T.drop([[T.mul(tc, x) for x in tv]])[0]
+            assert ff.add_scaled(F, v, c, w) == \
+                T.drop([[T.add(x, T.mul(tc, y)) for x, y in zip(tv, tw)]])[0]
+
+
+def poly_gcd_field(T, a, b):
+    """Monic gcd by Euclid on the tuple field's division loop."""
+    while b:
+        a, b = b, poly_divmod_field(T, a, b)[1]
+    return tuple(T.mul(T.inv(a[-1]), c) for c in a) if a else ()
+
+
+# over GF(p^k) products and divisions run on the row operations; the tuple
+# field's loops are the reference, on seeded operands of degree 0 to 24 and
+# monic, non-monic and linear divisors
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 256])
+def test_extension_field_polynomials_match_field_loop(q):
+    F, T = make_field(*ff.prime_power(q)), TupleField(*ff.prime_power(q))
+    rng = random.Random(q)
+
+    def lift(f):
+        return tuple(T.element(c) for c in f)
+
+    def drop(f):
+        return tuple(T.encode(c) for c in f)
+
+    def rand_poly(deg, lead):
+        return tuple(rng.randrange(q) for _ in range(deg)) + (lead,)
+
+    polys = [(), (1,), (rng.randrange(2, q),)]
+    polys += [rand_poly(rng.randrange(1, 25), rng.randrange(1, q)) for _ in range(9)]
+    divisors = [(rng.randrange(2, q),), rand_poly(1, 1), rand_poly(1, rng.randrange(2, q)),
+                rand_poly(rng.randrange(2, 9), 1), rand_poly(rng.randrange(2, 9), rng.randrange(2, q)),
+                rand_poly(rng.randrange(9, 20), rng.randrange(2, q))]
+    for a in polys:
+        s = rng.randrange(q)
+        assert poly_scale(F, a, s) == drop(poly_norm(T, [T.mul(T.element(s), c) for c in lift(a)]))
+        for b in polys[::2]:
+            assert poly_mul(F, a, b) == drop(poly_mul_field(T, lift(a), lift(b))), (a, b)
+            assert poly_gcd(F, a, b) == drop(poly_gcd_field(T, lift(a), lift(b))), (a, b)
+        for b in divisors:
+            quo, rem = poly_divmod_field(T, lift(a), lift(b))
+            assert poly_divmod(F, a, b) == (drop(quo), drop(rem)), (a, b)
+            assert poly_gcd(F, a, b) == drop(poly_gcd_field(T, lift(a), lift(b))), (a, b)
+    for m in divisors:
+        for a in polys[:3] + polys[-2:]:
+            for e in (0, 1, 2, q, rng.randrange(q, q * q)):
+                got = poly_pow_mod(F, a, e, m)
+                assert got == drop(poly_pow_mod_field(T, lift(a), e, lift(m))), (a, e, m)
+
+
+# squarefree decomposition of (x - a)^i (x - b)^j g^k, g an irreducible
+# quadratic: multiplicities divisible by p beside ones that are not. The
+# reference counts each monic irreducible of degree <= 2 by trial division.
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_squarefree_decomposition_matches_trial_division(q):
+    F = make_field(*ff.prime_power(q))
+    monic = [low + (F.one,) for n in (1, 2) for low in itertools.product(range(q), repeat=n)]
+    irreducible = [f for f in monic
+                   if len(f) == 2 or all(poly_eval(F, f, x) for x in range(q))]
+    g = irreducible[q]   # the first quadratic
+    assert len(g) == 3
+    rng = random.Random(q)
+    a, b = rng.sample(range(q), 2)
+    top = 2 * F.p + 2
+    for i, j, k in itertools.product(range(top), repeat=3):
+        f = (F.one,)
+        for h, e in (((F.neg(a), F.one), i), ((F.neg(b), F.one), j), (g, k)):
+            for _ in range(e):
+                f = poly_mul(F, f, h)
+        parts = {}
+        for h in irreducible:
+            m, r = 0, f
+            while True:
+                r, rem = poly_divmod(F, r, h)
+                if rem:
+                    break
+                m += 1
+            if m:
+                parts[m] = poly_mul(F, parts.get(m, (F.one,)), h)
+        assert squarefree_decomposition(F, f) == [(h, m) for m, h in sorted(parts.items())], \
+            (i, j, k)
 
 
 # poly_roots splits in rounds; evaluation at every element is the reference.

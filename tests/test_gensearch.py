@@ -101,6 +101,23 @@ def test_verify_pair_rejects_a_conjugator_outside_the_group():
     assert verify_pair(G, cert._replace(h=h_in_g, y=pconj(x, h_in_g)))
 
 
+def test_verify_rejects_forged_certificates():
+    G = builtin_group('A5')
+    triple = find_triple(G, 2, seed=1)
+    assert verify_triple(G, triple)
+    for forged in (triple._replace(verdict="NotFound"),
+                   triple._replace(z=tuple(range(5))),     # x y z = x y != 1
+                   triple._replace(orders=(1, 1, 1)),
+                   triple._replace(p=triple.orders[0])):   # x is a p-element
+        assert not verify_triple(G, forged), forged
+    pair = find_conjugate_pair(G, 5, seed=1)
+    assert verify_pair(G, pair)
+    for forged in (pair._replace(verdict="NotFound"),
+                   pair._replace(order=pair.order + 1),
+                   pair._replace(p=pair.order)):
+        assert not verify_pair(G, forged), forged
+
+
 def test_find_pair_with_order():
     G = builtin_group('A12')
     cert = find_conjugate_pair(G, 3, seed=4, order=11)
@@ -240,6 +257,12 @@ def test_phi_star_matches_brute_force():
     for q in [2, 3, 4, 5, 7, 8, 9]:
         for n in range(2, 13):
             assert phi_star(n, q) == phi_star_oracle(n, q), (n, q)
+
+
+@pytest.mark.parametrize("n", [1, 41])
+def test_phi_star_refuses_n_outside_its_range(n):
+    with pytest.raises(ValueError, match=f"n = {n} outside supported range 2..40"):
+        phi_star(n, 2)
 
 
 def test_phi_star_known_values():

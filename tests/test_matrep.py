@@ -8,10 +8,11 @@ import pytest
 
 from fixspace import matrep
 from fixspace.bounds import catalog, sl3_adjoint_heart
-from fixspace.ff import make_field
-from fixspace.linalg import eye, mat_mul, rank, reduce_vec, scale_vec, transpose
+from fixspace.ff import make_field, scale_vec
+from fixspace.linalg import eye, mat_mul, rank, reduce_vec, transpose
 from fixspace.matrep import (MAX_RECIPE_DEPTH, FieldMismatch, IllTyped, Inconclusive,
-                             MatRep, NotInGroup, NotInvertible, NotSemisimple,
+                             MatRep, ModuleSpec, NotInGroup, NotInvertible, NotSemisimple,
+                             OrbitTooLarge,
                              _random_algebra_element, build_rep,
                              builtin_matgroup, char_poly, deleted, dual,
                              eigenspace_profile, embed_matrix_group,
@@ -20,7 +21,7 @@ from fixspace.matrep import (MAX_RECIPE_DEPTH, FieldMismatch, IllTyped, Inconclu
                              parse_matgroup_text, parse_module_text, perm_module,
                              read_matgroup_file, read_module_file, section,
                              spin_span, sym_power, tensor)
-from fixspace.perm import builtin_group, cycle_lengths, pinv, pmul
+from fixspace.perm import PermGroup, builtin_group, cycle_lengths, perm_from_cycles, pinv, pmul
 from fixspace.rng import SeedStream
 
 
@@ -144,6 +145,13 @@ def test_frobenius_twist_entrywise():
     # twisting by the full Frobenius order is the identity functor
     rep2 = build_rep(frobenius_twist(base.spec, 2))
     assert rep2.image(G.gens[0]) == base.image(G.gens[0])
+    # over a prime field x^p = x: a twist is its child's image
+    A5 = builtin_group('A5')
+    child = build_rep(deleted(perm_module(A5)), make_field(7))
+    twist = build_rep(frobenius_twist(deleted(perm_module(A5)), 1), make_field(7))
+    assert twist.images == child.images
+    g = A5.random_element(SeedStream(2))
+    assert twist.image(g) == child.image(g)
 
 
 def test_sym_power_dims():
@@ -214,6 +222,10 @@ def test_module_fixed_dims_whole_group():
     assert module_dual_fixed_dim(rep, G.gens) == 1
     drep = build_rep(deleted(perm_module(G, make_field(7))))
     assert module_fixed_dim(drep, G.gens) == 0
+    # no elements fix everything; an odd permutation is outside A5
+    assert module_fixed_dim(drep, []) == drep.dim
+    with pytest.raises(NotInGroup, match="element is outside the represented group"):
+        module_fixed_dim(drep, [perm_from_cycles(5, [(1, 2)])])
 
 
 def test_is_irreducible_positive_and_negative():
@@ -245,6 +257,13 @@ def spin_oracle_irreducible(rep):
 def assert_proper_submodule(rep, sub):
     assert 0 < len(sub) < rep.dim
     assert len(spin_span(rep.field, rep.images, sub)) == len(sub)
+
+
+def test_trivial_group_leaves_the_first_basis_line_invariant():
+    rep = build_rep(perm_module(PermGroup(3, []), make_field(2)))
+    assert rep.images == ()
+    verdict = is_irreducible(rep)
+    assert not verdict.irreducible and verdict.submodule == ((1, 0, 0),)
 
 
 def test_norton_nullity_two_kernel_is_not_a_proof():
@@ -503,6 +522,48 @@ def test_field_mismatch_raises():
     b = perm_module(G, make_field(7))
     with pytest.raises(FieldMismatch):
         build_rep(tensor(a, b))
+    # the builtin SL2(5) carries GF(5)
+    with pytest.raises(FieldMismatch, match=r"GF\(5\) vs GF\(7\)"):
+        parse_module_text("(explicit SL2_5 :field (gf 7))")
+
+
+A5_PERM = perm_module(builtin_group('A5'))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: deleted(dual(A5_PERM)), "deleted applies to a permutation module only"),
+    (lambda: frobenius_twist(A5_PERM, -1), "twist exponent must be nonnegative"),
+    (lambda: sym_power(A5_PERM, 0), "symmetric power needs s >= 1"),
+    (lambda: section(A5_PERM, "both"), "section mode 'both' is not sub or quotient"),
+    (lambda: build_rep(ModuleSpec(kind="wedge", children=(A5_PERM,)), make_field(5)),
+     "unknown recipe node 'wedge'"),
+    (lambda: build_rep(tensor(A5_PERM, perm_module(builtin_group('A6'))), make_field(7)),
+     "recipe mixes modules of different groups"),
+    (lambda: build_rep(section(deleted(A5_PERM), "sub"), make_field(7)),
+     "section of an irreducible module"),
+    (lambda: build_rep(section(A5_PERM, "sub", [(1, 1, 1)]), make_field(7)),
+     "section basis length differs from parent dimension"),
+    (lambda: build_rep(A5_PERM), "recipe carries no coefficient field"),
+    (lambda: embed_matrix_group(make_field(5), 2, [[[1, 0, 0]]]), "matrix is not 2x2"),
+    # seed vectors (1, 0) and (2, 0) of a hand-built explicit module are dependent
+    (lambda: build_rep(ModuleSpec(kind="explicit", group=PermGroup(2, [(1, 0)]),
+                                  field=make_field(3), orbit=((1, 0), (2, 0)),
+                                  seed_index=(0, 1))),
+     "generator image is singular"),
+], ids=["deleted-of-dual", "negative-twist", "sym-zero", "section-mode", "unknown-node",
+        "two-groups", "irreducible-section", "basis-length", "no-field", "matrix-shape",
+        "dependent-seeds"])
+def test_recipe_nodes_that_cannot_be_built_are_ill_typed(build, message):
+    with pytest.raises(IllTyped, match=re.escape(message)):
+        build()
+
+
+def test_embedding_stops_at_the_degree_cap(monkeypatch):
+    monkeypatch.setattr(matrep, "DEGREE_CAP", 5)
+    _, nat = builtin_matgroup("SL2_5")
+    mats = [[list(row) for row in M] for M in nat.images]
+    with pytest.raises(OrbitTooLarge, match="orbit exceeds 5 vectors"):
+        embed_matrix_group(make_field(5), 2, mats)
 
 
 def test_matrep_refuses_a_node_over_another_field():
@@ -625,6 +686,7 @@ def test_random_algebra_element_matches_matrix_words():
     ("(section (perm A5) :mdoe quotient :field (gf 5))", "section takes no keyword :mdoe"),
     ("(perm A5 :mode quotient :field (gf 5))", "perm takes no keyword :mode"),
     ("(perm A5 :field (gf 5) :field (gf 7))", "keyword :field given twice"),
+    ("A5", "expected a recipe form, got 'A5'"),
 ])
 def test_malformed_module_recipe_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):
@@ -663,6 +725,9 @@ def test_recipe_nesting_is_capped():
     ("matgroup Z field 5 dim -2\ngen []\n", "has dim -2, below 1"),
     ("matgroup T field 5 dim 2\ngen [[1,1],[[0],1]]\n", "nests deeper than a matrix"),
     ("matgroup T field 5 dim 2\ngen [{\"a\": {}}]\n", "nests deeper than a matrix"),
+    ("gen [[1,1],[0,1]]\nmatgroup T field 5 dim 2\n", "gen line before matgroup header"),
+    ("matgroup T field 5 dim 2\norder 10\n", "unrecognized line 'order 10'"),
+    ("matgroup T field 5 dim 2\n", "matrix group file needs a header and generators"),
 ])
 def test_malformed_matgroup_header_is_ill_typed(text, message):
     with pytest.raises(IllTyped, match=re.escape(message)):

@@ -410,7 +410,10 @@ def test_group_file_roundtrip(tmp_path):
     ("degree 3\ngen (1,2,3", "line 2 'gen (1,2,3'"),
     ("degree 0\ngen ()", "line 1 'degree 0'"),
     ("group A\ngroup B\ndegree 3\ngen (1,2,3)", "line 2 'group B': second group line"),
-], ids=["second-degree", "unclosed-cycle", "degree-zero", "second-group"])
+    ("degree 3\norder 3\ngen (1,2,3)", "line 2 'order 3': unrecognized group-file line"),
+    ("group A\ndegree 3\n", "group file needs a degree and at least one gen line"),
+], ids=["second-degree", "unclosed-cycle", "degree-zero", "second-group", "unknown-key",
+        "no-gens"])
 def test_group_file_errors_name_the_line(text, line):
     with pytest.raises(ValueError, match=re.escape(line)):
         parse_group_text(text)
@@ -432,6 +435,20 @@ def test_group_file_cycles_allow_spaces_around_commas_and_parentheses():
 def test_group_from_generators_rejects_non_bijections():
     with pytest.raises(NotBijection):
         PermGroup(3, [(0, 0, 1)])
+    with pytest.raises(NotBijection, match="generator degree 2 != 3"):
+        PermGroup(3, [(1, 0)])
+
+
+def test_standard_groups_refuse_degrees_below_their_range():
+    with pytest.raises(ValueError, match="alternating groups here start at degree 3"):
+        alternating(2)
+    with pytest.raises(ValueError, match="symmetric groups here start at degree 2"):
+        symmetric(1)
+
+
+def test_conj_class_repr_names_order_size_and_representative():
+    cls = builtin_group("A5").conjugacy_classes()[1]
+    assert repr(cls) == "ConjClass(order=2, size=15, rep=(2,3)(4,5))"
 
 
 def test_identity_group():

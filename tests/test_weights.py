@@ -140,12 +140,16 @@ def test_root_system_rejects_unknown():
         root_system("E8")
     with pytest.raises(ValueError):
         root_system("G3")
+    with pytest.raises(ValueError, match="bad root system name: 'A10'"):
+        root_system("A10")
 
 
 def test_dominance_checked():
     rs = root_system("A2")
     with pytest.raises(NotDominant):
         weyl_dim(rs, (-1, 0))
+    with pytest.raises(NotDominant, match="coordinates must be integers"):
+        weyl_dim(rs, (1, "1"))
     with pytest.raises(ValueError):
         weyl_dim(rs, (1,))
 
@@ -240,6 +244,11 @@ def test_twist_divisibility_sl2():
     assert rep.short_weight == ()
 
 
+def test_twist_divisibility_refuses_exponents_below_two():
+    with pytest.raises(ValueError, match="twist exponent must be at least 2: 1"):
+        check_twist_divisibility(root_system("A1"), (2,), (1,), 1)
+
+
 def test_twist_divisibility_needs_zero_weight():
     rep = check_twist_divisibility(root_system("A1"), (1,), (1,), 5)
     assert rep.verdict == "NotApplicable"
@@ -321,6 +330,14 @@ def test_sym_divisibility_grid():
 def test_sym_divisibility_small_characteristic():
     with pytest.raises(HypothesisViolated):
         check_sym_divisibility(2, 1, 3)
+
+
+@pytest.mark.parametrize("n, s, message", [
+    (1, 1, "n must be between 2 and 5: 1"), (6, 1, "n must be between 2 and 5: 6"),
+    (2, 0, "s must be positive: 0")])
+def test_sym_divisibility_refuses_n_and_s_out_of_range(n, s, message):
+    with pytest.raises(ValueError, match=message):
+        check_sym_divisibility(n, s, 11)
 
 
 def test_eigen_separation_criterion():
