@@ -5,14 +5,15 @@ l = 1 (mod exponent) and l^2 > 4|G|^3, then lifted to dense integer
 vectors over the basis 1, z, ..., z^{e-1} of e-th roots of unity: the
 entry at z^m of a value is the multiplicity of the eigenvalue z^m.
 Every table is built from its group on each call; nothing is stored
-between runs. Below A7, 40 to 85 percent of a build is the central
-characters, and 15 to 60 percent the roots in GF(l) of one class-algebra
-element's characteristic polynomial. At A7 about 55 percent, and at A8
-(20,160 elements) about 80, is the class multiplication constants, which
-compose the encoded members of one class at a time with the group's
-codec and look up the class of each product in the group's encoded class
-map (PermGroup.class_map); no member is decoded. The lift reads every
-power of z from one table of z^i mod l.
+between runs. Below A7, 50 to 80 percent of a build is the central
+characters, and 20 to 50 percent the roots in GF(l) of one class-algebra
+element's characteristic polynomial. At A7 about 25 percent, and at A8
+(20,160 elements) about 55, is the class multiplication constants, which
+count one of each mirrored pair of columns (class_algebra), composing
+the encoded members of one class at a time with the group's codec and
+looking up the class of each product in the group's encoded class map
+(PermGroup.class_map); no member is decoded. The lift reads every power
+of z from one table of z^i mod l.
 
 The table keeps the class multiplication constants, and class-triple
 counts are read from them: no character value is multiplied.
@@ -36,21 +37,38 @@ class LiftFailure(RuntimeError):
 def class_algebra(group: PermGroup) -> tuple:
     """The class multiplication constants over the group's classes:
     constants[i][j][k] = #{x in C_i : x^{-1} z_k in C_j}, the number of
-    (x, y) in C_i x C_j with xy = z_k."""
+    (x, y) in C_i x C_j with xy = z_k.
+
+    Counting the column (i, k), all j at once, costs |C_i| products, so
+    only the columns with (|C_i|, i) <= (|C_k|, k) are counted. Reversing
+    and inverting the product-one triples (x, y, (xy)^{-1}) gives
+    |C_k| constants[i][j][k] = |C_i| constants[k][j bar][i], j bar the
+    inverse class, which fills the other columns (Dixon 1967)."""
     classes = group.conjugacy_classes()
     where = group.class_map()
     r = len(classes)
     codec = group.codec
     apply = codec.apply
     reps = [codec.right(codec.encode(c.rep)) for c in classes]
+    bar = [group.class_of(pinv(c.rep)) for c in classes]
+    size = [c.size for c in classes]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         # as x runs over C_i, x^{-1} runs over the inverse class
-        inverses = classes[group.class_of(pinv(classes[i].rep))].encoded
+        inverses = classes[bar[i]].encoded
         row = a[i]
         for k, z in enumerate(reps):
-            for w in inverses:
-                row[where[apply(w, z)]][k] += 1
+            if (size[i], i) <= (size[k], k):
+                for w in inverses:
+                    row[where[apply(w, z)]][k] += 1
+    for i in range(r):
+        for k in range(r):
+            if (size[i], i) > (size[k], k):
+                for j in range(r):
+                    n, rest = divmod(a[k][bar[j]][i] * size[i], size[k])
+                    if rest:
+                        raise LiftFailure("class constants break the inverse-triple symmetry")
+                    a[i][j][k] = n
     return tuple(tuple(tuple(v) for v in m) for m in a)
 
 

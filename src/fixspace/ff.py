@@ -24,7 +24,8 @@ _*_mod helpers), and poly_pow_mod modulo a degree d >= 2 packs each
 residue into one int (Kronecker substitution): a product is one int
 multiply and its reduction O(d) steps. poly_is_irreducible is Ben-Or's
 test. poly_roots takes one splitter per round, modulo the product of the
-pieces still unsplit. Squarefree decomposition plus root extraction
+pieces still unsplit; over odd q, x^((q - 1)/2) mod f gives both x^q and
+round 0's splitter. Squarefree decomposition plus root extraction
 cover every factorization this package needs.
 """
 
@@ -558,7 +559,14 @@ def poly_roots(F: FieldCtx, f) -> list:
     roots, f = [F.zero] if i else [], poly_monic(F, tuple(f[i:]))
     if len(f) < 2:
         return roots
-    pieces = [poly_gcd(F, poly_sub(F, poly_pow_mod(F, poly_x(F), F.q, f), poly_x(F)), f)]
+    x, half = poly_x(F), None
+    if F.p == 2:
+        xq = poly_pow_mod(F, x, F.q, f)
+    else:
+        # x^q = x h^2 for h = x^((q - 1)/2), and h - 1 is round 0's splitter
+        half = poly_pow_mod(F, x, (F.q - 1) // 2, f)
+        xq = poly_mod(F, (F.zero,) + poly_mul(F, half, half), f)
+    pieces = [poly_gcd(F, poly_sub(F, xq, x), f)]
     splitter = _even_splitter if F.p == 2 else _odd_splitter
     for s in range(F.q + 1):
         unsplit = []
@@ -571,7 +579,12 @@ def poly_roots(F: FieldCtx, f) -> list:
             return sorted(roots)
         if s == F.q:
             raise AssertionError("linear factor splitting failed; unreachable")
-        t, pieces = splitter(F, reduce(partial(poly_mul, F), unsplit), s), []
+        whole = reduce(partial(poly_mul, F), unsplit)
+        if s or half is None:
+            t = splitter(F, whole, s)
+        else:   # whole divides f
+            t = poly_sub(F, poly_mod(F, half, whole), (F.one,))
+        pieces = []
         for h in unsplit:
             g = poly_gcd(F, poly_mod(F, t, h), h)
             pieces += (g, poly_divmod(F, h, g)[0]) if 1 < len(g) < len(h) else (h,)

@@ -20,7 +20,6 @@ between references; this one is fixed and covered by tests.
 """
 
 from functools import cache
-from itertools import product
 from typing import NamedTuple
 
 from .ff import make_field, multiplicative_generator, prime_power
@@ -209,43 +208,51 @@ class WeightMultiset(NamedTuple):
 
 
 def _dominant_walk(rs: RootSystem, w):
-    """Dominant representative of w and the simple-root coordinates of
-    (that representative - w)."""
-    climb = [0] * rs.rank
+    """Dominant representative of w."""
     while True:
         i = next((j for j in range(rs.rank) if w[j] < 0), None)
         if i is None:
-            return w, climb
-        climb[i] -= w[i]
+            return w
         w = rs.reflect_fund(w, i)
+
+
+def _dominant_below(rs: RootSystem, lam) -> dict:
+    """Every dominant weight v <= lam, mapped to the simple-root
+    coordinates of lam - v: the dominant results of walking down from lam
+    by positive roots."""
+    roots = [(a, rs.root_to_fund(a)) for a in rs.positive]
+    below = {lam: (0,) * rs.rank}
+    queue = [lam]
+    for v in queue:
+        for a, afund in roots:
+            u = tuple(x - y for x, y in zip(v, afund))
+            if min(u) >= 0 and u not in below:
+                below[u] = tuple(x + y for x, y in zip(below[v], a))
+                queue.append(u)
+    return below
 
 
 def weight_multiset(rs: RootSystem, lam) -> WeightMultiset:
     """Weights with multiplicities, by Freudenthal's recursion.
 
     Multiplicities are computed on the dominant cone top-down, then spread
-    over Weyl orbits.  The recursion needs multiplicities only at weights
-    strictly closer to the highest weight, and those are looked up through
-    their dominant representatives (Moody-Patera).  Every quantity is an
-    integer: weights in fundamental coordinates, roots and lam - mu in
-    simple-root coordinates.
+    over Weyl orbits.  The dominant weights below lam are found by walking
+    down from lam by positive roots and keeping the dominant results: two
+    dominant weights adjacent in the dominance order differ by a positive
+    root (Stembridge, The partial order of dominant weights, Adv. Math.
+    136, 1998), so the walk reaches all of them.  The recursion needs
+    multiplicities only at weights strictly closer to the highest weight,
+    and those are looked up through their dominant representatives
+    (Moody-Patera).  Every quantity is an integer: weights in fundamental
+    coordinates, roots and lam - mu in simple-root coordinates.
     """
     lam = _check_dominant(rs, lam)
     dim = weyl_dim(rs, lam)
     if dim > DIM_CAP:
         raise TooLarge(f"dimension {dim} exceeds cap {DIM_CAP}")
 
-    # Walking -lam to its dominant representative -w0(lam) climbs by
-    # lam - w0(lam), which bounds the coefficients of dominant candidates.
-    _, box = _dominant_walk(rs, tuple(-c for c in lam))
-
-    candidates = []
-    for cvec in product(*(range(b + 1) for b in box)):
-        v = tuple(a - b for a, b in zip(lam, rs.root_to_fund(cvec)))
-        if min(v) >= 0:
-            candidates.append((sum(cvec), v, cvec))
-    candidates.sort()
-
+    below = _dominant_below(rs, lam)
+    candidates = sorted((sum(cvec), v, cvec) for v, cvec in below.items())
     roots = [(a, rs.root_to_fund(a)) for a in rs.positive]
     lam_2rho = tuple(c + 2 for c in lam)
     mult = {lam: 1}
@@ -260,7 +267,7 @@ def weight_multiset(rs: RootSystem, lam) -> WeightMultiset:
                 if min(rest) < 0:
                     break
                 nu = tuple(x + y for x, y in zip(nu, afund))
-                m = mult.get(_dominant_walk(rs, nu)[0], 0)
+                m = mult.get(_dominant_walk(rs, nu), 0)
                 if m:
                     num += m * rs.inner(nu, a)
         den = rs.inner(tuple(x + y for x, y in zip(lam_2rho, v)), cvec)

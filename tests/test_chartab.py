@@ -60,11 +60,45 @@ def class_constants_oracle(G):
     return tuple(tuple(tuple(v) for v in m) for m in a)
 
 
-@pytest.mark.parametrize("name", [n for n in builtin_group_names()
-                                  if builtin_group(n).order <= 20160])
+ORACLE_GROUPS = [n for n in builtin_group_names() if builtin_group(n).order <= 20160]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_class_algebra_matches_tuple_loop(name):
     G = builtin_group(name)
     assert class_algebra(G) == class_constants_oracle(G)
+
+
+def test_class_algebra_oracle_covers_non_real_classes():
+    # a column mirrored from (k, i) reads constants[k][j bar][i]; j bar and
+    # j differ only at a class that is not its own inverse
+    def non_real(G):
+        return any(G.class_of(pinv(c.rep)) != i for i, c in enumerate(G.conjugacy_classes()))
+
+    assert {n for n in ORACLE_GROUPS if non_real(builtin_group(n))} >= \
+        {"A7", "L2_7", "F56", "F12"}
+
+
+@pytest.mark.parametrize("name, products", [("A7", 8122), ("A8", 92037)])
+def test_class_algebra_counts_each_column_pair_over_the_smaller_class(monkeypatch,
+                                                                     name, products):
+    # the column (i, k) takes |C_i| products and (k, i) |C_k|: one of each
+    # pair is counted, over the smaller class (A8 took 282,240 products
+    # when every column was counted, A7 22,680)
+    G = builtin_group(name)
+    sizes = [c.size for c in G.conjugacy_classes()]
+    G.class_map()   # classes and class map built before the codec is swapped
+    calls = [0]
+    apply = G.codec.apply
+
+    def counting_apply(a, b):
+        calls[0] += 1
+        return apply(a, b)
+
+    monkeypatch.setattr(G, "codec", G.codec._replace(apply=counting_apply))
+    class_algebra(G)
+    assert calls[0] == products == sum(min(s, t) for i, s in enumerate(sizes)
+                                       for t in sizes[i:])
 
 
 def test_class_algebra_matches_tuple_loop_past_byte_encoding(monkeypatch):
@@ -131,8 +165,7 @@ def test_character_table_digest(name):
     assert hashlib.sha256(blob).hexdigest() == TABLE_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", [n for n in builtin_group_names()
-                                  if builtin_group(n).order <= 20160])
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_central_characters_are_joint_eigenvectors(name):
     # however they are found: r distinct vectors, each 1 at the identity
     # class and with A_i w = w_i w mod l for every class matrix A_i

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import product
 
@@ -7,7 +8,8 @@ from fixspace.cli import eval_twist_divisibility
 from fixspace.ff import (is_prime, make_field, multiplicative_generator,
                          poly_divides, poly_mul)
 from fixspace.weights import (HypothesisViolated, NotDominant, NotRestricted,
-                              TooLarge, _compare_divisibility, _scaled, _tensor,
+                              TooLarge, _compare_divisibility, _dominant_below,
+                              _scaled, _tensor,
                               check_sym_divisibility, check_twist_divisibility,
                               root_system, sl2_distinct_eigenvalues,
                               weight_multiset, weyl_dim)
@@ -107,6 +109,49 @@ def test_weight_multiset_g2_seven():
     assert wms.multiplicity((0, 0)) == 1
     assert wms.multiplicity((1, 0)) == 1
     assert len(wms.entries) == 7
+
+
+def box_scan_dominant(rs, lam):
+    """Every dominant v <= lam -> simple-root coordinates of lam - v, by
+    scanning a box: walking -lam to its dominant representative -w0(lam)
+    climbs by lam - w0(lam), which bounds those coordinates."""
+    w, box = tuple(-c for c in lam), [0] * rs.rank
+    while min(w) < 0:
+        i = next(j for j in range(rs.rank) if w[j] < 0)
+        box[i] -= w[i]
+        w = rs.reflect_fund(w, i)
+    out = {}
+    for cvec in product(*(range(b + 1) for b in box)):
+        v = tuple(a - b for a, b in zip(lam, rs.root_to_fund(cvec)))
+        if min(v) >= 0:
+            out[v] = cvec
+    return out
+
+
+# every accepted system at every dominant weight of coordinate sum <= 6,
+# 4 or 3 for rank <= 2, 3 or 4
+GRID_SUM = {1: 6, 2: 6, 3: 4, 4: 3}
+GRID = [(name, lam) for name in SYSTEMS
+        for rank in [root_system(name).rank]
+        for lam in product(range(GRID_SUM[rank] + 1), repeat=rank)
+        if sum(lam) <= GRID_SUM[rank]]
+# SHA-256 of repr((system, lam, entries)) over GRID, in order, recorded
+# from the box scan before the positive-root walk replaced it
+GRID_DIGEST = "7de3a9734c9934ff8950c60acf5ab3b40ba147166229fcce4e4dd6a7682e6577"
+
+
+def test_dominant_walk_matches_box_scan():
+    assert len(GRID) == 399
+    for name, lam in GRID:
+        rs = root_system(name)
+        assert _dominant_below(rs, lam) == box_scan_dominant(rs, lam), (name, lam)
+
+
+def test_weight_multisets_over_the_grid_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for name, lam in GRID:
+        h.update(repr((name, lam, weight_multiset(root_system(name), lam).entries)).encode())
+    assert h.hexdigest() == GRID_DIGEST
 
 
 def test_totals_match_weyl_dim():
