@@ -2,12 +2,13 @@
 
 Random searches are reproducible: each draws its elements from one
 stream forked from the integer seed, and the budget counts attempts, one
-pair of elements each. An attempt tests the order of x before it builds
-the second element; when x is rejected, PermGroup.skip_element moves the
-stream past the second element without drawing it (one set lookup and
-one addition to the state, unless that element's draws meet a
-rejection), so every stream, witness and attempt count is that of
-drawing both. Candidates are tested
+pair of elements each. An attempt reads x's order (PermGroup.random_order,
+an array read once the group has listed its orders) before it builds x;
+when x is rejected, PermGroup.skip_element moves the stream past the
+second element without drawing it (one set lookup and one addition to
+the state, unless that element's draws meet a rejection), so every
+stream, witness and attempt count is that of drawing both. A triple
+search reads y's order the same way. Candidates are tested
 by PermGroup.generated_by (an orbit test, then a known-order chain build,
 which a product-replacement walk usually ends); every returned
 certificate is rechecked before it is handed back, with subgroup_order
@@ -97,15 +98,14 @@ def find_triple(group: PermGroup, p: int, budget: int = 10**5, seed: int = 1,
     """
     stream = SeedStream(seed).fork(0)
     for attempts in range(1, budget + 1):
-        x = group.random_element(stream)
-        ox = element_order(x)
+        ox, ix = group.random_order(stream)
         if ox % p == 0 or orders is not None and ox != orders[0]:
             group.skip_element(stream)   # y, which nothing reads
             continue
-        y = group.random_element(stream)
-        oy = element_order(y)
+        oy, iy = group.random_order(stream)
         if oy % p == 0 or orders is not None and oy != orders[1]:
             continue
+        x, y = group.element_at(ix), group.element_at(iy)
         z = pinv(pmul(x, y))
         oz = element_order(z)
         if oz % p == 0:
@@ -133,11 +133,11 @@ def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
     """Random search for a p'-element x and conjugate x^h with <x, x^h> = G."""
     stream = SeedStream(seed).fork(0)
     for attempts in range(1, budget + 1):
-        x = group.random_element(stream)
-        ox = element_order(x)
+        ox, ix = group.random_order(stream)
         if ox % p == 0 or order is not None and ox != order:
             group.skip_element(stream)   # h, which nothing reads
             continue
+        x = group.element_at(ix)
         h = group.random_element(stream)
         y = pconj(x, h)
         if not group.generated_by([x, y]):

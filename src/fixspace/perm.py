@@ -9,7 +9,8 @@ hold elements in the encoding of its `codec` (`bulk_codec`): image
 tuples above that, on the same code path.
 
 Conjugacy classes come from one sweep over a shrinking set of the
-encoded elements of G (the orbit algorithm: each class is the
+encoded elements of G, read row by row off `_rows`, the one enumerator
+of G (the orbit algorithm: each class is the
 conjugation orbit, under the generators, of an element still in the
 set).  A class keeps its members encoded; its `members` tuple is sorted
 and decoded on first read.  The one element-to-class map is keyed by the
@@ -35,8 +36,19 @@ Transversal inverses are computed on first use and kept as right
 operands (`Codec.right`), so a sift step is one `Codec.apply`.  A random
 element takes one index per level from a single `SeedStream.randranges`
 call over the group's `rng.Draws` (`_draws`, listed once beside the
-transversal operands); `skip_element` advances a stream by exactly
-those draws (`SeedStream.skip`) and builds nothing.
+transversal operands), and `element_at` builds it from those indices;
+`skip_element` advances a stream by exactly those draws
+(`SeedStream.skip`) and builds nothing.
+
+An order-tested draw (`random_order`) makes the same draws and returns
+the element's order with its indices.  The |G|-th such draw of a group
+of order at most CLASS_CAP lists every element's order once, in draw
+order, in one `array("I")` of 4·|G| bytes (about one element order per
+element: a group that lists has paid at most twice what listing up front
+would); later draws read it at the mixed-radix number of their indices.
+`_rows` walks G a row at a time, a head (a product over the first half
+of the levels) times every tail, so no list of |G| elements is alive.
+No output depends on whether a group has listed.
 
 `subgroup_order` knows |G|, so its build proves generation as soon as
 the chain's orbit lengths multiply to |G| (see `_build_chain`).  Before
@@ -52,8 +64,11 @@ no chain when the first base point's orbit is short.
 from __future__ import annotations
 
 import re
+from array import array
 from functools import cache
+from itertools import chain
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, NamedTuple
 
 from . import ff
@@ -323,6 +338,8 @@ class PermGroup:
         self._ident = self.codec.encode(identity(degree))
         self._levels = []
         self._operands = None
+        self._orders = None       # element orders in draw order; see random_order
+        self._order_draws = 0
         self._build_chain(_stop_at)
         self.order = self._chain_order()
         self._classes = None
@@ -504,28 +521,49 @@ class PermGroup:
         return res == self._ident
 
     def _draws(self) -> tuple:
-        """(operands, draws) of a random element: each level's transversal,
-        deepest level first and in orbit_list order, as right operands, and
-        the rng Draws over the levels' orbit lengths (each at least 2: a
-        level's base point is moved by the generator installed there).
-        Listed on first use; the chain is complete by then and never
-        changes."""
+        """(operands, draws, strides) of a random element: each level's
+        transversal, deepest level first and in orbit_list order, as right
+        operands; the rng Draws over the levels' orbit lengths (each at
+        least 2: a level's base point is moved by the generator installed
+        there); and the mixed-radix strides that number the draws' indices
+        in draw order.  Listed on first use; the chain is complete by then
+        and never changes."""
         if self._operands is None:
             right = self.codec.right
             ops = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
                    for lvl in reversed(self._levels)]
-            self._operands = ops, Draws(map(len, ops))
+            ns = list(map(len, ops))
+            self._operands = ops, Draws(ns), [prod(ns[j + 1:]) for j in range(len(ns))]
         return self._operands
+
+    def element_at(self, indices) -> tuple:
+        """The element with one transversal index per level, deepest first:
+        the product of those transversal elements."""
+        apply = self.codec.apply
+        g = self._ident
+        for level, i in zip((self._operands or self._draws())[0], indices):
+            g = apply(g, level[i])
+        return tuple(g)
 
     def random_element(self, stream: SeedStream) -> tuple:
         """Exactly uniform: product of uniformly chosen transversal
         elements, one rng index per level drawn in a single call."""
-        ops, draws = self._operands or self._draws()
-        apply = self.codec.apply
-        g = self._ident
-        for level, i in zip(ops, stream.randranges(draws)):
-            g = apply(g, level[i])
-        return tuple(g)
+        return self.element_at(stream.randranges((self._operands or self._draws())[1]))
+
+    def random_order(self, stream: SeedStream) -> tuple:
+        """(order, indices) of the element random_element would draw, with
+        the same draws; element_at(indices) builds it.  See the module
+        docstring for the listing of orders."""
+        _, draws, strides = self._operands or self._draws()
+        ind = stream.randranges(draws)
+        orders = self._orders
+        if orders is None:
+            self._order_draws += 1
+            if self._order_draws < self.order or self.order > CLASS_CAP:
+                return element_order(self.element_at(ind)), ind
+            orders = self._orders = array(
+                "I", map(element_order, chain.from_iterable(self._rows())))
+        return orders[sum(map(mul, ind, strides))], ind
 
     def skip_element(self, stream: SeedStream) -> None:
         """Advance stream exactly as random_element would, building nothing."""
@@ -560,17 +598,23 @@ class PermGroup:
                 return False
         return self.subgroup_order(elems) == self.order
 
-    def _all_elements(self) -> list:
-        """Every element once, encoded, unsorted: the products of one
-        transversal element per level; see CLASS_CAP."""
+    def _rows(self):
+        """Every element once, encoded, in draw order (see random_order),
+        one row at a time: a row is one head, a product over the first
+        half of the levels (deepest first), times each tail, a product
+        over the rest.  See CLASS_CAP."""
         if self.order > CLASS_CAP:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {CLASS_CAP}")
-        right, apply = self.codec.right, self.codec.apply
-        out = [self._ident]
-        for i in reversed(range(len(self._levels))):
-            ts = [right(t) for t in self._level(i).transversal.values()]
-            out = [apply(g, t) for g in out for t in ts]
-        return out
+        ops = self._draws()[0]
+        apply = self.codec.apply
+        half = (len(ops) + 1) // 2
+        heads, tails = [self._ident], [self.codec.right(self._ident)]
+        for level in ops[:half]:
+            heads = [apply(g, t) for g in heads for t in level]
+        for level in ops[half:]:
+            tails = [apply(g, t) for g in tails for t in level]
+        for head in heads:
+            yield [apply(head, t) for t in tails]
 
     def conjugacy_classes(self) -> tuple:
         """Classes sorted by (element order, size, minimal member), from
@@ -579,7 +623,7 @@ class PermGroup:
             return self._classes
         encode, inv, right, apply = self.codec
         conjugators = [(inv(s), right(s)) for s in map(encode, self.gens)]
-        remaining = set(self._all_elements())
+        remaining = set(chain.from_iterable(self._rows()))
         classes = []
         while remaining:
             members = [remaining.pop()]

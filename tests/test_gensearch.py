@@ -298,17 +298,30 @@ def reference_triple(group, p, budget, seed, orders=None):
     return "NotFound", budget, None, None
 
 
-def reference_pair(group, p, budget, seed, order):
+def reference_pair(group, p, budget, seed, order=None):
     stream = SeedStream(seed).fork(0)
     for attempts in range(1, budget + 1):
         x = group.random_element(stream)
         h = group.random_element(stream)
         ox = element_order(x)
-        if ox % p == 0 or ox != order:
+        if ox % p == 0 or order is not None and ox != order:
             continue
         if group.subgroup_order([x, pconj(x, h)]) == group.order:
             return "Generates", attempts, x, h
     return "NotFound", budget, None, None
+
+
+def listed_copy(name):
+    """A fresh build of a builtin group, with the same chain and streams,
+    that has listed its element orders: |G| order-tested draws on a
+    throwaway stream make it list (see PermGroup.random_order)."""
+    G = builtin_group(name)
+    H = PermGroup(G.degree, G.gens, name=name)
+    stream = SeedStream(0)
+    for _ in range(H.order):
+        H.random_order(stream)
+    assert H._orders is not None
+    return H
 
 
 @pytest.mark.parametrize("name, p, budget, orders", [
@@ -318,16 +331,27 @@ def reference_pair(group, p, budget, seed, order):
     ("A5", 5, 200, None),
 ])
 def test_find_triple_matches_reference_draws(name, p, budget, orders):
-    G = builtin_group(name)
-    for seed in range(1, 26):
-        cert = find_triple(G, p, budget=budget, seed=seed, orders=orders)
-        assert (cert.verdict, cert.attempts, cert.x, cert.y) == reference_triple(
-            G, p, budget, seed, orders), seed
+    # the cached group may list partway through these searches (A7 at its
+    # 2,520th draw); the copy has listed before its first search
+    for G in (builtin_group(name), listed_copy(name)):
+        for seed in range(1, 26):
+            cert = find_triple(G, p, budget=budget, seed=seed, orders=orders)
+            assert (cert.verdict, cert.attempts, cert.x, cert.y) == reference_triple(
+                G, p, budget, seed, orders), (G._orders is None, seed)
 
 
 def test_find_conjugate_pair_matches_reference_draws():
-    G = builtin_group("A12")
-    for seed in range(1, 26):
-        cert = find_conjugate_pair(G, 5, seed=seed, order=11)
-        assert (cert.verdict, cert.attempts, cert.x, cert.h) == reference_pair(
-            G, 5, 10**5, seed, 11), seed
+    # A12 never lists; L2_7 with and without a wanted order, each before
+    # and after listing; two involutions only generate a dihedral group,
+    # so the order-2 row is NotFound within its small budget
+    cases = [(builtin_group("A12"), 5, 11, 10**5)]
+    for G in (builtin_group("L2_7"), listed_copy("L2_7")):
+        cases += [(G, 3, None, 10**5), (G, 3, 7, 10**5), (G, 7, 2, 40)]
+    verdicts = set()
+    for G, p, order, budget in cases:
+        for seed in range(1, 26):
+            cert = find_conjugate_pair(G, p, budget=budget, seed=seed, order=order)
+            got = (cert.verdict, cert.attempts, cert.x, cert.h)
+            assert got == reference_pair(G, p, budget, seed, order), (G, p, order, seed)
+            verdicts.add(cert.verdict)
+    assert verdicts == {"Generates", "NotFound"}

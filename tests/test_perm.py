@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -462,6 +462,48 @@ def test_identity_group():
     assert G.random_element(s) == identity(4)
     G.skip_element(s)
     assert s._state == before
+
+
+# fresh groups (builtin_group is cached across tests), each of order at
+# most CLASS_CAP, so each lists its element orders at its |G|-th draw;
+# among them the identity group (no levels), C257 (one level, above the
+# byte codec) and A8 (20,160 draws before it lists)
+LISTING_GROUPS = {
+    "1": lambda: PermGroup(4, [identity(4)]), "A5": lambda: alternating(5),
+    "L2_7": lambda: psl2(7), "S6": lambda: symmetric(6),
+    "F56": lambda: affine_frobenius_2a(3), "A7": lambda: alternating(7),
+    "C257": lambda: cyclic(257), "A8": lambda: alternating(8),
+}
+
+
+@pytest.mark.parametrize("name", LISTING_GROUPS)
+def test_random_order_matches_random_element_across_the_listing(name):
+    G = LISTING_GROUPS[name]()
+    s, twin = SeedStream(7), SeedStream(7)
+    for k in range(2 * G.order + 3):
+        assert (G._orders is None) == (k < G.order), k
+        order, ind = G.random_order(s)
+        g = G.random_element(twin)
+        assert (G.element_at(ind), order) == (g, element_order(g)), k
+        if k % 3 == 0:
+            G.skip_element(s)
+            G.skip_element(twin)
+    assert s._state == twin._state
+    # every index of the listing, counted in draw order
+    ns = G._draws()[1].ns
+    assert len(G._orders) == G.order
+    for n, ind in enumerate(product(*map(range, ns))):
+        assert G._orders[n] == element_order(G.element_at(ind)), ind
+
+
+def test_random_order_never_lists_past_the_cap(monkeypatch):
+    monkeypatch.setattr(perm, "CLASS_CAP", 100)
+    G = psl2(7)
+    s, twin = SeedStream(3), SeedStream(3)
+    for _ in range(2 * G.order):
+        order, ind = G.random_order(s)
+        assert order == element_order(G.random_element(twin))
+    assert G._orders is None
 
 
 def recomputed_chain_order(self):
