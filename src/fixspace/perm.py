@@ -46,8 +46,10 @@ of order at most CLASS_CAP lists every element's order once, in draw
 order, in one `array("I")` of 4·|G| bytes (about one element order per
 element: a group that lists has paid at most twice what listing up front
 would); later draws read it at the mixed-radix number of their indices.
-`_rows` walks G a row at a time, a head (a product over the first half
-of the levels) times every tail, so no list of |G| elements is alive.
+`_rows` walks G a row at a time, a head (a product over the deepest
+ceil(k/2) of the k levels) times every tail (a product over the rest), so
+it holds the heads, the tails and one row: for A8 60, 336 and 336
+elements, but for a one-level chain the heads are all of G.
 No output depends on whether a group has listed.
 
 `subgroup_order` knows |G|, so its build proves generation as soon as
@@ -600,9 +602,10 @@ class PermGroup:
 
     def _rows(self):
         """Every element once, encoded, in draw order (see random_order),
-        one row at a time: a row is one head, a product over the first
-        half of the levels (deepest first), times each tail, a product
-        over the rest.  See CLASS_CAP."""
+        one row at a time: a row is one head, a product over the deepest
+        ceil(k/2) of the k levels, times each tail, a product over the
+        rest.  Holds every head and every tail while it runs.  See
+        CLASS_CAP."""
         if self.order > CLASS_CAP:
             raise GroupTooLarge(f"group order {self.order} exceeds cap {CLASS_CAP}")
         ops = self._draws()[0]
