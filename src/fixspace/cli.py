@@ -5,7 +5,9 @@ Result, that is its human-readable lines, its machine-readable `key =
 value` records and its exit status. One runner prints what an evaluator
 returns; `--format records` drops the human section. Machine output is
 byte-identical across runs for fixed seed and inputs, and nothing is kept
-between runs: each evaluator builds what it needs from its inputs.
+between runs: each evaluator builds what it needs from its inputs. A
+search's certificate is printed only once gensearch.verify_triple or
+verify_pair accepts it, with a full chain build of <x, y>.
 
 One table, EVALUATORS, declares each evaluator once: its subcommand, its
 parameters and, for a claim kind, its PASS test. The parser builds the
@@ -156,7 +158,14 @@ def eval_table(group: str) -> Result:
     return Result(human, records)
 
 
-def _witness_records(cert) -> list:
+def _certified(ok: bool) -> None:
+    """Print a certificate only if gensearch.verify_* and what was asked hold."""
+    if not ok:
+        raise ValueError("the certificate found fails the independent check")
+
+
+def _witness_records(G, cert, orders=None) -> list:
+    _certified(gensearch.verify_triple(G, cert) and orders in (None, cert.orders))
     return [
         ("x", format_cycles(cert.x)),
         ("y", format_cycles(cert.y)),
@@ -179,7 +188,7 @@ def eval_exhaustive(group: str, p: int, base: str) -> Result:
                ("generation_tests", res.generation_tests)]
     if res.certificate is not None:
         human.append(f"witness triple of orders {res.certificate.orders}")
-        records += _witness_records(res.certificate)
+        records += _witness_records(G, res.certificate)
     else:
         human.append("no generating triple of coprime-order elements exists")
     return Result(human, records)
@@ -200,7 +209,7 @@ def eval_triples(group: str, p: int, seed: int, budget: int, orders: tuple,
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
-        records += _witness_records(cert)
+        records += _witness_records(G, cert, orders)
     return Result(human, records, 0 if found else 1)
 
 
@@ -219,6 +228,7 @@ def eval_pairs(group: str, p: int, seed: int, budget: int, order: int,
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
+        _certified(gensearch.verify_pair(G, cert) and order in (None, cert.order))
         records += [
             ("x", format_cycles(cert.x)),
             ("h", format_cycles(cert.h)),

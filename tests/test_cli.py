@@ -45,7 +45,7 @@ def test_phi_plain_has_human_section(capsys):
 
 def test_phi_overflow_is_a_range_error(capsys):
     code, out, err = run(capsys, "phi", "40", "3")
-    assert (code, out, err) == (2, "", "error: q^n = 3^40 exceeds 2^62\n")
+    assert (code, out, err) == (2, "", "error: q^n = 3^40 is at least 2^62\n")
 
 
 def test_table_records(capsys):
@@ -432,11 +432,13 @@ def run_child(tmp_path, *argv):
      f"error: p must be below 2**31, got {BIG_P}\n"),
     (["exhaustive", "--group", "A5", "--p", str(BIG_P)],
      f"error: p must be below 2**31, got {BIG_P}\n"),
-    (["phi", "2", str(BIG_P)], f"error: q^n = {BIG_P}^2 exceeds 2^62\n"),
+    (["phi", "2", str(BIG_P)], f"error: q^n = {BIG_P}^2 is at least 2^62\n"),
     (["bounds", "--module", "big.mod"],
      f"error: characteristic must be a prime below 2**31, got {BIG_P}\n"),
     (["bounds", "--module", "x.mod", "--matgroup", "big.mat"],
      f"error: characteristic must be a prime below 2**31, got {BIG_P}\n"),
+    # q^n = 2^62 exactly is refused too
+    (["phi", "31", "4"], "error: q^n = 4^31 is at least 2^62\n"),
 ])
 def test_oversized_characteristic_is_refused_before_trial_division(tmp_path, argv, err):
     (tmp_path / "big.mod").write_text(f"(deleted (perm A5) :field (gf {BIG_P}))\n")
@@ -985,6 +987,41 @@ def test_verify_claim_errors_print_without_quotes(tmp_path, capsys):
     assert "FAIL       trivial: error: the group acts trivially on the module " \
         "of dimension 1\n" in out
     assert "FAIL       unknown: error: unknown matrix group 'FOO'\n" in out
+
+
+@pytest.fixture
+def false_generation(monkeypatch):
+    """Every subgroup claims order |G|: the known-order build the searches
+    test generation with fails in the worst way."""
+    monkeypatch.setattr(perm.PermGroup, "subgroup_order", lambda self, elems: self.order)
+
+
+# S5 at p = 2 has no generating triple and no conjugate generating pair:
+# its odd-order elements are even; under the fault the searches return
+# ones that do not generate, and the independent check refuses each
+@pytest.mark.parametrize("argv", [
+    ["exhaustive", "--group", "S5", "--p", "2"],
+    ["triples", "--group", "S5", "--p", "2", "--seed", "1"],
+    ["pairs", "--group", "S5", "--p", "2", "--seed", "1"],
+])
+def test_a_faulty_generation_test_prints_no_certificate(capsys, false_generation, argv):
+    err = rejected(capsys, *argv)
+    assert err == "error: the certificate found fails the independent check\n"
+
+
+def test_a_faulty_generation_test_fails_the_claim(tmp_path, capsys, false_generation):
+    path = write_manifest(tmp_path, """\
+        [s5-p2]
+        kind = exhaustive
+        group = S5
+        p = 2
+        expect = exists_with_witness
+        provenance = derived
+    """)
+    code, out, _ = run(capsys, "verify", "--manifest", path, "--seed", "1")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "FAIL       s5-p2: error: the certificate found fails the independent check")
 
 
 def test_verify_byte_identical(tmp_path, capsys):

@@ -118,6 +118,22 @@ def test_verify_rejects_forged_certificates():
         assert not verify_pair(G, forged), forged
 
 
+def test_verify_rejects_certificates_of_a_conjugate_group():
+    # conjugating by t = (1,2), outside L2(7), gives elements that generate
+    # L2(7)^t, of order 168 but not L2(7): the sifts in G's chain refuse them
+    G = builtin_group('L2_7')
+    t = (1, 0) + tuple(range(2, 8))
+    triple = find_triple(G, 5, seed=1, orders=(2, 3, 7))
+    pair = find_conjugate_pair(G, 5, seed=1)
+    assert verify_triple(G, triple) and verify_pair(G, pair)
+    forged_triple = triple._replace(**{k: pconj(getattr(triple, k), t) for k in "xyz"})
+    forged_pair = pair._replace(**{k: pconj(getattr(pair, k), t) for k in "xhy"})
+    assert PermGroup(8, [forged_triple.x, forged_triple.y]).order == 168
+    assert PermGroup(8, [forged_pair.x, forged_pair.y]).order == 168
+    assert not verify_triple(G, forged_triple)
+    assert not verify_pair(G, forged_pair)
+
+
 def test_find_pair_with_order():
     G = builtin_group('A12')
     cert = find_conjugate_pair(G, 3, seed=4, order=11)
@@ -329,6 +345,12 @@ def listed_copy(name):
     ("A6", 5, 10**5, (4, 4, 4)),
     ("L2_7", 3, 10**5, None),
     ("A5", 5, 200, None),
+    # three distinct orders: a filter reading the wrong entry of orders
+    # finds another triple
+    ("L2_7", 5, 10**5, (2, 3, 7)),
+    # a budget some seeds run out of: 8, 10 and 16 of the 25 find a
+    # triple at budgets 2, 3 and 4
+    ("L2_7", 3, 3, None),
 ])
 def test_find_triple_matches_reference_draws(name, p, budget, orders):
     # the cached group may list partway through these searches (A7 at its
@@ -343,10 +365,11 @@ def test_find_triple_matches_reference_draws(name, p, budget, orders):
 def test_find_conjugate_pair_matches_reference_draws():
     # A12 never lists; L2_7 with and without a wanted order, each before
     # and after listing; two involutions only generate a dihedral group,
-    # so the order-2 row is NotFound within its small budget
+    # so the order-2 row is NotFound within its small budget; at budget 2,
+    # 16 of the 25 seeds find a pair (21 at budget 3)
     cases = [(builtin_group("A12"), 5, 11, 10**5)]
     for G in (builtin_group("L2_7"), listed_copy("L2_7")):
-        cases += [(G, 3, None, 10**5), (G, 3, 7, 10**5), (G, 7, 2, 40)]
+        cases += [(G, 3, None, 10**5), (G, 3, 7, 10**5), (G, 7, 2, 40), (G, 3, None, 2)]
     verdicts = set()
     for G, p, order, budget in cases:
         for seed in range(1, 26):
