@@ -7,7 +7,7 @@ returns; `--format records` drops the human section. Machine output is
 byte-identical across runs for fixed seed and inputs, and nothing is kept
 between runs: each evaluator builds what it needs from its inputs. A
 search's certificate is printed only once gensearch.verify_triple or
-verify_pair accepts it, with a full chain build of <x, y>.
+verify_pair, given the asked orders, accepts it.
 
 One table, EVALUATORS, declares each evaluator once: its subcommand, its
 parameters and, for a claim kind, its PASS test. The parser builds the
@@ -158,21 +158,14 @@ def eval_table(group: str) -> Result:
     return Result(human, records)
 
 
-def _certified(ok: bool) -> None:
-    """Print a certificate only if gensearch.verify_* and what was asked hold."""
-    if not ok:
+def _certificate_records(G, cert, accepted: bool, members: str, orders_record: tuple) -> list:
+    """A certificate's records, printed only if gensearch.verify_* accepted
+    it: its members, their orders and subgroup_order = |G|, which that
+    check's full build reached."""
+    if not accepted:
         raise ValueError("the certificate found fails the independent check")
-
-
-def _witness_records(G, cert, orders=None) -> list:
-    _certified(gensearch.verify_triple(G, cert) and orders in (None, cert.orders))
-    return [
-        ("x", format_cycles(cert.x)),
-        ("y", format_cycles(cert.y)),
-        ("z", format_cycles(cert.z)),
-        ("orders", _csv(cert.orders)),
-        ("subgroup_order", cert.subgroup_order_of_xy),
-    ]
+    return ([(k, format_cycles(getattr(cert, k))) for k in members]
+            + [orders_record, ("subgroup_order", G.order)])
 
 
 def eval_exhaustive(group: str, p: int, base: str) -> Result:
@@ -186,9 +179,11 @@ def eval_exhaustive(group: str, p: int, base: str) -> Result:
     records = [("group", name), ("p", p), ("mode", "exhaustive"),
                ("verdict", verdict),
                ("generation_tests", res.generation_tests)]
-    if res.certificate is not None:
-        human.append(f"witness triple of orders {res.certificate.orders}")
-        records += _witness_records(G, res.certificate)
+    cert = res.certificate
+    if cert is not None:
+        human.append(f"witness triple of orders {cert.orders}")
+        records += _certificate_records(G, cert, gensearch.verify_triple(G, cert), "xyz",
+                                        ("orders", _csv(cert.orders)))
     else:
         human.append("no generating triple of coprime-order elements exists")
     return Result(human, records)
@@ -209,7 +204,8 @@ def eval_triples(group: str, p: int, seed: int, budget: int, orders: tuple,
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
-        records += _witness_records(G, cert, orders)
+        records += _certificate_records(G, cert, gensearch.verify_triple(G, cert, orders),
+                                        "xyz", ("orders", _csv(cert.orders)))
     return Result(human, records, 0 if found else 1)
 
 
@@ -228,14 +224,8 @@ def eval_pairs(group: str, p: int, seed: int, budget: int, order: int,
                ("verdict", "found" if found else "not_found"),
                ("attempts", cert.attempts)]
     if found:
-        _certified(gensearch.verify_pair(G, cert) and order in (None, cert.order))
-        records += [
-            ("x", format_cycles(cert.x)),
-            ("h", format_cycles(cert.h)),
-            ("y", format_cycles(cert.y)),
-            ("order", cert.order),
-            ("subgroup_order", cert.subgroup_order_of_xy),
-        ]
+        records += _certificate_records(G, cert, gensearch.verify_pair(G, cert, order),
+                                        "xhy", ("order", cert.order))
     return Result(human, records, 0 if found else 1)
 
 
@@ -430,7 +420,7 @@ def _run_claim(claim: dict, index: int, seed: int, base: str) -> tuple:
 
 
 def eval_verify(seed: int, manifest: str) -> Result:
-    with open(manifest) as fh:
+    with open(manifest, encoding="utf-8") as fh:
         claims = parse_manifest(fh.read())
     base = os.path.dirname(os.path.abspath(manifest))
     human, records = [], []
@@ -459,7 +449,7 @@ _MATGROUP = ("matgroup", str, None, "optional .mat file registering a matrix gro
 _TYPE = ("type", str, _REQUIRED, "root system name like A2 or G2")
 _P = ("p", int, _REQUIRED, None)
 _SEED = ("seed", int, _REQUIRED, None)
-_BUDGET = ("budget", int, 10 ** 5, None)
+_BUDGET = ("budget", int, gensearch.BUDGET, None)
 # the directory relative paths resolve against: the manifest's for a claim,
 # the working directory ("") for a subcommand
 _BASE = ("base", None, "", None)

@@ -8,9 +8,10 @@ when x is rejected, PermGroup.skip_element moves the stream past the
 second element without drawing it, so every stream, witness and attempt
 count is that of drawing both. A search returns once
 PermGroup.generated_by holds (an orbit test, then a known-order chain
-build that a product-replacement walk usually ends). The independent
+build that a product-replacement walk usually ends); a NotFound
+certificate holds only p, its verdict and its attempts. The independent
 check, which the cli runs on each certificate it prints, is verify_triple
-or verify_pair: sifts in G's chain and a full chain build of <x, y>.
+or verify_pair: sifts in G's chain, the orders, and a full chain build.
 """
 
 import math
@@ -22,6 +23,7 @@ from .rng import SeedStream
 
 
 EXHAUSTIVE_CAP = 10**4   # largest group order the class-triple search takes
+BUDGET = 10**5           # attempts a random search makes unless told otherwise
 
 
 class NotPrimePower(ValueError):
@@ -33,25 +35,23 @@ class Overflow(ValueError):
 
 
 class TripleCertificate(NamedTuple):
-    x: tuple
-    y: tuple
-    z: tuple
-    orders: tuple
     p: int
-    subgroup_order_of_xy: int
     verdict: str          # "Generates" or "NotFound"
     attempts: int
+    x: tuple = None       # these four on Generates only
+    y: tuple = None
+    z: tuple = None
+    orders: tuple = None
 
 
 class PairCertificate(NamedTuple):
-    x: tuple
-    h: tuple
-    y: tuple              # x conjugated by h
-    order: int
     p: int
-    subgroup_order_of_xy: int
     verdict: str
     attempts: int
+    x: tuple = None       # these four on Generates only
+    h: tuple = None
+    y: tuple = None       # x conjugated by h
+    order: int = None
 
 
 class ExhaustiveResult(NamedTuple):
@@ -65,29 +65,34 @@ def _in_group(group: PermGroup, *elems) -> bool:
     return all(len(g) == group.degree and group.contains(g) for g in elems)
 
 
-def verify_triple(group: PermGroup, cert: TripleCertificate) -> bool:
+def _builds_group(group: PermGroup, x: tuple, y: tuple) -> bool:
+    """A full chain build of <x, y>, no walk and no stop at |G|, reaches |G|."""
+    return PermGroup(group.degree, [x, y]).order == group.order
+
+
+def verify_triple(group: PermGroup, cert: TripleCertificate, orders: tuple = None) -> bool:
     """The independent check of a Generates certificate, False on a failure:
-    sifts in G's chain, x y z = 1, the orders, and a full build of <x, y>
-    (no walk, no stop at |G|). Calls neither subgroup_order nor generated_by."""
+    sifts in G's chain, x y z = 1, the orders (p', recorded and any asked),
+    and _builds_group. Calls neither subgroup_order nor generated_by."""
     if (cert.verdict != "Generates" or not _in_group(group, cert.x, cert.y)
             or cert.z != pinv(pmul(cert.x, cert.y))):
         return False
-    orders = tuple(map(element_order, (cert.x, cert.y, cert.z)))
-    return (orders == cert.orders and all(o % cert.p for o in orders)
-            and PermGroup(group.degree, [cert.x, cert.y]).order == group.order)
+    got = tuple(map(element_order, (cert.x, cert.y, cert.z)))
+    return (got == cert.orders and orders in (None, got) and all(o % cert.p for o in got)
+            and _builds_group(group, cert.x, cert.y))
 
 
-def verify_pair(group: PermGroup, cert: PairCertificate) -> bool:
+def verify_pair(group: PermGroup, cert: PairCertificate, order: int = None) -> bool:
     """The same check of a pair: sifts of x and h in G's chain, y = x^h,
-    x's order, and a full build of <x, y>."""
+    x's order (p', recorded and any asked), and _builds_group."""
     if cert.verdict != "Generates" or not _in_group(group, cert.x, cert.h):
         return False
     return (cert.y == pconj(cert.x, cert.h) and element_order(cert.x) == cert.order
-            and cert.order % cert.p != 0
-            and PermGroup(group.degree, [cert.x, cert.y]).order == group.order)
+            and order in (None, cert.order) and cert.order % cert.p != 0
+            and _builds_group(group, cert.x, cert.y))
 
 
-def find_triple(group: PermGroup, p: int, budget: int = 10**5, seed: int = 1,
+def find_triple(group: PermGroup, p: int, budget: int = BUDGET, seed: int = 1,
                 orders: tuple = None) -> TripleCertificate:
     """Random search for p'-elements x, y with (xy)^{-1} also p' and <x,y> = G.
 
@@ -110,18 +115,12 @@ def find_triple(group: PermGroup, p: int, budget: int = 10**5, seed: int = 1,
             continue
         if not group.generated_by([x, y]):
             continue
-        return TripleCertificate(
-            x=x, y=y, z=z, orders=(ox, oy, oz), p=p,
-            subgroup_order_of_xy=group.order, verdict="Generates",
-            attempts=attempts,
-        )
-    return TripleCertificate(
-        x=None, y=None, z=None, orders=(), p=p,
-        subgroup_order_of_xy=0, verdict="NotFound", attempts=budget,
-    )
+        return TripleCertificate(p=p, verdict="Generates", attempts=attempts,
+                                 x=x, y=y, z=z, orders=(ox, oy, oz))
+    return TripleCertificate(p=p, verdict="NotFound", attempts=budget)
 
 
-def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
+def find_conjugate_pair(group: PermGroup, p: int, budget: int = BUDGET,
                         seed: int = 1, order: int = None) -> PairCertificate:
     """Random search for a p'-element x and conjugate x^h with <x, x^h> = G."""
     stream = SeedStream(seed).fork(0)
@@ -135,15 +134,9 @@ def find_conjugate_pair(group: PermGroup, p: int, budget: int = 10**5,
         y = pconj(x, h)
         if not group.generated_by([x, y]):
             continue
-        return PairCertificate(
-            x=x, h=h, y=y, order=ox, p=p,
-            subgroup_order_of_xy=group.order, verdict="Generates",
-            attempts=attempts,
-        )
-    return PairCertificate(
-        x=None, h=None, y=None, order=0, p=p,
-        subgroup_order_of_xy=0, verdict="NotFound", attempts=budget,
-    )
+        return PairCertificate(p=p, verdict="Generates", attempts=attempts,
+                               x=x, h=h, y=y, order=ox)
+    return PairCertificate(p=p, verdict="NotFound", attempts=budget)
 
 
 def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> ExhaustiveResult:
@@ -173,11 +166,8 @@ def exhaustive_triple_search(group: PermGroup, p: int, table=None) -> Exhaustive
                 if not group.generated_by([x, y]):
                     continue
                 cert = TripleCertificate(
-                    x=x, y=y, z=z,
-                    orders=(ox, classes[j].element_order, element_order(z)),
-                    p=p, subgroup_order_of_xy=group.order, verdict="Generates",
-                    attempts=tests,
-                )
+                    p=p, verdict="Generates", attempts=tests, x=x, y=y, z=z,
+                    orders=(ox, classes[j].element_order, element_order(z)))
                 return ExhaustiveResult("ExistsWithWitness", cert, tests)
     return ExhaustiveResult("ProvedNone", None, tests)
 

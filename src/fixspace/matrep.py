@@ -621,7 +621,7 @@ def _parse_matgroup_header(line: str):
 
 
 def read_matgroup_file(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         name, F, dim, mats = parse_matgroup_text(fh.read())
     return embed_matrix_group(F, dim, mats, name=name)
 
@@ -756,6 +756,6 @@ def _interpret(form, matgroups: dict) -> ModuleSpec:
 
 
 def read_module_file(path: str, matgroups=None) -> MatRep:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         spec = parse_module_text(fh.read(), matgroups)
     return build_rep(spec)

@@ -425,6 +425,19 @@ def run_child(tmp_path, *argv):
                           capture_output=True, text=True, timeout=20)
 
 
+# -X warn_default_encoding warns at each open() that decodes in the
+# locale's encoding; as an error, it fails a command that reads so
+@pytest.mark.parametrize("argv", [
+    ["verify", "--manifest", f"{DATA}/claims.manifest", "--seed", "1"],
+    ["bounds", "--module", f"{DATA}/sym2_sl2_5.mod", "--matgroup", f"{DATA}/sl2_5.mat"],
+])
+def test_input_files_are_read_as_utf8(argv):
+    res = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning", "-m", "fixspace.cli", *argv],
+                         capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr
+
+
 @pytest.mark.parametrize("argv, err", [
     (["triples", "--group", "A5", "--p", str(BIG_P), "--seed", "1"],
      f"error: p must be below 2**31, got {BIG_P}\n"),
@@ -1005,6 +1018,30 @@ def false_generation(monkeypatch):
     ["pairs", "--group", "S5", "--p", "2", "--seed", "1"],
 ])
 def test_a_faulty_generation_test_prints_no_certificate(capsys, false_generation, argv):
+    err = rejected(capsys, *argv)
+    assert err == "error: the certificate found fails the independent check\n"
+
+
+@pytest.fixture
+def orders_ignored(monkeypatch):
+    """Searches that drop the asked orders: unconstrained at seed 1, L2_7
+    at p = 5 finds a (2,7,4) triple and A12 at p = 5 a pair of order 8."""
+    from fixspace import gensearch
+    triple, pair = gensearch.find_triple, gensearch.find_conjugate_pair
+    monkeypatch.setattr(gensearch, "find_triple",
+                        lambda G, p, budget, seed, orders: triple(G, p, budget, seed))
+    monkeypatch.setattr(gensearch, "find_conjugate_pair",
+                        lambda G, p, budget, seed, order: pair(G, p, budget, seed))
+
+
+# verify_triple and verify_pair, given the asked orders, refuse the
+# certificates found
+@pytest.mark.parametrize("argv", [
+    ["triples", "--group", "L2_7", "--p", "5", "--seed", "1", "--orders", "2,3,7"],
+    ["pairs", "--group", "A12", "--p", "5", "--seed", "1", "--order", "11"],
+])
+def test_a_search_that_drops_the_asked_orders_prints_no_certificate(capsys, orders_ignored,
+                                                                    argv):
     err = rejected(capsys, *argv)
     assert err == "error: the certificate found fails the independent check\n"
 

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from fixspace.gensearch import (NotPrimePower, PairCertificate,
+from fixspace.gensearch import (NotPrimePower, PairCertificate, TripleCertificate,
                                 exhaustive_triple_search,
                                 find_conjugate_pair, find_triple, phi_star,
                                 verify_pair, verify_triple)
@@ -36,7 +36,7 @@ def test_find_triple_certificate_fields():
     assert cert.verdict == "Generates"
     assert pmul(pmul(cert.x, cert.y), cert.z) == tuple(range(5))
     assert all(o % 2 for o in cert.orders)
-    assert cert.subgroup_order_of_xy == 60
+    assert PermGroup(5, [cert.x, cert.y]).order == 60
     assert verify_triple(G, cert)
 
 
@@ -73,7 +73,7 @@ def test_find_triple_on_abelian_groups_generates_without_warning():
         for G, p in ((V4, 3), (C5, 2)):
             cert = find_triple(G, p, seed=1)
             assert cert.verdict == "Generates"
-            assert cert.subgroup_order_of_xy == G.order
+            assert verify_triple(G, cert)
 
 
 def test_find_pair_certificate():
@@ -94,8 +94,8 @@ def test_verify_pair_rejects_a_conjugator_outside_the_group():
     y = pconj(x, h)
     assert G.class_of(x) != G.class_of(y)
     assert G.subgroup_order([x, y]) == G.order
-    cert = PairCertificate(x=x, h=h, y=y, order=5, p=2, subgroup_order_of_xy=60,
-                           verdict="Generates", attempts=1)
+    cert = PairCertificate(x=x, h=h, y=y, order=5, p=2, verdict="Generates",
+                           attempts=1)
     assert not verify_pair(G, cert)
     h_in_g = pmul(h, (0, 1, 2, 4, 3))   # (1,2)(4,5)
     assert verify_pair(G, cert._replace(h=h_in_g, y=pconj(x, h_in_g)))
@@ -116,6 +116,32 @@ def test_verify_rejects_forged_certificates():
                    pair._replace(order=pair.order + 1),
                    pair._replace(p=pair.order)):
         assert not verify_pair(G, forged), forged
+
+
+def test_verify_holds_a_certificate_to_the_asked_orders():
+    # L2(7) at p = 5 has a (2,3,7) triple; the same certificate does not
+    # have the orders (3,2,7), and A12's order-11 pair has no other order
+    L2_7, A12 = builtin_group('L2_7'), builtin_group('A12')
+    triple = find_triple(L2_7, 5, seed=1, orders=(2, 3, 7))
+    assert triple.orders == (2, 3, 7)
+    assert verify_triple(L2_7, triple) and verify_triple(L2_7, triple, (2, 3, 7))
+    assert not verify_triple(L2_7, triple, (3, 2, 7))
+    pair = find_conjugate_pair(A12, 5, seed=1, order=11)
+    assert pair.order == 11
+    assert verify_pair(A12, pair) and verify_pair(A12, pair, 11)
+    assert not verify_pair(A12, pair, 7)
+
+
+def test_not_found_certificates_hold_only_p_verdict_and_attempts():
+    # a NotFound records nothing the search did not find, and no check
+    # accepts it
+    G = builtin_group('A5')
+    triple = find_triple(G, 5, budget=200, seed=1)
+    pair = find_conjugate_pair(builtin_group('S5'), 2, budget=30, seed=1)
+    assert triple == TripleCertificate(p=5, verdict="NotFound", attempts=200)
+    assert pair == PairCertificate(p=2, verdict="NotFound", attempts=30)
+    assert not verify_triple(G, triple) and not verify_triple(G, triple, (3, 3, 5))
+    assert not verify_pair(builtin_group('S5'), pair)
 
 
 def test_verify_rejects_certificates_of_a_conjugate_group():

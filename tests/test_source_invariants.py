@@ -6,7 +6,8 @@ functools.cache only (no module-level container that functions fill), no
 state keyed by object identity (no id() call), a cold import of the
 command line that loads neither dataclasses nor inspect, field tables
 read by ff and linalg only, no FieldCtx element method called in linalg,
-and no read of the environment."""
+and no read of the environment (no os.environ, no open() in the locale's
+encoding)."""
 
 import ast
 import subprocess
@@ -258,15 +259,20 @@ ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def environment_reads(path):
+    """os.environ and os.getenv reads, and open() calls that take the
+    locale's encoding for want of an encoding= argument."""
     return [f"{path.name}:{node.lineno}"
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
             or isinstance(node, ast.ImportFrom) and node.module == "os"
-            and any(a.name in ENVIRONMENT_READS for a in node.names)]
+            and any(a.name in ENVIRONMENT_READS for a in node.names)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"
+            and all(k.arg != "encoding" for k in node.keywords)]
 
 
 def test_no_environment_reads():
-    """No package code reads os.environ or os.getenv: a tuning constant
-    such as perm.WALK_IDLE stays a constant, and a run depends on its
-    arguments and files alone."""
+    """No package code reads os.environ or os.getenv, or decodes a file in
+    the locale's encoding: a tuning constant such as perm.WALK_IDLE stays a
+    constant, and a run depends on its arguments and files alone."""
     assert [r for path in SOURCES for r in environment_reads(path)] == []
