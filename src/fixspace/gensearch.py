@@ -7,11 +7,12 @@ before it builds x, and a triple search reads y's order the same way;
 when x is rejected, PermGroup.skip_element moves the stream past the
 second element without drawing it, so every stream, witness and attempt
 count is that of drawing both. A search returns once
-PermGroup.generated_by holds (an orbit test, then a known-order chain
-build that a product-replacement walk usually ends); a NotFound
-certificate holds only p, its verdict and its attempts. The independent
-check, which the cli runs on each certificate it prints, is verify_triple
-or verify_pair: sifts in G's chain, the orders, and a full chain build.
+PermGroup.generated_by holds (an orbit test, then a known-order build
+that keeps no chain and that a product-replacement walk usually ends);
+a NotFound certificate holds only p, its verdict and its attempts. The
+independent check, which the cli runs on each certificate it prints, is
+verify_triple or verify_pair: sifts in G's chain, the orders, and a full
+chain build.
 """
 
 import math

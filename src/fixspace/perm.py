@@ -29,16 +29,14 @@ levels it belongs to dirty, and a dirty level's transversal is
 recomputed from its strong generators the first time it is read.  That
 is exactly what an eager recompute after every installation would hold,
 so bases, strong generators and transversals do not depend on when
-levels are read.  Each level also keeps its basic orbit as a set, closed
-under the new generator when it is installed, so the order (the product
-of the orbit lengths) is known without reading a transversal.
-Transversal inverses are computed on first use and kept as right
-operands (`Codec.right`), so a sift step is one `Codec.apply`.  A random
-element takes one index per level from a single `SeedStream.randranges`
-call over the group's `rng.Draws` (`_draws`, listed once beside the
-transversal operands), and `element_at` builds it from those indices;
-`skip_element` advances a stream by exactly those draws
-(`SeedStream.skip`) and builds nothing.
+levels are read; every level is clean once a build ends, and the order
+is the product of the transversal lengths.  Transversal inverses are
+computed on first use and kept as right operands (`Codec.right`), so a
+sift step is one `Codec.apply`.  A random element takes one index per
+level from a single `SeedStream.randranges` call over the group's
+`rng.Draws` (`_draws`, listed once beside the transversal operands), and
+`element_at` builds it from those indices; `skip_element` advances a
+stream by exactly those draws (`SeedStream.skip`) and builds nothing.
 
 An order-tested draw (`random_order`) makes the same draws and returns
 the element's order with its indices.  The |G|-th such draw of a group
@@ -52,15 +50,15 @@ it holds the heads, the tails and one row: for A8 60, 336 and 336
 elements, but for a one-level chain the heads are all of G.
 No output depends on whether a group has listed.
 
-`subgroup_order` knows |G|, so its build proves generation as soon as
-the chain's orbit lengths multiply to |G| (see `_build_chain`).  Before
-the deterministic Schreier loop it runs a product-replacement walk over
-the inputs, whose residues it sifts against the transversals as they
-stand; only when the walk stalls does the loop run, and it gives a proper
-subgroup its exact order.  The walk is a fixed function of the inputs,
-and a full build (every group a caller holds) never walks, so its chain
-and random streams are those of the loop alone.  `generated_by` builds
-no chain when the first base point's orbit is short.
+`subgroup_order` knows |G|, so its build (`_KnownOrder`) keeps no chain
+and proves generation as soon as the sizes of its Schreier trees, grown
+in place at each install, multiply to |G|.  Before the deterministic
+Schreier loop it runs a product-replacement walk over the inputs, a
+fixed function of them; only when the walk stalls does the loop run, and
+it gives a proper subgroup its exact order.  A full build (every group a
+caller holds) never walks, so its chain and random streams are those of
+the loop alone.  `generated_by` builds nothing when the first base
+point's orbit is short.
 """
 
 from __future__ import annotations
@@ -276,10 +274,9 @@ class ConjClass:
 # stabilizer chain ---------------------------------------------------------
 
 
-def _orbit_closure(orbit: set, queue: list, gens) -> set:
-    """Grow the point set orbit to its closure under gens, exploring from
-    queue: the points of queue are in orbit, and every generator already
-    takes each other point of orbit into orbit."""
+def _orbit(b: int, gens) -> set:
+    """The orbit of the point b under gens."""
+    orbit, queue = {b}, [b]
     for x in queue:
         for s in gens:
             y = s[x]
@@ -290,13 +287,13 @@ def _orbit_closure(orbit: set, queue: list, gens) -> set:
 
 
 class _Level:
-    __slots__ = ("point", "installed", "orbit", "transversal", "inverse",
-                 "orbit_list", "dirty")
+    """A kept chain's level: the transversal is recomputed when dirty."""
+
+    __slots__ = ("point", "installed", "transversal", "inverse", "orbit_list", "dirty")
 
     def __init__(self, point):
         self.point = point
         self.installed = []
-        self.orbit = {point}
         self.transversal = {}
         self.inverse = {}
         self.orbit_list = []
@@ -318,6 +315,129 @@ class _Level:
         self.inverse = {}
         self.orbit_list = sorted(transversal)
         self.dirty = False
+
+
+class _KnownOrder:
+    """Schreier-Sims that stops once the order reaches stop_at (|G| for
+    elements of G), keeping no chain.  A level is (base point, strong
+    generators: all installed there or deeper, as right operands, tree,
+    tree inverses); a tree maps each orbit point x to an element taking
+    the base point to x, and grows in place at each install.
+
+    Why stopping is sound: every install at level m, by the input sift,
+    the walk or the Schreier loop, is a word in the inputs that fixes the
+    base points above m.  So each tree spans an orbit of a subgroup of a
+    point stabilizer of H = <inputs>, and the product of the tree sizes is
+    at most |H|; reaching |G| >= |H| proves H = G.  When the walk stalls
+    the loop completes the chain: a proper subgroup gets its exact order."""
+
+    def __init__(self, codec: Codec, degree: int, stop_at: int):
+        self.codec, self.degree, self.stop_at = codec, degree, stop_at
+        self.one = codec.encode(identity(degree))
+        self.levels, self.order = [], 1
+
+    def inverse(self, tree: dict, inverses: dict, x: int):
+        """Make and keep tree[x]'s inverse; callers try inverses.get(x) first."""
+        t = inverses[x] = self.codec.right(self.codec.inv(tree[x]))
+        return t
+
+    def sift(self, g, start: int = 0):
+        """(residue, stuck_level) of g through the levels from start."""
+        levels, apply = self.levels, self.codec.apply
+        for i in range(start, len(levels)):
+            b, _, tree, inverses = levels[i]
+            x = g[b]
+            if x != b:
+                if x not in tree:
+                    return g, i
+                g = apply(g, inverses.get(x) or self.inverse(tree, inverses, x))
+        return g, len(levels)
+
+    def install(self, g, level: int) -> bool:
+        """Install g, fixing the base points above level, in levels 0..level
+        and grow their trees; True once the tree sizes reach stop_at."""
+        levels, apply = self.levels, self.codec.apply
+        if level == len(levels):
+            b = next(i for i, x in enumerate(g) if x != i)
+            levels.append((b, [], {b: self.one}, {}))
+        r = self.codec.right(g)
+        for m in range(level + 1):
+            _, gens, tree, _ = levels[m]
+            gens.append(r)
+            if len(tree) == self.degree - m:
+                continue   # every point but the m base points above
+            # the old points are closed under the old generators
+            new = {g[x]: apply(t, r) for x, t in tree.items() if g[x] not in tree}
+            tree.update(new)
+            queue = list(new)
+            for x in queue:
+                t = tree[x]
+                for s in gens:
+                    y = s[x]
+                    if y not in tree:
+                        tree[y] = apply(t, s)
+                        queue.append(y)
+        self.order = prod([len(lvl[2]) for lvl in levels])
+        return self.order == self.stop_at
+
+    def walk(self, inputs: list) -> bool:
+        """A product-replacement walk (Celler et al. 1995): WALK_SLOTS or more
+        slots hold the inputs, repeated; a step replaces one slot by its
+        product with another, multiplies the running word by it and
+        installs the word's residue.  True once the order is reached; False
+        after WALK_IDLE trivial sifts in a row.  A fixed linear congruential
+        sequence picks the slots, so the walk is a function of the inputs."""
+        apply, one = self.codec.apply, self.one
+        slots = [self.codec.right(s) for s in inputs if s != one]
+        if not slots:
+            return False
+        slots = (slots * WALK_SLOTS)[:max(WALK_SLOTS, len(slots))]
+        k = len(slots)
+        word = one
+        state = idle = 0
+        while idle < WALK_IDLE:
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            i = state % k
+            j = (i + 1 + (state >> 16) % (k - 1)) % k
+            slots[i] = s = apply(slots[i], slots[j])
+            word = apply(word, s)
+            res, at = self.sift(word)
+            idle = idle + 1 if res == one else 0
+            if not idle and self.install(res, at):
+                return True
+        return False
+
+    def check_level(self, i: int):
+        """Sift the Schreier generators of level i through the deeper
+        levels and install the first nontrivial residue: its level, or
+        None when level i is clean."""
+        _, gens, tree, inverses = self.levels[i]
+        for x, t_x in tree.items():
+            for s in gens:
+                t_xs = self.codec.apply(t_x, s)
+                y = s[x]
+                if t_xs != tree[y]:
+                    u = inverses.get(y) or self.inverse(tree, inverses, y)
+                    res, at = self.sift(self.codec.apply(t_xs, u), i + 1)
+                    if res != self.one:
+                        self.install(res, at)
+                        return at
+        return None
+
+    def run(self, gens) -> int:
+        """|<gens>|, or stop_at once reached: input sifts, walk, Schreier loop."""
+        inputs = list(map(self.codec.encode, gens))
+        for g in inputs:
+            res, at = self.sift(g)
+            if res != self.one and self.install(res, at):
+                return self.order
+        if self.walk(inputs):
+            return self.order
+        i = len(self.levels) - 1
+        while i >= 0 and self.order != self.stop_at:
+            at = self.check_level(i)
+            i = i - 1 if at is None else at
+        return self.order
 
 
 class PermGroup:
@@ -342,8 +462,7 @@ class PermGroup:
         self._operands = None
         self._orders = None       # element orders in draw order; see random_order
         self._order_draws = 0
-        self._build_chain(_stop_at)
-        self.order = self._chain_order()
+        self.order = self._build_chain(_stop_at)
         self._classes = None
         self._class_map = None
 
@@ -357,9 +476,6 @@ class PermGroup:
                           list(map(self.codec.right, self._level_gens(i))))
         return lvl
 
-    def _chain_order(self) -> int:
-        return prod(len(lvl.orbit) for lvl in self._levels)
-
     def _inverse(self, lvl: _Level, y: int):
         """Inverse of the transversal element for y as a right operand,
         computed on first use."""
@@ -368,24 +484,20 @@ class PermGroup:
             t = lvl.inverse[y] = self.codec.right(self.codec.inv(lvl.transversal[y]))
         return t
 
-    def _sift(self, g, start: int = 0, lazy: bool = False):
-        """Reduce the encoded g through levels from start; return
-        (residue, stuck_level).  A lazy sift reads a dirty level's
-        transversal as it stands and recomputes it only on a miss: the
-        point is in the level's orbit set but not in its transversal."""
+    def _sift(self, g, start: int = 0):
+        """Reduce the encoded g through levels from start, recomputing a
+        dirty level before reading it; return (residue, stuck_level)."""
         lv = self._levels
         apply = self.codec.apply
         for i in range(start, len(lv)):
             lvl = lv[i]
-            if lvl.dirty and not lazy:
+            if lvl.dirty:
                 lvl = self._level(i)
             x = g[lvl.point]
             if x == lvl.point:
                 continue
             if x not in lvl.transversal:
-                if x not in lvl.orbit:
-                    return g, i
-                self._level(i)
+                return g, i
             g = apply(g, self._inverse(lvl, x))
         return g, len(lv)
 
@@ -403,34 +515,17 @@ class PermGroup:
             moved = min(i for i, x in enumerate(g) if x != i)
             lv.append(_Level(moved))
         lv[level].installed.append(g)
-        # the new generator lies in every stabilizer down to this level, so
-        # shallower orbits can grow too: each orbit set is closed now, and
-        # each transversal is rebuilt when next read
+        # the new generator lies in every stabilizer down to this level
         for m in range(level + 1):
-            lvl = lv[m]
-            lvl.dirty = True
-            orbit = lvl.orbit
-            if len(orbit) == self.degree - m:
-                continue   # every point but the m base points above
-            new = [y for y in map(g.__getitem__, orbit) if y not in orbit]
-            if new:
-                orbit.update(new)
-                _orbit_closure(orbit, new, self._level_gens(m))
+            lv[m].dirty = True
 
-    def _build_chain(self, stop_at: int = 0) -> None:
-        """Schreier-Sims.  With stop_at (|G| for elements of G; see
-        subgroup_order) the build returns as soon as the orbit sets'
-        lengths multiply to stop_at, and a walk (_walk) runs between
-        sifting the inputs and the deterministic Schreier loop.
-
-        Why stopping is sound: every strong generator installed at level
-        m, by the input sift, the walk or the loop, is a word in the
-        inputs that fixes the base points of levels 0..m-1.  So each orbit
-        set is an orbit of a subgroup of the true point stabilizer of
-        H = <inputs>, and the product of the orbit lengths is at most |H|.
-        Reaching |G| >= |H| proves H = G.  When the walk stalls, the
-        unchanged loop completes the chain, so a proper subgroup still
-        gets its exact order.  Full builds (stop_at = 0) never walk."""
+    def _build_chain(self, stop_at: int = 0) -> int:
+        """Schreier-Sims; returns the group order.  With stop_at it is a
+        _KnownOrder build (see subgroup_order).  A full build (stop_at = 0)
+        keeps its chain and never walks; every level is clean at its end,
+        so the order is the product of the transversal lengths."""
+        if stop_at:
+            return _KnownOrder(self.codec, self.degree, stop_at).run(self.gens)
         ident = self._ident
         for g in map(self.codec.encode, self.gens):
             if g == ident:
@@ -438,53 +533,11 @@ class PermGroup:
             res, at = self._sift(g)
             if res != ident:
                 self._add_generator(res, at)
-        if stop_at and (self._chain_order() == stop_at or self._walk(stop_at)):
-            return
         i = len(self._levels) - 1
         while i >= 0:
             stuck = self._check_level(i)
-            if stuck is None:
-                i -= 1
-            elif stop_at and self._chain_order() == stop_at:
-                return
-            else:
-                i = stuck
-
-    def _walk(self, stop_at: int) -> bool:
-        """A product-replacement walk over the inputs (Celler et al. 1995):
-        WALK_SLOTS or more slots hold the inputs, repeated; each step
-        replaces one slot by its product with another and multiplies the
-        running word by it.  The word is sifted lazily (stale transversals
-        are as good as fresh ones for a residue) and a nontrivial residue
-        is installed where it stuck.  True once the orbit lengths multiply
-        to stop_at; False after WALK_IDLE trivial sifts in a row.  A fixed
-        linear congruential sequence picks the slots: the walk draws from
-        no SeedStream, so it is a function of the inputs alone."""
-        right, apply = self.codec.right, self.codec.apply
-        # slots and word are right operands: translate keeps the padding
-        one = right(self._ident)
-        slots = [s for s in map(right, map(self.codec.encode, self.gens)) if s != one]
-        if not slots:
-            return False
-        slots = (slots * WALK_SLOTS)[:max(WALK_SLOTS, len(slots))]
-        k = len(slots)
-        word = one
-        state = idle = 0
-        while idle < WALK_IDLE:
-            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-            i = state % k
-            j = (i + 1 + (state >> 16) % (k - 1)) % k
-            slots[i] = s = apply(slots[i], slots[j])
-            word = apply(word, s)
-            res, at = self._sift(word, lazy=True)
-            if res == one:
-                idle += 1
-                continue
-            idle = 0
-            self._add_generator(res[:self.degree], at)   # unpadded
-            if self._chain_order() == stop_at:
-                return True
-        return False
+            i = i - 1 if stuck is None else stuck
+        return prod(len(lvl.transversal) for lvl in self._levels)
 
     def _check_level(self, i: int):
         """Sift all Schreier generators of level i through the deeper chain.
@@ -572,17 +625,10 @@ class PermGroup:
         stream.skip((self._operands or self._draws())[1])
 
     def subgroup_order(self, elems) -> int:
-        """Order of the subgroup generated by elems, via a fresh chain.
-
-        The build knows |G|: a product-replacement walk installs residues
-        until the product of the partial chain's orbit lengths reaches
-        |G|.  Each orbit is an orbit of a subgroup of the true point
-        stabilizer, so the product is a lower bound on the subgroup order,
-        and reaching |G| proves that elems generate.  When the walk stalls
-        the deterministic Schreier loop takes over, and a proper subgroup
-        gets its full chain.  The partial chain is discarded here.  A
-        member of G is a permutation, so the bijection check here runs
-        only on a non-member, to name it; PermGroup checks the rest."""
+        """Order of the subgroup generated by elems, via a _KnownOrder build
+        that stops at |G| and keeps no chain.  A member of G is a
+        permutation, so the bijection check here runs only on a
+        non-member, to name it; PermGroup checks the rest."""
         elems = list(elems)
         for e in elems:
             if not self.contains(e):
@@ -590,13 +636,14 @@ class PermGroup:
         return PermGroup(self.degree, elems, _stop_at=self.order).order
 
     def generated_by(self, elems) -> bool:
-        """subgroup_order(elems) == |G| for elements of G, but with no chain
-        built when G's first base point has a shorter orbit under elems
-        than under G: <elems> <= G, so equal groups have equal orbits."""
+        """subgroup_order(elems) == |G| for elements of G, but with no build
+        when G's first base point has a shorter orbit under elems than
+        under G (its transversal): <elems> <= G, so equal groups have
+        equal orbits."""
         if self._levels:
             first = self._levels[0]
             b = first.point
-            if len(_orbit_closure({b}, [b], elems)) < len(first.orbit):
+            if len(_orbit(b, elems)) < len(first.transversal):
                 return False
         return self.subgroup_order(elems) == self.order
 

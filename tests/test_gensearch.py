@@ -229,8 +229,10 @@ def test_exhaustive_matches_random_outcome():
 
 
 def test_exhaustive_refuses_groups_past_its_cap(monkeypatch):
-    # |A8| = 20,160 > 10^4: refused before any class is computed
-    from fixspace.perm import GroupTooLarge
+    # |A8| = 20,160 > 10^4: refused before any class is computed; a group
+    # of order exactly 10^4, C16 x C5^4 on 36 points, is taken and reaches
+    # its classes
+    from fixspace.perm import GroupTooLarge, perm_from_cycles
 
     def refuse(group):
         raise AssertionError("conjugacy classes computed past the exhaustive cap")
@@ -238,6 +240,11 @@ def test_exhaustive_refuses_groups_past_its_cap(monkeypatch):
     monkeypatch.setattr(PermGroup, "conjugacy_classes", refuse)
     with pytest.raises(GroupTooLarge, match="order 20160 exceeds exhaustive cap 10000"):
         exhaustive_triple_search(builtin_group('A8'), 5)
+    cycles = [tuple(range(1, 17))] + [tuple(range(k, k + 5)) for k in range(17, 37, 5)]
+    at_cap = PermGroup(36, [perm_from_cycles(36, [c]) for c in cycles])
+    assert at_cap.order == 10**4
+    with pytest.raises(AssertionError, match="conjugacy classes computed"):
+        exhaustive_triple_search(at_cap, 5)
 
 
 def test_exhaustive_accepts_precomputed_table():

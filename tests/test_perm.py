@@ -506,19 +506,11 @@ def test_random_order_never_lists_past_the_cap(monkeypatch):
     assert G._orders is None
 
 
-def recomputed_chain_order(self):
-    # the order as read before levels kept orbit sets: every dirty level
-    # recomputed, then the orbit lists' lengths multiplied
-    order = 1
-    for i in range(len(self._levels)):
-        order *= len(self._level(i).orbit_list)
-    return order
-
-
 def install_oracle_pairs():
-    """(group, pair, generates): seeded pairs of A7, A9, A12, L2(13) and
-    SL2(17) on 288 points (the tuple codec), three that generate and three
-    that do not for each group."""
+    """(group, pair, span): seeded pairs of A7, A9, A12, L2(13) and SL2(17)
+    on 288 points (the tuple codec), each with the full build of the group
+    it generates; three pairs that generate and three that do not for each
+    group."""
     from fixspace.ff import make_field
     from fixspace.matrep import embed_matrix_group
     sl2_17, _ = embed_matrix_group(make_field(17), 2,
@@ -531,52 +523,44 @@ def install_oracle_pairs():
         kept = {True: 0, False: 0}
         for _ in range(400):
             pair = [G.random_element(s), G.random_element(s)]
-            generates = G.generated_by(pair)
+            span = PermGroup(G.degree, pair)
+            generates = span.order == G.order
             if kept[generates] < 3:
                 kept[generates] += 1
-                out.append((G, pair, generates))
+                out.append((G, pair, span))
+            if kept == {True: 3, False: 3}:
+                break
         assert kept == {True: 3, False: 3}, G
     return out
 
 
 def test_known_order_builds_install_words_that_fix_the_base_above(monkeypatch):
-    # a known-order build's walk sifts against stale transversals, so its
-    # installs are not those of recomputing every dirty level at each stop
-    # check; what the walk's proof reads is that each install lies in
-    # <pair> and fixes the base points above its level, and that each
-    # orbit set is the points of its level's transversal once recomputed.
-    # The order and verdict must not depend on when levels are recomputed
-    cases = install_oracle_pairs()
-    spans = [PermGroup(G.degree, pair) for G, pair, _ in cases]
+    # what the known-order proof reads: each install lies in <pair> and
+    # fixes the base points above its level, each tree entry t at x takes
+    # its level's base point to x, and each tree's points are closed under
+    # its level's strong generators, checked after every install (a wrong
+    # tree entry can keep a build installing residues without end)
     installs = []
-    add = PermGroup._add_generator
+    install = perm._KnownOrder.install
 
-    def logged(self, g, level):
-        installs.append((tuple(g), level))
-        add(self, g, level)
+    def checked(self, g, level):
+        done = install(self, g, level)
+        for b, gens, tree, _ in self.levels:
+            assert all(t[b] == x for x, t in tree.items())
+            assert all(s[x] in tree for s in gens for x in tree)
+        installs.append((tuple(g), level, [b for b, _, _, _ in self.levels]))
+        return done
 
-    def builds():
-        out = []
-        for (G, pair, generates), span in zip(cases, spans):
-            installs.clear()
-            H = PermGroup(G.degree, pair, _stop_at=G.order)
-            assert (H.order == G.order) == generates
-            out.append(H.order)
-            base = [lvl.point for lvl in H._levels]
-            assert installs
-            for g, level in installs:
-                assert span.contains(g)
-                assert all(g[b] == b for b in base[:level])
-            for i in range(len(H._levels)):
-                lvl = H._level(i)
-                assert lvl.orbit == set(lvl.transversal)
-        return out
-
-    monkeypatch.setattr(PermGroup, "_add_generator", logged)
-    got = builds()
-    assert got == [span.order for span in spans]
-    monkeypatch.setattr(PermGroup, "_chain_order", recomputed_chain_order)
-    assert builds() == got
+    cases = install_oracle_pairs()
+    monkeypatch.setattr(perm._KnownOrder, "install", checked)
+    for G, pair, span in cases:
+        installs.clear()
+        H = PermGroup(G.degree, pair, _stop_at=G.order)
+        assert H.order == span.order
+        assert installs and not H._levels   # a known-order build keeps no chain
+        for g, level, base in installs:
+            assert span.contains(g)
+            assert all(g[b] == b for b in base[:level])
 
 
 def known_order_oracle_cases():
@@ -604,14 +588,14 @@ def test_known_order_builds_agree_with_full_builds(monkeypatch):
     # order; the walk must both finish builds and stall into the
     # deterministic loop
     walks = []
-    walk = PermGroup._walk
+    walk = perm._KnownOrder.walk
 
-    def logged(self, stop_at):
-        done = walk(self, stop_at)
-        walks.append((bool(self._levels), done))   # inputs left a chain to walk on
+    def logged(self, inputs):
+        done = walk(self, inputs)
+        walks.append((bool(self.levels), done))   # inputs left a chain to walk on
         return done
 
-    monkeypatch.setattr(PermGroup, "_walk", logged)
+    monkeypatch.setattr(perm._KnownOrder, "walk", logged)
     verdicts = {}
     for G, elems in known_order_oracle_cases():
         want = PermGroup(G.degree, elems).order
@@ -621,14 +605,6 @@ def test_known_order_builds_agree_with_full_builds(monkeypatch):
     assert len(verdicts) == len(builtin_group_names()) + 1
     assert all(v == {True, False} for v in verdicts.values())
     assert {(True, True), (True, False)} <= set(walks)
-
-
-def test_orbit_sets_are_the_transversal_points():
-    for name in builtin_group_names():
-        G = builtin_group(name)
-        for i in range(len(G._levels)):
-            lvl = G._level(i)
-            assert lvl.orbit == set(lvl.transversal), (name, i)
 
 
 # the tuple codec as an oracle for the bytes codec ---------------------------
