@@ -24,17 +24,15 @@ each level and orbits are explored in sorted order, so bases, strong
 generators, orders, transversals, random streams, and conjugacy class
 data are reproducible functions of the generator list alone.
 
-Chain levels are rebuilt lazily: installing a strong generator marks the
-levels it belongs to dirty, and a dirty level's transversal is
-recomputed from its strong generators the first time it is read.  That
-is exactly what an eager recompute after every installation would hold,
-so bases, strong generators and transversals do not depend on when
-levels are read; every level is clean once a build ends, and the order
-is the product of the transversal lengths.  Transversal inverses are
-computed on first use and kept as right operands (`Codec.right`), so a
-sift step is one `Codec.apply`.  A random element takes one index per
-level from a single `SeedStream.randranges` call over the group's
-`rng.Draws` (`_draws`, listed once beside the transversal operands), and
+One engine, `_Chain` (Schreier-Sims), builds both kinds of chain; see its
+docstring for the level form.  A full build keeps its chain and rebuilds
+the levels a strong generator joins at once, so every level read is
+that of its current strong generators and the order is the product of
+the transversal lengths.  Transversal inverses are computed on first
+use and kept as right operands (`Codec.right`), so a sift step is one
+`Codec.apply`.  A random element takes one index per level from a
+single `SeedStream.randranges` call over the group's `rng.Draws`
+(`_draws`, listed once beside the transversal operands), and
 `element_at` builds it from those indices; `skip_element` advances a
 stream by exactly those draws (`SeedStream.skip`) and builds nothing.
 
@@ -50,15 +48,14 @@ it holds the heads, the tails and one row: for A8 60, 336 and 336
 elements, but for a one-level chain the heads are all of G.
 No output depends on whether a group has listed.
 
-`subgroup_order` knows |G|, so its build (`_KnownOrder`) keeps no chain
-and proves generation as soon as the sizes of its Schreier trees, grown
-in place at each install, multiply to |G|.  Before the deterministic
-Schreier loop it runs a product-replacement walk over the inputs, a
-fixed function of them; only when the walk stalls does the loop run, and
-it gives a proper subgroup its exact order.  A full build (every group a
-caller holds) never walks, so its chain and random streams are those of
-the loop alone.  `generated_by` builds nothing when the first base
-point's orbit is short.
+`subgroup_order` knows |G|, so its build (`_KnownOrder`, the same engine
+with its own install and a walk) keeps no chain: its group answers no
+chain query.  It proves generation as soon as the sizes of its Schreier
+trees, grown in place at each install, multiply to |G|.  Before the
+Schreier loop it runs a product-replacement walk over the inputs, a fixed
+function of them; only when the walk stalls does the loop run, and it
+gives a proper subgroup its exact order.  `generated_by` builds nothing
+when the first base point's orbit is short.
 """
 
 from __future__ import annotations
@@ -286,55 +283,27 @@ def _orbit(b: int, gens) -> set:
     return orbit
 
 
-class _Level:
-    """A kept chain's level: the transversal is recomputed when dirty."""
+class _Chain:
+    """Schreier-Sims (Seress 2003, §4.2) over levels (base point, strong
+    generators as right operands, which map points as their elements do,
+    transversal, transversal inverses, the transversal's points in
+    Schreier-loop order).  A transversal maps each orbit point x to an
+    element taking the base point to x; an inverse is made the first time
+    a sift or the loop reads it.
 
-    __slots__ = ("point", "installed", "transversal", "inverse", "orbit_list", "dirty")
+    This class is the kept chain of a full build.  `install` appends g to
+    its level's installed list and rebuilds every level from there up to
+    level 0 at once: a breadth-first search from the base point under the
+    level's strong generators, those installed there first, then the
+    deeper ones, with the sorted points as its loop order.  A full build
+    never walks and never stops early (stop_at = 0), so its chain and
+    random streams are those of the loop alone and the order is the
+    product of the transversal lengths."""
 
-    def __init__(self, point):
-        self.point = point
-        self.installed = []
-        self.transversal = {}
-        self.inverse = {}
-        self.orbit_list = []
-        self.dirty = True
-
-    def recompute(self, ident, apply, gens):
-        """The transversal from the strong generators gens, as right operands."""
-        b = self.point
-        transversal = {b: ident}
-        queue = [b]
-        for x in queue:
-            t_x = transversal[x]
-            for s in gens:
-                y = s[x]
-                if y not in transversal:
-                    transversal[y] = apply(t_x, s)
-                    queue.append(y)
-        self.transversal = transversal
-        self.inverse = {}
-        self.orbit_list = sorted(transversal)
-        self.dirty = False
-
-
-class _KnownOrder:
-    """Schreier-Sims that stops once the order reaches stop_at (|G| for
-    elements of G), keeping no chain.  A level is (base point, strong
-    generators: all installed there or deeper, as right operands, tree,
-    tree inverses); a tree maps each orbit point x to an element taking
-    the base point to x, and grows in place at each install.
-
-    Why stopping is sound: every install at level m, by the input sift,
-    the walk or the Schreier loop, is a word in the inputs that fixes the
-    base points above m.  So each tree spans an orbit of a subgroup of a
-    point stabilizer of H = <inputs>, and the product of the tree sizes is
-    at most |H|; reaching |G| >= |H| proves H = G.  When the walk stalls
-    the loop completes the chain: a proper subgroup gets its exact order."""
-
-    def __init__(self, codec: Codec, degree: int, stop_at: int):
+    def __init__(self, codec: Codec, degree: int, stop_at: int = 0):
         self.codec, self.degree, self.stop_at = codec, degree, stop_at
         self.one = codec.encode(identity(degree))
-        self.levels, self.order = [], 1
+        self.levels, self.installed, self.order = [], [], 1
 
     def inverse(self, tree: dict, inverses: dict, x: int):
         """Make and keep tree[x]'s inverse; callers try inverses.get(x) first."""
@@ -345,7 +314,7 @@ class _KnownOrder:
         """(residue, stuck_level) of g through the levels from start."""
         levels, apply = self.levels, self.codec.apply
         for i in range(start, len(levels)):
-            b, _, tree, inverses = levels[i]
+            b, _, tree, inverses, _ = levels[i]
             x = g[b]
             if x != b:
                 if x not in tree:
@@ -353,30 +322,107 @@ class _KnownOrder:
                 g = apply(g, inverses.get(x) or self.inverse(tree, inverses, x))
         return g, len(levels)
 
+    def grow(self, tree: dict, queue: list, gens: list) -> None:
+        """Close tree under gens, a breadth-first search from queue."""
+        apply = self.codec.apply
+        for x in queue:
+            t = tree[x]
+            for s in gens:
+                y = s[x]
+                if y not in tree:
+                    tree[y] = apply(t, s)
+                    queue.append(y)
+
+    def install(self, g, level: int) -> bool:
+        """Install g, fixing the base points above level, and rebuild
+        levels level..0; True once the order reaches stop_at."""
+        levels, installed = self.levels, self.installed
+        if level == len(levels):
+            levels.append((next(i for i, x in enumerate(g) if x != i),))   # rebuilt below
+            installed.append([])
+        installed[level].append(self.codec.right(g))
+        gens = levels[level + 1][1] if level + 1 < len(levels) else []
+        for m in range(level, -1, -1):
+            b = levels[m][0]
+            gens = installed[m] + gens
+            tree = {b: self.one}
+            self.grow(tree, [b], gens)
+            levels[m] = (b, gens, tree, {}, sorted(tree))
+        self.order = prod([len(lvl[2]) for lvl in levels])
+        return self.order == self.stop_at
+
+    def walk(self, inputs: list) -> bool:
+        """A full build does not walk; see _KnownOrder.walk."""
+        return False
+
+    def check_level(self, i: int):
+        """Sift the Schreier generators of level i through the deeper
+        levels and install the first nontrivial residue: its level, or
+        None when level i is clean."""
+        _, gens, tree, inverses, points = self.levels[i]
+        apply = self.codec.apply
+        for x in points:
+            t_x = tree[x]
+            for s in gens:
+                t_xs = apply(t_x, s)
+                y = s[x]
+                if t_xs != tree[y]:
+                    u = inverses.get(y) or self.inverse(tree, inverses, y)
+                    res, at = self.sift(apply(t_xs, u), i + 1)
+                    if res != self.one:
+                        self.install(res, at)
+                        return at
+        return None
+
+    def run(self, gens) -> int:
+        """|<gens>|, or stop_at once reached: input sifts, walk, then the
+        Schreier loop from the deepest level up."""
+        inputs = list(map(self.codec.encode, gens))
+        for g in inputs:
+            res, at = self.sift(g)
+            if res != self.one and self.install(res, at):
+                return self.order
+        if self.walk(inputs):
+            return self.order
+        i = len(self.levels) - 1
+        while i >= 0 and self.order != self.stop_at:
+            at = self.check_level(i)
+            i = i - 1 if at is None else at
+        return self.order
+
+
+class _KnownOrder(_Chain):
+    """The build of `subgroup_order` (Seress 2003, §4.5): it stops once the
+    order reaches stop_at (|G| for elements of G) and keeps no chain.  Its
+    install appends g to the strong generators of levels 0..level and
+    grows their transversals in place, in insertion order, which is also
+    their loop order; before the Schreier loop it walks.
+
+    Why stopping is sound: every install at level m, by the input sift,
+    the walk or the Schreier loop, is a word in the inputs that fixes the
+    base points above m.  So each tree spans an orbit of a subgroup of a
+    point stabilizer of H = <inputs>, and the product of the tree sizes is
+    at most |H|; reaching |G| >= |H| proves H = G.  When the walk stalls
+    the loop completes the chain: a proper subgroup gets its exact order."""
+
     def install(self, g, level: int) -> bool:
         """Install g, fixing the base points above level, in levels 0..level
         and grow their trees; True once the tree sizes reach stop_at."""
         levels, apply = self.levels, self.codec.apply
         if level == len(levels):
             b = next(i for i, x in enumerate(g) if x != i)
-            levels.append((b, [], {b: self.one}, {}))
+            tree = {b: self.one}
+            levels.append((b, [], tree, {}, tree))
         r = self.codec.right(g)
         for m in range(level + 1):
-            _, gens, tree, _ = levels[m]
+            _, gens, tree, _, _ = levels[m]
             gens.append(r)
             if len(tree) == self.degree - m:
                 continue   # every point but the m base points above
             # the old points are closed under the old generators
             new = {g[x]: apply(t, r) for x, t in tree.items() if g[x] not in tree}
             tree.update(new)
-            queue = list(new)
-            for x in queue:
-                t = tree[x]
-                for s in gens:
-                    y = s[x]
-                    if y not in tree:
-                        tree[y] = apply(t, s)
-                        queue.append(y)
+            self.grow(tree, list(new), gens)
         self.order = prod([len(lvl[2]) for lvl in levels])
         return self.order == self.stop_at
 
@@ -407,44 +453,13 @@ class _KnownOrder:
                 return True
         return False
 
-    def check_level(self, i: int):
-        """Sift the Schreier generators of level i through the deeper
-        levels and install the first nontrivial residue: its level, or
-        None when level i is clean."""
-        _, gens, tree, inverses = self.levels[i]
-        for x, t_x in tree.items():
-            for s in gens:
-                t_xs = self.codec.apply(t_x, s)
-                y = s[x]
-                if t_xs != tree[y]:
-                    u = inverses.get(y) or self.inverse(tree, inverses, y)
-                    res, at = self.sift(self.codec.apply(t_xs, u), i + 1)
-                    if res != self.one:
-                        self.install(res, at)
-                        return at
-        return None
-
-    def run(self, gens) -> int:
-        """|<gens>|, or stop_at once reached: input sifts, walk, Schreier loop."""
-        inputs = list(map(self.codec.encode, gens))
-        for g in inputs:
-            res, at = self.sift(g)
-            if res != self.one and self.install(res, at):
-                return self.order
-        if self.walk(inputs):
-            return self.order
-        i = len(self.levels) - 1
-        while i >= 0 and self.order != self.stop_at:
-            at = self.check_level(i)
-            i = i - 1 if at is None else at
-        return self.order
-
 
 class PermGroup:
     """Permutation group with a deterministic base and strong generating set.
 
-    The chain (installed strong generators, transversals and their
-    inverses) holds elements in the encoding of bulk_codec(degree)."""
+    A full build keeps its chain in `_chain`, a _Chain holding elements in
+    the encoding of bulk_codec(degree); a known-order build (`_stop_at`)
+    keeps none, so `_chain` is None and every chain query raises."""
 
     def __init__(self, degree: int, gens, name: str | None = None, *, _stop_at: int = 0):
         self.degree = degree
@@ -458,7 +473,7 @@ class PermGroup:
         self.gens = tuple(checked)
         self.codec = bulk_codec(degree)
         self._ident = self.codec.encode(identity(degree))
-        self._levels = []
+        self._chain = None
         self._operands = None
         self._orders = None       # element orders in draw order; see random_order
         self._order_draws = 0
@@ -468,98 +483,14 @@ class PermGroup:
 
     # chain construction ---------------------------------------------
 
-    def _level(self, i: int) -> _Level:
-        """Level i, recomputed from its strong generators if it is dirty."""
-        lvl = self._levels[i]
-        if lvl.dirty:
-            lvl.recompute(self._ident, self.codec.apply,
-                          list(map(self.codec.right, self._level_gens(i))))
-        return lvl
-
-    def _inverse(self, lvl: _Level, y: int):
-        """Inverse of the transversal element for y as a right operand,
-        computed on first use."""
-        t = lvl.inverse.get(y)
-        if t is None:
-            t = lvl.inverse[y] = self.codec.right(self.codec.inv(lvl.transversal[y]))
-        return t
-
-    def _sift(self, g, start: int = 0):
-        """Reduce the encoded g through levels from start, recomputing a
-        dirty level before reading it; return (residue, stuck_level)."""
-        lv = self._levels
-        apply = self.codec.apply
-        for i in range(start, len(lv)):
-            lvl = lv[i]
-            if lvl.dirty:
-                lvl = self._level(i)
-            x = g[lvl.point]
-            if x == lvl.point:
-                continue
-            if x not in lvl.transversal:
-                return g, i
-            g = apply(g, self._inverse(lvl, x))
-        return g, len(lv)
-
-    def _level_gens(self, i: int) -> list:
-        """Strong generators of the i-th stabilizer: everything installed at
-        level i or deeper fixes the first i base points."""
-        out = []
-        for lvl in self._levels[i:]:
-            out.extend(lvl.installed)
-        return out
-
-    def _add_generator(self, g, level: int) -> None:
-        lv = self._levels
-        if level == len(lv):
-            moved = min(i for i, x in enumerate(g) if x != i)
-            lv.append(_Level(moved))
-        lv[level].installed.append(g)
-        # the new generator lies in every stabilizer down to this level
-        for m in range(level + 1):
-            lv[m].dirty = True
-
     def _build_chain(self, stop_at: int = 0) -> int:
         """Schreier-Sims; returns the group order.  With stop_at it is a
-        _KnownOrder build (see subgroup_order).  A full build (stop_at = 0)
-        keeps its chain and never walks; every level is clean at its end,
-        so the order is the product of the transversal lengths."""
+        _KnownOrder build (see subgroup_order) and self._chain stays None;
+        a full build (stop_at = 0) keeps its _Chain."""
         if stop_at:
             return _KnownOrder(self.codec, self.degree, stop_at).run(self.gens)
-        ident = self._ident
-        for g in map(self.codec.encode, self.gens):
-            if g == ident:
-                continue
-            res, at = self._sift(g)
-            if res != ident:
-                self._add_generator(res, at)
-        i = len(self._levels) - 1
-        while i >= 0:
-            stuck = self._check_level(i)
-            i = i - 1 if stuck is None else stuck
-        return prod(len(lvl.transversal) for lvl in self._levels)
-
-    def _check_level(self, i: int):
-        """Sift all Schreier generators of level i through the deeper chain.
-        Returns the level where a residue was installed, or None if clean."""
-        lvl = self._level(i)
-        ident = self._ident
-        apply = self.codec.apply
-        # right operands map points like their elements do
-        gens = list(map(self.codec.right, self._level_gens(i)))
-        transversal = lvl.transversal
-        for x in lvl.orbit_list:
-            t_x = transversal[x]
-            for s in gens:
-                t_xs = apply(t_x, s)
-                y = s[x]
-                if t_xs == transversal[y]:
-                    continue
-                res, at = self._sift(apply(t_xs, self._inverse(lvl, y)), i + 1)
-                if res != ident:
-                    self._add_generator(res, at)
-                    return at
-        return None
+        self._chain = _Chain(self.codec, self.degree)
+        return self._chain.run(self.gens)
 
     # queries -----------------------------------------------------------
 
@@ -572,21 +503,21 @@ class PermGroup:
             g = self.codec.encode(g)
         except ValueError:
             return False   # an entry the codec refuses is no point of the group
-        res, _ = self._sift(g)
+        res, _ = self._chain.sift(g)
         return res == self._ident
 
     def _draws(self) -> tuple:
         """(operands, draws, strides) of a random element: each level's
-        transversal, deepest level first and in orbit_list order, as right
-        operands; the rng Draws over the levels' orbit lengths (each at
+        transversal, deepest level first and in its loop order (the sorted
+        points), as right operands; the rng Draws over the levels' orbit lengths (each at
         least 2: a level's base point is moved by the generator installed
         there); and the mixed-radix strides that number the draws' indices
         in draw order.  Listed on first use; the chain is complete by then
         and never changes."""
         if self._operands is None:
             right = self.codec.right
-            ops = [[right(lvl.transversal[x]) for x in lvl.orbit_list]
-                   for lvl in reversed(self._levels)]
+            ops = [[right(tree[x]) for x in points]
+                   for _, _, tree, _, points in reversed(self._chain.levels)]
             ns = list(map(len, ops))
             self._operands = ops, Draws(ns), [prod(ns[j + 1:]) for j in range(len(ns))]
         return self._operands
@@ -640,11 +571,9 @@ class PermGroup:
         when G's first base point has a shorter orbit under elems than
         under G (its transversal): <elems> <= G, so equal groups have
         equal orbits."""
-        if self._levels:
-            first = self._levels[0]
-            b = first.point
-            if len(_orbit(b, elems)) < len(first.transversal):
-                return False
+        levels = self._chain.levels
+        if levels and len(_orbit(levels[0][0], elems)) < len(levels[0][2]):
+            return False
         return self.subgroup_order(elems) == self.order
 
     def _rows(self):

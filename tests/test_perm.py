@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -331,12 +332,12 @@ def test_generated_by_leaves_l2_5_to_the_chain():
     A6 = builtin_group('A6')
     t, u = L2_5_GENS
     assert A6.subgroup_order([t, u]) == 60
-    assert len(A6._levels[0].orbit_list) == 6
+    assert len(A6._chain.levels[0][2]) == 6
     assert not A6.generated_by([t, u])
 
 
 # SHA-256 prefixes of (base points, installed strong generators decoded to
-# image tuples, orbit lists) and the first 50 random elements from
+# image tuples, loop orders) and the first 50 random elements from
 # SeedStream(1); any change to the chain construction that moves a base, a
 # generator or a draw shows here
 CHAIN_PINS = {
@@ -359,8 +360,7 @@ def test_chain_pins():
         G = builtin_group(name)
         s = SeedStream(1)
         draws = [G.random_element(s) for _ in range(50)]
-        chain = [(lvl.point, [tuple(g) for g in lvl.installed], lvl.orbit_list)
-                 for lvl in G._levels]
+        chain = [view[:3] for view in chain_view(G)]
         digest = hashlib.sha256(repr((chain, draws)).encode()).hexdigest()
         assert digest[:16] == pin, name
 
@@ -545,10 +545,10 @@ def test_known_order_builds_install_words_that_fix_the_base_above(monkeypatch):
 
     def checked(self, g, level):
         done = install(self, g, level)
-        for b, gens, tree, _ in self.levels:
+        for b, gens, tree, _, _ in self.levels:
             assert all(t[b] == x for x, t in tree.items())
             assert all(s[x] in tree for s in gens for x in tree)
-        installs.append((tuple(g), level, [b for b, _, _, _ in self.levels]))
+        installs.append((tuple(g), level, [lvl[0] for lvl in self.levels]))
         return done
 
     cases = install_oracle_pairs()
@@ -557,7 +557,7 @@ def test_known_order_builds_install_words_that_fix_the_base_above(monkeypatch):
         installs.clear()
         H = PermGroup(G.degree, pair, _stop_at=G.order)
         assert H.order == span.order
-        assert installs and not H._levels   # a known-order build keeps no chain
+        assert installs and H._chain is None   # a known-order build keeps no chain
         for g, level, base in installs:
             assert span.contains(g)
             assert all(g[b] == b for b in base[:level])
@@ -611,10 +611,13 @@ def test_known_order_builds_agree_with_full_builds(monkeypatch):
 
 
 def chain_view(G):
-    """Base points, strong generators, orbit lists and transversals, decoded."""
-    return [(lvl.point, [tuple(g) for g in lvl.installed], lvl.orbit_list,
-             {x: tuple(t) for x, t in lvl.transversal.items()})
-            for lvl in G._levels]
+    """Per level of G's kept chain: the base point, the strong generators
+    installed there, the loop order and the transversal, decoded (a right
+    operand is padded past the degree)."""
+    chain = G._chain
+    return [(b, [tuple(s)[:G.degree] for s in installed], points,
+             {x: tuple(t) for x, t in tree.items()})
+            for (b, _, tree, _, points), installed in zip(chain.levels, chain.installed)]
 
 
 def codec_oracle_groups():
@@ -648,6 +651,56 @@ def test_full_builds_are_pinned():
             draws.append([G.random_element(s) for _ in range(50)])
         digest.update(repr((name, chain_view(G), draws)).encode())
     assert digest.hexdigest() == FULL_BUILD_DIGEST
+
+
+def test_kept_chain_levels_match_a_fresh_search_after_every_install(monkeypatch):
+    # the oracle for the eager rebuild: after each install, every level of
+    # a kept chain holds, in content and insertion order, what a fresh
+    # breadth-first search on image tuples gives from its base point under
+    # its strong generators (those installed there, then the deeper ones),
+    # each entry t at x takes the base point to x, and the loop order is
+    # the sorted points
+    installs = []
+    install = perm._Chain.install
+
+    def checked(self, g, level):
+        done = install(self, g, level)
+        n = self.degree
+        for m, (b, gens, tree, _, points) in enumerate(self.levels):
+            gens = [tuple(s)[:n] for s in gens]
+            assert gens == [tuple(s)[:n] for lvl in self.installed[m:] for s in lvl]
+            fresh, queue = {b: identity(n)}, [b]
+            for x in queue:
+                for s in gens:
+                    if s[x] not in fresh:
+                        fresh[s[x]] = pmul(fresh[x], s)
+                        queue.append(s[x])
+            assert [(x, tuple(t)) for x, t in tree.items()] == list(fresh.items())
+            assert all(t[b] == x for x, t in fresh.items())
+            assert points == sorted(tree)
+        installs.append(level)
+        return done
+
+    monkeypatch.setattr(perm._Chain, "install", checked)
+    for build in codec_oracle_groups():
+        installs.clear()
+        G = build()
+        assert installs and G.order == prod(len(lvl[2]) for lvl in G._chain.levels)
+        assert max(installs) == len(G._chain.levels) - 1
+
+
+def test_known_order_groups_answer_no_chain_query():
+    # a known-order build keeps no chain: its group has the order it was
+    # asked to reach, but a chain query raises rather than answer as the
+    # trivial group would
+    A5 = builtin_group('A5')
+    H = PermGroup(5, A5.gens, _stop_at=60)
+    assert H.order == 60 and H._chain is None
+    queries = [lambda: H.contains(A5.gens[0]), lambda: H.random_element(SeedStream(1)),
+               H.conjugacy_classes, lambda: H.generated_by(A5.gens)]
+    for query in queries:
+        with pytest.raises(AttributeError):
+            query()
 
 
 def test_bytes_chain_agrees_with_tuple_codec(monkeypatch):
